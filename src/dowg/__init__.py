@@ -54,7 +54,6 @@ from .solver import (
     LinearSolveConfig,
     SolverFailure,
     SourceIterationConfig,
-    linear_solve,
     source_iteration,
 )
 from .verify import (

@@ -1,5 +1,4 @@
-"""Sparse linear solves for the per-direction systems and the
-source-iteration outer loop.
+"""Per-ordinate linear solves and the source-iteration outer loop.
 
 The outer loop lags the scattering term: starting from the zero field,
 each iteration evaluates the scattering source from the current iterate,
@@ -9,20 +8,21 @@ broken L2 norm.  The contraction factor is bounded by the scattering
 ratio, so a positive margin sigma_t - sigma_s*max b_m guarantees
 geometric convergence.
 
-Per-direction solves cache their setup across outer iterations: dense
-LU at desk scale and a directional wavefront sweep above it.  Ordering
+Each ordinate's solver is set up on its first solve and cached across
+outer iterations.  It is one of two kinds, chosen by system size: dense
+LU at desk scale, and a directional wavefront sweep above it.  Ordering
 cells by upwind distance makes each transport matrix block lower
 triangular up to a weak downstream-pointing remainder (quarter-weight
 central-flux leakage, jump penalties), so a batched front-by-front
 forward substitution is an O(nnz) preconditioner whose Richardson
 iteration contracts geometrically; the streamline-diffusion systems
-are exactly triangular in that order and solve in one sweep.  A GMRES
-+ cell-block-Jacobi path is available as the explicit Krylov method
-choice.
+are exactly triangular in that order and solve in one sweep.  A sweep
+that stalls raises SolverFailure, and that ordinate switches once, with
+a RuntimeWarning, to exact sparse LU.
 """
 
 import os
-from concurrent.futures import ThreadPoolExecutor
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,8 +37,6 @@ __all__ = [
     "LinearSolveConfig",
     "SourceIterationConfig",
     "IterationTrace",
-    "block_jacobi",
-    "linear_solve",
     "source_iteration",
 ]
 
@@ -53,28 +51,17 @@ class SolverFailure(RuntimeError):
 
 @dataclass
 class LinearSolveConfig:
-    """Per-direction linear solver settings.
+    """Per-ordinate linear solver settings.
 
-    method: "auto" picks by size (dense LU below ``dense_cutoff``, exact
-    sparse LU below ``splu_cutoff``, ILU-preconditioned BiCGSTAB above);
-    "krylov" forces GMRES with a cell-block Jacobi preconditioner;
-    "dense" forces dense LU.
+    ``rtol`` is the relative residual the wavefront sweep iterates to;
+    the dense and sparse LU solves are exact.
     """
 
-    method: str = "auto"
     rtol: float = 1e-10
-    maxiter: int = 5000
-    restart: int = 60
-    dense_cutoff: int = 5000
-    splu_cutoff: int = 25000
 
     def __post_init__(self):
-        if self.method not in ("auto", "krylov", "dense"):
-            raise ValueError(f"unknown linear solver method {self.method!r}")
         if not 0.0 < self.rtol < 1.0:
             raise ValueError(f"relative tolerance must be in (0, 1), got {self.rtol}")
-        if self.maxiter < 1:
-            raise ValueError("maxiter must be >= 1")
 
 
 @dataclass
@@ -119,71 +106,6 @@ class IterationTrace:
                 stream.close()
 
 
-def block_jacobi(A, block_size):
-    """Block-Jacobi preconditioner with cell-sized diagonal blocks."""
-    n = A.shape[0]
-    if n % block_size:
-        raise ValueError("matrix dimension is not a multiple of the block size")
-    B = A.tobsr(blocksize=(block_size, block_size))
-    nb = n // block_size
-    blocks = np.zeros((nb, block_size, block_size))
-    for r in range(nb):
-        lo, hi = B.indptr[r], B.indptr[r + 1]
-        pos = np.searchsorted(B.indices[lo:hi], r)
-        if pos < hi - lo and B.indices[lo + pos] == r:
-            blocks[r] = B.data[lo + pos]
-        else:
-            blocks[r] = np.eye(block_size)
-    inv = np.linalg.inv(blocks)
-
-    def apply(x):
-        return np.einsum("bij,bj->bi", inv, x.reshape(nb, block_size)).ravel()
-
-    return spla.LinearOperator(A.shape, matvec=apply)
-
-
-def _residual(A, x, b):
-    nb = np.linalg.norm(b)
-    if nb == 0.0:
-        return np.linalg.norm(A @ x)
-    return np.linalg.norm(A @ x - b) / nb
-
-
-def linear_solve(A, b, cfg=None, block_size=None):
-    """Solve A x = b to the configured relative residual.
-
-    Raises SolverFailure (with the achieved residual attached) when the
-    iteration does not reach tolerance.
-    """
-    cfg = cfg or LinearSolveConfig()
-    b = np.asarray(b, dtype=float)
-    n = A.shape[0]
-    if A.shape[1] != n or b.shape != (n,):
-        raise ValueError("matrix/vector dimensions do not match")
-    if not np.any(b):
-        return np.zeros(n)
-    method = cfg.method
-    if method == "auto":
-        method = "dense" if n <= cfg.dense_cutoff else "krylov"
-    if method == "dense":
-        x = sla.solve(sp.csr_matrix(A).toarray() if sp.issparse(A) else np.asarray(A), b)
-        r = _residual(A, x, b)
-        if not np.isfinite(r) or r > max(cfg.rtol, 1e-8):
-            raise SolverFailure(f"dense solve residual {r:.3e} above tolerance", r)
-        return x
-    M = block_jacobi(sp.csr_matrix(A), block_size) if block_size else None
-    x, info = spla.gmres(
-        sp.csr_matrix(A), b, rtol=cfg.rtol, atol=0.0, restart=cfg.restart,
-        maxiter=cfg.maxiter, M=M,
-    )
-    r = _residual(A, x, b)
-    if info != 0 or r > 10 * cfg.rtol:
-        raise SolverFailure(
-            f"GMRES did not converge in {cfg.maxiter} iterations (residual {r:.3e})", r
-        )
-    return x
-
-
 @dataclass(frozen=True)
 class _UpwindDG(DODG):
     """Penalty-free upwind operator used as the sweep preconditioner.
@@ -209,9 +131,10 @@ class _SweepSolve:
     for the central-flux scheme whose own lower part amplifies) is
     split into diagonal cell blocks D plus the coupling L to the at
     most two upstream neighbours.  Forward substitution front by front
-    applies (D + L)^{-1} in O(nnz) time and memory, Richardson
-    iteration mops up the remainder, and a sweep-preconditioned GMRES
-    catches the rare stall.
+    applies (D + L)^{-1} in O(nnz) time and memory, and Richardson
+    iteration mops up the remainder.  A solve still above tolerance
+    after ``_MAX_SWEEPS`` sweeps raises SolverFailure with the relative
+    residual it reached.
     """
 
     _MAX_SWEEPS = 100
@@ -281,78 +204,53 @@ class _SweepSolve:
             if np.linalg.norm(r) <= tol:
                 return x
             x += self._forward(r)
-        M = spla.LinearOperator(self.A.shape, matvec=self._forward)
-        x, _ = spla.gmres(
-            self.A, b, x0=x, rtol=self.cfg.rtol, atol=0.0, restart=30,
-            maxiter=200, M=M,
+        r = np.linalg.norm(b - self.A @ x) / nb
+        raise SolverFailure(
+            f"wavefront sweep stalled at relative residual {r:.3e} after "
+            f"{self._MAX_SWEEPS} sweeps", r,
         )
-        r = _residual(self.A, x, b)
-        if r > 10 * self.cfg.rtol:
-            raise SolverFailure(f"wavefront sweep stalled at residual {r:.3e}", r)
-        return x
 
 
 class _CachedSolve:
-    """Per-direction solver with cached setup.
+    """Solver for one ordinate's system, set up on the first solve and
+    cached across outer iterations.
 
-    auto policy: dense LU at desk scale, the wavefront sweep when mesh
-    and direction metadata are at hand, exact sparse LU / ILU +
-    warm-started BiCGSTAB otherwise; iteration failures fall back to
-    exact sparse LU once and stay there.
+    Dense LU up to ``_DENSE_CACHED`` unknowns, the wavefront sweep above
+    that.  A sweep that stalls is replaced, once and with a
+    RuntimeWarning, by exact sparse LU.
     """
 
-    def __init__(self, A, cfg, block_size, mesh=None, direction=None, precond=None):
-        self.A = sp.csr_matrix(A)
-        self.cfg = cfg
-        self.block_size = block_size
-        self.mesh = mesh
-        self.direction = direction
-        self.precond = precond
-        self.n = A.shape[0]
-        self.kind = None
-        self._fac = None
-
-    # caching one dense factor per ordinate gets expensive quickly; keep
-    # the cached dense path well below the single-solve cutoff
+    # one factor is cached per ordinate, so dense LU stays at desk scale
     _DENSE_CACHED = 600
 
-    def _try_sweep(self):
-        try:
-            self._fac = _SweepSolve(
-                self.A, self.cfg, self.block_size, self.mesh, self.direction,
-                precond=self.precond,
-            )
-        except ValueError:
-            return False
-        self.kind = "sweep"
-        self.precond = None  # split into D/L tables; drop the csr copy
-        return True
+    def __init__(self, system, cfg, quad, kernel):
+        self.system = system
+        self.cfg = cfg
+        self.quad = quad
+        self.kernel = kernel
+        self.kind = None
+        self._fac = None
 
     def _ensure(self):
         if self.kind is not None:
             return
-        method, n = self.cfg.method, self.n
-        if method == "dense" or (method == "auto" and n <= self._DENSE_CACHED):
+        s = self.system
+        if s.n_dof <= self._DENSE_CACHED:
             self.kind = "dense"
-            self._fac = sla.lu_factor(self.A.toarray())
-        elif method == "krylov":
-            self.kind = "krylov"
-            self._fac = block_jacobi(self.A, self.block_size) if self.block_size else None
-        elif self.mesh is not None and self.direction is not None and self._try_sweep():
-            pass
-        elif n <= self.cfg.splu_cutoff:
-            self.kind = "splu"
-            self._fac = spla.splu(self.A.tocsc(), permc_spec="MMD_AT_PLUS_A")
-        else:
-            self.kind = "ilu"
-            self._fac = spla.spilu(
-                self.A.tocsc(), drop_tol=1e-4, fill_factor=10.0,
-                permc_spec="MMD_AT_PLUS_A",
-            )
-
-    def _escalate(self):
-        self.kind = "splu"
-        self._fac = spla.splu(self.A.tocsc(), permc_spec="MMD_AT_PLUS_A")
+            self._fac = sla.lu_factor(s.matrix.toarray())
+            return
+        precond = None
+        if s.scheme.name == "wg":
+            # the central-flux matrix is not triangular-dominant in sweep
+            # order; split its penalty-free upwind counterpart instead
+            precond = assemble_direction(
+                _UpwindDG(), s.mesh, s.tables, self.quad, self.kernel,
+                s.medium, s.m,
+            ).matrix
+        self.kind = "sweep"
+        self._fac = _SweepSolve(
+            s.matrix, self.cfg, s.tables.dof, s.mesh, s.direction, precond=precond
+        )
 
     def solve(self, b, x0=None):
         self._ensure()
@@ -361,29 +259,17 @@ class _CachedSolve:
         if self.kind == "sweep":
             try:
                 return self._fac.solve(b, x0=x0)
-            except SolverFailure:
-                self._escalate()
-                return self._fac.solve(b)
-        if self.kind == "splu":
-            return self._fac.solve(b)
-        if self.kind == "krylov":
-            x, info = spla.gmres(
-                self.A, b, x0=x0, rtol=self.cfg.rtol, atol=0.0,
-                restart=self.cfg.restart, maxiter=self.cfg.maxiter, M=self._fac,
-            )
-            r = _residual(self.A, x, b)
-            if info != 0 or r > 10 * self.cfg.rtol:
-                raise SolverFailure(f"GMRES stalled at residual {r:.3e}", r)
-            return x
-        # ilu: warm-started BiCGSTAB, exact-LU fallback
-        M = spla.LinearOperator(self.A.shape, matvec=self._fac.solve)
-        x, info = spla.bicgstab(
-            self.A, b, x0=x0, rtol=self.cfg.rtol, atol=0.0, maxiter=500, M=M
-        )
-        if info != 0 or _residual(self.A, x, b) > 10 * self.cfg.rtol:
-            self._escalate()
-            return self._fac.solve(b)
-        return x
+            except SolverFailure as err:
+                s = self.system
+                sx, sy = s.direction
+                warnings.warn(
+                    f"ordinate {s.m}, direction ({sx:.6g}, {sy:.6g}): {err}; "
+                    "switching to sparse LU",
+                    RuntimeWarning, stacklevel=2,
+                )
+                self.kind = "splu"
+                self._fac = spla.splu(s.matrix.tocsc(), permc_spec="MMD_AT_PLUS_A")
+        return self._fac.solve(b)
 
 
 def source_iteration(systems, kernel, quad, cfg=None):
@@ -403,34 +289,9 @@ def source_iteration(systems, kernel, quad, cfg=None):
     if L != len(quad):
         raise ValueError("one system per quadrature ordinate is required")
 
-    def _sweep_precond(s):
-        # the central-flux matrix is not triangular-dominant in sweep
-        # order; hand the sweep its penalty-free upwind counterpart
-        if (
-            cfg.linear.method != "auto"
-            or s.scheme.name != "wg"
-            or s.n_dof <= _CachedSolve._DENSE_CACHED
-        ):
-            return None
-        aux = assemble_direction(
-            _UpwindDG(), s.mesh, s.tables, quad, kernel, s.medium, s.m
-        )
-        return aux.matrix
-
-    solvers = [
-        _CachedSolve(
-            s.matrix, cfg.linear, d, mesh=s.mesh, direction=s.direction,
-            precond=_sweep_precond(s),
-        )
-        for s in systems
-    ]
+    solvers = [_CachedSolve(s, cfg.linear, quad, kernel) for s in systems]
     field = np.zeros((L, C, d))
     errs = []
-    workers = int(os.environ.get("DOWG_THREADS", "1") or "1")
-
-    def solve_one(k, rhs, warm):
-        return solvers[k].solve(rhs, x0=warm.ravel() if warm is not None else None)
-
     converged = False
     w_vol = tables.quad.vol_weights
     for it in range(cfg.max_outer):
@@ -439,13 +300,13 @@ def source_iteration(systems, kernel, quad, cfg=None):
                 sources = np.zeros((L, C, d))
             else:
                 sources = scattering_source(systems, kernel, quad, field)
-            rhss = [systems[k].rhs_fixed + sources[k].ravel() for k in range(L)]
-            warm = field if it > 0 else [None] * L
-            if workers > 1:
-                with ThreadPoolExecutor(max_workers=workers) as ex:
-                    sols = list(ex.map(lambda k: solve_one(k, rhss[k], warm[k]), range(L)))
-            else:
-                sols = [solve_one(k, rhss[k], warm[k]) for k in range(L)]
+            sols = [
+                solvers[k].solve(
+                    systems[k].rhs_fixed + sources[k].ravel(),
+                    x0=field[k].ravel() if it > 0 else None,
+                )
+                for k in range(L)
+            ]
             new = np.stack(sols).reshape(L, C, d)
         else:
             # gauss-seidel in angle: row-by-row scattering from the

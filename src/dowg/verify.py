@@ -313,13 +313,32 @@ def project_exact(case, mesh, tables, quad):
     return field
 
 
+def _iterate(systems, kernel, quad, cfg, where):
+    """``source_iteration`` for one table row: a solver failure or an
+    outer loop that stops short of ``cfg.tol`` raises SolverFailure with
+    ``where`` attached, so no unconverged row is tabulated."""
+    try:
+        field, trace = source_iteration(systems, kernel, quad, cfg)
+    except SolverFailure as err:
+        raise SolverFailure(f"{where}: {err}", err.residual) from err
+    if not trace.converged:
+        raise SolverFailure(
+            f"{where}: source iteration stopped after {trace.iterations} outer "
+            f"iterations with update norm {trace.errs[-1]:.3e} above the "
+            f"tolerance {cfg.tol:.3e}",
+            trace.errs[-1],
+        )
+    return field, trace
+
+
 def run_convergence(case="example1", scheme=None, k=1, levels=range(3, 8), M=20,
                     tol=None, renormalize=None, linear=None):
     """Refine through ``levels`` and tabulate errors and orders.
 
     The outer tolerance follows ``outer_tolerance`` per level unless a
-    fixed ``tol`` is given.  Solver failures are re-raised with the
-    offending level attached.
+    fixed ``tol`` is given.  Solver failures and levels whose outer
+    iteration does not converge raise SolverFailure with the offending
+    level attached.
     """
     if isinstance(case, str):
         case = build_case(case)
@@ -343,12 +362,8 @@ def run_convergence(case="example1", scheme=None, k=1, levels=range(3, 8), M=20,
         cfg = SourceIterationConfig(
             tol=lt, linear=linear if linear is not None else LinearSolveConfig()
         )
-        try:
-            field, trace = source_iteration(systems, kernel, quad, cfg)
-        except SolverFailure as err:
-            raise SolverFailure(
-                f"level {lv} (1/h = {mesh.n}): {err}", err.residual
-            ) from err
+        field, trace = _iterate(systems, kernel, quad, cfg,
+                                f"level {lv} (1/h = {mesh.n})")
         wall = time.perf_counter() - t0
         err_dom, err_tri = measure_error(field, case, mesh, tables, quad)
         eoc = None if prev is None else float(np.log2(prev / err_dom))
@@ -397,7 +412,8 @@ def run_angular_study(case="example2", scheme=None, k=2, level=5,
     not masked by iteration noise; both smooth cases are integrated
     exactly by the trapezoid rule once M exceeds the angular bandwidth,
     so the curve plateaus at the spatial error rather than decaying at
-    a rate.
+    a rate.  A solver failure or an outer iteration that does not
+    converge raises SolverFailure with the offending M attached.
     """
     if isinstance(case, str):
         case = build_case(case)
@@ -419,7 +435,7 @@ def run_angular_study(case="example2", scheme=None, k=2, level=5,
         cfg = SourceIterationConfig(
             tol=tol, linear=linear if linear is not None else LinearSolveConfig()
         )
-        field, _ = source_iteration(systems, kernel, quad, cfg)
+        field, _ = _iterate(systems, kernel, quad, cfg, f"M = {M}")
         err_dom, _ = measure_error(field, case, mesh, tables, quad)
         report.rows.append((M, err_dom))
     return report

@@ -107,6 +107,14 @@ class TestExitCodes:
         assert code == EXIT_IO
         assert "I/O error" in capsys.readouterr().err
 
+    def test_unconverged_row_exits_4(self, tmp_path, capsys):
+        code = main(["convergence", "--levels", "2", "--tol", "1e-300",
+                     "--out", str(tmp_path)])
+        assert code == EXIT_SOLVER
+        err = capsys.readouterr().err
+        assert "solver failure" in err and "level 2" in err
+        assert not any(tmp_path.iterdir())
+
     def test_selftest_ok(self, capsys):
         assert main(["selftest"]) == EXIT_OK
         out = capsys.readouterr().out

@@ -4,7 +4,7 @@ from numpy.testing import assert_allclose
 
 from dowg.angular import Isotropic, build_circle_trapezoid
 from dowg.assembly import DODSD, WG, Medium
-from dowg.solver import SourceIterationConfig
+from dowg.solver import SolverFailure, SourceIterationConfig
 from dowg.verify import (
     AngularStudyReport,
     ConvergenceReport,
@@ -213,6 +213,11 @@ class TestRunAngularStudy:
         assert rep.plateaued()
         assert rep.contributions[-1] == 0.0
         assert all(e > 0 for e in rep.errors)
+
+    def test_unconverged_row_raises_with_m(self):
+        with pytest.raises(SolverFailure, match="M = 4") as err:
+            run_angular_study("example1", k=1, level=2, Ms=(4,), tol=1e-300)
+        assert err.value.residual > 0
 
     def test_example1_insensitive_to_m(self):
         rep = run_angular_study("example1", k=1, level=3, Ms=(8, 20))
