@@ -46,6 +46,7 @@ __all__ = [
     "DirectionSystem",
     "assemble_direction",
     "scattering_source",
+    "scattering_row",
     "triple_norm",
     "l2_dom_norm",
     "eval_bilinear",
@@ -311,32 +312,34 @@ def assemble_direction(scheme, mesh, tables, quad, kernel, medium, m, f=None, u_
     )
 
 
+def _scatter_map(system):
+    """(dof, dof) map from kernel-contracted coefficients to one
+    ordinate's scattering right side: sigma_s h^2 V^T W test."""
+    tables = system.tables
+    w = tables.quad.vol_weights
+    return (system.medium.sigma_s * system.mesh.h**2) * (
+        tables.V.T @ (w[:, None] * system.scatter_test)
+    )
+
+
+def scattering_row(system, kernel, quad, field):
+    """Lagged scattering right side sigma_s (K_d u, test)_T of one
+    ordinate, shape (C, dof), from the (L, C, dof) iterate."""
+    krow = kernel.matrix[system.m] * quad.weights
+    return np.tensordot(krow, field, axes=1) @ _scatter_map(system)
+
+
 def scattering_source(systems, kernel, quad, field):
     """Lagged scattering right sides sigma_s (K_d u, test)_T for all
     ordinates, from the current iterate.
 
-    ``field`` has shape (L, C, dof); returns the same shape.  The source
-    is evaluated pointwise at the element quadrature nodes from the
-    broken-polynomial iterate, then integrated against each system's
-    test table.
+    ``field`` has shape (L, C, dof); returns the same shape.  The kernel
+    is contracted on the broken-polynomial coefficients, and the result
+    is mapped to each system's test table through the (dof, dof) matrix
+    sigma_s h^2 V^T W test, so no quadrature-point array is formed.
     """
-    sys0 = systems[0]
-    tables, mesh = sys0.tables, sys0.mesh
-    h = mesh.h
-    w = tables.quad.vol_weights
-    U = np.einsum("lcd,qd->lcq", field, tables.V)
-    S = np.einsum("ml,lcq->mcq", kernel.matrix * quad.weights[None, :], U)
-    same_test = all(s.scatter_test is sys0.scatter_test for s in systems)
-    if same_test:
-        out = np.einsum("mcq,qd->mcd", S, w[:, None] * sys0.scatter_test)
-    else:
-        out = np.stack(
-            [S[k.m] @ (w[:, None] * k.scatter_test) for k in systems]
-        )
-    out *= h * h
-    for k, system in enumerate(systems):
-        out[k] *= system.medium.sigma_s
-    return out
+    coeffs = np.tensordot(kernel.matrix * quad.weights[None, :], field, axes=1)
+    return np.stack([coeffs[s.m] @ _scatter_map(s) for s in systems])
 
 
 def _field_edge_terms(mesh, tables, coeffs_u, coeffs_v, sets):
@@ -400,9 +403,7 @@ def triple_norm(mesh, tables, quad, field):
 def l2_dom_norm(mesh, tables, quad, field):
     """Angularly weighted broken L2 norm (volume terms only)."""
     field = np.asarray(field)
-    w = tables.quad.vol_weights
-    vals = np.einsum("lcd,qd->lcq", field, tables.V)
-    vol = mesh.h**2 * np.einsum("q,lcq->l", w, vals**2)
+    vol = mesh.h**2 * np.einsum("lcd,de,lce->l", field, tables.M, field, optimize=True)
     return float(np.sqrt(np.sum(quad.weights * vol)))
 
 

@@ -13,8 +13,10 @@ outer iterations.  It is one of two kinds, chosen by system size: dense
 LU at desk scale, and a directional wavefront sweep above it.  Ordering
 cells by upwind distance makes each transport matrix block lower
 triangular up to a weak downstream-pointing remainder (quarter-weight
-central-flux leakage, jump penalties), so a batched front-by-front
-forward substitution is an O(nnz) preconditioner whose Richardson
+central-flux leakage, jump penalties).  With the cells renumbered front
+by front, the sweep applies the block lower part D + L as a D^{-1}
+scaling and one compiled sparse triangular solve with the unit lower
+triangular D^{-1}(D + L), an O(nnz) preconditioner whose Richardson
 iteration contracts geometrically; the streamline-diffusion systems
 are exactly triangular in that order and solve in one sweep.  A sweep
 that stalls raises SolverFailure, and that ordinate switches once, with
@@ -30,7 +32,9 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .assembly import DODG, assemble_direction, l2_dom_norm, scattering_source
+from .assembly import (
+    DODG, assemble_direction, l2_dom_norm, scattering_row, scattering_source,
+)
 
 __all__ = [
     "SolverFailure",
@@ -130,11 +134,13 @@ class _SweepSolve:
     block triangular in that order, the penalty-free upwind operator
     for the central-flux scheme whose own lower part amplifies) is
     split into diagonal cell blocks D plus the coupling L to the at
-    most two upstream neighbours.  Forward substitution front by front
-    applies (D + L)^{-1} in O(nnz) time and memory, and Richardson
-    iteration mops up the remainder.  A solve still above tolerance
-    after ``_MAX_SWEEPS`` sweeps raises SolverFailure with the relative
-    residual it reached.
+    most two upstream neighbours.  With the cells renumbered front by
+    front, every coupling in L points to an earlier front, so
+    M = D^{-1}(D + L) is unit lower triangular.  Applying (D + L)^{-1}
+    is then a D^{-1} scaling and one compiled sparse triangular solve
+    with M, O(nnz) in time and memory, and Richardson iteration mops up
+    the remainder.  A solve still above tolerance after ``_MAX_SWEEPS``
+    sweeps raises SolverFailure with the relative residual it reached.
     """
 
     _MAX_SWEEPS = 100
@@ -152,7 +158,6 @@ class _SweepSolve:
         ip = idx if sx >= 0 else idx[::-1]
         jp = idx if sy >= 0 else idx[::-1]
         front = (jp[:, None] + ip[None, :]).ravel()  # cell index is j*n + i
-        nf = 2 * n - 1
 
         P = self.A if precond is None else sp.csr_matrix(precond)
         if P.shape != self.A.shape:
@@ -165,33 +170,46 @@ class _SweepSolve:
             raise ValueError("every cell needs a diagonal block")
         gap = front[cols] - front[rows]
         if np.any(gap[~diag] == 0):
-            raise ValueError("same-front coupling breaks the batched sweep")
-        self._dinv = np.linalg.inv(B.data[diag][np.argsort(rows[diag])])
-        lower = gap < 0
-        key = front[rows[lower]]
-        perm = np.argsort(key, kind="stable")
-        self._lrows = rows[lower][perm]
-        self._lcols = cols[lower][perm]
-        self._ldata = B.data[lower][perm]
-        self._lptr = np.concatenate(
-            ([0], np.cumsum(np.bincount(key, minlength=nf)))
-        )
+            raise ValueError("same-front coupling breaks the triangular sweep")
+        dinv = np.linalg.inv(B.data[diag][np.argsort(rows[diag])])
+        # renumber the cells front by front: new index rank[c], old order[p]
         order = np.argsort(front, kind="stable")
-        fptr = np.concatenate(([0], np.cumsum(np.bincount(front, minlength=nf))))
-        self._fronts = [order[fptr[l] : fptr[l + 1]] for l in range(nf)]
+        rank = np.empty(C, dtype=np.intp)
+        rank[order] = np.arange(C)
+        # M = D^{-1}(D + L) in front order, built block-wise with its
+        # identity diagonal blocks inline (no scalar COO or setdiag pass,
+        # which costs more peak memory) and kept as CSC, the layout
+        # spsolve_triangular solves without a per-call transpose
+        lower = np.nonzero(gap < 0)[0]
+        r = np.concatenate((rank, rank[rows[lower]]))
+        c = np.concatenate((rank, rank[cols[lower]]))
+        blocks = np.concatenate(
+            (np.broadcast_to(np.eye(d), (C, d, d)), dinv[rows[lower]] @ B.data[lower])
+        )
+        perm = np.lexsort((c, r))
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(r, minlength=C))))
+        M = sp.bsr_matrix(
+            (blocks[perm], c[perm], indptr), shape=self.A.shape
+        ).tocsc()
+        M.eliminate_zeros()
+        M.sort_indices()
+        self._M = M
+        self._dinv = dinv[order]
+        self._order = order
+        self._rank = rank
 
     def _forward(self, r):
-        """Apply (D + L)^{-1} by forward substitution over fronts."""
+        """Apply (D + L)^{-1}: scale by D^{-1}, then solve with the unit
+        lower triangular M in front order."""
         d = self.d
-        acc = np.array(r, dtype=float).reshape(-1, d)
-        z = np.empty_like(acc)
-        for l, cells in enumerate(self._fronts):
-            lo, hi = self._lptr[l], self._lptr[l + 1]
-            if hi > lo:
-                take = self._ldata[lo:hi] @ z[self._lcols[lo:hi], :, None]
-                np.subtract.at(acc, self._lrows[lo:hi], take[..., 0])
-            z[cells] = np.einsum("cij,cj->ci", self._dinv[cells], acc[cells])
-        return z.ravel()
+        y = np.einsum(
+            "cij,cj->ci", self._dinv, np.reshape(r, (-1, d))[self._order]
+        ).ravel()
+        z = spla.spsolve_triangular(
+            self._M, y, lower=True, unit_diagonal=True,
+            overwrite_A=True, overwrite_b=True,
+        )
+        return z.reshape(-1, d)[self._rank].ravel()
 
     def solve(self, b, x0=None):
         nb = np.linalg.norm(b)
@@ -293,7 +311,6 @@ def source_iteration(systems, kernel, quad, cfg=None):
     field = np.zeros((L, C, d))
     errs = []
     converged = False
-    w_vol = tables.quad.vol_weights
     for it in range(cfg.max_outer):
         if cfg.ordering == "jacobi":
             if it == 0:
@@ -312,20 +329,13 @@ def source_iteration(systems, kernel, quad, cfg=None):
             # gauss-seidel in angle: row-by-row scattering from the
             # partially updated field
             new = field.copy()
-            vals = np.einsum("lcd,qd->lcq", new, tables.V)
-            h2 = mesh.h**2
             for k in range(L):
-                srow = kernel.matrix[systems[k].m] * quad.weights
-                S = np.einsum("l,lcq->cq", srow, vals)
-                rhs_s = systems[k].medium.sigma_s * h2 * (
-                    (w_vol[None, :] * S) @ systems[k].scatter_test
-                )
+                rhs_s = scattering_row(systems[k], kernel, quad, new)
                 sol = solvers[k].solve(
                     systems[k].rhs_fixed + rhs_s.ravel(),
                     x0=field[k].ravel() if it > 0 else None,
                 )
                 new[k] = sol.reshape(C, d)
-                vals[k] = new[k] @ tables.V.T
         err = l2_dom_norm(mesh, tables, quad, new - field)
         errs.append(err)
         field = new

@@ -20,6 +20,7 @@ from dowg.assembly import (
     eval_bilinear,
     export_matrix_coo,
     l2_dom_norm,
+    scattering_row,
     scattering_source,
     triple_norm,
 )
@@ -41,6 +42,27 @@ def kernel(quad):
 
 def _tables(k):
     return ElementTables(LocalBasis(k), ElementQuadrature.build(k))
+
+
+def _quadrature_row(system, kernel, quad, field):
+    """Reference scattering right side of one ordinate, evaluated at the
+    element quadrature points: sigma_s h^2 sum_q w_q (K_d u)(x_q) test_q."""
+    tables, h = system.tables, system.mesh.h
+    vals = np.einsum("lcd,qd->lcq", field, tables.V)
+    S = np.einsum("l,lcq->cq", kernel.matrix[system.m] * quad.weights, vals)
+    w = tables.quad.vol_weights
+    return system.medium.sigma_s * h * h * ((w[None, :] * S) @ system.scatter_test)
+
+
+def _quadrature_source(systems, kernel, quad, field):
+    return np.stack([_quadrature_row(s, kernel, quad, field) for s in systems])
+
+
+def _quadrature_norm(mesh, tables, quad, field):
+    """Reference angularly weighted broken L2 norm from point values."""
+    vals = np.einsum("lcd,qd->lcq", field, tables.V)
+    vol = mesh.h**2 * np.einsum("q,lcq->l", tables.quad.vol_weights, vals**2)
+    return float(np.sqrt(np.sum(quad.weights * vol)))
 
 
 def _const_field(mesh, tables, quad, c):
@@ -99,6 +121,53 @@ class TestConstantSolution:
             res = systems[m].matrix @ field[m].ravel()
             res -= systems[m].rhs_fixed + src[m].ravel()
             assert np.abs(res).max() < 1e-13
+
+
+class TestCoefficientSpace:
+    """The scattering source and the update norm work on the (L, C, dof)
+    coefficients; they equal the quadrature-point formulas."""
+
+    @pytest.mark.parametrize(
+        "scheme, sigma_t, k",
+        [
+            (WG(), ST, 1),
+            (WG(), ST, 2),
+            (DODSD(), ST, 1),
+            (DODSD(), ST, 2),
+            (WG(), lambda x, y: 2.0 + 0.5 * np.sin(3.0 * x) * y, 1),
+            (DODSD(), lambda x, y: 2.0 + x * y, 2),
+        ],
+        ids=["wg-q1", "wg-q2", "dodsd-q1", "dodsd-q2", "wg-q1-callable",
+             "dodsd-q2-callable"],
+    )
+    def test_scattering_matches_quadrature(self, quad, kernel, scheme, sigma_t, k):
+        mesh, tables = build_mesh(3), _tables(k)
+        med = Medium(sigma_t, SS)
+        systems = [
+            assemble_direction(scheme, mesh, tables, quad, kernel, med, m)
+            for m in range(len(quad))
+        ]
+        field = np.random.default_rng(5).standard_normal(
+            (len(quad), mesh.n_cells, tables.dof)
+        )
+        ref = _quadrature_source(systems, kernel, quad, field)
+        got = scattering_source(systems, kernel, quad, field)
+        assert got.shape == ref.shape
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+        row = scattering_row(systems[4], kernel, quad, field)
+        assert np.abs(row - ref[4]).max() <= 1e-13 * np.abs(ref[4]).max()
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_norm_matches_quadrature(self, quad, k):
+        mesh, tables = build_mesh(3), _tables(k)
+        field = np.random.default_rng(k).standard_normal(
+            (len(quad), mesh.n_cells, tables.dof)
+        )
+        assert_allclose(
+            l2_dom_norm(mesh, tables, quad, field),
+            _quadrature_norm(mesh, tables, quad, field),
+            rtol=1e-13,
+        )
 
 
 class TestSparsity:

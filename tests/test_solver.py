@@ -2,10 +2,17 @@ import io
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from numpy.testing import assert_allclose
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.testing import assert_allclose, assert_array_equal
+from test_assembly import _quadrature_norm, _quadrature_row, _quadrature_source
 
+import dowg.solver
 from dowg.angular import (
+    AngularQuadrature,
+    Direction,
     HenyeyGreenstein,
     Isotropic,
     build_circle_trapezoid,
@@ -45,6 +52,71 @@ def _systems(scheme, quad, kernel, medium, mesh, tables, f=None, u_in=None):
 
 def _source(x, y, th):
     return np.sin(3.0 * x + th) + np.cos(2.0 * y)
+
+
+def _one_ordinate(theta):
+    """A single-node quadrature along angle theta, with the same snapping
+    of rounding noise on the axes as the stock circle rule."""
+    vec = np.array([np.cos(theta), np.sin(theta)])
+    vec[np.abs(vec) < 1e-14] = 0.0
+    return AngularQuadrature(
+        [Direction(theta, vec)], np.array([2 * np.pi]), "circle-trapezoid", 1,
+        2 * np.pi,
+    )
+
+
+def _lower_part(P, d, mesh, direction):
+    """D + L of P in the original numbering: the diagonal cell blocks and
+    the blocks coupling a cell to cells on earlier fronts, with fronts
+    counted along the flow from the cells' grid coordinates."""
+    ij = np.rint(mesh.cell_origins / mesh.h).astype(int)
+    front = np.zeros(mesh.n_cells, dtype=int)
+    for axis in (0, 1):
+        t = ij[:, axis]
+        front += t if direction[axis] >= 0 else mesh.n - 1 - t
+    coo = P.tocoo()
+    rc, cc = coo.row // d, coo.col // d
+    keep = (rc == cc) | (front[cc] < front[rc])
+    return sp.csc_matrix(
+        (coo.data[keep], (coo.row[keep], coo.col[keep])), shape=P.shape
+    )
+
+
+class _FrontLoopSweep(_SweepSolve):
+    """Reference sweep: forward substitution front by front in a Python
+    loop, as the solver did before the triangular solve replaced it."""
+
+    def __init__(self, A, cfg, d, mesh, direction, precond=None):
+        super().__init__(A, cfg, d, mesh, direction, precond=precond)
+        n = mesh.n
+        idx = np.arange(n)
+        ip = idx if direction[0] >= 0 else idx[::-1]
+        jp = idx if direction[1] >= 0 else idx[::-1]
+        front = (jp[:, None] + ip[None, :]).ravel()
+        B = sp.csr_matrix(A if precond is None else precond).tobsr(blocksize=(d, d))
+        rows = np.repeat(np.arange(mesh.n_cells), np.diff(B.indptr))
+        cols = B.indices
+        diag = rows == cols
+        self._dinv_cells = np.linalg.inv(B.data[diag][np.argsort(rows[diag])])
+        lower = front[cols] < front[rows]
+        self._fronts = [
+            (np.nonzero(front == l)[0], lower & (front[rows] == l))
+            for l in range(2 * n - 1)
+        ]
+        self._blocks = (rows, cols, B.data)
+
+    def _forward(self, r):
+        rows, cols, data = self._blocks
+        acc = np.array(r, dtype=float).reshape(-1, self.d)
+        z = np.empty_like(acc)
+        for cells, sel in self._fronts:
+            take = data[sel] @ z[cols[sel], :, None]
+            np.subtract.at(acc, rows[sel], take[..., 0])
+            z[cells] = np.einsum("cij,cj->ci", self._dinv_cells[cells], acc[cells])
+        return z.ravel()
+
+
+_SCHEMES = {"wg": WG(), "dodg": DODG(), "dodsd": DODSD()}
 
 
 class TestLinearSolve:
@@ -172,6 +244,81 @@ class TestSweep:
         assert cached.kind == "splu"
         ref = spla.spsolve(sysm.matrix.tocsc(), b)
         assert_allclose(x, ref, atol=1e-10 * np.abs(ref).max())
+
+
+class TestSweepProperty:
+    """The sweep applies (D + L)^{-1} of its preconditioner for any
+    direction, and solves the streamline-diffusion system exactly."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        theta=st.one_of(
+            st.floats(0.0, 2 * np.pi),
+            st.sampled_from([0.0, 0.5 * np.pi, np.pi, 1.5 * np.pi, 2 * np.pi]),
+            st.floats(2 * np.pi - 1e-6, 2 * np.pi),
+        ),
+        k=st.sampled_from([1, 2]),
+        name=st.sampled_from(sorted(_SCHEMES)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_forward_is_the_lower_solve(self, theta, k, name, seed):
+        _, kernel, medium, mesh, tables = _setup(level=3, k=k)
+        one = _one_ordinate(theta)
+        sysm = assemble_direction(
+            _SCHEMES[name], mesh, tables, one, kernel, medium, 0
+        )
+        pre = None
+        if name == "wg":
+            pre = assemble_direction(
+                _UpwindDG(), mesh, tables, one, kernel, medium, 0
+            ).matrix
+        sw = _SweepSolve(
+            sysm.matrix, LinearSolveConfig(), tables.dof, mesh, sysm.direction,
+            precond=pre,
+        )
+        b = np.random.default_rng(seed).standard_normal(sysm.n_dof)
+        P = sysm.matrix if pre is None else pre
+        ref = spla.spsolve(_lower_part(P, tables.dof, mesh, sysm.direction), b)
+        x = sw._forward(b)
+        assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
+        if name == "dodsd":
+            exact = spla.spsolve(sysm.matrix.tocsc(), b)
+            assert np.abs(x - exact).max() <= 1e-12 * np.abs(exact).max()
+
+    def test_forward_leaves_its_input(self):
+        quad, kernel, medium, mesh, tables = _setup(level=3, k=1)
+        sysm = assemble_direction(DODSD(), mesh, tables, quad, kernel, medium, 3)
+        sw = _SweepSolve(
+            sysm.matrix, LinearSolveConfig(), tables.dof, mesh, sysm.direction
+        )
+        b = np.sin(np.arange(sysm.n_dof))
+        first = sw._forward(b)
+        assert_array_equal(b, np.sin(np.arange(sysm.n_dof)))
+        assert_array_equal(sw._forward(b), first)
+
+
+class TestPreChangeEquivalence:
+    """Source iteration through the triangular-solve sweep and the
+    coefficient-space scattering source and norm reproduces the front
+    loop with quadrature-point scattering and norm."""
+
+    @pytest.mark.parametrize("ordering", ["jacobi", "gauss-seidel"])
+    @pytest.mark.parametrize("name, k, level", [("wg", 1, 4), ("dodsd", 2, 4)])
+    def test_fields_match(self, monkeypatch, ordering, name, k, level):
+        quad, kernel, medium, mesh, tables = _setup(level=level, k=k)
+        systems = _systems(
+            _SCHEMES[name], quad, kernel, medium, mesh, tables, f=_source
+        )
+        assert systems[0].n_dof > _CachedSolve._DENSE_CACHED
+        cfg = SourceIterationConfig(tol=1e-9, ordering=ordering)
+        new, tnew = source_iteration(systems, kernel, quad, cfg)
+        monkeypatch.setattr(dowg.solver, "_SweepSolve", _FrontLoopSweep)
+        monkeypatch.setattr(dowg.solver, "scattering_source", _quadrature_source)
+        monkeypatch.setattr(dowg.solver, "scattering_row", _quadrature_row)
+        monkeypatch.setattr(dowg.solver, "l2_dom_norm", _quadrature_norm)
+        old, told = source_iteration(systems, kernel, quad, cfg)
+        assert tnew.converged and tnew.iterations == told.iterations
+        assert np.abs(new - old).max() <= 1e-12 * np.abs(old).max()
 
 
 class TestSourceIteration:
