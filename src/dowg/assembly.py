@@ -25,10 +25,11 @@ DODSD
 
 Uniform grids make every edge of a topological group (interior vertical,
 interior horizontal, four boundary sides) carry identical element blocks,
-so assembly reduces to a handful of block-scatter operations.
+so assembly reduces to a handful of block adds on the grid's five-point
+block stencil (each cell's blocks for its bottom, left, own, right and
+top neighbour), emitted block-row-wise as the CSR system matrix.
 """
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +38,7 @@ import scipy.sparse as sp
 from . import _hooks
 from .elements import _edge_points
 from .mesh import SIDE_NORMALS, classify_edges
+from .reporting import _with_stream
 
 __all__ = [
     "WG",
@@ -45,6 +47,7 @@ __all__ = [
     "Medium",
     "DirectionSystem",
     "assemble_direction",
+    "sweep_matrix",
     "scattering_source",
     "scattering_row",
     "triple_norm",
@@ -108,6 +111,8 @@ def _check_margin(kernel, medium):
 class DirectionSystem:
     """Assembled system for one ordinate.
 
+    ``matrix`` is CSR on the five-point block stencil; every block an
+    assembly term wrote is stored in full, even where the terms cancel.
     ``scatter_test`` holds the volume test table the lagged scattering
     source is integrated against (basis values for WG/DODG, the
     streamline-diffusion test combination for DODSD).
@@ -128,28 +133,39 @@ class DirectionSystem:
         return self.matrix.shape[0]
 
 
-class _BlockCOO:
-    """Accumulates (cell, cell) dense blocks into global COO triplets."""
+class _BlockStencil:
+    """Accumulates dense (cell, cell) blocks on the grid's five-point
+    stencil: per test cell, the d x d blocks for its bottom, left, own,
+    right and top neighbour (cell offsets -n, -1, 0, 1, n, in column
+    order).  A written block stays in the pattern even if it sums to 0."""
 
-    def __init__(self, d):
+    def __init__(self, n, d):
         self.d = d
-        self.rows, self.cols, self.vals = [], [], []
+        self.offsets = np.array([-n, -1, 0, 1, n])
+        self.blocks = np.zeros((n * n, 5, d, d))
+        self.touched = np.zeros((n * n, 5), dtype=bool)
 
     def add(self, test_cells, trial_cells, block):
-        d = self.d
-        test_cells = np.atleast_1d(np.asarray(test_cells))
-        trial_cells = np.atleast_1d(np.asarray(trial_cells))
-        self.rows.append(np.add.outer(test_cells * d, np.repeat(np.arange(d), d)).ravel())
-        self.cols.append(np.add.outer(trial_cells * d, np.tile(np.arange(d), d)).ravel())
-        block = np.asarray(block).reshape(-1, d * d)
-        self.vals.append(np.broadcast_to(block, (len(test_cells), d * d)).ravel())
+        test_cells = np.atleast_1d(test_cells)
+        offset = np.atleast_1d(trial_cells) - test_cells
+        if offset.size == 0:
+            return
+        if np.any(offset != offset[0]) or offset[0] not in self.offsets:
+            raise ValueError(f"cell offsets {np.unique(offset)} are not one stencil slot")
+        if np.bincount(test_cells).max() > 1:
+            raise ValueError("a test cell repeats within one call")
+        slot = int(np.searchsorted(self.offsets, offset[0]))
+        self.blocks[test_cells, slot] += block
+        self.touched[test_cells, slot] = True
 
-    def tocsr(self, n):
-        A = sp.coo_matrix(
-            (np.concatenate(self.vals), (np.concatenate(self.rows), np.concatenate(self.cols))),
-            shape=(n, n),
-        )
-        return A.tocsr()
+    def tocsr(self):
+        C, d = len(self.touched), self.d
+        cells, slots = np.nonzero(self.touched)
+        indptr = np.concatenate(([0], np.cumsum(self.touched.sum(axis=1))))
+        return sp.bsr_matrix(
+            (self.blocks[cells, slots], cells + self.offsets[slots], indptr),
+            shape=(C * d, C * d),
+        ).tocsr()
 
 
 def _edge_groups(mesh):
@@ -162,15 +178,15 @@ def _edge_groups(mesh):
     return ((int_v, 1, 0), (int_h, 3, 2)), bdy
 
 
-def _mass_blocks(tables, mesh, sigma_t):
-    """sigma_t mass contribution: one shared block or per-cell blocks."""
+def _mass_blocks(tables, mesh, sigma_t, test):
+    """sigma_t mass (sigma_t u, test): one shared block or per-cell blocks."""
     h = mesh.h
     w = tables.quad.vol_weights
     if callable(sigma_t):
         pts = mesh.cell_origins[:, None, :] + h * tables.quad.vol_points[None, :, :]
         sv = np.asarray(sigma_t(pts[:, :, 0], pts[:, :, 1]), dtype=float)
-        return h * h * np.einsum("cq,qi,qj->cij", w * sv, tables.V, tables.V)
-    return float(sigma_t) * h * h * tables.M
+        return h * h * np.einsum("cq,qi,qj->cij", w * sv, test, tables.V)
+    return float(sigma_t) * h * h * (test.T @ (w[:, None] * tables.V))
 
 
 def _rhs_volume(mesh, tables, test_table, f, theta):
@@ -213,7 +229,7 @@ def assemble_direction(scheme, mesh, tables, quad, kernel, medium, m, f=None, u_
     d = tables.dof
     C = mesh.n_cells
     cells = np.arange(C)
-    acc = _BlockCOO(d)
+    acc = _BlockStencil(mesh.n, d)
     int_groups, bdy_groups = _edge_groups(mesh)
     w = tables.quad.vol_weights
 
@@ -222,13 +238,7 @@ def assemble_direction(scheme, mesh, tables, quad, kernel, medium, m, f=None, u_
         test_table = tables.V + scheme.c * sd
         # (s.grad u + sigma_t u, v + delta s.grad v)_T
         base = h * (test_table.T @ (w[:, None] * sd))
-        if callable(medium.sigma_t):
-            pts = mesh.cell_origins[:, None, :] + h * tables.quad.vol_points[None, :, :]
-            sv = np.asarray(medium.sigma_t(pts[:, :, 0], pts[:, :, 1]), dtype=float)
-            base = base + h * h * np.einsum("cq,qi,qj->cij", w * sv, test_table, tables.V)
-        else:
-            base = base + float(medium.sigma_t) * h * h * (test_table.T @ (w[:, None] * tables.V))
-        acc.add(cells, cells, base)
+        acc.add(cells, cells, base + _mass_blocks(tables, mesh, medium.sigma_t, test_table))
         # inflow-edge jump <[u], v |s.n|> from the downwind cell
         for g, s1, s2 in int_groups:
             sn = sets.side_sn[s1]
@@ -246,7 +256,7 @@ def assemble_direction(scheme, mesh, tables, quad, kernel, medium, m, f=None, u_
     else:
         test_table = tables.V
         base = -h * (s[0] * tables.GX + s[1] * tables.GY)
-        acc.add(cells, cells, base + _mass_blocks(tables, mesh, medium.sigma_t))
+        acc.add(cells, cells, base + _mass_blocks(tables, mesh, medium.sigma_t, test_table))
 
         if isinstance(scheme, WG):
             for g, s1, s2 in int_groups:
@@ -257,13 +267,7 @@ def assemble_direction(scheme, mesh, tables, quad, kernel, medium, m, f=None, u_
                 acc.add(c1, c2, 0.5 * h * sn * tables.E_pair[s1])
                 acc.add(c2, c2, -0.5 * h * sn * tables.E_self[s2])
                 acc.add(c2, c1, -0.5 * h * sn * tables.E_pair[s2])
-                # stabilizer from the outflow cell: (s.n/4) <[u], [v]>
-                if sn != 0.0:
-                    kappa = 0.25 * h * abs(sn)
-                    acc.add(c1, c1, kappa * tables.E_self[s1])
-                    acc.add(c1, c2, -kappa * tables.E_pair[s1])
-                    acc.add(c2, c1, -kappa * tables.E_pair[s2])
-                    acc.add(c2, c2, kappa * tables.E_self[s2])
+            _add_jump(acc, mesh, tables, sets, _wg_stabilizer)
             for b in range(4):
                 sn = sets.side_sn[b]
                 if sn == 0.0:
@@ -283,11 +287,7 @@ def assemble_direction(scheme, mesh, tables, quad, kernel, medium, m, f=None, u_
                 elif sn < 0:  # upwind cell is c2
                     acc.add(c1, c2, h * sn * tables.E_pair[s1])
                     acc.add(c2, c2, -h * sn * tables.E_self[s2])
-                cp = scheme.c_p * h
-                acc.add(c1, c1, cp * tables.E_self[s1])
-                acc.add(c1, c2, -cp * tables.E_pair[s1])
-                acc.add(c2, c1, -cp * tables.E_pair[s2])
-                acc.add(c2, c2, cp * tables.E_self[s2])
+            _add_jump(acc, mesh, tables, sets, lambda sn: scheme.c_p)
             for b in range(4):
                 sn = sets.side_sn[b]
                 if sn > 0:  # outflow boundary: u_hat is the interior trace
@@ -306,10 +306,40 @@ def assemble_direction(scheme, mesh, tables, quad, kernel, medium, m, f=None, u_
                 bc = mesh.edge_cells[bdy_groups[b], 0]
                 rhs[bc] += _rhs_inflow_data(mesh, tables, quad, b, bc, sn, u_in, theta)
 
-    A = acc.tocsr(C * d)
     return DirectionSystem(
-        m, s, A, rhs.ravel(), scheme, mesh, tables, medium, test_table
+        m, s, acc.tocsr(), rhs.ravel(), scheme, mesh, tables, medium, test_table
     )
+
+
+def _wg_stabilizer(sn):
+    """Jump weight of the WG stabilizer (|s.n|/4) <[u], [v]>."""
+    return 0.25 * abs(sn)
+
+
+def _add_jump(acc, mesh, tables, sets, weight):
+    """Interior-edge jump term weight(s.n) <[u], [v]>."""
+    for g, s1, s2 in _edge_groups(mesh)[0]:
+        c1, c2 = mesh.edge_cells[g, 0], mesh.edge_cells[g, 1]
+        kappa = weight(sets.side_sn[s1]) * mesh.h
+        acc.add(c1, c1, kappa * tables.E_self[s1])
+        acc.add(c1, c2, -kappa * tables.E_pair[s1])
+        acc.add(c2, c1, -kappa * tables.E_pair[s2])
+        acc.add(c2, c2, kappa * tables.E_self[s2])
+
+
+def sweep_matrix(system):
+    """The matrix whose block lower part the wavefront sweep inverts:
+    the system matrix for DODG and DODSD, and for WG the matrix plus its
+    stabilizer once more.  Central flux plus (|s.n|/2) <[u], [v]> is the
+    penalty-free upwind operator, so Richardson iteration only corrects
+    the stabilizer."""
+    if not isinstance(system.scheme, WG):
+        return system.matrix
+    mesh, tables = system.mesh, system.tables
+    acc = _BlockStencil(mesh.n, tables.dof)
+    sets = classify_edges(mesh, system.direction)
+    _add_jump(acc, mesh, tables, sets, _wg_stabilizer)
+    return system.matrix + acc.tocsr()
 
 
 def _scatter_map(system):
@@ -477,12 +507,10 @@ def eval_bilinear(scheme, mesh, tables, quad, kernel, medium, u, v):
 def export_matrix_coo(system, target):
     """Write the assembled matrix as 'row col value' text lines."""
     A = system.matrix.tocoo()
-    own = isinstance(target, (str, bytes))
-    stream = open(target, "w") if own else target
-    try:
+
+    def write(stream):
         stream.write(f"# {A.shape[0]} {A.shape[1]} {A.nnz}\n")
         for r, c, x in zip(A.row, A.col, A.data):
             stream.write(f"{r} {c} {x:.17g}\n")
-    finally:
-        if own:
-            stream.close()
+
+    _with_stream(target, write)

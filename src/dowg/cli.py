@@ -328,6 +328,9 @@ def _validate(cfg):
         checks.append((False, f"{cfg.command} takes a single level"))
     if cfg.command != "angular-study" and len(cfg.directions) != 1:
         checks.append((False, f"{cfg.command} takes a single ordinate count"))
+    if cfg.command != "solve" and cfg.angle_ordering != "jacobi":
+        checks.append((False, f"{cfg.command} runs jacobi angle ordering only; "
+                       "--angle-ordering applies to solve"))
     for ok, msg in checks:
         if not ok:
             raise ValidationError(msg)

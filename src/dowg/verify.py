@@ -224,6 +224,18 @@ def _build_tables(k):
     return ElementTables(LocalBasis(k), ElementQuadrature.build(k))
 
 
+def _case_kernel(case, quad, renormalize):
+    """The case (looked up if given by name) and its scattering kernel on
+    ``quad``; ``renormalize`` None keeps the case's own setting."""
+    if isinstance(case, str):
+        case = build_case(case)
+    ren = case.renormalize if renormalize is None else renormalize
+    kernel = build_scatter_kernel(
+        quad, case.phase, case.medium.sigma_t, case.medium.sigma_s, renormalize=ren
+    )
+    return case, kernel
+
+
 def _assemble_all(case, scheme, mesh, tables, quad, kernel):
     return [
         assemble_direction(
@@ -240,14 +252,9 @@ def solve_case(case, scheme=None, k=1, level=3, M=20, cfg=None, renormalize=None
     ``case`` is a name or a ManufacturedCase; ``cfg`` defaults to the
     production outer tolerance 1e-3.
     """
-    if isinstance(case, str):
-        case = build_case(case)
     scheme = scheme if scheme is not None else WG()
     quad = build_circle_trapezoid(M)
-    ren = case.renormalize if renormalize is None else renormalize
-    kernel = build_scatter_kernel(
-        quad, case.phase, case.medium.sigma_t, case.medium.sigma_s, renormalize=ren
-    )
+    case, kernel = _case_kernel(case, quad, renormalize)
     mesh = build_mesh(level)
     tables = _build_tables(k)
     systems = _assemble_all(case, scheme, mesh, tables, quad, kernel)
@@ -313,10 +320,11 @@ def project_exact(case, mesh, tables, quad):
     return field
 
 
-def _iterate(systems, kernel, quad, cfg, where):
+def _iterate(systems, kernel, quad, tol, linear, where):
     """``source_iteration`` for one table row: a solver failure or an
-    outer loop that stops short of ``cfg.tol`` raises SolverFailure with
+    outer loop that stops short of ``tol`` raises SolverFailure with
     ``where`` attached, so no unconverged row is tabulated."""
+    cfg = SourceIterationConfig(tol=tol, linear=linear or LinearSolveConfig())
     try:
         field, trace = source_iteration(systems, kernel, quad, cfg)
     except SolverFailure as err:
@@ -340,17 +348,12 @@ def run_convergence(case="example1", scheme=None, k=1, levels=range(3, 8), M=20,
     iteration does not converge raise SolverFailure with the offending
     level attached.
     """
-    if isinstance(case, str):
-        case = build_case(case)
     scheme = scheme if scheme is not None else WG()
     levels = list(levels)
     if any(b <= a for a, b in zip(levels, levels[1:])):
         raise ValueError("levels must be strictly increasing")
     quad = build_circle_trapezoid(M)
-    ren = case.renormalize if renormalize is None else renormalize
-    kernel = build_scatter_kernel(
-        quad, case.phase, case.medium.sigma_t, case.medium.sigma_s, renormalize=ren
-    )
+    case, kernel = _case_kernel(case, quad, renormalize)
     tables = _build_tables(k)
     report = ConvergenceReport(case.name, scheme.name, k, M)
     prev = None
@@ -359,10 +362,7 @@ def run_convergence(case="example1", scheme=None, k=1, levels=range(3, 8), M=20,
         lt = tol if tol is not None else outer_tolerance(mesh.h, k)
         t0 = time.perf_counter()
         systems = _assemble_all(case, scheme, mesh, tables, quad, kernel)
-        cfg = SourceIterationConfig(
-            tol=lt, linear=linear if linear is not None else LinearSolveConfig()
-        )
-        field, trace = _iterate(systems, kernel, quad, cfg,
+        field, trace = _iterate(systems, kernel, quad, lt, linear,
                                 f"level {lv} (1/h = {mesh.n})")
         wall = time.perf_counter() - t0
         err_dom, err_tri = measure_error(field, case, mesh, tables, quad)
@@ -415,27 +415,18 @@ def run_angular_study(case="example2", scheme=None, k=2, level=5,
     a rate.  A solver failure or an outer iteration that does not
     converge raises SolverFailure with the offending M attached.
     """
-    if isinstance(case, str):
-        case = build_case(case)
     scheme = scheme if scheme is not None else WG()
     Ms = list(Ms)
-    if any(b <= a for a, b in zip(Ms, Ms[1:])):
-        raise ValueError("ordinate counts must be strictly increasing")
+    if not Ms or any(b <= a for a, b in zip(Ms, Ms[1:])):
+        raise ValueError("ordinate counts must be given and strictly increasing")
     mesh = build_mesh(level)
     tables = _build_tables(k)
-    ren = case.renormalize if renormalize is None else renormalize
-    report = AngularStudyReport(case.name, scheme.name, k, level)
+    rows = []
     for M in Ms:
         quad = build_circle_trapezoid(M)
-        kernel = build_scatter_kernel(
-            quad, case.phase, case.medium.sigma_t, case.medium.sigma_s,
-            renormalize=ren,
-        )
+        case, kernel = _case_kernel(case, quad, renormalize)
         systems = _assemble_all(case, scheme, mesh, tables, quad, kernel)
-        cfg = SourceIterationConfig(
-            tol=tol, linear=linear if linear is not None else LinearSolveConfig()
-        )
-        field, _ = _iterate(systems, kernel, quad, cfg, f"M = {M}")
+        field, _ = _iterate(systems, kernel, quad, tol, linear, f"M = {M}")
         err_dom, _ = measure_error(field, case, mesh, tables, quad)
-        report.rows.append((M, err_dom))
-    return report
+        rows.append((M, err_dom))
+    return AngularStudyReport(case.name, scheme.name, k, level, rows)

@@ -1,9 +1,12 @@
 import io
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+import scipy.sparse as sp
+from numpy.testing import assert_allclose, assert_array_equal
 
+import dowg.assembly
 from dowg import _hooks
 from dowg.angular import (
     HenyeyGreenstein,
@@ -63,6 +66,32 @@ def _quadrature_norm(mesh, tables, quad, field):
     vals = np.einsum("lcd,qd->lcq", field, tables.V)
     vol = mesh.h**2 * np.einsum("q,lcq->l", tables.quad.vol_weights, vals**2)
     return float(np.sqrt(np.sum(quad.weights * vol)))
+
+
+class _BlockCOO:
+    """Reference accumulator: global scalar COO triplets, summed and
+    sorted by ``tocsr``, as the assembly built its matrices before the
+    five-point stencil accumulator."""
+
+    def __init__(self, n, d):
+        self.d, self.size = d, n * n * d
+        self.rows, self.cols, self.vals = [], [], []
+
+    def add(self, test_cells, trial_cells, block):
+        d = self.d
+        test_cells = np.atleast_1d(np.asarray(test_cells))
+        trial_cells = np.atleast_1d(np.asarray(trial_cells))
+        self.rows.append(np.add.outer(test_cells * d, np.repeat(np.arange(d), d)).ravel())
+        self.cols.append(np.add.outer(trial_cells * d, np.tile(np.arange(d), d)).ravel())
+        block = np.asarray(block).reshape(-1, d * d)
+        self.vals.append(np.broadcast_to(block, (len(test_cells), d * d)).ravel())
+
+    def tocsr(self):
+        A = sp.coo_matrix(
+            (np.concatenate(self.vals), (np.concatenate(self.rows), np.concatenate(self.cols))),
+            shape=(self.size, self.size),
+        )
+        return A.tocsr()
 
 
 def _const_field(mesh, tables, quad, c):
@@ -168,6 +197,44 @@ class TestCoefficientSpace:
             _quadrature_norm(mesh, tables, quad, field),
             rtol=1e-13,
         )
+
+
+class TestStencilAssembly:
+    """The five-point stencil accumulator assembles what the scalar COO
+    triplets did: the same pattern, explicit zero blocks included, and
+    the same values up to the order of summation."""
+
+    @pytest.mark.parametrize("flip", [False, True])
+    @pytest.mark.parametrize("callable_sigma", [False, True])
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("scheme", [WG(), DODG(), DODSD()])
+    def test_matches_coo_reference(self, monkeypatch, quad, kernel, scheme, k,
+                                   callable_sigma, flip):
+        tables = _tables(k)
+        sigma_t = (lambda x, y: 2.0 + x * y) if callable_sigma else ST
+        med = Medium(sigma_t, SS)
+        for level in (1, 2, 3):
+            mesh = build_mesh(level)
+            for m in (0, 3, 5, 12, 17):  # m = 0 and 5 lie on the axes
+                with _hooks.inject("flip_inflow_sign") if flip else nullcontext():
+                    new = assemble_direction(scheme, mesh, tables, quad, kernel, med, m)
+                    with monkeypatch.context() as mp:
+                        mp.setattr(dowg.assembly, "_BlockStencil", _BlockCOO)
+                        ref = assemble_direction(scheme, mesh, tables, quad, kernel, med, m)
+                assert_array_equal(new.matrix.indptr, ref.matrix.indptr)
+                assert_array_equal(new.matrix.indices, ref.matrix.indices)
+                err = np.abs(new.matrix.data - ref.matrix.data).max()
+                assert err <= 1e-14 * np.abs(ref.matrix.data).max()
+
+    def test_rejects_calls_off_the_stencil(self):
+        acc = dowg.assembly._BlockStencil(4, 1)
+        one = np.ones((1, 1))
+        with pytest.raises(ValueError, match="stencil slot"):
+            acc.add([0, 1], [1, 3], one)  # offsets 1 and 2 in one call
+        with pytest.raises(ValueError, match="stencil slot"):
+            acc.add([0], [2], one)
+        with pytest.raises(ValueError, match="repeats"):
+            acc.add([5, 5], [6, 6], one)
 
 
 class TestSparsity:
@@ -319,6 +386,15 @@ class TestExport:
             r, c, x = ln.split()
             dense[int(r), int(c)] += float(x)
         assert_allclose(dense, sysm.matrix.toarray(), atol=1e-15)
+
+    def test_path_target(self, quad, kernel, tmp_path):
+        mesh, tables = build_mesh(1), _tables(1)
+        sysm = assemble_direction(WG(), mesh, tables, quad, kernel, Medium(), 4)
+        buf = io.StringIO()
+        export_matrix_coo(sysm, buf)
+        target = tmp_path / "matrix.txt"
+        export_matrix_coo(sysm, target)
+        assert target.read_text() == buf.getvalue()
 
 
 class TestDirectionSystem:

@@ -94,6 +94,16 @@ class TestExitCodes:
         assert main(["convergence", "--eta", "1.5"]) == EXIT_VALIDATION
         assert "eta" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command", ["convergence", "compare", "angular-study", "selftest"]
+    )
+    def test_angle_ordering_is_solve_only(self, command, capsys):
+        # only solve passes the ordering to the source iteration
+        assert main([command, "--angle-ordering", "gauss-seidel"]) == EXIT_VALIDATION
+        assert "--angle-ordering" in capsys.readouterr().err
+        cfg = parse_config(["solve", "--angle-ordering", "gauss-seidel"])
+        assert cfg.angle_ordering == "gauss-seidel"
+
     def test_unknown_flag_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["convergence", "--bogus"])

@@ -1,4 +1,5 @@
 import io
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -18,7 +19,9 @@ from dowg.angular import (
     build_circle_trapezoid,
     build_scatter_kernel,
 )
-from dowg.assembly import DODG, DODSD, WG, Medium, assemble_direction, l2_dom_norm
+from dowg.assembly import (
+    DODG, DODSD, WG, Medium, assemble_direction, l2_dom_norm, sweep_matrix,
+)
 from dowg.elements import ElementQuadrature, ElementTables, LocalBasis, project_field
 from dowg.mesh import build_mesh
 from dowg.solver import (
@@ -28,7 +31,6 @@ from dowg.solver import (
     SourceIterationConfig,
     _CachedSolve,
     _SweepSolve,
-    _UpwindDG,
     source_iteration,
 )
 
@@ -116,7 +118,24 @@ class _FrontLoopSweep(_SweepSolve):
         return z.ravel()
 
 
+@dataclass(frozen=True)
+class _UpwindDG(DODG):
+    """Reference: the penalty-free upwind DG operator (c_p = 0), which
+    the solver used to assemble as the WG sweep preconditioner."""
+
+    c_p: float = 0.0
+
+    def __post_init__(self):
+        pass
+
+
 _SCHEMES = {"wg": WG(), "dodg": DODG(), "dodsd": DODSD()}
+
+_THETAS = st.one_of(
+    st.floats(0.0, 2 * np.pi),
+    st.sampled_from([0.0, 0.5 * np.pi, np.pi, 1.5 * np.pi, 2 * np.pi]),
+    st.floats(2 * np.pi - 1e-6, 2 * np.pi),
+)
 
 
 class TestLinearSolve:
@@ -169,18 +188,13 @@ class TestSweep:
         rng = np.random.default_rng(7)
         # m = 0, 5, 10, 15 are the axis-aligned ordinates
         for scheme in (WG(), DODG(), DODSD()):
-            pre_scheme = _UpwindDG() if isinstance(scheme, WG) else None
             for m in (0, 2, 5, 7, 10, 13, 15, 18):
                 sysm = assemble_direction(
                     scheme, mesh, tables, quad, kernel, medium, m, f=_source
                 )
-                pre = None
-                if pre_scheme is not None:
-                    pre = assemble_direction(
-                        pre_scheme, mesh, tables, quad, kernel, medium, m
-                    ).matrix
                 sw = _SweepSolve(
-                    sysm.matrix, cfg, tables.dof, mesh, sysm.direction, precond=pre
+                    sysm.matrix, cfg, tables.dof, mesh, sysm.direction,
+                    precond=sweep_matrix(sysm),
                 )
                 b = rng.standard_normal(sysm.n_dof)
                 ref = spla.spsolve(sysm.matrix.tocsc(), b)
@@ -204,12 +218,9 @@ class TestSweep:
         sysm = assemble_direction(
             WG(), mesh, tables, quad, kernel, medium, 4, f=_source
         )
-        pre = assemble_direction(
-            _UpwindDG(), mesh, tables, quad, kernel, medium, 4
-        ).matrix
         sw = _SweepSolve(
             sysm.matrix, LinearSolveConfig(), tables.dof, mesh, sysm.direction,
-            precond=pre,
+            precond=sweep_matrix(sysm),
         )
         b = np.cos(np.arange(sysm.n_dof))
         x = sw.solve(b)
@@ -218,14 +229,14 @@ class TestSweep:
     def test_cached_solve_picks_sweep_then_dense(self):
         quad, kernel, medium, mesh, tables = _setup(level=4, k=1)
         sysm = assemble_direction(WG(), mesh, tables, quad, kernel, medium, 1)
-        big = _CachedSolve(sysm, LinearSolveConfig(), quad, kernel)
+        big = _CachedSolve(sysm, LinearSolveConfig())
         big.solve(np.ones(sysm.n_dof))
         assert big.kind == "sweep"
         small_mesh = build_mesh(1)
         s2 = assemble_direction(
             WG(), small_mesh, tables, quad, kernel, medium, 1
         )
-        small = _CachedSolve(s2, LinearSolveConfig(), quad, kernel)
+        small = _CachedSolve(s2, LinearSolveConfig())
         small.solve(np.ones(s2.n_dof))
         assert small.kind == "dense"
 
@@ -238,7 +249,7 @@ class TestSweep:
             DODG(), mesh, tables, quad, kernel, medium, 2, f=_source
         )
         b = sysm.rhs_fixed
-        cached = _CachedSolve(sysm, LinearSolveConfig(), quad, kernel)
+        cached = _CachedSolve(sysm, LinearSolveConfig())
         with pytest.warns(RuntimeWarning, match="direction .*residual"):
             x = cached.solve(b)
         assert cached.kind == "splu"
@@ -252,11 +263,7 @@ class TestSweepProperty:
 
     @settings(max_examples=40, deadline=None)
     @given(
-        theta=st.one_of(
-            st.floats(0.0, 2 * np.pi),
-            st.sampled_from([0.0, 0.5 * np.pi, np.pi, 1.5 * np.pi, 2 * np.pi]),
-            st.floats(2 * np.pi - 1e-6, 2 * np.pi),
-        ),
+        theta=_THETAS,
         k=st.sampled_from([1, 2]),
         name=st.sampled_from(sorted(_SCHEMES)),
         seed=st.integers(0, 2**32 - 1),
@@ -267,23 +274,29 @@ class TestSweepProperty:
         sysm = assemble_direction(
             _SCHEMES[name], mesh, tables, one, kernel, medium, 0
         )
-        pre = None
-        if name == "wg":
-            pre = assemble_direction(
-                _UpwindDG(), mesh, tables, one, kernel, medium, 0
-            ).matrix
+        P = sweep_matrix(sysm)
         sw = _SweepSolve(
             sysm.matrix, LinearSolveConfig(), tables.dof, mesh, sysm.direction,
-            precond=pre,
+            precond=P,
         )
         b = np.random.default_rng(seed).standard_normal(sysm.n_dof)
-        P = sysm.matrix if pre is None else pre
         ref = spla.spsolve(_lower_part(P, tables.dof, mesh, sysm.direction), b)
         x = sw._forward(b)
         assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
         if name == "dodsd":
             exact = spla.spsolve(sysm.matrix.tocsc(), b)
             assert np.abs(x - exact).max() <= 1e-12 * np.abs(exact).max()
+
+    @settings(max_examples=40, deadline=None)
+    @given(theta=_THETAS, k=st.sampled_from([1, 2]))
+    def test_wg_sweep_matrix_is_penalty_free_upwind(self, theta, k):
+        # WG plus its stabilizer once more equals upwind DG without penalty
+        _, kernel, medium, mesh, tables = _setup(level=3, k=k)
+        one = _one_ordinate(theta)
+        sysm = assemble_direction(WG(), mesh, tables, one, kernel, medium, 0)
+        ref = assemble_direction(_UpwindDG(), mesh, tables, one, kernel, medium, 0)
+        diff = sweep_matrix(sysm) - ref.matrix
+        assert np.abs(diff).max() <= 1e-14 * np.abs(ref.matrix).max()
 
     def test_forward_leaves_its_input(self):
         quad, kernel, medium, mesh, tables = _setup(level=3, k=1)
