@@ -20,7 +20,6 @@ from .angular import (
     apply_scatter,
     build_circle_trapezoid,
     build_scatter_kernel,
-    build_sphere_gauss,
     eval_phase,
     normalization_residual,
 )
@@ -30,9 +29,7 @@ from .elements import (
     ElementTables,
     LocalBasis,
     edge_average,
-    edge_jump,
     l2_project,
-    mass_matrix,
     project_field,
     weak_convection_blocks,
     weak_gradient,
@@ -51,7 +48,6 @@ from .assembly import (
 )
 from .solver import (
     IterationTrace,
-    LinearSolveConfig,
     SolverFailure,
     SourceIterationConfig,
     source_iteration,
@@ -63,7 +59,6 @@ from .verify import (
     build_case,
     dominance_ratios,
     measure_error,
-    outer_tolerance,
     run_angular_study,
     run_comparison,
     run_convergence,

@@ -1,10 +1,7 @@
 """Angular quadratures, phase functions, and the discrete scattering kernel.
 
 The transport solver discretizes the angular variable with a composite
-trapezoid rule on the unit circle (``build_circle_trapezoid``).  A
-Gauss-Legendre x equispaced-azimuth product rule on the unit sphere
-(``build_sphere_gauss``) is provided for quadrature diagnostics only; the
-spatial solver is 2D.
+trapezoid rule on the unit circle (``build_circle_trapezoid``).
 
 The scattering integral is replaced by its quadrature discretization
 
@@ -28,7 +25,6 @@ __all__ = [
     "Isotropic",
     "ScatterKernel",
     "build_circle_trapezoid",
-    "build_sphere_gauss",
     "eval_phase",
     "build_scatter_kernel",
     "apply_scatter",
@@ -42,9 +38,8 @@ class Direction:
 
     Attributes
     ----------
-    theta : float or tuple of float
-        Angle in radians on [0, 2*pi] for circle rules, or a
-        (polar, azimuth) pair for sphere rules.
+    theta : float
+        Angle in radians on [0, 2*pi].
     unit_vector : ndarray
         Cartesian components; unit length to rounding.
     """
@@ -61,9 +56,9 @@ class AngularQuadrature:
     ----------
     nodes : list of Direction
     weights : ndarray
-        Strictly positive; sums to 2*pi (circle) or 4*pi (sphere).
+        Strictly positive; sums to 2*pi.
     mode : str
-        ``"circle-trapezoid"`` or ``"sphere-gauss"``.
+        ``"circle-trapezoid"``.
     M : int
         Node index bound (circle: nodes are indexed 0..M).
     h_theta : float or None
@@ -119,38 +114,6 @@ def build_circle_trapezoid(M):
     weights[0] = weights[-1] = 0.5 * h
     nodes = [Direction(float(t), vectors[i]) for i, t in enumerate(thetas)]
     return AngularQuadrature(nodes, weights, "circle-trapezoid", M, h, vectors)
-
-
-def build_sphere_gauss(m):
-    """Product rule on the unit sphere: Gauss-Legendre in cos(polar),
-    equispaced azimuth.
-
-    2*m*m nodes total: m Gauss-Legendre nodes for cos(theta) on [-1, 1]
-    crossed with 2*m azimuths phi_j = j*pi/m, each carrying weight
-    (pi/m) * w_i.  Weights sum to 4*pi.  Diagnostic use only (quadrature
-    and kernel normalization tests); the spatial solver is 2D.
-    """
-    m = int(m)
-    if m < 1:
-        raise ValueError(f"sphere rule needs m >= 1, got {m}")
-    mu, w = np.polynomial.legendre.leggauss(m)  # cos(polar) nodes
-    phi = (np.pi / m) * np.arange(2 * m)
-    sin_pol = np.sqrt(1.0 - mu**2)
-    nodes = []
-    weights = []
-    for i in range(m):
-        for j in range(2 * m):
-            vec = np.array(
-                [
-                    sin_pol[i] * np.cos(phi[j]),
-                    sin_pol[i] * np.sin(phi[j]),
-                    mu[i],
-                ]
-            )
-            nodes.append(Direction((float(np.arccos(mu[i])), float(phi[j])), vec))
-            weights.append((np.pi / m) * w[i])
-    weights = np.array(weights)
-    return AngularQuadrature(nodes, weights, "sphere-gauss", len(nodes) - 1, None)
 
 
 @dataclass(frozen=True)

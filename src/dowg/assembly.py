@@ -49,7 +49,6 @@ __all__ = [
     "assemble_direction",
     "sweep_matrix",
     "scattering_source",
-    "scattering_row",
     "triple_norm",
     "l2_dom_norm",
     "eval_bilinear",
@@ -350,13 +349,6 @@ def _scatter_map(system):
     return (system.medium.sigma_s * system.mesh.h**2) * (
         tables.V.T @ (w[:, None] * system.scatter_test)
     )
-
-
-def scattering_row(system, kernel, quad, field):
-    """Lagged scattering right side sigma_s (K_d u, test)_T of one
-    ordinate, shape (C, dof), from the (L, C, dof) iterate."""
-    krow = kernel.matrix[system.m] * quad.weights
-    return np.tensordot(krow, field, axes=1) @ _scatter_map(system)
 
 
 def scattering_source(systems, kernel, quad, field):

@@ -62,7 +62,7 @@ from .reporting import (
     write_convergence_svg,
     write_trace_svg,
 )
-from .solver import LinearSolveConfig, SolverFailure, SourceIterationConfig
+from .solver import SolverFailure, SourceIterationConfig
 from .verify import (
     build_case,
     dominance_ratios,
@@ -93,11 +93,9 @@ _DEFAULTS = {
     "sigma_s": 0.5,
     "eta": 0.5,
     "tol": None,
-    "linear_tol": 1e-10,
     "cp": 0.1,
     "sd_c": 1.0,
     "renormalize_kernel": True,
-    "angle_ordering": "jacobi",
     "out": ".",
     "format": "csv,md,svg",
 }
@@ -132,12 +130,10 @@ class RunConfig:
     sigma_t: float
     sigma_s: float
     eta: float
-    tol: float  # None -> per-level tolerance schedule
-    linear_tol: float
+    tol: float  # None -> certified rows (1e-9 for solve)
     cp: float
     sd_c: float
     renormalize_kernel: bool
-    angle_ordering: str
     out: str
     formats: tuple
 
@@ -186,11 +182,9 @@ _CONVERTERS = {
     "sigma_s": float,
     "eta": float,
     "tol": lambda t: None if str(t).lower() in ("none", "auto") else float(t),
-    "linear_tol": float,
     "cp": float,
     "sd_c": float,
     "renormalize_kernel": _parse_bool,
-    "angle_ordering": str,
     "out": str,
     "format": _parse_formats,
 }
@@ -237,15 +231,13 @@ def build_parser():
         p.add_argument("--sigma-t", dest="sigma_t", type=float)
         p.add_argument("--sigma-s", dest="sigma_s", type=float)
         p.add_argument("--eta", type=float, help="anisotropy in (-1, 1)")
-        p.add_argument("--tol", help="outer tolerance ('auto' = per-level)")
-        p.add_argument("--linear-tol", dest="linear_tol", type=float)
+        p.add_argument("--tol", help="bound on the iteration error and the "
+                       "relative residual ('auto' = certified rows)")
         p.add_argument("--cp", type=float, help="upwind jump penalty c_p")
         p.add_argument("--sd-c", dest="sd_c", type=float,
                        help="streamline parameter multiplier (delta = c h)")
         p.add_argument("--renormalize-kernel", dest="renormalize_kernel",
                        metavar="BOOL")
-        p.add_argument("--angle-ordering", dest="angle_ordering",
-                       choices=("jacobi", "gauss-seidel"))
         p.add_argument("--out", help="output directory")
         p.add_argument("--format", help="comma list from csv, md, svg")
     return parser
@@ -287,11 +279,9 @@ def parse_config(argv):
         sigma_s=resolved["sigma_s"],
         eta=resolved["eta"],
         tol=resolved["tol"],
-        linear_tol=resolved["linear_tol"],
         cp=resolved["cp"],
         sd_c=resolved["sd_c"],
         renormalize_kernel=resolved["renormalize_kernel"],
-        angle_ordering=resolved["angle_ordering"],
         out=resolved["out"],
         formats=resolved["format"],
     )
@@ -318,19 +308,13 @@ def _validate(cfg):
          f"need 0 <= sigma_s < sigma_t, got {cfg.sigma_s}, {cfg.sigma_t}"),
         (-1.0 < cfg.eta < 1.0, f"eta must lie in (-1, 1), got {cfg.eta}"),
         (cfg.tol is None or cfg.tol > 0, "tol must be positive"),
-        (cfg.linear_tol > 0, "linear-tol must be positive"),
         (cfg.cp > 0, f"cp must be positive, got {cfg.cp}"),
         (cfg.sd_c > 0, f"sd-c must be positive, got {cfg.sd_c}"),
-        (cfg.angle_ordering in ("jacobi", "gauss-seidel"),
-         f"unknown ordering {cfg.angle_ordering!r}"),
     ]
     if cfg.command in ("solve", "angular-study") and len(cfg.levels) != 1:
         checks.append((False, f"{cfg.command} takes a single level"))
     if cfg.command != "angular-study" and len(cfg.directions) != 1:
         checks.append((False, f"{cfg.command} takes a single ordinate count"))
-    if cfg.command != "solve" and cfg.angle_ordering != "jacobi":
-        checks.append((False, f"{cfg.command} runs jacobi angle ordering only; "
-                       "--angle-ordering applies to solve"))
     for ok, msg in checks:
         if not ok:
             raise ValidationError(msg)
@@ -350,10 +334,6 @@ def _scheme(cfg):
 def _case(cfg):
     return build_case(cfg.case, sigma_t=cfg.sigma_t, sigma_s=cfg.sigma_s,
                       eta=cfg.eta)
-
-
-def _linear(cfg):
-    return LinearSolveConfig(rtol=cfg.linear_tol)
 
 
 def _out_base(cfg, scheme=None):
@@ -379,10 +359,7 @@ def _emit(cfg, writers, scheme=None):
 
 def _cmd_solve(cfg):
     case = _case(cfg)
-    it_cfg = SourceIterationConfig(
-        tol=cfg.tol if cfg.tol is not None else 1e-9,
-        linear=_linear(cfg), ordering=cfg.angle_ordering,
-    )
+    it_cfg = SourceIterationConfig(tol=cfg.tol if cfg.tol is not None else 1e-9)
     sol = solve_case(case, scheme=_scheme(cfg), k=cfg.order,
                      level=cfg.levels[0], M=cfg.directions[0], cfg=it_cfg,
                      renormalize=cfg.renormalize_kernel)
@@ -424,7 +401,6 @@ def _cmd_convergence(cfg):
     rep = run_convergence(
         _case(cfg), scheme=_scheme(cfg), k=cfg.order, levels=cfg.levels,
         M=cfg.directions[0], tol=cfg.tol, renormalize=cfg.renormalize_kernel,
-        linear=_linear(cfg),
     )
     _print_markdown(write_convergence_markdown, rep)
     _emit(cfg, {
@@ -439,7 +415,7 @@ def _cmd_compare(cfg):
     reps = run_comparison(
         _case(cfg), k=cfg.order, levels=cfg.levels, M=cfg.directions[0],
         c_p=cfg.cp, sd_c=cfg.sd_c, tol=cfg.tol,
-        renormalize=cfg.renormalize_kernel, linear=_linear(cfg),
+        renormalize=cfg.renormalize_kernel,
     )
     _print_markdown(write_comparison_markdown, reps)
     ratios = dominance_ratios(reps)
@@ -457,7 +433,7 @@ def _cmd_angular(cfg):
     rep = run_angular_study(
         _case(cfg), scheme=_scheme(cfg), k=cfg.order, level=cfg.levels[0],
         Ms=cfg.directions, tol=cfg.tol if cfg.tol is not None else 1e-9,
-        renormalize=cfg.renormalize_kernel, linear=_linear(cfg),
+        renormalize=cfg.renormalize_kernel,
     )
     _print_markdown(write_angular_markdown, rep)
     print(f"angular contribution monotone: {rep.monotone}; "

@@ -27,10 +27,8 @@ __all__ = [
     "PkBasis",
     "gauss_01",
     "edge_average",
-    "edge_jump",
     "l2_project",
     "project_field",
-    "mass_matrix",
     "weak_gradient",
     "weak_convection_blocks",
 ]
@@ -186,17 +184,6 @@ def edge_average(v_plus, v_minus=None, interior=None):
     return np.asarray(v_plus)
 
 
-def edge_jump(v_plus, v_minus=None, interior=None):
-    """Edge jump [v] = v_plus - v_minus on interior edges, v on boundary."""
-    if interior is None:
-        interior = v_minus is not None
-    if interior:
-        if v_minus is None:
-            raise ValueError("interior edge is missing its second trace")
-        return np.asarray(v_plus) - np.asarray(v_minus)
-    return np.asarray(v_plus)
-
-
 def l2_project(tables, h, f, origin):
     """Coefficients of the elementwise L2 projection of f onto Q_k.
 
@@ -218,20 +205,6 @@ def project_field(mesh, tables, f):
         fv = np.broadcast_to(fv, pts.shape[:2])
     rhs = (tables.quad.vol_weights[None, :] * fv) @ tables.V
     return np.linalg.solve(tables.M, rhs.T).T
-
-
-def mass_matrix(tables, h, c=1.0, origin=None):
-    """Element mass matrix M_ij = (c phi_j, phi_i)_T by element quadrature."""
-    w = tables.quad.vol_weights
-    if callable(c):
-        if origin is None:
-            raise ValueError("variable coefficient needs the cell origin")
-        pts = np.asarray(origin) + h * tables.quad.vol_points
-        cv = np.asarray(c(pts[:, 0], pts[:, 1]), dtype=float)
-        w = w * cv
-    else:
-        w = w * float(c)
-    return h * h * (tables.V.T @ (w[:, None] * tables.V))
 
 
 class PkBasis:

@@ -69,10 +69,6 @@ class QuadMesh:
         return self.edge_cells.shape[0]
 
     @property
-    def interior_edges(self):
-        return np.nonzero(self.boundary_side < 0)[0]
-
-    @property
     def boundary_edges(self):
         return np.nonzero(self.boundary_side >= 0)[0]
 
@@ -89,20 +85,6 @@ class QuadMesh:
         h = self.h
         offsets = np.array([[0.0, 0.0], [h, 0.0], [h, h], [0.0, h]])
         return o[:, None, :] + offsets[None, :, :]
-
-    def edge_endpoints(self, e):
-        """Endpoints of edge e as a (2, 2) array."""
-        c = self.edge_cells[e, 0]
-        side = self.edge_sides[e, 0]
-        x0, y0 = self.cell_origins[c]
-        h = self.h
-        if side == 0:
-            return np.array([[x0, y0], [x0, y0 + h]])
-        if side == 1:
-            return np.array([[x0 + h, y0], [x0 + h, y0 + h]])
-        if side == 2:
-            return np.array([[x0, y0], [x0 + h, y0]])
-        return np.array([[x0, y0 + h], [x0 + h, y0 + h]])
 
     def dump(self, stream):
         """Write the cell corner list as plain text (debugging aid)."""
@@ -202,11 +184,6 @@ class DirectionalEdgeSets:
     inflow_boundary: np.ndarray
     outflow_boundary: np.ndarray
     sn_first: np.ndarray
-
-    def partition(self, mesh, cell):
-        """(inflow, outflow) edge index arrays for one cell."""
-        edges = mesh.cell_edges[cell]
-        return edges[list(self.inflow_sides)], edges[list(self.outflow_sides)]
 
 
 def classify_edges(mesh, direction):

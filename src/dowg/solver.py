@@ -1,31 +1,36 @@
-"""Per-ordinate linear solves and the source-iteration outer loop.
+"""Source iteration: one fused sweep-scattering loop over all ordinates.
 
-The outer loop lags the scattering term: starting from the zero field,
-each iteration evaluates the scattering source from the current iterate,
-adds it to every direction's fixed right side, solves the (M+1)
-independent systems, and measures the update in the angularly weighted
-broken L2 norm.  The contraction factor is bounded by the scattering
-ratio, so a positive margin sigma_t - sigma_s*max b_m guarantees
-geometric convergence.
+The discrete ordinates are coupled only through scattering.  Starting
+from the zero field, each sweep forms every ordinate's residual
+r_m = b_m + S_m x - A_m x_m from the current field (b_m the fixed right
+side, S_m x the lagged scattering source, A_m the ordinate's system) and
+adds P_m^{-1} r_m.  This is the transport-sweep form of Adams & Larsen,
+"Fast iterative methods for discrete-ordinates particle transport
+calculations", Prog. Nucl. Energy 40 (2002).  A positive margin
+sigma_t - sigma_s*max b_m makes the map contract, and the ratio rho of
+successive update norms (angularly weighted broken L2) and residuals
+bounds the remaining iteration error by a multiple of rho/(1 - rho)
+times the last update norm (``_bound``).  The loop stops when that bound
+and the coupled relative residual ||r|| / ||b + S x|| are both at most
+the tolerance; rho >= 1 means no stop.
 
-Each ordinate's solver is set up on its first solve and cached across
-outer iterations.  It is one of two kinds, chosen by system size: dense
-LU at desk scale, and a directional wavefront sweep above it.  Ordering
-cells by upwind distance makes each transport matrix block lower
-triangular up to a weak downstream-pointing remainder (the DODG jump
-penalty; WG sweeps its matrix plus its own stabilizer, the penalty-free
-upwind operator, and leaves the stabilizer as the remainder).  With the
-cells renumbered front by front, the sweep applies the block lower part
-D + L as a D^{-1} scaling and one compiled sparse triangular solve with
-the unit lower triangular D^{-1}(D + L), an O(nnz) preconditioner whose
-Richardson iteration contracts geometrically; the streamline-diffusion
-systems are exactly triangular in that order and solve in one sweep.  A
-sweep that stalls raises SolverFailure, and that ordinate switches once,
-with a RuntimeWarning, to exact sparse LU.
+Each ordinate's P_m is set up on the first sweep and kept.  At desk
+scale it is A_m, factored by dense LU.  Above that it is the block lower
+part D + L of ``assembly.sweep_matrix`` in upwind order: ordering cells
+by upwind distance makes each transport matrix block lower triangular
+up to a weak downstream-pointing remainder (the DODG jump penalty; WG
+sweeps its matrix plus its own stabilizer, the penalty-free upwind
+operator, and leaves the stabilizer as the remainder).  With the cells
+renumbered front by front, applying (D + L)^{-1} is a D^{-1} scaling
+and one compiled sparse triangular solve with the unit lower triangular
+D^{-1}(D + L).  The streamline-diffusion systems are exactly triangular
+in that order, so their P_m is A_m.  A run whose update norms stop
+falling switches once, with a RuntimeWarning, to exact sparse LU for
+every ordinate whose P_m is not A_m.
 """
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
@@ -34,12 +39,11 @@ import scipy.sparse.linalg as spla
 
 # the benchmark's tracer (perfbench/tracing.py) patches these three names here
 from .assembly import assemble_direction, l2_dom_norm, scattering_source  # noqa: F401
-from .assembly import scattering_row, sweep_matrix
+from .assembly import sweep_matrix
 from .reporting import _with_stream
 
 __all__ = [
     "SolverFailure",
-    "LinearSolveConfig",
     "SourceIterationConfig",
     "IterationTrace",
     "source_iteration",
@@ -47,7 +51,8 @@ __all__ = [
 
 
 class SolverFailure(RuntimeError):
-    """Linear or outer iteration failed; carries the final residual."""
+    """Source iteration failed to certify its result; carries the final
+    residual."""
 
     def __init__(self, message, residual=None):
         super().__init__(message)
@@ -55,45 +60,29 @@ class SolverFailure(RuntimeError):
 
 
 @dataclass
-class LinearSolveConfig:
-    """Per-ordinate linear solver settings.
-
-    ``rtol`` is the relative residual the wavefront sweep iterates to;
-    the dense and sparse LU solves are exact.
-    """
-
-    rtol: float = 1e-10
-
-    def __post_init__(self):
-        if not 0.0 < self.rtol < 1.0:
-            raise ValueError(f"relative tolerance must be in (0, 1), got {self.rtol}")
-
-
-@dataclass
 class SourceIterationConfig:
-    """Outer-loop settings: stopping tolerance on the update norm,
-    iteration cap, and angle ordering (lagged "jacobi" is the default;
-    "gauss-seidel" feeds already-updated ordinates into the scattering
-    source within one sweep)."""
+    """Stopping tolerance on both the iteration-error bound and the
+    coupled relative residual, and the cap on the number of sweeps."""
 
     tol: float = 1e-3
     max_outer: int = 200
-    ordering: str = "jacobi"
-    linear: LinearSolveConfig = field(default_factory=LinearSolveConfig)
 
     def __post_init__(self):
         if not self.tol > 0:
             raise ValueError("outer tolerance must be positive")
-        if self.ordering not in ("jacobi", "gauss-seidel"):
-            raise ValueError(f"unknown angle ordering {self.ordering!r}")
+        if self.max_outer < 1:
+            raise ValueError(f"need at least one sweep, got {self.max_outer}")
 
 
 @dataclass
 class IterationTrace:
-    """Per-outer-iteration update norms and the convergence flag."""
+    """Per-sweep update norms, the convergence flag, and the last
+    iteration-error bound and coupled relative residual."""
 
     errs: list
     converged: bool
+    bound: float = np.inf
+    residual: float = np.inf
 
     @property
     def iterations(self):
@@ -117,24 +106,19 @@ class _SweepSolve:
     matrix itself for DODG and DODSD; for WG, whose own lower part
     amplifies, the WG matrix plus its stabilizer) is split into diagonal
     cell blocks D plus the coupling L to the at most two upstream
-    neighbours.  With the cells renumbered front by
-    front, every coupling in L points to an earlier front, so
-    M = D^{-1}(D + L) is unit lower triangular.  Applying (D + L)^{-1}
-    is then a D^{-1} scaling and one compiled sparse triangular solve
-    with M, O(nnz) in time and memory, and Richardson iteration mops up
-    the remainder.  A solve still above tolerance after ``_MAX_SWEEPS``
-    sweeps raises SolverFailure with the relative residual it reached.
+    neighbours.  With the cells renumbered front by front, every
+    coupling in L points to an earlier front, so M = D^{-1}(D + L) is
+    unit lower triangular.  ``_forward`` applies P^{-1} = (D + L)^{-1} as
+    a D^{-1} scaling and one compiled sparse triangular solve with M,
+    O(nnz) in time and memory.  ``exact`` is true when P is the system
+    matrix itself, with no downstream coupling left over.
     """
 
-    _MAX_SWEEPS = 100
-
-    def __init__(self, A, cfg, d, mesh, direction, precond=None):
-        self.A = sp.csr_matrix(A)
-        self.cfg = cfg
+    def __init__(self, A, d, mesh, direction, precond=None):
         self.d = d
         n = mesh.n
         C = mesh.n_cells
-        if self.A.shape[0] != C * d:
+        if A.shape[0] != C * d:
             raise ValueError("system size does not match mesh/block size")
         sx, sy = np.asarray(direction, dtype=float)
         idx = np.arange(n)
@@ -142,8 +126,8 @@ class _SweepSolve:
         jp = idx if sy >= 0 else idx[::-1]
         front = (jp[:, None] + ip[None, :]).ravel()  # cell index is j*n + i
 
-        P = self.A if precond is None else sp.csr_matrix(precond)
-        if P.shape != self.A.shape:
+        P = sp.csr_matrix(A if precond is None else precond)
+        if P.shape != A.shape:
             raise ValueError("preconditioner shape does not match the system")
         B = P.tobsr(blocksize=(d, d))
         rows = np.repeat(np.arange(C), np.diff(B.indptr))
@@ -154,6 +138,7 @@ class _SweepSolve:
         gap = front[cols] - front[rows]
         if np.any(gap[~diag] == 0):
             raise ValueError("same-front coupling breaks the triangular sweep")
+        self.exact = (precond is None or precond is A) and not np.any(B.data[gap > 0])
         dinv = np.linalg.inv(B.data[diag][np.argsort(rows[diag])])
         # renumber the cells front by front: new index rank[c], old order[p]
         order = np.argsort(front, kind="stable")
@@ -171,9 +156,7 @@ class _SweepSolve:
         )
         perm = np.lexsort((c, r))
         indptr = np.concatenate(([0], np.cumsum(np.bincount(r, minlength=C))))
-        M = sp.bsr_matrix(
-            (blocks[perm], c[perm], indptr), shape=self.A.shape
-        ).tocsc()
+        M = sp.bsr_matrix((blocks[perm], c[perm], indptr), shape=P.shape).tocsc()
         M.eliminate_zeros()
         M.sort_indices()
         self._M = M
@@ -194,39 +177,20 @@ class _SweepSolve:
         )
         return z.reshape(-1, d)[self._rank].ravel()
 
-    def solve(self, b, x0=None):
-        nb = np.linalg.norm(b)
-        if nb == 0.0:
-            return np.zeros_like(b, dtype=float)
-        tol = self.cfg.rtol * nb
-        x = np.array(x0, dtype=float) if x0 is not None else self._forward(b)
-        for _ in range(self._MAX_SWEEPS):
-            r = b - self.A @ x
-            if np.linalg.norm(r) <= tol:
-                return x
-            x += self._forward(r)
-        r = np.linalg.norm(b - self.A @ x) / nb
-        raise SolverFailure(
-            f"wavefront sweep stalled at relative residual {r:.3e} after "
-            f"{self._MAX_SWEEPS} sweeps", r,
-        )
-
 
 class _CachedSolve:
-    """Solver for one ordinate's system, set up on the first solve and
-    cached across outer iterations.
+    """P^{-1} for one ordinate's system, set up on first use and kept
+    across sweeps.
 
-    Dense LU up to ``_DENSE_CACHED`` unknowns, the wavefront sweep above
-    that.  A sweep that stalls is replaced, once and with a
-    RuntimeWarning, by exact sparse LU.
+    Dense LU of the system up to ``_DENSE_CACHED`` unknowns, the
+    wavefront sweep above that, and exact sparse LU after ``to_splu``.
     """
 
     # one factor is cached per ordinate, so dense LU stays at desk scale
     _DENSE_CACHED = 600
 
-    def __init__(self, system, cfg):
+    def __init__(self, system):
         self.system = system
-        self.cfg = cfg
         self.kind = None
         self._fac = None
 
@@ -240,37 +204,69 @@ class _CachedSolve:
             return
         self.kind = "sweep"
         self._fac = _SweepSolve(
-            s.matrix, self.cfg, s.tables.dof, s.mesh, s.direction,
-            precond=sweep_matrix(s),
+            s.matrix, s.tables.dof, s.mesh, s.direction, precond=sweep_matrix(s)
         )
 
-    def solve(self, b, x0=None):
+    @property
+    def exact(self):
+        """True when P is the system matrix itself."""
+        self._ensure()
+        return self.kind != "sweep" or self._fac.exact
+
+    def to_splu(self):
+        self.kind = "splu"
+        self._fac = spla.splu(self.system.matrix.tocsc(), permc_spec="MMD_AT_PLUS_A")
+
+    def step(self, r):
+        """P^{-1} r."""
         self._ensure()
         if self.kind == "dense":
-            return sla.lu_solve(self._fac, b)
+            return sla.lu_solve(self._fac, r)
         if self.kind == "sweep":
-            try:
-                return self._fac.solve(b, x0=x0)
-            except SolverFailure as err:
-                s = self.system
-                sx, sy = s.direction
-                warnings.warn(
-                    f"ordinate {s.m}, direction ({sx:.6g}, {sy:.6g}): {err}; "
-                    "switching to sparse LU",
-                    RuntimeWarning, stacklevel=2,
-                )
-                self.kind = "splu"
-                self._fac = spla.splu(s.matrix.tocsc(), permc_spec="MMD_AT_PLUS_A")
-        return self._fac.solve(b)
+            return self._fac._forward(r)
+        return self._fac.solve(r)
 
 
-def source_iteration(systems, kernel, quad, cfg=None):
-    """Run the lagged-scattering outer loop over all direction systems.
+# sweeps without a fall of the update norm after which the run gives up
+# on the sweeps and switches to exact sparse LU
+_STALL = 10
+
+
+def _bound(errs, residuals):
+    """Iteration-error bound 2 rho/(1 - rho)*||last update||; infinite
+    while rho is unknown or at least 1.
+
+    rho/(1 - rho)*||update|| with rho the last update ratio is the
+    contraction-mapping estimate, but the ratios rise as slower modes
+    take over (WG's stabilizer remainder surfaces only once the
+    scattering error has fallen below it), so the last ratio can
+    under-estimate what is left: against tol-1e-13 solves of both cases,
+    wg/dodg/dodsd, Q1/Q2, 1/h = 16 and 32, it fell short by up to 4.1x.
+    The residual ratio sees such a mode a sweep or two earlier.  Taking
+    rho as the larger of the last update and residual ratios, and
+    doubling the estimate, kept the bound at least 1.4x above the true
+    error at every sweep of those runs.
+    """
+    if errs[-1] == 0.0:
+        return 0.0
+    if len(errs) < 2 or not residuals[-2]:
+        return np.inf
+    rho = max(errs[-1] / errs[-2], residuals[-1] / residuals[-2])
+    if rho >= 1.0:
+        return np.inf
+    return 2.0 * rho / (1.0 - rho) * errs[-1]
+
+
+def source_iteration(systems, kernel, quad, cfg=None, certify=None):
+    """Run the fused sweep-scattering loop over all direction systems.
 
     Returns ``(field, trace)`` with ``field`` of shape (L, C, dof).  The
-    loop starts from zero, stops when the update norm falls below
-    ``cfg.tol``, and flags (rather than raises) outer non-convergence;
-    the partial field is still returned.
+    loop starts from zero and stops once the iteration-error bound and
+    the coupled relative residual are both at most ``cfg.tol``.  If
+    ``certify`` is given, it maps that field to a target for the bound;
+    while the bound is above it, the loop resumes with the target as its
+    tolerance.  Running out of ``cfg.max_outer`` sweeps is flagged in the
+    trace rather than raised; the partial field is still returned.
     """
     cfg = cfg or SourceIterationConfig()
     sys0 = systems[0]
@@ -281,39 +277,42 @@ def source_iteration(systems, kernel, quad, cfg=None):
     if L != len(quad):
         raise ValueError("one system per quadrature ordinate is required")
 
-    solvers = [_CachedSolve(s, cfg.linear) for s in systems]
+    solvers = [_CachedSolve(s) for s in systems]
     field = np.zeros((L, C, d))
-    errs = []
-    converged = False
-    for it in range(cfg.max_outer):
-        if cfg.ordering == "jacobi":
-            if it == 0:
-                sources = np.zeros((L, C, d))
-            else:
-                sources = scattering_source(systems, kernel, quad, field)
-            sols = [
-                solvers[k].solve(
-                    systems[k].rhs_fixed + sources[k].ravel(),
-                    x0=field[k].ravel() if it > 0 else None,
+    errs, residuals = [], []
+    tol = cfg.tol
+    converged = switched = False
+    bound = residual = np.inf
+    while len(errs) < cfg.max_outer:
+        # each ordinate's update overwrites the scattering row it came from
+        update = scattering_source(systems, kernel, quad, field)
+        num = den = 0.0
+        for m, (s, solver) in enumerate(zip(systems, solvers)):
+            rhs = s.rhs_fixed + update[m].ravel()
+            r = rhs - s.matrix @ field[m].ravel()
+            num += r @ r
+            den += rhs @ rhs
+            update[m] = solver.step(r).reshape(C, d)
+        residual = float(np.sqrt(num / den)) if num else 0.0
+        residuals.append(residual)
+        errs.append(l2_dom_norm(mesh, tables, quad, update))
+        field += update
+        bound = _bound(errs, residuals)
+        if bound <= tol and residual <= tol:
+            target = tol if certify is None else certify(field)
+            if bound <= target:
+                converged = True
+                break
+            tol = target
+        elif not switched and len(errs) > _STALL and errs[-1] >= errs[-1 - _STALL]:
+            switched = True
+            inexact = [sv for sv in solvers if not sv.exact]
+            if inexact:
+                warnings.warn(
+                    f"update norm {errs[-1]:.3e} has not fallen in {_STALL} "
+                    f"sweeps; switching {len(inexact)} of {L} ordinates to "
+                    "sparse LU", RuntimeWarning, stacklevel=2,
                 )
-                for k in range(L)
-            ]
-            new = np.stack(sols).reshape(L, C, d)
-        else:
-            # gauss-seidel in angle: row-by-row scattering from the
-            # partially updated field
-            new = field.copy()
-            for k in range(L):
-                rhs_s = scattering_row(systems[k], kernel, quad, new)
-                sol = solvers[k].solve(
-                    systems[k].rhs_fixed + rhs_s.ravel(),
-                    x0=field[k].ravel() if it > 0 else None,
-                )
-                new[k] = sol.reshape(C, d)
-        err = l2_dom_norm(mesh, tables, quad, new - field)
-        errs.append(err)
-        field = new
-        if err < cfg.tol:
-            converged = True
-            break
-    return field, IterationTrace(errs, converged)
+                for sv in inexact:
+                    sv.to_splu()
+    return field, IterationTrace(errs, converged, bound, residual)

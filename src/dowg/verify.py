@@ -17,6 +17,7 @@ weighted broken L2 norm (the tabulated quantity) and the triple norm
 that adds edge-mismatch and boundary terms.
 """
 
+import resource
 import time
 from dataclasses import dataclass, field as dc_field
 
@@ -45,7 +46,7 @@ from .elements import (
     project_field,
 )
 from .mesh import build_mesh, classify_edges
-from .solver import LinearSolveConfig, SolverFailure, SourceIterationConfig, source_iteration
+from .solver import SolverFailure, SourceIterationConfig, source_iteration
 
 __all__ = [
     "ManufacturedCase",
@@ -55,7 +56,6 @@ __all__ = [
     "build_case",
     "solve_case",
     "measure_error",
-    "outer_tolerance",
     "run_convergence",
     "run_comparison",
     "dominance_ratios",
@@ -213,11 +213,47 @@ class AngularStudyReport:
         return self.contributions[-2] <= frac * self.errors[-1]
 
 
-def outer_tolerance(h, k):
-    """Level tolerance for convergence studies: two orders below the
-    expected error magnitude h^(k+1/2), capped at the production 1e-3
-    and floored at 1e-11."""
-    return max(min(1e-3, 1e-2 * h ** (k + 0.5)), 1e-11)
+def _memory_budget():
+    """Bytes a run may take: the address-space limit of the process if
+    one is set, else MemAvailable from /proc/meminfo; None where neither
+    is known."""
+    soft, _ = resource.getrlimit(resource.RLIMIT_AS)
+    if soft != resource.RLIM_INFINITY:
+        return soft
+    try:
+        with open("/proc/meminfo") as fh:
+            for line in fh:
+                if line.startswith("MemAvailable:"):
+                    return int(line.split()[1]) * 1024
+    except OSError:
+        pass
+    return None
+
+
+def _check_memory(k, level, M, budget=None):
+    """Refuse, with ValueError and before anything is assembled, a run
+    whose estimated storage is above ``budget`` bytes (by default
+    ``_memory_budget()``).
+
+    The estimate counts, per ordinate, the CSR system (at most five
+    d x d blocks per cell row; 8-byte values, 4-byte column indices) and
+    its right side, the sweep's D^{-1} and triangular matrix (about two
+    blocks per row); two systems of assembly scratch; and four
+    (L, C, dof) fields.
+    """
+    d = (k + 1) ** 2
+    C = 4**level
+    L = M + 1
+    system = 12 * 5 * C * d * d + 12 * C * d
+    sweep = (12 * 2 + 8) * C * d * d
+    need = L * (system + sweep) + 2 * system + 4 * 8 * L * C * d
+    budget = _memory_budget() if budget is None else budget
+    if budget is not None and need > budget:
+        raise ValueError(
+            f"Q{k} at level {level} with M = {M} needs about {need / 2**30:.1f} "
+            f"GiB of operators and fields, above the {budget / 2**30:.1f} GiB "
+            "this process may use"
+        )
 
 
 def _build_tables(k):
@@ -253,6 +289,7 @@ def solve_case(case, scheme=None, k=1, level=3, M=20, cfg=None, renormalize=None
     production outer tolerance 1e-3.
     """
     scheme = scheme if scheme is not None else WG()
+    _check_memory(k, level, M)
     quad = build_circle_trapezoid(M)
     case, kernel = _case_kernel(case, quad, renormalize)
     mesh = build_mesh(level)
@@ -282,12 +319,14 @@ def measure_error(field, case, mesh, tables, quad):
     P = np.stack(np.meshgrid(p1, p1, indexing="ij"), axis=-1).reshape(-1, 2)
     W = np.outer(w1, w1).ravel()
     Vf = tables.basis.eval(P)
-    vals = np.einsum("lcd,qd->lcq", field, Vf)
     org = mesh.cell_origins
-    X = org[:, 0][None, :, None] + h * P[None, None, :, 0]
-    Y = org[:, 1][None, :, None] + h * P[None, None, :, 1]
-    exact = case.u(X, Y, thetas[:, None, None])
-    vol = h * h * np.einsum("lcq,q->l", (vals - exact) ** 2, W)
+    X = org[:, 0][:, None] + h * P[None, :, 0]
+    Y = org[:, 1][:, None] + h * P[None, :, 1]
+    # one ordinate at a time, so no (L, C, q) array is formed
+    vol = np.empty(len(quad))
+    for m in range(len(quad)):
+        diff = field[m] @ Vf.T - case.u(X, Y, thetas[m])
+        vol[m] = h * h * np.sum(diff**2 @ W)
     err_dom = float(np.sqrt(np.sum(quad.weights * vol)))
 
     tf = [tables.basis.eval(_edge_points(b, p1)) for b in range(4)]
@@ -320,38 +359,51 @@ def project_exact(case, mesh, tables, quad):
     return field
 
 
-def _iterate(systems, kernel, quad, tol, linear, where):
-    """``source_iteration`` for one table row: a solver failure or an
-    outer loop that stops short of ``tol`` raises SolverFailure with
-    ``where`` attached, so no unconverged row is tabulated."""
-    cfg = SourceIterationConfig(tol=tol, linear=linear or LinearSolveConfig())
-    try:
-        field, trace = source_iteration(systems, kernel, quad, cfg)
-    except SolverFailure as err:
-        raise SolverFailure(f"{where}: {err}", err.residual) from err
+def _iterate(systems, kernel, quad, tol, where, measure):
+    """``source_iteration`` for one table row; returns ``(field, trace,
+    measure(field))``.
+
+    With ``tol`` None the row is certified: the loop starts at the
+    production tolerance and resumes until its iteration-error bound is
+    at most 1% of the measured error.  A row that stops uncertified
+    raises SolverFailure with ``where`` attached, so no unconverged row
+    is tabulated.
+    """
+    measured = []
+
+    def certify(field):
+        measured.append(measure(field))
+        return 0.01 * measured[-1][0]
+
+    cfg = SourceIterationConfig(tol=1e-3 if tol is None else tol)
+    field, trace = source_iteration(
+        systems, kernel, quad, cfg, certify=certify if tol is None else None
+    )
     if not trace.converged:
         raise SolverFailure(
-            f"{where}: source iteration stopped after {trace.iterations} outer "
-            f"iterations with update norm {trace.errs[-1]:.3e} above the "
-            f"tolerance {cfg.tol:.3e}",
-            trace.errs[-1],
+            f"{where}: source iteration stopped uncertified after "
+            f"{trace.iterations} sweeps, iteration-error bound {trace.bound:.3e}, "
+            f"relative residual {trace.residual:.3e}",
+            trace.residual,
         )
-    return field, trace
+    return field, trace, measured[-1] if measured else measure(field)
 
 
 def run_convergence(case="example1", scheme=None, k=1, levels=range(3, 8), M=20,
-                    tol=None, renormalize=None, linear=None):
+                    tol=None, renormalize=None):
     """Refine through ``levels`` and tabulate errors and orders.
 
-    The outer tolerance follows ``outer_tolerance`` per level unless a
-    fixed ``tol`` is given.  Solver failures and levels whose outer
-    iteration does not converge raise SolverFailure with the offending
-    level attached.
+    With ``tol`` None every row is certified: its iteration-error bound
+    is at most 1% of its measured error.  A fixed ``tol`` bounds the
+    iteration error and the relative residual instead.  Levels whose
+    source iteration stops uncertified raise SolverFailure with the
+    offending level attached.
     """
     scheme = scheme if scheme is not None else WG()
     levels = list(levels)
     if any(b <= a for a, b in zip(levels, levels[1:])):
         raise ValueError("levels must be strictly increasing")
+    _check_memory(k, max(levels, default=0), M)
     quad = build_circle_trapezoid(M)
     case, kernel = _case_kernel(case, quad, renormalize)
     tables = _build_tables(k)
@@ -359,13 +411,13 @@ def run_convergence(case="example1", scheme=None, k=1, levels=range(3, 8), M=20,
     prev = None
     for lv in levels:
         mesh = build_mesh(lv)
-        lt = tol if tol is not None else outer_tolerance(mesh.h, k)
         t0 = time.perf_counter()
         systems = _assemble_all(case, scheme, mesh, tables, quad, kernel)
-        field, trace = _iterate(systems, kernel, quad, lt, linear,
-                                f"level {lv} (1/h = {mesh.n})")
+        field, trace, (err_dom, err_tri) = _iterate(
+            systems, kernel, quad, tol, f"level {lv} (1/h = {mesh.n})",
+            lambda f: measure_error(f, case, mesh, tables, quad),
+        )
         wall = time.perf_counter() - t0
-        err_dom, err_tri = measure_error(field, case, mesh, tables, quad)
         eoc = None if prev is None else float(np.log2(prev / err_dom))
         prev = err_dom
         report.rows.append((mesh.n, err_dom, eoc))
@@ -376,13 +428,13 @@ def run_convergence(case="example1", scheme=None, k=1, levels=range(3, 8), M=20,
 
 
 def run_comparison(case="example2", k=1, levels=range(3, 7), M=20, c_p=0.1,
-                   sd_c=1.0, tol=None, renormalize=None, linear=None):
+                   sd_c=1.0, tol=None, renormalize=None):
     """Same study for the three schemes; returns reports keyed by name."""
     schemes = (WG(), DODG(c_p=c_p), DODSD(c=sd_c))
     return {
         s.name: run_convergence(
             case, scheme=s, k=k, levels=levels, M=M, tol=tol,
-            renormalize=renormalize, linear=linear,
+            renormalize=renormalize,
         )
         for s in schemes
     }
@@ -404,21 +456,22 @@ def dominance_ratios(reports):
 
 
 def run_angular_study(case="example2", scheme=None, k=2, level=5,
-                      Ms=(4, 8, 16, 32), tol=1e-9, renormalize=None,
-                      linear=None):
+                      Ms=(4, 8, 16, 32), tol=1e-9, renormalize=None):
     """Error versus ordinate count at a fixed spatial level.
 
-    Uses a tight outer tolerance by default so the angular variation is
-    not masked by iteration noise; both smooth cases are integrated
-    exactly by the trapezoid rule once M exceeds the angular bandwidth,
-    so the curve plateaus at the spatial error rather than decaying at
-    a rate.  A solver failure or an outer iteration that does not
-    converge raises SolverFailure with the offending M attached.
+    Uses a tight tolerance by default so the angular variation is not
+    masked by iteration noise (``tol`` None certifies every row, as in
+    ``run_convergence``); both smooth cases are integrated exactly by
+    the trapezoid rule once M exceeds the angular bandwidth, so the
+    curve plateaus at the spatial error rather than decaying at a rate.
+    A source iteration that stops uncertified raises SolverFailure with
+    the offending M attached.
     """
     scheme = scheme if scheme is not None else WG()
     Ms = list(Ms)
     if not Ms or any(b <= a for a, b in zip(Ms, Ms[1:])):
         raise ValueError("ordinate counts must be given and strictly increasing")
+    _check_memory(k, level, Ms[-1])
     mesh = build_mesh(level)
     tables = _build_tables(k)
     rows = []
@@ -426,7 +479,9 @@ def run_angular_study(case="example2", scheme=None, k=2, level=5,
         quad = build_circle_trapezoid(M)
         case, kernel = _case_kernel(case, quad, renormalize)
         systems = _assemble_all(case, scheme, mesh, tables, quad, kernel)
-        field, _ = _iterate(systems, kernel, quad, tol, linear, f"M = {M}")
-        err_dom, _ = measure_error(field, case, mesh, tables, quad)
+        _, _, (err_dom, _) = _iterate(
+            systems, kernel, quad, tol, f"M = {M}",
+            lambda f: measure_error(f, case, mesh, tables, quad),
+        )
         rows.append((M, err_dom))
     return AngularStudyReport(case.name, scheme.name, k, level, rows)

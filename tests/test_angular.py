@@ -10,7 +10,6 @@ from dowg.angular import (
     apply_scatter,
     build_circle_trapezoid,
     build_scatter_kernel,
-    build_sphere_gauss,
     eval_phase,
     normalization_residual,
 )
@@ -63,37 +62,6 @@ class TestCircleTrapezoid:
     def test_rejects_small_M(self):
         with pytest.raises(ValueError):
             build_circle_trapezoid(1)
-
-
-class TestSphereGauss:
-    @pytest.mark.parametrize("m", [1, 2, 4, 8])
-    def test_weight_sum(self, m):
-        q = build_sphere_gauss(m)
-        assert len(q) == 2 * m * m
-        assert_allclose(q.weights.sum(), 4 * np.pi, rtol=1e-10)
-
-    def test_second_moment(self):
-        q = build_sphere_gauss(4)
-        z2 = np.sum(q.weights * q.vectors[:, 2] ** 2)
-        assert_allclose(z2, 4 * np.pi / 3, atol=1e-12)
-
-    def test_hg_normalization_convergence(self):
-        # the 3D HG kernel integrates to one over the sphere; the product
-        # rule resolves it gradually (measured defects: 5.7e-5 at m=8,
-        # 9.0e-10 at m=16)
-        phase = HenyeyGreenstein(0.5, d=3)
-        r8 = normalization_residual(
-            build_scatter_kernel(build_sphere_gauss(8), phase, 2.0, 0.5)
-        )
-        r16 = normalization_residual(
-            build_scatter_kernel(build_sphere_gauss(16), phase, 2.0, 0.5)
-        )
-        assert r8.max() <= 1e-4
-        assert r16.max() <= 1e-8
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            build_sphere_gauss(0)
 
 
 class TestPhaseFunctions:

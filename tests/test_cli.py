@@ -94,15 +94,20 @@ class TestExitCodes:
         assert main(["convergence", "--eta", "1.5"]) == EXIT_VALIDATION
         assert "eta" in capsys.readouterr().err
 
-    @pytest.mark.parametrize(
-        "command", ["convergence", "compare", "angular-study", "selftest"]
-    )
-    def test_angle_ordering_is_solve_only(self, command, capsys):
-        # only solve passes the ordering to the source iteration
-        assert main([command, "--angle-ordering", "gauss-seidel"]) == EXIT_VALIDATION
-        assert "--angle-ordering" in capsys.readouterr().err
-        cfg = parse_config(["solve", "--angle-ordering", "gauss-seidel"])
-        assert cfg.angle_ordering == "gauss-seidel"
+    @pytest.mark.parametrize("flag", ["--linear-tol=1e-8", "--angle-ordering=jacobi"])
+    def test_removed_solver_flags_exit_2(self, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", flag])
+        assert exc.value.code == EXIT_USAGE
+
+    def test_over_budget_run_exits_3(self, tmp_path, capsys, monkeypatch):
+        # the size check runs before assembly, against the budget the
+        # process reports
+        monkeypatch.setattr("dowg.verify._memory_budget", lambda: 2**10)
+        code = main(["solve", "--levels", "2", "--out", str(tmp_path)])
+        assert code == EXIT_VALIDATION
+        assert "GiB" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
     def test_unknown_flag_exits_2(self):
         with pytest.raises(SystemExit) as exc:

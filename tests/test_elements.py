@@ -9,10 +9,8 @@ from dowg.elements import (
     PkBasis,
     _edge_points,
     edge_average,
-    edge_jump,
     gauss_01,
     l2_project,
-    mass_matrix,
     project_field,
     weak_convection_blocks,
     weak_gradient,
@@ -128,46 +126,18 @@ class TestProjection:
             assert_allclose(c[cell], l2_project(t, m.h, f, m.cell_origins[cell]), atol=1e-13)
 
 
-class TestMassMatrix:
-    def test_row_sum_area(self):
-        t = make_tables(1)
-        M = mass_matrix(t, 0.5)
-        assert_allclose(M.sum(), 0.25, atol=1e-14)  # (1,1)_T = |T|
-        assert_allclose(M, M.T, atol=1e-14)
-
-    def test_zero_coefficient(self):
-        t = make_tables(2)
-        assert_allclose(mass_matrix(t, 0.5, c=0.0), 0.0)
-
-    def test_callable_coefficient(self):
-        t = make_tables(1)
-        M1 = mass_matrix(t, 0.25, c=2.0)
-        M2 = mass_matrix(t, 0.25, c=lambda x, y: 2.0 + 0 * x, origin=(0.25, 0.5))
-        assert_allclose(M1, M2, atol=1e-14)
-        with pytest.raises(ValueError):
-            mass_matrix(t, 0.25, c=lambda x, y: x)
-
-
 class TestEdgeTraceOps:
     def test_average(self):
         assert_allclose(edge_average(np.ones(3), 3 * np.ones(3)), 2.0)
         assert_allclose(edge_average(np.array([5.0, 7.0])), [5.0, 7.0])
 
-    def test_jump(self):
-        assert_allclose(edge_jump(np.ones(3), 3 * np.ones(3)), -2.0)
-        v, w = np.array([1.0, 2.0]), np.array([0.5, 3.0])
-        assert_allclose(edge_jump(v, w), -edge_jump(w, v))
-
     def test_continuous(self):
         v = np.array([1.0, -2.0, 0.25])
         assert_allclose(edge_average(v, v.copy()), v)
-        assert_allclose(edge_jump(v, v.copy()), 0.0)
 
     def test_topology_error(self):
         with pytest.raises(ValueError):
             edge_average(np.ones(3), interior=True)
-        with pytest.raises(ValueError):
-            edge_jump(np.ones(3), interior=True)
 
 
 def fine_rule(n=12):

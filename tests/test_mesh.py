@@ -23,7 +23,7 @@ class TestBuildMesh:
     def test_edge_counts(self):
         m = build_mesh(2)
         n = m.n
-        assert len(m.interior_edges) == 2 * n * (n - 1)
+        assert np.count_nonzero(m.boundary_side < 0) == 2 * n * (n - 1)
         assert len(m.boundary_edges) == 4 * n
 
     def test_refinement(self):
@@ -49,7 +49,7 @@ class TestBuildMesh:
         m = build_mesh(2)
         # interior edges: two incident cells, opposite sides, consistent
         # with the cell_edges lookup table
-        for e in m.interior_edges:
+        for e in np.nonzero(m.boundary_side < 0)[0]:
             (c1, c2), (s1, s2) = m.edge_cells[e], m.edge_sides[e]
             assert c1 >= 0 and c2 >= 0
             assert {s1, s2} in ({0, 1}, {2, 3})
@@ -62,14 +62,6 @@ class TestBuildMesh:
             assert m.edge_cells[e, 1] == -1
             assert_allclose(m.edge_normals[e], SIDE_NORMALS[m.edge_sides[e, 0]])
         assert np.all(m.cell_edges >= 0)
-
-    def test_edge_endpoints(self):
-        m = build_mesh(1)
-        # left boundary edge of cell 0
-        e = m.cell_edges[0, 0]
-        assert_allclose(m.edge_endpoints(e), [[0.0, 0.0], [0.0, 0.5]])
-        e = m.cell_edges[3, 3]  # top edge of last cell
-        assert_allclose(m.edge_endpoints(e), [[0.5, 1.0], [1.0, 1.0]])
 
     def test_flux_identity(self):
         # sum over cell edges of (s.n)|e| vanishes for any direction
@@ -115,8 +107,6 @@ class TestClassifyEdges:
         m = build_mesh(2)
         sets = classify_edges(m, np.array([np.cos(1.0), np.sin(1.0)]))
         assert sorted(sets.inflow_sides + sets.outflow_sides) == [0, 1, 2, 3]
-        inflow, outflow = sets.partition(m, 5)
-        assert sorted(np.concatenate([inflow, outflow])) == sorted(m.cell_edges[5])
         # every boundary edge lands in exactly one of the boundary lists
         both = np.concatenate([sets.inflow_boundary, sets.outflow_boundary])
         assert sorted(both) == sorted(m.boundary_edges)

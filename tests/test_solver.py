@@ -8,31 +8,30 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
-from test_assembly import _quadrature_norm, _quadrature_row, _quadrature_source
+from test_assembly import _THETAS, _one_ordinate, _quadrature_norm, _quadrature_source
 
 import dowg.solver
 from dowg.angular import (
-    AngularQuadrature,
-    Direction,
     HenyeyGreenstein,
     Isotropic,
     build_circle_trapezoid,
     build_scatter_kernel,
 )
 from dowg.assembly import (
-    DODG, DODSD, WG, Medium, assemble_direction, l2_dom_norm, sweep_matrix,
+    DODG, DODSD, WG, Medium, assemble_direction, l2_dom_norm, scattering_source,
+    sweep_matrix,
 )
 from dowg.elements import ElementQuadrature, ElementTables, LocalBasis, project_field
 from dowg.mesh import build_mesh
 from dowg.solver import (
     IterationTrace,
-    LinearSolveConfig,
     SolverFailure,
     SourceIterationConfig,
     _CachedSolve,
     _SweepSolve,
     source_iteration,
 )
+from dowg.verify import _iterate
 
 
 def _setup(level=2, k=1, sigma_s=0.5, phase=None, renormalize=True):
@@ -56,15 +55,17 @@ def _source(x, y, th):
     return np.sin(3.0 * x + th) + np.cos(2.0 * y)
 
 
-def _one_ordinate(theta):
-    """A single-node quadrature along angle theta, with the same snapping
-    of rounding noise on the axes as the stock circle rule."""
-    vec = np.array([np.cos(theta), np.sin(theta)])
-    vec[np.abs(vec) < 1e-14] = 0.0
-    return AngularQuadrature(
-        [Direction(theta, vec)], np.array([2 * np.pi]), "circle-trapezoid", 1,
-        2 * np.pi,
-    )
+def _discrete_residual(systems, kernel, quad, field):
+    """||A u - F - S(u)|| / ||F + S(u)|| over all ordinates, the relative
+    residual the benchmark checks a returned field against."""
+    src = scattering_source(systems, kernel, quad, field)
+    num = den = 0.0
+    for m, system in enumerate(systems):
+        rhs = system.rhs_fixed + src[m].ravel()
+        r = system.matrix @ field[m].ravel() - rhs
+        num += float(r @ r)
+        den += float(rhs @ rhs)
+    return float(np.sqrt(num / den))
 
 
 def _lower_part(P, d, mesh, direction):
@@ -85,11 +86,12 @@ def _lower_part(P, d, mesh, direction):
 
 
 class _FrontLoopSweep(_SweepSolve):
-    """Reference sweep: forward substitution front by front in a Python
-    loop, as the solver did before the triangular solve replaced it."""
+    """Reference P^{-1} = (D + L)^{-1}: forward substitution front by
+    front in a Python loop, as the solver did before the triangular
+    solve replaced it."""
 
-    def __init__(self, A, cfg, d, mesh, direction, precond=None):
-        super().__init__(A, cfg, d, mesh, direction, precond=precond)
+    def __init__(self, A, d, mesh, direction, precond=None):
+        super().__init__(A, d, mesh, direction, precond=precond)
         n = mesh.n
         idx = np.arange(n)
         ip = idx if direction[0] >= 0 else idx[::-1]
@@ -131,74 +133,58 @@ class _UpwindDG(DODG):
 
 _SCHEMES = {"wg": WG(), "dodg": DODG(), "dodsd": DODSD()}
 
-_THETAS = st.one_of(
-    st.floats(0.0, 2 * np.pi),
-    st.sampled_from([0.0, 0.5 * np.pi, np.pi, 1.5 * np.pi, 2 * np.pi]),
-    st.floats(2 * np.pi - 1e-6, 2 * np.pi),
-)
-
 
 class TestLinearSolve:
-    def test_zero_rhs_short_circuit(self):
+    def test_zero_rhs_short_circuit(self, monkeypatch):
+        # zero data: the first sweep's update is exactly zero, which
+        # certifies the zero field at once
+        monkeypatch.setattr(_CachedSolve, "_DENSE_CACHED", 0)
         quad, kernel, medium, mesh, tables = _setup(level=3, k=1)
-        sysm = assemble_direction(DODG(), mesh, tables, quad, kernel, medium, 2)
-        sw = _SweepSolve(
-            sysm.matrix, LinearSolveConfig(), tables.dof, mesh, sysm.direction
-        )
-        x = sw.solve(np.zeros(sysm.n_dof))
-        assert x.shape == (sysm.n_dof,) and not np.any(x)
+        systems = _systems(DODG(), quad, kernel, medium, mesh, tables)
+        field, trace = source_iteration(systems, kernel, quad)
+        assert trace.converged and trace.iterations == 1
+        assert trace.bound == 0.0 and trace.residual == 0.0
+        assert field.shape == (len(quad), mesh.n_cells, tables.dof)
+        assert not np.any(field)
 
     def test_shape_mismatch(self):
         quad, kernel, medium, mesh, tables = _setup(level=3, k=1)
         sysm = assemble_direction(DODG(), mesh, tables, quad, kernel, medium, 2)
         with pytest.raises(ValueError):
-            _SweepSolve(
-                sysm.matrix, LinearSolveConfig(), tables.dof, build_mesh(2),
-                sysm.direction,
-            )
+            _SweepSolve(sysm.matrix, tables.dof, build_mesh(2), sysm.direction)
 
-    def test_failure_carries_residual(self, monkeypatch):
-        # DODG leaves its jump penalty to the Richardson remainder, so one
-        # sweep cannot reach tolerance
-        monkeypatch.setattr(_SweepSolve, "_MAX_SWEEPS", 1)
-        quad, kernel, medium, mesh, tables = _setup(level=3, k=1)
-        sysm = assemble_direction(
-            DODG(), mesh, tables, quad, kernel, medium, 2, f=_source
-        )
-        sw = _SweepSolve(
-            sysm.matrix, LinearSolveConfig(), tables.dof, mesh, sysm.direction
-        )
-        with pytest.raises(SolverFailure) as err:
-            sw.solve(sysm.rhs_fixed)
+    def test_failure_carries_residual(self):
+        # a table row that cannot be certified raises with the coupled
+        # relative residual its last sweep saw
+        quad, kernel, medium, mesh, tables = _setup(level=2, k=1)
+        systems = _systems(DODG(), quad, kernel, medium, mesh, tables, f=_source)
+        with pytest.raises(SolverFailure, match="row 7: .*200 sweeps") as err:
+            _iterate(systems, kernel, quad, 1e-300, "row 7", lambda f: (1.0, 1.0))
         assert err.value.residual is not None and err.value.residual > 0
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            LinearSolveConfig(rtol=0.0)
-        with pytest.raises(ValueError):
             SourceIterationConfig(tol=-1.0)
         with pytest.raises(ValueError):
-            SourceIterationConfig(ordering="random")
+            SourceIterationConfig(max_outer=0)
 
 
 class TestSweep:
-    def test_matches_direct_all_schemes(self):
-        quad, kernel, medium, mesh, tables = _setup(level=2, k=1)
-        cfg = LinearSolveConfig(rtol=1e-11)
-        rng = np.random.default_rng(7)
-        # m = 0, 5, 10, 15 are the axis-aligned ordinates
+    def test_matches_direct_all_schemes(self, monkeypatch):
+        # without scattering the fused loop is Richardson iteration on
+        # each ordinate's own system; the cutoff at 0 forces sweeps
+        monkeypatch.setattr(_CachedSolve, "_DENSE_CACHED", 0)
+        quad, kernel, medium, mesh, tables = _setup(level=2, k=1, sigma_s=0.0)
         for scheme in (WG(), DODG(), DODSD()):
+            systems = _systems(scheme, quad, kernel, medium, mesh, tables, f=_source)
+            field, trace = source_iteration(
+                systems, kernel, quad, SourceIterationConfig(tol=1e-12)
+            )
+            assert trace.converged
+            # m = 0, 5, 10, 15 are the axis-aligned ordinates
             for m in (0, 2, 5, 7, 10, 13, 15, 18):
-                sysm = assemble_direction(
-                    scheme, mesh, tables, quad, kernel, medium, m, f=_source
-                )
-                sw = _SweepSolve(
-                    sysm.matrix, cfg, tables.dof, mesh, sysm.direction,
-                    precond=sweep_matrix(sysm),
-                )
-                b = rng.standard_normal(sysm.n_dof)
-                ref = spla.spsolve(sysm.matrix.tocsc(), b)
-                assert_allclose(sw.solve(b), ref, atol=1e-8 * np.abs(ref).max())
+                ref = spla.spsolve(systems[m].matrix.tocsc(), systems[m].rhs_fixed)
+                assert_allclose(field[m].ravel(), ref, atol=1e-10 * np.abs(ref).max())
 
     def test_streamline_diffusion_is_one_sweep(self):
         # in upwind order that matrix is exactly block lower triangular
@@ -206,55 +192,58 @@ class TestSweep:
         sysm = assemble_direction(
             DODSD(), mesh, tables, quad, kernel, medium, 3, f=_source
         )
-        sw = _SweepSolve(
-            sysm.matrix, LinearSolveConfig(), tables.dof, mesh, sysm.direction
-        )
+        sw = _SweepSolve(sysm.matrix, tables.dof, mesh, sysm.direction)
+        assert sw.exact
         b = np.sin(np.arange(sysm.n_dof))
         x = sw._forward(b)
         assert np.linalg.norm(sysm.matrix @ x - b) <= 1e-12 * np.linalg.norm(b)
 
     def test_warm_start_is_a_fixed_point(self):
-        quad, kernel, medium, mesh, tables = _setup(level=3, k=1)
+        # the fused step corrects by P^{-1} of the residual, so the exact
+        # solution is left where it is
+        quad, kernel, medium, mesh, tables = _setup(level=4, k=1)
         sysm = assemble_direction(
             WG(), mesh, tables, quad, kernel, medium, 4, f=_source
         )
-        sw = _SweepSolve(
-            sysm.matrix, LinearSolveConfig(), tables.dof, mesh, sysm.direction,
-            precond=sweep_matrix(sysm),
-        )
+        cached = _CachedSolve(sysm)
+        assert not cached.exact and cached.kind == "sweep"
         b = np.cos(np.arange(sysm.n_dof))
-        x = sw.solve(b)
-        assert_allclose(sw.solve(b, x0=x), x, rtol=0, atol=1e-12 * np.abs(x).max())
+        x = spla.spsolve(sysm.matrix.tocsc(), b)
+        step = cached.step(b - sysm.matrix @ x)
+        assert np.abs(step).max() <= 1e-12 * np.abs(x).max()
 
     def test_cached_solve_picks_sweep_then_dense(self):
         quad, kernel, medium, mesh, tables = _setup(level=4, k=1)
         sysm = assemble_direction(WG(), mesh, tables, quad, kernel, medium, 1)
-        big = _CachedSolve(sysm, LinearSolveConfig())
-        big.solve(np.ones(sysm.n_dof))
+        big = _CachedSolve(sysm)
+        big.step(np.ones(sysm.n_dof))
         assert big.kind == "sweep"
         small_mesh = build_mesh(1)
         s2 = assemble_direction(
             WG(), small_mesh, tables, quad, kernel, medium, 1
         )
-        small = _CachedSolve(s2, LinearSolveConfig())
-        small.solve(np.ones(s2.n_dof))
+        small = _CachedSolve(s2)
+        small.step(np.ones(s2.n_dof))
         assert small.kind == "dense"
 
     def test_stalled_sweep_falls_back_to_sparse_lu(self, monkeypatch):
-        # one DODG sweep stalls (see test_failure_carries_residual);
-        # level 4 sits above the cached-dense cutoff
-        monkeypatch.setattr(_SweepSolve, "_MAX_SWEEPS", 1)
-        quad, kernel, medium, mesh, tables = _setup(level=4, k=1)
-        sysm = assemble_direction(
-            DODG(), mesh, tables, quad, kernel, medium, 2, f=_source
-        )
-        b = sysm.rhs_fixed
-        cached = _CachedSolve(sysm, LinearSolveConfig())
-        with pytest.warns(RuntimeWarning, match="direction .*residual"):
-            x = cached.solve(b)
-        assert cached.kind == "splu"
-        ref = spla.spsolve(sysm.matrix.tocsc(), b)
-        assert_allclose(x, ref, atol=1e-10 * np.abs(ref).max())
+        # sweeping the WG matrix's own lower part (instead of the
+        # penalty-free upwind operator) diverges; the run warns once,
+        # moves every ordinate to sparse LU and still solves the coupled
+        # system, here without scattering so that each ordinate matches
+        # a direct solve
+        monkeypatch.setattr(dowg.solver, "sweep_matrix", lambda s: s.matrix)
+        quad, kernel, medium, mesh, tables = _setup(level=4, k=1, sigma_s=0.0)
+        systems = _systems(WG(), quad, kernel, medium, mesh, tables, f=_source)
+        with pytest.warns(RuntimeWarning, match="sparse LU") as record:
+            field, trace = source_iteration(
+                systems, kernel, quad, SourceIterationConfig(tol=1e-10)
+            )
+        assert len([w for w in record if w.category is RuntimeWarning]) == 1
+        assert trace.converged
+        for m in (0, 3, 8, 14):
+            ref = spla.spsolve(systems[m].matrix.tocsc(), systems[m].rhs_fixed)
+            assert_allclose(field[m].ravel(), ref, atol=1e-10 * np.abs(ref).max())
 
 
 class TestSweepProperty:
@@ -275,10 +264,7 @@ class TestSweepProperty:
             _SCHEMES[name], mesh, tables, one, kernel, medium, 0
         )
         P = sweep_matrix(sysm)
-        sw = _SweepSolve(
-            sysm.matrix, LinearSolveConfig(), tables.dof, mesh, sysm.direction,
-            precond=P,
-        )
+        sw = _SweepSolve(sysm.matrix, tables.dof, mesh, sysm.direction, precond=P)
         b = np.random.default_rng(seed).standard_normal(sysm.n_dof)
         ref = spla.spsolve(_lower_part(P, tables.dof, mesh, sysm.direction), b)
         x = sw._forward(b)
@@ -301,9 +287,7 @@ class TestSweepProperty:
     def test_forward_leaves_its_input(self):
         quad, kernel, medium, mesh, tables = _setup(level=3, k=1)
         sysm = assemble_direction(DODSD(), mesh, tables, quad, kernel, medium, 3)
-        sw = _SweepSolve(
-            sysm.matrix, LinearSolveConfig(), tables.dof, mesh, sysm.direction
-        )
+        sw = _SweepSolve(sysm.matrix, tables.dof, mesh, sysm.direction)
         b = np.sin(np.arange(sysm.n_dof))
         first = sw._forward(b)
         assert_array_equal(b, np.sin(np.arange(sysm.n_dof)))
@@ -311,23 +295,21 @@ class TestSweepProperty:
 
 
 class TestPreChangeEquivalence:
-    """Source iteration through the triangular-solve sweep and the
-    coefficient-space scattering source and norm reproduces the front
-    loop with quadrature-point scattering and norm."""
+    """The fused loop through the triangular-solve sweep and the
+    coefficient-space scattering source and norm reproduces the same loop
+    with the front-loop P^{-1} and quadrature-point scattering and norm."""
 
-    @pytest.mark.parametrize("ordering", ["jacobi", "gauss-seidel"])
     @pytest.mark.parametrize("name, k, level", [("wg", 1, 4), ("dodsd", 2, 4)])
-    def test_fields_match(self, monkeypatch, ordering, name, k, level):
+    def test_fields_match(self, monkeypatch, name, k, level):
         quad, kernel, medium, mesh, tables = _setup(level=level, k=k)
         systems = _systems(
             _SCHEMES[name], quad, kernel, medium, mesh, tables, f=_source
         )
         assert systems[0].n_dof > _CachedSolve._DENSE_CACHED
-        cfg = SourceIterationConfig(tol=1e-9, ordering=ordering)
+        cfg = SourceIterationConfig(tol=1e-9)
         new, tnew = source_iteration(systems, kernel, quad, cfg)
         monkeypatch.setattr(dowg.solver, "_SweepSolve", _FrontLoopSweep)
         monkeypatch.setattr(dowg.solver, "scattering_source", _quadrature_source)
-        monkeypatch.setattr(dowg.solver, "scattering_row", _quadrature_row)
         monkeypatch.setattr(dowg.solver, "l2_dom_norm", _quadrature_norm)
         old, told = source_iteration(systems, kernel, quad, cfg)
         assert tnew.converged and tnew.iterations == told.iterations
@@ -367,20 +349,6 @@ class TestSourceIteration:
         )
         scale = np.abs(field[0]).max()
         assert np.abs(field[-1] - field[0]).max() <= 1e-9 * max(scale, 1.0)
-
-    def test_orderings_agree_at_tolerance(self):
-        quad, kernel, medium, mesh, tables = _setup(level=2)
-        systems = _systems(WG(), quad, kernel, medium, mesh, tables, f=_source)
-        fj, tj = source_iteration(
-            systems, kernel, quad, SourceIterationConfig(tol=1e-11)
-        )
-        fg, tg = source_iteration(
-            systems, kernel, quad,
-            SourceIterationConfig(tol=1e-11, ordering="gauss-seidel"),
-        )
-        assert tj.converged and tg.converged
-        assert tg.iterations <= tj.iterations
-        assert np.abs(fj - fg).max() <= 1e-8
 
     def test_sweep_equals_dense_end_to_end(self, monkeypatch):
         # level 4 with k = 1 sits above the cached-dense cutoff, so the
@@ -436,6 +404,55 @@ class TestSourceIteration:
         ones = project_field(mesh, tables, lambda x, y: np.ones_like(x))
         assert trace.converged
         assert np.abs(field - ones[None]).max() <= 1e-9
+
+
+class TestCertifiedStop:
+    """On sweep-sized systems the stop certifies what it claims: the
+    bound covers the true iteration error and the returned field's
+    coupled residual is at most the tolerance."""
+
+    @pytest.mark.parametrize("tol", [1e-4, 1e-7])
+    @pytest.mark.parametrize("name", sorted(_SCHEMES))
+    def test_bound_and_residual(self, name, tol):
+        quad, kernel, medium, mesh, tables = _setup(level=4, k=1)
+        systems = _systems(_SCHEMES[name], quad, kernel, medium, mesh, tables, f=_source)
+        assert systems[0].n_dof > _CachedSolve._DENSE_CACHED
+        field, trace = source_iteration(
+            systems, kernel, quad, SourceIterationConfig(tol=tol)
+        )
+        ref, tref = source_iteration(
+            systems, kernel, quad, SourceIterationConfig(tol=1e-13)
+        )
+        assert trace.converged and tref.converged
+        assert trace.bound <= tol and trace.residual <= tol
+        assert l2_dom_norm(mesh, tables, quad, field - ref) <= trace.bound
+        assert _discrete_residual(systems, kernel, quad, field) <= tol
+
+    def test_certify_resumes_without_new_setup(self, monkeypatch):
+        # the loop stops at tol, the target is tighter, so it resumes on
+        # the same per-ordinate sweeps until the bound meets the target
+        built = []
+
+        class Counted(_SweepSolve):
+            def __init__(self, *args, **kwargs):
+                built.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(dowg.solver, "_SweepSolve", Counted)
+        quad, kernel, medium, mesh, tables = _setup(level=4, k=1)
+        systems = _systems(DODG(), quad, kernel, medium, mesh, tables, f=_source)
+        asked = []
+
+        def certify(field):
+            asked.append(len(asked))
+            return 1e-10
+
+        _, trace = source_iteration(
+            systems, kernel, quad, SourceIterationConfig(tol=1e-3), certify=certify
+        )
+        assert trace.converged and trace.bound <= 1e-10 and trace.residual <= 1e-10
+        assert len(asked) >= 2
+        assert len(built) == len(quad)
 
 
 class TestIterationTrace:

@@ -3,8 +3,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 from dowg.angular import Isotropic, build_circle_trapezoid
-from dowg.assembly import DODSD, WG, Medium
-from dowg.solver import SolverFailure, SourceIterationConfig
+from dowg.assembly import DODG, DODSD, WG, Medium
+from dowg.mesh import build_mesh
+from dowg.solver import SolverFailure, SourceIterationConfig, source_iteration
 from dowg.verify import (
     AngularStudyReport,
     ConvergenceReport,
@@ -12,12 +13,18 @@ from dowg.verify import (
     build_case,
     dominance_ratios,
     measure_error,
-    outer_tolerance,
     project_exact,
     run_angular_study,
     run_comparison,
     run_convergence,
     solve_case,
+)
+from dowg.verify import (
+    _assemble_all,
+    _build_tables,
+    _case_kernel,
+    _check_memory,
+    _iterate,
 )
 
 
@@ -170,6 +177,25 @@ class TestRunConvergence:
         # energy-norm errors dominate the tabulated L2 ones
         assert all(t > e for t, (_, e, _) in zip(rep.triple_errors, rep.rows))
 
+    def test_rows_are_certified(self):
+        # tol None resumes a row until its bound is 1% of its error, so
+        # the row's error matches a tight solve's to that 1%
+        case = build_case("example2")
+        quad = build_circle_trapezoid(20)
+        _, kernel = _case_kernel(case, quad, None)
+        mesh, tables = build_mesh(4), _build_tables(2)
+        systems = _assemble_all(case, DODG(), mesh, tables, quad, kernel)
+
+        def measure(f):
+            return measure_error(f, case, mesh, tables, quad)
+
+        _, trace, (err, _) = _iterate(systems, kernel, quad, None, "row", measure)
+        ref, _ = source_iteration(
+            systems, kernel, quad, SourceIterationConfig(tol=1e-13)
+        )
+        assert trace.converged and trace.bound <= 0.01 * err
+        assert abs(err - measure(ref)[0]) <= 0.01 * err
+
     def test_tolerance_override(self):
         rep = run_convergence("example1", k=1, levels=[2, 3], tol=1e-7)
         assert min(rep.eocs) > 1.4
@@ -225,8 +251,25 @@ class TestRunAngularStudy:
         assert abs(errs[1] - errs[0]) <= 0.06 * errs[0]
 
 
-class TestOuterTolerance:
-    def test_formula(self):
-        assert outer_tolerance(0.5, 1) == 1e-3
-        assert_allclose(outer_tolerance(1 / 64, 2), 1e-2 * (1 / 64) ** 2.5)
-        assert outer_tolerance(1e-6, 2) == 1e-11
+class TestCheckMemory:
+    def test_refuses_over_budget(self):
+        with pytest.raises(ValueError, match="GiB"):
+            _check_memory(1, 3, 20, budget=2**20)
+        _check_memory(1, 3, 20, budget=2**30)
+
+    def test_estimate_scales_with_the_run(self):
+        # Q1 at level 9 needs several GiB of operators; level 8 a quarter
+        with pytest.raises(ValueError, match="level 9"):
+            _check_memory(1, 9, 20, budget=7 * 2**30)
+        _check_memory(1, 8, 20, budget=7 * 2**30)
+        with pytest.raises(ValueError, match="M = 80"):
+            _check_memory(1, 8, 80, budget=7 * 2**30)
+
+    def test_solve_case_checks_before_assembly(self, monkeypatch):
+        monkeypatch.setattr("dowg.verify._memory_budget", lambda: 2**10)
+        with pytest.raises(ValueError, match="GiB"):
+            solve_case("example1", k=1, level=2)
+        with pytest.raises(ValueError, match="GiB"):
+            run_convergence("example1", k=1, levels=[2, 3])
+        with pytest.raises(ValueError, match="GiB"):
+            run_angular_study("example1", k=1, level=2, Ms=(4,))
