@@ -47,7 +47,6 @@ __all__ = [
     "Medium",
     "DirectionSystem",
     "assemble_direction",
-    "sweep_matrix",
     "scattering_source",
     "triple_norm",
     "l2_dom_norm",
@@ -108,28 +107,40 @@ def _check_margin(kernel, medium):
 
 @dataclass
 class DirectionSystem:
-    """Assembled system for one ordinate.
+    """One ordinate's system: its right side, and what assembles its matrix.
 
-    ``matrix`` is CSR on the five-point block stencil; every block an
-    assembly term wrote is stored in full, even where the terms cancel.
+    ``matrix`` is the system as CSR on the five-point block stencil; every
+    block an assembly term wrote is stored in full, even where the terms
+    cancel.  It is assembled afresh from ``stencil()`` on each access and
+    not cached, so a solve holds only what its per-ordinate solver keeps.
     ``scatter_test`` holds the volume test table the lagged scattering
     source is integrated against (basis values for WG/DODG, the
-    streamline-diffusion test combination for DODSD).
+    streamline-diffusion test combination for DODSD).  ``inflow_sign``
+    is the sign of WG's weak inflow term -<s.n u, v>, fixed when the
+    system is built (+1 only under the ``flip_inflow_sign`` fault hook).
     """
 
     m: int
     direction: np.ndarray
-    matrix: sp.csr_matrix
     rhs_fixed: np.ndarray
     scheme: object
     mesh: object
     tables: object
     medium: Medium
     scatter_test: np.ndarray
+    inflow_sign: float = -1.0
 
     @property
     def n_dof(self):
-        return self.matrix.shape[0]
+        return self.mesh.n_cells * self.tables.dof
+
+    @property
+    def matrix(self):
+        return self.stencil().tocsr()
+
+    def stencil(self):
+        """The system's blocks on the five-point stencil, assembled afresh."""
+        return _assemble_stencil(self)
 
 
 class _BlockStencil:
@@ -210,31 +221,60 @@ def _rhs_inflow_data(mesh, tables, quad_edges, side, cells, sn, u_in, theta):
 
 
 def assemble_direction(scheme, mesh, tables, quad, kernel, medium, m, f=None, u_in=None):
-    """Assemble the sparse system for ordinate m under a scheme.
+    """Build the system for ordinate m under a scheme.
 
     ``f(x, y, theta)`` and ``u_in(x, y, theta)`` are vectorized callables
     for the volume source and the prescribed inflow intensity; omitted
-    terms contribute zero.
+    terms contribute zero.  The right side is integrated here; the matrix
+    is assembled on demand (``DirectionSystem.stencil`` and ``matrix``).
 
     The scattering term stays out of the matrix (lagged source); the
     positivity margin sigma_t - sigma_s*max b_m must be positive.
     """
     _check_margin(kernel, medium)
-    s = quad.vectors[m]
+    if not isinstance(scheme, (WG, DODG, DODSD)):
+        raise TypeError(f"unknown scheme {scheme!r}")
     theta = quad.nodes[m].theta
-    sets = classify_edges(mesh, s)
+    sets = classify_edges(mesh, quad.vectors[m])
     s = sets.direction  # snapped copy
-    h = mesh.h
     d = tables.dof
     C = mesh.n_cells
-    cells = np.arange(C)
-    acc = _BlockStencil(mesh.n, d)
+    bdy_groups = _edge_groups(mesh)[1]
+    if isinstance(scheme, DODSD):
+        test_table = tables.V + scheme.c * (s[0] * tables.DX + s[1] * tables.DY)
+    else:
+        test_table = tables.V
+
+    rhs = np.zeros((C, d))
+    if f is not None:
+        rhs += _rhs_volume(mesh, tables, test_table, f, theta)
+    if u_in is not None:
+        for b in range(4):
+            sn = sets.side_sn[b]
+            if sn < 0:
+                bc = mesh.edge_cells[bdy_groups[b], 0]
+                rhs[bc] += _rhs_inflow_data(mesh, tables, quad, b, bc, sn, u_in, theta)
+
+    inflow_sign = 1.0 if _hooks.flip_inflow_sign else -1.0
+    return DirectionSystem(
+        m, s, rhs.ravel(), scheme, mesh, tables, medium, test_table, inflow_sign
+    )
+
+
+def _assemble_stencil(system):
+    """The block stencil of one ordinate's system matrix."""
+    scheme, mesh, tables, medium = system.scheme, system.mesh, system.tables, system.medium
+    sets = classify_edges(mesh, system.direction)
+    s = sets.direction
+    h = mesh.h
+    cells = np.arange(mesh.n_cells)
+    acc = _BlockStencil(mesh.n, tables.dof)
     int_groups, bdy_groups = _edge_groups(mesh)
     w = tables.quad.vol_weights
+    test_table = system.scatter_test
 
     if isinstance(scheme, DODSD):
         sd = s[0] * tables.DX + s[1] * tables.DY
-        test_table = tables.V + scheme.c * sd
         # (s.grad u + sigma_t u, v + delta s.grad v)_T
         base = h * (test_table.T @ (w[:, None] * sd))
         acc.add(cells, cells, base + _mass_blocks(tables, mesh, medium.sigma_t, test_table))
@@ -253,7 +293,6 @@ def assemble_direction(scheme, mesh, tables, quad, kernel, medium, m, f=None, u_
                 bc = mesh.edge_cells[bdy_groups[b], 0]
                 acc.add(bc, bc, abs(sn) * h * tables.E_self[b])
     else:
-        test_table = tables.V
         base = -h * (s[0] * tables.GX + s[1] * tables.GY)
         acc.add(cells, cells, base + _mass_blocks(tables, mesh, medium.sigma_t, test_table))
 
@@ -274,9 +313,8 @@ def assemble_direction(scheme, mesh, tables, quad, kernel, medium, m, f=None, u_
                 bc = mesh.edge_cells[bdy_groups[b], 0]
                 acc.add(bc, bc, h * sn * tables.E_self[b])  # <{u}, s.n v>, {u} = u
                 if sn < 0:  # weak inflow boundary term -<s.n u, v>
-                    sign = 1.0 if _hooks.flip_inflow_sign else -1.0
-                    acc.add(bc, bc, sign * h * sn * tables.E_self[b])
-        elif isinstance(scheme, DODG):
+                    acc.add(bc, bc, system.inflow_sign * h * sn * tables.E_self[b])
+        else:
             for g, s1, s2 in int_groups:
                 sn = sets.side_sn[s1]
                 c1, c2 = mesh.edge_cells[g, 0], mesh.edge_cells[g, 1]
@@ -292,22 +330,7 @@ def assemble_direction(scheme, mesh, tables, quad, kernel, medium, m, f=None, u_
                 if sn > 0:  # outflow boundary: u_hat is the interior trace
                     bc = mesh.edge_cells[bdy_groups[b], 0]
                     acc.add(bc, bc, h * sn * tables.E_self[b])
-        else:
-            raise TypeError(f"unknown scheme {scheme!r}")
-
-    rhs = np.zeros((C, d))
-    if f is not None:
-        rhs += _rhs_volume(mesh, tables, test_table, f, theta)
-    if u_in is not None:
-        for b in range(4):
-            sn = sets.side_sn[b]
-            if sn < 0:
-                bc = mesh.edge_cells[bdy_groups[b], 0]
-                rhs[bc] += _rhs_inflow_data(mesh, tables, quad, b, bc, sn, u_in, theta)
-
-    return DirectionSystem(
-        m, s, acc.tocsr(), rhs.ravel(), scheme, mesh, tables, medium, test_table
-    )
+    return acc
 
 
 def _wg_stabilizer(sn):
@@ -326,19 +349,20 @@ def _add_jump(acc, mesh, tables, sets, weight):
         acc.add(c2, c2, kappa * tables.E_self[s2])
 
 
-def sweep_matrix(system):
-    """The matrix whose block lower part the wavefront sweep inverts:
-    the system matrix for DODG and DODSD, and for WG the matrix plus its
-    stabilizer once more.  Central flux plus (|s.n|/2) <[u], [v]> is the
-    penalty-free upwind operator, so Richardson iteration only corrects
-    the stabilizer."""
+def _sweep_shift(system):
+    """What the wavefront sweep adds to the system before it takes the
+    diagonal and upwind blocks: for WG its stabilizer once more, on a
+    block stencil, since central flux plus (|s.n|/2) <[u], [v]> is the
+    penalty-free upwind operator and the iteration then only corrects
+    the stabilizer; None for DODG and DODSD, whose sweep takes the
+    system's own blocks."""
     if not isinstance(system.scheme, WG):
-        return system.matrix
+        return None
     mesh, tables = system.mesh, system.tables
     acc = _BlockStencil(mesh.n, tables.dof)
     sets = classify_edges(mesh, system.direction)
     _add_jump(acc, mesh, tables, sets, _wg_stabilizer)
-    return system.matrix + acc.tocsr()
+    return acc
 
 
 def _scatter_map(system):

@@ -316,11 +316,14 @@ class TestStencilAssembly:
                     new = assemble_direction(scheme, mesh, tables, quad, kernel, med, m)
                     with monkeypatch.context() as mp:
                         mp.setattr(dowg.assembly, "_BlockStencil", _BlockCOO)
-                        ref = assemble_direction(scheme, mesh, tables, quad, kernel, med, m)
-                assert_array_equal(new.matrix.indptr, ref.matrix.indptr)
-                assert_array_equal(new.matrix.indices, ref.matrix.indices)
-                err = np.abs(new.matrix.data - ref.matrix.data).max()
-                assert err <= 1e-14 * np.abs(ref.matrix.data).max()
+                        ref = assemble_direction(
+                            scheme, mesh, tables, quad, kernel, med, m
+                        ).matrix
+                new = new.matrix
+                assert_array_equal(new.indptr, ref.indptr)
+                assert_array_equal(new.indices, ref.indices)
+                err = np.abs(new.data - ref.data).max()
+                assert err <= 1e-14 * np.abs(ref.data).max()
 
     def test_rejects_calls_off_the_stencil(self):
         acc = dowg.assembly._BlockStencil(4, 1)
@@ -461,8 +464,9 @@ class TestHooks:
         plain = classify_edges(mesh, s)
         with _hooks.inject("tie_break_inflow"):
             mutated = assemble_direction(WG(), mesh, tables, quad, kernel, med, m_axis)
+            mutated = mutated.matrix
             tied = classify_edges(mesh, s)
-        assert (base.matrix != mutated.matrix).nnz == 0
+        assert (base.matrix != mutated).nnz == 0
         assert plain.side_sn[2] == 0.0
         assert 2 in plain.outflow_sides and 2 in tied.inflow_sides
 
@@ -494,6 +498,24 @@ class TestExport:
 
 
 class TestDirectionSystem:
+    def test_matrix_is_assembled_on_each_access(self, quad, kernel):
+        # the system holds no matrix; each access assembles the same CSR
+        # afresh, with the fault hook as it was when the system was built
+        mesh, tables = build_mesh(2), _tables(1)
+        for scheme in (WG(), DODG(), DODSD()):
+            with _hooks.inject("flip_inflow_sign"):
+                sysm = assemble_direction(scheme, mesh, tables, quad, kernel, Medium(), 3)
+                first = sysm.matrix
+            assert not any(sp.issparse(v) for v in vars(sysm).values())
+            again = sysm.matrix
+            assert again is not first
+            assert_array_equal(again.indptr, first.indptr)
+            assert_array_equal(again.indices, first.indices)
+            assert_array_equal(again.data, first.data)
+            plain = assemble_direction(scheme, mesh, tables, quad, kernel, Medium(), 3)
+            flipped = (plain.matrix != again).nnz > 0
+            assert flipped == isinstance(scheme, WG)
+
     def test_metadata(self, quad, kernel):
         mesh, tables = build_mesh(1), _tables(2)
         sysm = assemble_direction(DODSD(), mesh, tables, quad, kernel, Medium(), 6)

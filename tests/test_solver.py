@@ -1,5 +1,5 @@
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -18,8 +18,8 @@ from dowg.angular import (
     build_scatter_kernel,
 )
 from dowg.assembly import (
-    DODG, DODSD, WG, Medium, assemble_direction, l2_dom_norm, scattering_source,
-    sweep_matrix,
+    DODG, DODSD, WG, DirectionSystem, Medium, assemble_direction, l2_dom_norm,
+    scattering_source,
 )
 from dowg.elements import ElementQuadrature, ElementTables, LocalBasis, project_field
 from dowg.mesh import build_mesh
@@ -29,6 +29,7 @@ from dowg.solver import (
     SourceIterationConfig,
     _CachedSolve,
     _SweepSolve,
+    _unit_lower_solve,
     source_iteration,
 )
 from dowg.verify import _iterate
@@ -85,19 +86,52 @@ def _lower_part(P, d, mesh, direction):
     )
 
 
+@dataclass(frozen=True)
+class _UpwindDG(DODG):
+    """Reference: the penalty-free upwind DG operator (c_p = 0), which
+    the solver used to assemble as the WG sweep preconditioner."""
+
+    c_p: float = 0.0
+
+    def __post_init__(self):
+        pass
+
+
+def _sweep_matrix(system):
+    """The matrix whose diagonal and upwind blocks the sweep inverts: the
+    system matrix for DODG and DODSD, the penalty-free upwind DG operator
+    for WG."""
+    if isinstance(system.scheme, WG):
+        return replace(system, scheme=_UpwindDG()).matrix
+    return system.matrix
+
+
+def _natural_lower(sw):
+    """The sweep's D + L in the original numbering, rebuilt from what it
+    holds: D from D^{-1}, and D M renumbered back from front order."""
+    d = sw.d
+    dofs = (np.asarray(sw._order)[:, None] * d + np.arange(d)).ravel()
+    D = sp.block_diag(list(np.linalg.inv(sw.dinv)), format="csr")
+    P = (D @ sw.M).tocoo()
+    return sp.csr_matrix(
+        (P.data, (dofs[P.row], dofs[P.col])), shape=P.shape
+    )
+
+
 class _FrontLoopSweep(_SweepSolve):
     """Reference P^{-1} = (D + L)^{-1}: forward substitution front by
-    front in a Python loop, as the solver did before the triangular
-    solve replaced it."""
+    front in a Python loop over the blocks of the assembled sweep matrix,
+    as the solver did before the triangular solve replaced it."""
 
-    def __init__(self, A, d, mesh, direction, precond=None):
-        super().__init__(A, d, mesh, direction, precond=precond)
+    def __init__(self, system):
+        super().__init__(system)
+        mesh, d, direction = system.mesh, system.tables.dof, system.direction
         n = mesh.n
         idx = np.arange(n)
         ip = idx if direction[0] >= 0 else idx[::-1]
         jp = idx if direction[1] >= 0 else idx[::-1]
         front = (jp[:, None] + ip[None, :]).ravel()
-        B = sp.csr_matrix(A if precond is None else precond).tobsr(blocksize=(d, d))
+        B = _sweep_matrix(system).tobsr(blocksize=(d, d))
         rows = np.repeat(np.arange(mesh.n_cells), np.diff(B.indptr))
         cols = B.indices
         diag = rows == cols
@@ -120,17 +154,6 @@ class _FrontLoopSweep(_SweepSolve):
         return z.ravel()
 
 
-@dataclass(frozen=True)
-class _UpwindDG(DODG):
-    """Reference: the penalty-free upwind DG operator (c_p = 0), which
-    the solver used to assemble as the WG sweep preconditioner."""
-
-    c_p: float = 0.0
-
-    def __post_init__(self):
-        pass
-
-
 _SCHEMES = {"wg": WG(), "dodg": DODG(), "dodsd": DODSD()}
 
 
@@ -146,12 +169,6 @@ class TestLinearSolve:
         assert trace.bound == 0.0 and trace.residual == 0.0
         assert field.shape == (len(quad), mesh.n_cells, tables.dof)
         assert not np.any(field)
-
-    def test_shape_mismatch(self):
-        quad, kernel, medium, mesh, tables = _setup(level=3, k=1)
-        sysm = assemble_direction(DODG(), mesh, tables, quad, kernel, medium, 2)
-        with pytest.raises(ValueError):
-            _SweepSolve(sysm.matrix, tables.dof, build_mesh(2), sysm.direction)
 
     def test_failure_carries_residual(self):
         # a table row that cannot be certified raises with the coupled
@@ -192,15 +209,15 @@ class TestSweep:
         sysm = assemble_direction(
             DODSD(), mesh, tables, quad, kernel, medium, 3, f=_source
         )
-        sw = _SweepSolve(sysm.matrix, tables.dof, mesh, sysm.direction)
-        assert sw.exact
+        sw = _SweepSolve(sysm)
+        assert sw.exact and sw.R is None
         b = np.sin(np.arange(sysm.n_dof))
         x = sw._forward(b)
         assert np.linalg.norm(sysm.matrix @ x - b) <= 1e-12 * np.linalg.norm(b)
 
     def test_warm_start_is_a_fixed_point(self):
-        # the fused step corrects by P^{-1} of the residual, so the exact
-        # solution is left where it is
+        # the fused step is x <- P^{-1}(b - R x) with A = P + R, so the
+        # exact solution is left where it is
         quad, kernel, medium, mesh, tables = _setup(level=4, k=1)
         sysm = assemble_direction(
             WG(), mesh, tables, quad, kernel, medium, 4, f=_source
@@ -209,7 +226,7 @@ class TestSweep:
         assert not cached.exact and cached.kind == "sweep"
         b = np.cos(np.arange(sysm.n_dof))
         x = spla.spsolve(sysm.matrix.tocsc(), b)
-        step = cached.step(b - sysm.matrix @ x)
+        step = cached.step(cached.right_side(b, x)) - x
         assert np.abs(step).max() <= 1e-12 * np.abs(x).max()
 
     def test_cached_solve_picks_sweep_then_dense(self):
@@ -229,10 +246,10 @@ class TestSweep:
     def test_stalled_sweep_falls_back_to_sparse_lu(self, monkeypatch):
         # sweeping the WG matrix's own lower part (instead of the
         # penalty-free upwind operator) diverges; the run warns once,
-        # moves every ordinate to sparse LU and still solves the coupled
-        # system, here without scattering so that each ordinate matches
-        # a direct solve
-        monkeypatch.setattr(dowg.solver, "sweep_matrix", lambda s: s.matrix)
+        # moves every ordinate to sparse LU, counts them and still solves
+        # the coupled system, here without scattering so that each
+        # ordinate matches a direct solve
+        monkeypatch.setattr(dowg.solver, "_sweep_shift", lambda s: None)
         quad, kernel, medium, mesh, tables = _setup(level=4, k=1, sigma_s=0.0)
         systems = _systems(WG(), quad, kernel, medium, mesh, tables, f=_source)
         with pytest.warns(RuntimeWarning, match="sparse LU") as record:
@@ -241,6 +258,7 @@ class TestSweep:
             )
         assert len([w for w in record if w.category is RuntimeWarning]) == 1
         assert trace.converged
+        assert trace.escalated == len(quad)
         for m in (0, 3, 8, 14):
             ref = spla.spsolve(systems[m].matrix.tocsc(), systems[m].rhs_fixed)
             assert_allclose(field[m].ravel(), ref, atol=1e-10 * np.abs(ref).max())
@@ -258,17 +276,22 @@ class TestSweepProperty:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_forward_is_the_lower_solve(self, theta, k, name, seed):
+        # P^{-1} is the lower solve with the sweep matrix's D + L, and R
+        # holds the rest of the system matrix
         _, kernel, medium, mesh, tables = _setup(level=3, k=k)
         one = _one_ordinate(theta)
         sysm = assemble_direction(
             _SCHEMES[name], mesh, tables, one, kernel, medium, 0
         )
-        P = sweep_matrix(sysm)
-        sw = _SweepSolve(sysm.matrix, tables.dof, mesh, sysm.direction, precond=P)
+        lower = _lower_part(_sweep_matrix(sysm), tables.dof, mesh, sysm.direction)
+        sw = _SweepSolve(sysm)
         b = np.random.default_rng(seed).standard_normal(sysm.n_dof)
-        ref = spla.spsolve(_lower_part(P, tables.dof, mesh, sysm.direction), b)
+        ref = spla.spsolve(lower, b)
         x = sw._forward(b)
         assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
+        A = sysm.matrix
+        R = sp.csr_matrix(A.shape) if sw.R is None else sw.R
+        assert np.abs(R + lower - A).max() <= 1e-14 * np.abs(A).max()
         if name == "dodsd":
             exact = spla.spsolve(sysm.matrix.tocsc(), b)
             assert np.abs(x - exact).max() <= 1e-12 * np.abs(exact).max()
@@ -276,18 +299,20 @@ class TestSweepProperty:
     @settings(max_examples=40, deadline=None)
     @given(theta=_THETAS, k=st.sampled_from([1, 2]))
     def test_wg_sweep_matrix_is_penalty_free_upwind(self, theta, k):
-        # WG plus its stabilizer once more equals upwind DG without penalty
+        # the D + L the WG sweep holds (WG plus its stabilizer once more)
+        # is that of upwind DG without penalty
         _, kernel, medium, mesh, tables = _setup(level=3, k=k)
         one = _one_ordinate(theta)
         sysm = assemble_direction(WG(), mesh, tables, one, kernel, medium, 0)
         ref = assemble_direction(_UpwindDG(), mesh, tables, one, kernel, medium, 0)
-        diff = sweep_matrix(sysm) - ref.matrix
+        lower = _lower_part(ref.matrix, tables.dof, mesh, sysm.direction)
+        diff = _natural_lower(_SweepSolve(sysm)) - lower
         assert np.abs(diff).max() <= 1e-14 * np.abs(ref.matrix).max()
 
     def test_forward_leaves_its_input(self):
         quad, kernel, medium, mesh, tables = _setup(level=3, k=1)
         sysm = assemble_direction(DODSD(), mesh, tables, quad, kernel, medium, 3)
-        sw = _SweepSolve(sysm.matrix, tables.dof, mesh, sysm.direction)
+        sw = _SweepSolve(sysm)
         b = np.sin(np.arange(sysm.n_dof))
         first = sw._forward(b)
         assert_array_equal(b, np.sin(np.arange(sysm.n_dof)))
@@ -453,6 +478,115 @@ class TestCertifiedStop:
         assert trace.converged and trace.bound <= 1e-10 and trace.residual <= 1e-10
         assert len(asked) >= 2
         assert len(built) == len(quad)
+
+
+class TestUnitLowerSolve:
+    """The direct SuperLU call equals ``spsolve_triangular``, so a change
+    of scipy's private binding fails here rather than silently."""
+
+    def test_real_sweep_matrix(self):
+        quad, kernel, medium, mesh, tables = _setup(level=4, k=2)
+        sysm = assemble_direction(DODG(), mesh, tables, quad, kernel, medium, 7)
+        M = _SweepSolve(sysm).M
+        assert M.format == "csc" and np.all(M.diagonal() == 1.0)
+        b = np.random.default_rng(3).standard_normal(M.shape[0])
+        ref = spla.spsolve_triangular(M, b, lower=True, unit_diagonal=True)
+        assert_allclose(_unit_lower_solve(M, b), ref, rtol=0, atol=1e-13 * np.abs(ref).max())
+
+    def test_random_unit_lower(self):
+        rng = np.random.default_rng(5)
+        n = 300
+        strict = sp.random(n, n, density=0.02, random_state=rng, format="csc")
+        M = (sp.tril(strict, -1) + sp.eye(n)).tocsc()
+        M.sort_indices()
+        b = rng.standard_normal(n)
+        keep = b.copy()
+        ref = spla.spsolve_triangular(M, b, lower=True, unit_diagonal=True)
+        z = _unit_lower_solve(M, b)
+        assert_array_equal(b, keep)
+        assert_allclose(z, ref, rtol=0, atol=1e-13 * np.abs(ref).max())
+        assert np.abs(M @ z - b).max() <= 1e-12 * np.abs(b).max()
+
+
+class TestSplitStorage:
+    """Each sweep ordinate holds D^{-1}, M and R only, and the loop never
+    assembles a system matrix."""
+
+    @staticmethod
+    def _no_matrix(system):
+        raise AssertionError("the loop read DirectionSystem.matrix")
+
+    @pytest.mark.parametrize("name", sorted(_SCHEMES))
+    def test_loop_never_assembles(self, monkeypatch, name):
+        quad, kernel, medium, mesh, tables = _setup(level=4, k=1)
+        systems = _systems(_SCHEMES[name], quad, kernel, medium, mesh, tables, f=_source)
+        built = []
+
+        class Kept(_SweepSolve):
+            def __init__(self, system):
+                super().__init__(system)
+                built.append(self)
+
+        monkeypatch.setattr(dowg.solver, "_SweepSolve", Kept)
+        monkeypatch.setattr(DirectionSystem, "matrix", property(self._no_matrix))
+        _, trace = source_iteration(systems, kernel, quad, SourceIterationConfig(tol=1e-9))
+        monkeypatch.undo()
+        assert trace.converged and trace.escalated == 0
+        assert len(built) == len(quad)
+        for sw, sysm in zip(built, systems):
+            held = {k: v for k, v in vars(sw).items() if sp.issparse(v)}
+            assert held.keys() == ({"M"} if name == "dodsd" else {"M", "R"})
+            assert held["M"].format == "csc"
+            if sw.R is not None:
+                assert sw.R.format == "csr" and sw.R.nnz < sysm.matrix.nnz
+            assert sw.dinv.shape == (mesh.n_cells, tables.dof, tables.dof)
+            assert not any(sp.issparse(v) for v in vars(sysm).values())
+
+
+class TestFreeResidual:
+    """The coupled residual the loop takes as the difference of
+    successive right sides g equals ||b + S x - A x|| / ||b + S x|| of the
+    assembled matrices, at every sweep, across the fallback too."""
+
+    @staticmethod
+    def _check(monkeypatch, systems, kernel, quad, sweeps):
+        fields = []
+        real = dowg.solver.scattering_source
+
+        def recording(*args):
+            fields.append(args[-1].copy())
+            return real(*args)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(dowg.solver, "scattering_source", recording)
+            source_iteration(
+                systems, kernel, quad, SourceIterationConfig(tol=1e-300, max_outer=sweeps)
+            )
+        for k in range(1, sweeps + 1):
+            # the k-th sweep's residual is that of the field it started from
+            _, trace = source_iteration(
+                systems, kernel, quad, SourceIterationConfig(tol=1e-300, max_outer=k)
+            )
+            ref = _discrete_residual(systems, kernel, quad, fields[k - 1])
+            assert trace.residual == pytest.approx(ref, rel=1e-12, abs=1e-12)
+        return trace
+
+    @pytest.mark.parametrize("name", sorted(_SCHEMES))
+    def test_every_sweep(self, monkeypatch, name):
+        quad, kernel, medium, mesh, tables = _setup(level=4, k=1)
+        systems = _systems(_SCHEMES[name], quad, kernel, medium, mesh, tables, f=_source)
+        assert systems[0].n_dof > _CachedSolve._DENSE_CACHED
+        self._check(monkeypatch, systems, kernel, quad, 8)
+
+    def test_across_the_fallback(self, monkeypatch):
+        # the unshifted WG sweep diverges and switches to sparse LU after
+        # eleven sweeps; the residual stays exact after the switch
+        monkeypatch.setattr(dowg.solver, "_sweep_shift", lambda s: None)
+        quad, kernel, medium, mesh, tables = _setup(level=4, k=1)
+        systems = _systems(WG(), quad, kernel, medium, mesh, tables, f=_source)
+        with pytest.warns(RuntimeWarning, match="sparse LU"):
+            trace = self._check(monkeypatch, systems, kernel, quad, 14)
+        assert trace.escalated == len(quad)
 
 
 class TestIterationTrace:
