@@ -120,27 +120,23 @@ def build_circle_trapezoid(M):
 class HenyeyGreenstein:
     """Henyey-Greenstein phase function with anisotropy eta in (-1, 1).
 
-    Phi(t) = (1 / (2^{d-1} pi)) * (1 - eta^2) / (1 + eta^2 - 2 eta t)^{3/2}.
+    Phi(t) = (1 / (2 pi)) * (1 - eta^2) / (1 + eta^2 - 2 eta t)^{3/2}.
 
-    The 3/2 exponent is used for both d = 2 and d = 3.  With d = 3 the
-    sphere integral is exactly 1; with d = 2 the circle integral is not
-    (about 1.418 at eta = 0.5), which is why ``build_scatter_kernel``
-    exposes a ``renormalize`` switch.
+    This is the sphere's 3/2 exponent with the circle's 1/(2 pi), so its
+    circle integral is not 1 (about 1.418 at eta = 0.5), which is why
+    ``build_scatter_kernel`` exposes a ``renormalize`` switch.
     """
 
     eta: float
-    d: int = 2
 
     def __post_init__(self):
         if not -1.0 < self.eta < 1.0:
             raise ValueError(f"anisotropy eta must lie in (-1, 1), got {self.eta}")
-        if self.d not in (2, 3):
-            raise ValueError(f"dimension must be 2 or 3, got {self.d}")
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
-        denom = 2.0 ** (self.d - 1) * np.pi
-        return (1.0 - self.eta**2) / (denom * (1.0 + self.eta**2 - 2.0 * self.eta * t) ** 1.5)
+        denom = 2.0 * np.pi * (1.0 + self.eta**2 - 2.0 * self.eta * t) ** 1.5
+        return (1.0 - self.eta**2) / denom
 
 
 @dataclass(frozen=True)
@@ -153,14 +149,10 @@ class LinearAnisotropic:
 
 @dataclass(frozen=True)
 class Isotropic:
-    """Constant phase function, 1/(2 pi) on the circle, 1/(4 pi) on the sphere."""
-
-    d: int = 2
+    """Constant phase function 1/(2 pi), of unit circle integral."""
 
     def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        c = 1.0 / (2.0 * np.pi) if self.d == 2 else 1.0 / (4.0 * np.pi)
-        return np.full_like(t, c)
+        return np.full_like(np.asarray(t, dtype=float), 1.0 / (2.0 * np.pi))
 
 
 def eval_phase(phase, t):

@@ -42,9 +42,6 @@ from .assembly import (
     triple_norm,
 )
 from .elements import (
-    ElementQuadrature,
-    ElementTables,
-    LocalBasis,
     PkBasis,
     project_field,
     weak_convection_blocks,
@@ -64,6 +61,7 @@ from .reporting import (
 )
 from .solver import SolverFailure, SourceIterationConfig
 from .verify import (
+    _build_tables,
     build_case,
     dominance_ratios,
     measure_error,
@@ -449,10 +447,6 @@ def _cmd_angular(cfg):
 # -- selftest ---------------------------------------------------------------
 
 
-def _tables(k):
-    return ElementTables(LocalBasis(k), ElementQuadrature.build(k))
-
-
 def _check_quadrature():
     quad = build_circle_trapezoid(20)
     if abs(quad.weights.sum() - 2 * np.pi) > 1e-13:
@@ -472,7 +466,7 @@ def _check_quadrature():
 def _check_weak_operators():
     mesh = build_mesh(2)
     for k in (1, 2):
-        tables = _tables(k)
+        tables = _build_tables(k)
         # global linear fields have exact constant weak gradients
         coeffs = project_field(mesh, tables, lambda x, y: 2 * x - 3 * y + 1)
         pk = PkBasis(k)
@@ -506,7 +500,7 @@ def _check_coercivity():
     for level in (2, 3):
         mesh = build_mesh(level)
         for k in (1, 2):
-            tables = _tables(k)
+            tables = _build_tables(k)
             shape = (len(quad), mesh.n_cells, tables.dof)
             for _ in range(25):
                 v = rng.standard_normal(shape)
@@ -543,7 +537,7 @@ def _check_constant_solutions():
 
     for scheme in (WG(), DODG(), DODSD()):
         for k in (1, 2):
-            tables = _tables(k)
+            tables = _build_tables(k)
             systems = [
                 assemble_direction(scheme, mesh, tables, quad, kernel, med, m,
                                    f=f, u_in=u_in)

@@ -18,18 +18,20 @@ The loop stops when that bound and the coupled relative residual
 ||r|| / ||b + S x|| are both at most the tolerance; rho >= 1 means no
 stop.
 
-Each ordinate's split is set up on the first sweep and kept.  At desk
-scale P_m = A_m, factored by dense LU.  Above that it is the wavefront
-sweep (``_SweepSolve``): ordering cells by upwind distance makes each
-transport matrix block lower triangular up to a weak downwind remainder
-(the DODG jump penalty; WG sweeps its matrix plus its own stabilizer,
-the penalty-free upwind operator, and leaves the stabilizer as the
-remainder), and the streamline-diffusion systems are exactly triangular
-in that order (R_m = 0).  A sweep ordinate holds D^{-1}, the unit lower
-triangular M = D^{-1}(D + L) and R_m, cut straight from the block
-stencil; the assembled A_m is never formed.  A run whose update norms
-stop falling switches once, with a RuntimeWarning, to exact sparse LU
-(P_m = A_m) for every ordinate with a remainder, and counts them in
+Each ordinate is the pair (P_m^{-1}, R_m), built once before the first
+sweep (``_pairs``), with R_m None when P_m = A_m.  At desk scale that is
+the exact pair, sparse LU of A_m (``_exact``).  Above that it is the
+wavefront sweep (``_SweepSolve``): ordering cells by upwind distance
+makes each transport matrix block lower triangular up to a weak
+downwind remainder (the DODG jump penalty; WG sweeps its matrix plus its
+own stabilizer, the penalty-free upwind operator, and leaves the
+stabilizer as the remainder), and the streamline-diffusion systems are
+exactly triangular in that order (R_m = 0).  A sweep ordinate holds
+D^{-1}, the unit lower triangular M = D^{-1}(D + L) and R_m, cut
+straight from the block stencil; the assembled A_m is never formed.  A
+run whose update norms stop falling, while still above roundoff,
+switches once, with a RuntimeWarning, to the exact pair for every
+ordinate with a remainder, and counts them in
 ``IterationTrace.escalated``.
 """
 
@@ -38,7 +40,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.sparse.linalg._dsolve import _superlu
@@ -148,9 +149,10 @@ class _SweepSolve:
     slots: ``dinv``, the cell blocks of D^{-1} in front order; ``M`` =
     D^{-1}(D + L), unit lower triangular once the cells are renumbered
     front by front, as CSC with its unit diagonal stored; and ``R`` as
-    CSR in natural order, None when it is 0 (``exact``).  ``_forward``
-    applies P^{-1} as a D^{-1} scaling and one triangular solve with M
-    (``_unit_lower_solve``), O(nnz) in time and memory.
+    CSR in natural order, None when it is 0.  ``_forward`` applies
+    P^{-1} as a D^{-1} scaling and one triangular solve with M
+    (``_unit_lower_solve``), O(nnz) in time and memory; with ``R`` it is
+    the ordinate's pair.
     """
 
     def __init__(self, system):
@@ -212,11 +214,6 @@ class _SweepSolve:
         self._order = order
         self._rank = rank
 
-    @property
-    def exact(self):
-        """True when P is the system matrix itself (R = 0)."""
-        return self.R is None
-
     def _forward(self, g):
         """Apply (D + L)^{-1}: scale by D^{-1}, then solve with the unit
         lower triangular M in front order."""
@@ -226,70 +223,36 @@ class _SweepSolve:
         return z.reshape(-1, d)[self._rank].ravel()
 
 
-class _CachedSolve:
-    """One ordinate's split A = P + R, set up on first use and kept
-    across sweeps: ``step`` applies P^{-1}, ``right_side`` forms
-    g = rhs - R x.
-
-    Dense LU of the lazily assembled system up to ``_DENSE_CACHED``
-    unknowns (P = A, R = 0), the wavefront sweep above that, and exact
-    sparse LU of the system after ``to_splu`` (P = A, R = 0).  Only the
-    dense kind and the fallback assemble A, and neither keeps it.
-    """
-
-    # one factor is cached per ordinate, so dense LU stays at desk scale
-    _DENSE_CACHED = 600
-
-    def __init__(self, system):
-        self.system = system
-        self.kind = None
-        self._fac = None
-
-    def _ensure(self):
-        if self.kind is not None:
-            return
-        s = self.system
-        if s.n_dof <= self._DENSE_CACHED:
-            self.kind = "dense"
-            self._fac = sla.lu_factor(s.matrix.toarray())
-            return
-        self.kind = "sweep"
-        self._fac = _SweepSolve(s)
-
-    @property
-    def exact(self):
-        """True when P is the system matrix itself."""
-        self._ensure()
-        return self.kind != "sweep" or self._fac.exact
-
-    def to_splu(self, x):
-        """Switch to exact sparse LU; returns A x, the right side the
-        current field solves under the new split."""
-        A = self.system.matrix
-        self.kind = "splu"
-        self._fac = spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A")
-        return A @ x
-
-    def right_side(self, rhs, x):
-        """g = rhs - R x."""
-        self._ensure()
-        if self.kind != "sweep" or self._fac.R is None:
-            return rhs
-        return rhs - self._fac.R @ x
-
-    def step(self, g):
-        """P^{-1} g."""
-        self._ensure()
-        if self.kind == "dense":
-            return sla.lu_solve(self._fac, g)
-        if self.kind == "sweep":
-            return self._fac._forward(g)
-        return self._fac.solve(g)
-
+# ordinates with at most this many unknowns are solved exactly, the
+# larger ones swept
+_EXACT_UP_TO = 600
 
 # sweeps without a fall of the update norm after which the run gives up
 # on the sweeps and switches to exact sparse LU
 _STALL = 10
+
+# an update norm at most this fraction of the field's norm is roundoff,
+# whose noise does not fall, so it never counts as a stall
+_ROUNDOFF = 256 * np.finfo(float).eps
+
+
+def _exact(A):
+    """The exact pair of A: sparse LU's solve as P^{-1}, and R = None
+    (P = A)."""
+    return spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A").solve, None
+
+
+def _pairs(systems):
+    """Each ordinate's (P^{-1}, R): exact up to ``_EXACT_UP_TO``
+    unknowns, the wavefront sweep above."""
+    pairs = []
+    for s in systems:
+        if s.n_dof <= _EXACT_UP_TO:
+            pairs.append(_exact(s.matrix))
+        else:
+            sw = _SweepSolve(s)
+            pairs.append((sw._forward, sw.R))
+    return pairs
 
 
 def _bound(errs, residuals):
@@ -337,7 +300,7 @@ def source_iteration(systems, kernel, quad, cfg=None, certify=None):
     if L != len(quad):
         raise ValueError("one system per quadrature ordinate is required")
 
-    solvers = [_CachedSolve(s) for s in systems]
+    pairs = _pairs(systems)
     field = np.zeros((L, C, d))
     # g of the previous sweep, which P x solves for the current field
     g_prev = np.zeros((L, C * d))
@@ -350,14 +313,14 @@ def source_iteration(systems, kernel, quad, cfg=None, certify=None):
         # each ordinate's update overwrites the scattering row it came from
         update = scattering_source(systems, kernel, quad, field)
         num = den = 0.0
-        for m, (s, solver) in enumerate(zip(systems, solvers)):
+        for m, (s, (solve, R)) in enumerate(zip(systems, pairs)):
             rhs = s.rhs_fixed + update[m].ravel()
-            g = solver.right_side(rhs, field[m].ravel())
+            g = rhs if R is None else rhs - R @ field[m].ravel()
             r = g - g_prev[m]  # = rhs - A x, as P x = g_prev
             num += r @ r
             den += rhs @ rhs
             g_prev[m] = g
-            x = solver.step(g).reshape(C, d)
+            x = solve(g).reshape(C, d)
             update[m] = x - field[m]
             field[m] = x
         residual = float(np.sqrt(num / den)) if num else 0.0
@@ -370,9 +333,12 @@ def source_iteration(systems, kernel, quad, cfg=None, certify=None):
                 converged = True
                 break
             tol = target
-        elif not switched and len(errs) > _STALL and errs[-1] >= errs[-1 - _STALL]:
+        elif (
+            not switched and len(errs) > _STALL and errs[-1] >= errs[-1 - _STALL]
+            and errs[-1] > _ROUNDOFF * l2_dom_norm(mesh, tables, quad, field)
+        ):
             switched = True
-            inexact = [m for m, sv in enumerate(solvers) if not sv.exact]
+            inexact = [m for m, (_, R) in enumerate(pairs) if R is not None]
             if inexact:
                 warnings.warn(
                     f"update norm {errs[-1]:.3e} has not fallen in {_STALL} "
@@ -380,6 +346,8 @@ def source_iteration(systems, kernel, quad, cfg=None, certify=None):
                     "sparse LU", RuntimeWarning, stacklevel=2,
                 )
                 for m in inexact:
-                    g_prev[m] = solvers[m].to_splu(field[m].ravel())
+                    A = systems[m].matrix
+                    pairs[m] = _exact(A)
+                    g_prev[m] = A @ field[m].ravel()
                 escalated = len(inexact)
     return field, IterationTrace(errs, converged, bound, residual, escalated)

@@ -86,8 +86,6 @@ class TestPhaseFunctions:
     def test_hg_parameter_validation(self):
         with pytest.raises(ValueError):
             HenyeyGreenstein(1.0)
-        with pytest.raises(ValueError):
-            HenyeyGreenstein(0.5, d=4)
 
     def test_nonnegative(self):
         t = np.linspace(-1, 1, 101)

@@ -1,4 +1,5 @@
 import io
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -27,8 +28,8 @@ from dowg.solver import (
     IterationTrace,
     SolverFailure,
     SourceIterationConfig,
-    _CachedSolve,
     _SweepSolve,
+    _pairs,
     _unit_lower_solve,
     source_iteration,
 )
@@ -161,7 +162,7 @@ class TestLinearSolve:
     def test_zero_rhs_short_circuit(self, monkeypatch):
         # zero data: the first sweep's update is exactly zero, which
         # certifies the zero field at once
-        monkeypatch.setattr(_CachedSolve, "_DENSE_CACHED", 0)
+        monkeypatch.setattr(dowg.solver, "_EXACT_UP_TO", 0)
         quad, kernel, medium, mesh, tables = _setup(level=3, k=1)
         systems = _systems(DODG(), quad, kernel, medium, mesh, tables)
         field, trace = source_iteration(systems, kernel, quad)
@@ -190,7 +191,7 @@ class TestSweep:
     def test_matches_direct_all_schemes(self, monkeypatch):
         # without scattering the fused loop is Richardson iteration on
         # each ordinate's own system; the cutoff at 0 forces sweeps
-        monkeypatch.setattr(_CachedSolve, "_DENSE_CACHED", 0)
+        monkeypatch.setattr(dowg.solver, "_EXACT_UP_TO", 0)
         quad, kernel, medium, mesh, tables = _setup(level=2, k=1, sigma_s=0.0)
         for scheme in (WG(), DODG(), DODSD()):
             systems = _systems(scheme, quad, kernel, medium, mesh, tables, f=_source)
@@ -210,7 +211,7 @@ class TestSweep:
             DODSD(), mesh, tables, quad, kernel, medium, 3, f=_source
         )
         sw = _SweepSolve(sysm)
-        assert sw.exact and sw.R is None
+        assert sw.R is None
         b = np.sin(np.arange(sysm.n_dof))
         x = sw._forward(b)
         assert np.linalg.norm(sysm.matrix @ x - b) <= 1e-12 * np.linalg.norm(b)
@@ -222,26 +223,28 @@ class TestSweep:
         sysm = assemble_direction(
             WG(), mesh, tables, quad, kernel, medium, 4, f=_source
         )
-        cached = _CachedSolve(sysm)
-        assert not cached.exact and cached.kind == "sweep"
+        [(solve, R)] = _pairs([sysm])
+        assert R is not None
         b = np.cos(np.arange(sysm.n_dof))
         x = spla.spsolve(sysm.matrix.tocsc(), b)
-        step = cached.step(cached.right_side(b, x)) - x
+        step = solve(b - R @ x) - x
         assert np.abs(step).max() <= 1e-12 * np.abs(x).max()
 
-    def test_cached_solve_picks_sweep_then_dense(self):
+    def test_pairs_pick_sweep_then_exact(self):
+        # above the cutoff the WG ordinate is swept and keeps its
+        # stabilizer remainder; at desk scale it is solved exactly (R = 0)
         quad, kernel, medium, mesh, tables = _setup(level=4, k=1)
         sysm = assemble_direction(WG(), mesh, tables, quad, kernel, medium, 1)
-        big = _CachedSolve(sysm)
-        big.step(np.ones(sysm.n_dof))
-        assert big.kind == "sweep"
+        [(_, R)] = _pairs([sysm])
+        assert R is not None
         small_mesh = build_mesh(1)
         s2 = assemble_direction(
             WG(), small_mesh, tables, quad, kernel, medium, 1
         )
-        small = _CachedSolve(s2)
-        small.step(np.ones(s2.n_dof))
-        assert small.kind == "dense"
+        [(solve, R)] = _pairs([s2])
+        assert R is None
+        b = np.ones(s2.n_dof)
+        assert np.abs(s2.matrix @ solve(b) - b).max() <= 1e-12
 
     def test_stalled_sweep_falls_back_to_sparse_lu(self, monkeypatch):
         # sweeping the WG matrix's own lower part (instead of the
@@ -262,6 +265,21 @@ class TestSweep:
         for m in (0, 3, 8, 14):
             ref = spla.spsolve(systems[m].matrix.tocsc(), systems[m].rhs_fixed)
             assert_allclose(field[m].ravel(), ref, atol=1e-10 * np.abs(ref).max())
+
+    @pytest.mark.parametrize("name", ["wg", "dodg"])
+    def test_roundoff_is_not_a_stall(self, name):
+        # a tolerance below roundoff leaves the update norm at machine
+        # precision, where it stops falling by noise: the run ends
+        # unconverged without a warning and keeps its sweeps
+        quad, kernel, medium, mesh, tables = _setup(level=4, k=1)
+        systems = _systems(_SCHEMES[name], quad, kernel, medium, mesh, tables, f=_source)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            _, trace = source_iteration(
+                systems, kernel, quad, SourceIterationConfig(tol=1e-16, max_outer=80)
+            )
+        assert not trace.converged and trace.iterations == 80
+        assert trace.escalated == 0
 
 
 class TestSweepProperty:
@@ -330,7 +348,7 @@ class TestPreChangeEquivalence:
         systems = _systems(
             _SCHEMES[name], quad, kernel, medium, mesh, tables, f=_source
         )
-        assert systems[0].n_dof > _CachedSolve._DENSE_CACHED
+        assert systems[0].n_dof > dowg.solver._EXACT_UP_TO
         cfg = SourceIterationConfig(tol=1e-9)
         new, tnew = source_iteration(systems, kernel, quad, cfg)
         monkeypatch.setattr(dowg.solver, "_SweepSolve", _FrontLoopSweep)
@@ -375,16 +393,16 @@ class TestSourceIteration:
         scale = np.abs(field[0]).max()
         assert np.abs(field[-1] - field[0]).max() <= 1e-9 * max(scale, 1.0)
 
-    def test_sweep_equals_dense_end_to_end(self, monkeypatch):
-        # level 4 with k = 1 sits above the cached-dense cutoff, so the
+    def test_sweep_equals_exact_end_to_end(self, monkeypatch):
+        # level 4 with k = 1 sits above the exact-solve cutoff, so the
         # default run takes the preconditioned wavefront sweep; raising
-        # the cutoff past the system size gives the dense-LU reference
+        # the cutoff past the system size gives the exact-LU reference
         quad, kernel, medium, mesh, tables = _setup(level=4, k=1)
         systems = _systems(WG(), quad, kernel, medium, mesh, tables, f=_source)
-        assert systems[0].n_dof > _CachedSolve._DENSE_CACHED
+        assert systems[0].n_dof > dowg.solver._EXACT_UP_TO
         cfg = SourceIterationConfig(tol=1e-8)
         fa, _ = source_iteration(systems, kernel, quad, cfg)
-        monkeypatch.setattr(_CachedSolve, "_DENSE_CACHED", systems[0].n_dof)
+        monkeypatch.setattr(dowg.solver, "_EXACT_UP_TO", systems[0].n_dof)
         fd, _ = source_iteration(systems, kernel, quad, cfg)
         assert np.abs(fa - fd).max() <= 1e-8
 
@@ -441,7 +459,7 @@ class TestCertifiedStop:
     def test_bound_and_residual(self, name, tol):
         quad, kernel, medium, mesh, tables = _setup(level=4, k=1)
         systems = _systems(_SCHEMES[name], quad, kernel, medium, mesh, tables, f=_source)
-        assert systems[0].n_dof > _CachedSolve._DENSE_CACHED
+        assert systems[0].n_dof > dowg.solver._EXACT_UP_TO
         field, trace = source_iteration(
             systems, kernel, quad, SourceIterationConfig(tol=tol)
         )
@@ -575,7 +593,7 @@ class TestFreeResidual:
     def test_every_sweep(self, monkeypatch, name):
         quad, kernel, medium, mesh, tables = _setup(level=4, k=1)
         systems = _systems(_SCHEMES[name], quad, kernel, medium, mesh, tables, f=_source)
-        assert systems[0].n_dof > _CachedSolve._DENSE_CACHED
+        assert systems[0].n_dof > dowg.solver._EXACT_UP_TO
         self._check(monkeypatch, systems, kernel, quad, 8)
 
     def test_across_the_fallback(self, monkeypatch):
