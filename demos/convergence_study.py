@@ -39,7 +39,7 @@ out.mkdir(exist_ok=True)
 
 case = build_case("example1")
 sol = solve_case(case, k=1, level=3, M=20)
-print(f"outer iterations: {sol.trace.iterations} "
+print(f"sweeps: {sol.trace.iterations} "
       f"(converged={sol.trace.converged})")
 print("update norms:", np.array2string(np.asarray(sol.trace.errs),
                                        formatter={"float": "{:.3e}".format}))

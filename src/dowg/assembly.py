@@ -27,7 +27,11 @@ Uniform grids make every edge of a topological group (interior vertical,
 interior horizontal, four boundary sides) carry identical element blocks,
 so assembly reduces to a handful of block adds on the grid's five-point
 block stencil (each cell's blocks for its bottom, left, own, right and
-top neighbour), emitted block-row-wise as the CSR system matrix.
+top neighbour), emitted block-row-wise as the CSR system matrix.  With a
+constant sigma_t a cell's blocks depend only on which domain sides it
+touches, so the adds run once per cell class, on a 3 x 3 class grid at
+the mesh's h, and every cell takes its class's blocks (a callable
+sigma_t makes each cell its own class).
 """
 
 from dataclasses import dataclass
@@ -37,7 +41,7 @@ import scipy.sparse as sp
 
 from . import _hooks
 from .elements import _edge_points
-from .mesh import SIDE_NORMALS, classify_edges
+from .mesh import _grid, classify_edges
 from .reporting import _with_stream
 
 __all__ = [
@@ -111,8 +115,10 @@ class DirectionSystem:
 
     ``matrix`` is the system as CSR on the five-point block stencil; every
     block an assembly term wrote is stored in full, even where the terms
-    cancel.  It is assembled afresh from ``stencil()`` on each access and
-    not cached, so a solve holds only what its per-ordinate solver keeps.
+    cancel.  It is assembled afresh on each access and not cached, so a
+    solve holds only what its per-ordinate solver keeps: ``stencil()``
+    assembles the blocks once per cell class, and ``matrix`` gathers
+    them into every cell's block row.
     ``scatter_test`` holds the volume test table the lagged scattering
     source is integrated against (basis values for WG/DODG, the
     streamline-diffusion test combination for DODSD).  ``inflow_sign``
@@ -139,43 +145,77 @@ class DirectionSystem:
         return self.stencil().tocsr()
 
     def stencil(self):
-        """The system's blocks on the five-point stencil, assembled afresh."""
+        """The system's blocks on the five-point stencil, one block row
+        per cell class, assembled afresh."""
         return _assemble_stencil(self)
 
 
 class _BlockStencil:
-    """Accumulates dense (cell, cell) blocks on the grid's five-point
-    stencil: per test cell, the d x d blocks for its bottom, left, own,
-    right and top neighbour (cell offsets -n, -1, 0, 1, n, in column
-    order).  A written block stays in the pattern even if it sums to 0."""
+    """Dense (cell, cell) blocks on an n x n grid's five-point stencil,
+    held once per cell class.
 
-    def __init__(self, n, d):
+    Per test cell there are the d x d blocks for its bottom, left, own,
+    right and top neighbour (cell offsets -n, -1, 0, 1, n, in column
+    order).  Cells whose blocks are equal share a class: ``cls`` maps each
+    of the n*n cells to its class, the classes are the cells of an m x m
+    class grid (see ``_class_grid``), and ``add`` addresses class cells
+    on that grid.  ``blocks`` and ``touched`` are per class; cell c's
+    blocks are ``blocks[cls[c]]``.  A written block stays in the pattern
+    even if it sums to 0."""
+
+    def __init__(self, n, d, m, cls):
         self.d = d
+        self.cls = cls
         self.offsets = np.array([-n, -1, 0, 1, n])
-        self.blocks = np.zeros((n * n, 5, d, d))
-        self.touched = np.zeros((n * n, 5), dtype=bool)
+        self._class_offsets = np.array([-m, -1, 0, 1, m])
+        self.blocks = np.zeros((m * m, 5, d, d))
+        self.touched = np.zeros((m * m, 5), dtype=bool)
 
     def add(self, test_cells, trial_cells, block):
         test_cells = np.atleast_1d(test_cells)
         offset = np.atleast_1d(trial_cells) - test_cells
         if offset.size == 0:
             return
-        if np.any(offset != offset[0]) or offset[0] not in self.offsets:
+        if np.any(offset != offset[0]) or offset[0] not in self._class_offsets:
             raise ValueError(f"cell offsets {np.unique(offset)} are not one stencil slot")
         if np.bincount(test_cells).max() > 1:
             raise ValueError("a test cell repeats within one call")
-        slot = int(np.searchsorted(self.offsets, offset[0]))
+        slot = int(np.searchsorted(self._class_offsets, offset[0]))
         self.blocks[test_cells, slot] += block
         self.touched[test_cells, slot] = True
 
-    def tocsr(self):
-        C, d = len(self.touched), self.d
-        cells, slots = np.nonzero(self.touched)
-        indptr = np.concatenate(([0], np.cumsum(self.touched.sum(axis=1))))
+    def tocsr(self, blocks=None):
+        """The stencil as a CSR matrix over the n*n cells, with ``blocks``
+        (per class and slot, by default the stencil's own) gathered into
+        every cell's block row."""
+        blocks = self.blocks if blocks is None else blocks
+        C, d = len(self.cls), self.d
+        touched = self.touched[self.cls]
+        cells, slots = np.nonzero(touched)
+        indptr = np.concatenate(([0], np.cumsum(touched.sum(axis=1))))
         return sp.bsr_matrix(
-            (self.blocks[cells, slots], cells + self.offsets[slots], indptr),
+            (blocks[self.cls[cells], slots], cells + self.offsets[slots], indptr),
             shape=(C * d, C * d),
         ).tocsr()
+
+
+def _class_grid(mesh, sigma_t):
+    """The grid a stencil on ``mesh`` is assembled on, and each cell's
+    class: the cell of that grid that stands for it.
+
+    With constant sigma_t a cell's blocks depend only on which domain
+    sides it touches, so the 3 x 3 grid at the mesh's h stands for the
+    whole mesh: class column 0 is the first column of cells, 1 the
+    interior ones and 2 the last, and likewise for rows (n = 2 has only
+    the four corner classes).  Each class cell sees the same edge groups
+    in the same order as the cells it stands for, so its blocks are
+    bitwise theirs.  A callable sigma_t makes every cell its own class.
+    """
+    if callable(sigma_t):
+        return mesh, np.arange(mesh.n_cells)
+    idx = np.arange(mesh.n)
+    side = (idx > 0).astype(np.intp) + (idx == mesh.n - 1)
+    return _grid(mesh.level, 3, mesh.h), (3 * side[:, None] + side[None, :]).ravel()
 
 
 def _edge_groups(mesh):
@@ -262,13 +302,16 @@ def assemble_direction(scheme, mesh, tables, quad, kernel, medium, m, f=None, u_
 
 
 def _assemble_stencil(system):
-    """The block stencil of one ordinate's system matrix."""
-    scheme, mesh, tables, medium = system.scheme, system.mesh, system.tables, system.medium
+    """The block stencil of one ordinate's system matrix, assembled on the
+    cell-class grid (``mesh`` below) by the same adds, in the same order,
+    as on the full mesh."""
+    scheme, tables, medium = system.scheme, system.tables, system.medium
+    mesh, cls = _class_grid(system.mesh, medium.sigma_t)
     sets = classify_edges(mesh, system.direction)
     s = sets.direction
     h = mesh.h
     cells = np.arange(mesh.n_cells)
-    acc = _BlockStencil(mesh.n, tables.dof)
+    acc = _BlockStencil(system.mesh.n, tables.dof, mesh.n, cls)
     int_groups, bdy_groups = _edge_groups(mesh)
     w = tables.quad.vol_weights
     test_table = system.scatter_test
@@ -355,11 +398,12 @@ def _sweep_shift(system):
     block stencil, since central flux plus (|s.n|/2) <[u], [v]> is the
     penalty-free upwind operator and the iteration then only corrects
     the stabilizer; None for DODG and DODSD, whose sweep takes the
-    system's own blocks."""
+    system's own blocks.  Its cell classes are the system stencil's."""
     if not isinstance(system.scheme, WG):
         return None
-    mesh, tables = system.mesh, system.tables
-    acc = _BlockStencil(mesh.n, tables.dof)
+    tables = system.tables
+    mesh, cls = _class_grid(system.mesh, system.medium.sigma_t)
+    acc = _BlockStencil(system.mesh.n, tables.dof, mesh.n, cls)
     sets = classify_edges(mesh, system.direction)
     _add_jump(acc, mesh, tables, sets, _wg_stabilizer)
     return acc

@@ -366,7 +366,7 @@ def _cmd_solve(cfg):
     n = sol.mesh.n
     print(f"{cfg.case} {cfg.scheme} Q{cfg.order} 1/h={n} M={cfg.directions[0]}: "
           f"error {err_dom:.4e} (energy {err_tri:.4e}), "
-          f"{sol.trace.iterations} outer iterations, "
+          f"{sol.trace.iterations} sweeps, "
           f"converged={sol.trace.converged}")
 
     def write_md(path):
@@ -376,6 +376,7 @@ def _cmd_solve(cfg):
             fh.write("| quantity | value |\n|---|---:|\n")
             fh.write(f"| error | {err_dom:.4e} |\n")
             fh.write(f"| energy error | {err_tri:.4e} |\n")
+            # perfbench/worker.py reads this row by name; it counts sweeps
             fh.write(f"| outer iterations | {sol.trace.iterations} |\n")
             fh.write(f"| converged | {sol.trace.converged} |\n")
 

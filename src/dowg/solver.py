@@ -28,7 +28,10 @@ own stabilizer, the penalty-free upwind operator, and leaves the
 stabilizer as the remainder), and the streamline-diffusion systems are
 exactly triangular in that order (R_m = 0).  A sweep ordinate holds
 D^{-1}, the unit lower triangular M = D^{-1}(D + L) and R_m, cut
-straight from the block stencil; the assembled A_m is never formed.  A
+straight from the block stencil; the assembled A_m is never formed.
+The stencil holds one block row per cell class (at most nine on the
+uniform grid), so the set-up works on class blocks and fills M and R
+into sparsity patterns that the ordinates of a run share.  A
 run whose update norms stop falling, while still above roundoff,
 switches once, with a RuntimeWarning, to the exact pair for every
 ordinate with a remainder, and counts them in
@@ -131,6 +134,47 @@ def _unit_lower_solve(M, b):
     return z
 
 
+def _pattern(acc, nonzero, rank=None):
+    """(indices, indptr, take) of the matrix that class blocks on the
+    stencil ``acc`` expand to, less the entries ``nonzero`` marks 0 in
+    their class: CSR in natural order, or with ``rank`` CSC with cell c
+    renumbered rank[c].  Its data is ``np.take(blocks, take)`` of the
+    class blocks.
+
+    The conversion runs on 1 + each entry's position in the class blocks
+    (0 where it is 0) in place of the values.  Its result is canonical
+    (sorted, no duplicates, no zeros), as the values' own conversion is,
+    so it has their pattern and order.  The index arrays are made
+    read-only, since several ordinates' matrices share them.
+    """
+    ids = np.arange(1, nonzero.size + 1, dtype=np.intc).reshape(nonzero.shape)
+    A = acc.tocsr(ids * nonzero)
+    A.eliminate_zeros()
+    if rank is not None:
+        A = A.tocoo()
+        dof = (rank[:, None] * acc.d + np.arange(acc.d)).ravel()
+        A = sp.csc_matrix((A.data, (dof[A.row], dof[A.col])), shape=A.shape)
+    indices, indptr = A.indices.astype(np.intc), A.indptr.astype(np.intc)
+    indices.flags.writeable = indptr.flags.writeable = False
+    return indices, indptr, A.data.astype(np.intp) - 1
+
+
+def _filled(patterns, acc, values, front=None):
+    """``values``, class blocks on the stencil ``acc``, as the matrix they
+    expand to without its zero entries: CSR in natural order, or CSC in
+    the front order ``patterns[front]``.  Its pattern is computed once
+    per key in ``patterns`` and shared by every matrix with that key."""
+    nonzero = values != 0
+    key = (front, len(acc.cls), nonzero.shape, nonzero.tobytes())
+    if key not in patterns:
+        rank = None if front is None else patterns[front][1]
+        patterns[key] = _pattern(acc, nonzero, rank)
+    indices, indptr, take = patterns[key]
+    size = len(acc.cls) * acc.d
+    kind = sp.csr_matrix if front is None else sp.csc_matrix
+    return kind((np.take(values, take), indices, indptr), shape=(size, size))
+
+
 class _SweepSolve:
     """Wavefront sweep for one ordinate: P^{-1} and the remainder R of
     the split A = P + R.
@@ -153,64 +197,60 @@ class _SweepSolve:
     P^{-1} as a D^{-1} scaling and one triangular solve with M
     (``_unit_lower_solve``), O(nnz) in time and memory; with ``R`` it is
     the ordinate's pair.
+
+    The stencil is held per cell class (``assembly._BlockStencil``), so
+    the set-up works on class-sized data: it inverts at most nine
+    diagonal blocks, forms at most eighteen D^{-1} L blocks, and fills
+    M and R by one gather each into a sparsity pattern.  ``patterns`` is
+    a dict the caller keeps for one run: a pattern is computed once per
+    key (the grid, for M the quadrant, and the nonzero entries of the
+    class blocks, which are 0 outside the touched slots), and the
+    ordinates with that key share its read-only ``indices`` and
+    ``indptr``, as those of a quadrant share its front order.  Every
+    array equals, bit for bit, what one ordinate's per-cell blocks
+    convert to on their own.
     """
 
-    def __init__(self, system):
-        mesh = system.mesh
-        n, C, d = mesh.n, mesh.n_cells, system.tables.dof
+    def __init__(self, system, patterns):
+        n, d = system.mesh.n, system.tables.dof
         sx, sy = system.direction
-        idx = np.arange(n)
-        ip = idx if sx >= 0 else idx[::-1]
-        jp = idx if sy >= 0 else idx[::-1]
-        front = (jp[:, None] + ip[None, :]).ravel()  # cell index is j*n + i
-        # renumber the cells front by front: new index rank[c], old order[p]
-        order = np.argsort(front, kind="stable")
-        rank = np.empty(C, dtype=np.intp)
-        rank[order] = np.arange(C)
+        front = (n, bool(sx >= 0), bool(sy >= 0))
+        if front not in patterns:
+            idx = np.arange(n)
+            ip = idx if sx >= 0 else idx[::-1]
+            jp = idx if sy >= 0 else idx[::-1]
+            # renumber the cells front by front: new index rank[c], old order[p]
+            order = np.argsort((jp[:, None] + ip[None, :]).ravel(), kind="stable")
+            rank = np.empty_like(order)
+            rank[order] = np.arange(n * n)
+            order.flags.writeable = rank.flags.writeable = False
+            patterns[front] = order, rank
+        order, rank = patterns[front]
 
-        # stencil slots (bottom, left, own, right, top): the upwind two, then own
+        # stencil slots (bottom, left, own, right, top): the upwind two,
+        # then own; every block below is per cell class
         acc = system.stencil()
         upwind = [0 if sy >= 0 else 4, 1 if sx >= 0 else 3]
         kept = upwind + [2]
         P = acc.blocks[:, kept]
         shift = _sweep_shift(system)
-        shifted = shift is not None
-        if shifted:
+        if shift is not None:
             P += shift.blocks[:, kept]
-            del shift
         dinv = np.linalg.inv(P[:, 2])
 
-        # M in front order, built block-wise with its identity diagonal
-        # blocks inline and kept as CSC, the layout gstrs solves with
-        r, c, blocks = [rank], [rank], [np.broadcast_to(np.eye(d), (C, d, d))]
+        # M on the stencil: the identity, then D^{-1} L in the upwind slots
+        lower = np.zeros_like(acc.blocks)
+        lower[:, 2] = np.eye(d)
         for j, slot in enumerate(upwind):
-            cells = np.nonzero(acc.touched[:, slot])[0]
-            r.append(rank[cells])
-            c.append(rank[cells + acc.offsets[slot]])
-            blocks.append(dinv[cells] @ P[cells, j])
-        r, c, blocks = np.concatenate(r), np.concatenate(c), np.concatenate(blocks)
-        perm = np.lexsort((c, r))
-        indptr = np.concatenate(([0], np.cumsum(np.bincount(r, minlength=C))))
-        M = sp.bsr_matrix((blocks[perm], c[perm], indptr), shape=(C * d, C * d)).tocsc()
-        del blocks
-        M.eliminate_zeros()
-        M.sort_indices()
-        M.indices = M.indices.astype(np.intc, copy=False)
-        M.indptr = M.indptr.astype(np.intc, copy=False)
-
-        # R = A - P on the stencil: the own and upwind slots drop out
-        # unless the sweep shifted them
-        if shifted:
-            acc.blocks[:, kept] -= P
-        else:
-            acc.touched[:, kept] = False
-        del P
-        R = acc.tocsr()
-        R.eliminate_zeros()
+            t = np.nonzero(acc.touched[:, slot])[0]
+            lower[t, slot] = dinv[t] @ P[t, j]
+        # R = A - P: in the own and upwind slots minus the shift, or 0
+        acc.blocks[:, kept] -= P
+        R = _filled(patterns, acc, acc.blocks)
         self.d = d
-        self.M = M
+        self.M = _filled(patterns, acc, lower, front)
         self.R = R if R.nnz else None
-        self.dinv = dinv[order]
+        self.dinv = dinv[acc.cls[order]]
         self._order = order
         self._rank = rank
 
@@ -246,11 +286,13 @@ def _pairs(systems):
     """Each ordinate's (P^{-1}, R): exact up to ``_EXACT_UP_TO``
     unknowns, the wavefront sweep above."""
     pairs = []
+    # the sweeps' sparsity patterns, shared by the ordinates of this run
+    patterns = {}
     for s in systems:
         if s.n_dof <= _EXACT_UP_TO:
             pairs.append(_exact(s.matrix))
         else:
-            sw = _SweepSolve(s)
+            sw = _SweepSolve(s, patterns)
             pairs.append((sw._forward, sw.R))
     return pairs
 

@@ -236,22 +236,30 @@ def _check_memory(k, level, M, budget=None):
     ``_memory_budget()``).
 
     The estimate counts, per ordinate, what its sweep keeps: D^{-1} (one
-    d x d block per cell), M and R (at most two blocks per cell each;
-    over the three schemes, k = 1, 2 and every ordinate at 1/h = 32 and
-    64 they hold at most 1.23 and 1.73), with 8-byte values and 4-byte
-    indices, and the right side.  It adds the set-up scratch of one
-    ordinate (its block stencil of five blocks per cell, and as much
-    again while M and R are cut from it) and five (L, C, dof) fields:
-    the iterate, the previous right sides g, the update and the
-    scattering source's temporaries.
+    d x d block per cell), the 8-byte values of M and R (at most two
+    blocks per cell each; over the three schemes, k = 1, 2 and every
+    ordinate at 1/h = 32 and 64 they hold at most 1.23 and 1.73) and the
+    right side.  The index arrays of M and R are shared by the ordinates
+    of one sparsity pattern, so they count once per pattern: at most
+    eight for M and eight for R (four quadrants, on an axis or not, and
+    never more than the ordinates), each with 4-byte indices and its
+    indptr.  The set-up's scratch (the patterns' 8-byte gathers and one
+    pattern's conversion, measured at most 68 bytes per block entry) is
+    freed before the loop allocates five (L, C, dof) fields (the
+    iterate, the previous right sides g, the update and the scattering
+    source's temporaries), so the larger of the two counts.  With a
+    constant sigma_t the class blocks the set-up works on are a few
+    kilobytes and not counted.
     """
     d = (k + 1) ** 2
     C = 4**level
     L = M + 1
     blocks, n = C * d * d, C * d
-    sweep = 8 * blocks + 2 * (12 * 2 * blocks + 4 * n) + 8 * n
-    scratch = 2 * 8 * 5 * blocks
-    need = L * sweep + scratch + 5 * 8 * L * n
+    sweep = 8 * blocks + 2 * 8 * 2 * blocks + 8 * n
+    patterns = 2 * min(L, 8)
+    shared = patterns * (4 * 2 * blocks + 4 * n)
+    setup = patterns * 8 * 2 * blocks + 80 * blocks
+    need = L * sweep + shared + max(setup, 5 * 8 * L * n)
     budget = _memory_budget() if budget is None else budget
     if budget is not None and need > budget:
         raise ValueError(

@@ -71,12 +71,20 @@ def _quadrature_norm(mesh, tables, quad, field):
     return float(np.sqrt(np.sum(quad.weights * vol)))
 
 
+def _per_cell(mesh, sigma_t):
+    """Stand-in for ``assembly._class_grid`` that makes every cell its own
+    class, so a stencil is assembled cell by cell on the mesh itself."""
+    return mesh, np.arange(mesh.n_cells)
+
+
 class _BlockCOO:
     """Reference accumulator: global scalar COO triplets, summed and
     sorted by ``tocsr``, as the assembly built its matrices before the
-    five-point stencil accumulator."""
+    five-point stencil accumulator.  It takes the stencil's arguments but
+    holds every cell on its own (use it under ``_per_cell``)."""
 
-    def __init__(self, n, d):
+    def __init__(self, n, d, m, cls):
+        assert m == n and np.array_equal(cls, np.arange(n * n))
         self.d, self.size = d, n * n * d
         self.rows, self.cols, self.vals = [], [], []
 
@@ -316,6 +324,7 @@ class TestStencilAssembly:
                     new = assemble_direction(scheme, mesh, tables, quad, kernel, med, m)
                     with monkeypatch.context() as mp:
                         mp.setattr(dowg.assembly, "_BlockStencil", _BlockCOO)
+                        mp.setattr(dowg.assembly, "_class_grid", _per_cell)
                         ref = assemble_direction(
                             scheme, mesh, tables, quad, kernel, med, m
                         ).matrix
@@ -326,7 +335,7 @@ class TestStencilAssembly:
                 assert err <= 1e-14 * np.abs(ref.data).max()
 
     def test_rejects_calls_off_the_stencil(self):
-        acc = dowg.assembly._BlockStencil(4, 1)
+        acc = dowg.assembly._BlockStencil(4, 1, 4, np.arange(16))
         one = np.ones((1, 1))
         with pytest.raises(ValueError, match="stencil slot"):
             acc.add([0, 1], [1, 3], one)  # offsets 1 and 2 in one call

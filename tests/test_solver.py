@@ -124,8 +124,8 @@ class _FrontLoopSweep(_SweepSolve):
     front in a Python loop over the blocks of the assembled sweep matrix,
     as the solver did before the triangular solve replaced it."""
 
-    def __init__(self, system):
-        super().__init__(system)
+    def __init__(self, system, patterns):
+        super().__init__(system, patterns)
         mesh, d, direction = system.mesh, system.tables.dof, system.direction
         n = mesh.n
         idx = np.arange(n)
@@ -210,7 +210,7 @@ class TestSweep:
         sysm = assemble_direction(
             DODSD(), mesh, tables, quad, kernel, medium, 3, f=_source
         )
-        sw = _SweepSolve(sysm)
+        sw = _SweepSolve(sysm, {})
         assert sw.R is None
         b = np.sin(np.arange(sysm.n_dof))
         x = sw._forward(b)
@@ -302,7 +302,7 @@ class TestSweepProperty:
             _SCHEMES[name], mesh, tables, one, kernel, medium, 0
         )
         lower = _lower_part(_sweep_matrix(sysm), tables.dof, mesh, sysm.direction)
-        sw = _SweepSolve(sysm)
+        sw = _SweepSolve(sysm, {})
         b = np.random.default_rng(seed).standard_normal(sysm.n_dof)
         ref = spla.spsolve(lower, b)
         x = sw._forward(b)
@@ -324,13 +324,13 @@ class TestSweepProperty:
         sysm = assemble_direction(WG(), mesh, tables, one, kernel, medium, 0)
         ref = assemble_direction(_UpwindDG(), mesh, tables, one, kernel, medium, 0)
         lower = _lower_part(ref.matrix, tables.dof, mesh, sysm.direction)
-        diff = _natural_lower(_SweepSolve(sysm)) - lower
+        diff = _natural_lower(_SweepSolve(sysm, {})) - lower
         assert np.abs(diff).max() <= 1e-14 * np.abs(ref.matrix).max()
 
     def test_forward_leaves_its_input(self):
         quad, kernel, medium, mesh, tables = _setup(level=3, k=1)
         sysm = assemble_direction(DODSD(), mesh, tables, quad, kernel, medium, 3)
-        sw = _SweepSolve(sysm)
+        sw = _SweepSolve(sysm, {})
         b = np.sin(np.arange(sysm.n_dof))
         first = sw._forward(b)
         assert_array_equal(b, np.sin(np.arange(sysm.n_dof)))
@@ -505,7 +505,7 @@ class TestUnitLowerSolve:
     def test_real_sweep_matrix(self):
         quad, kernel, medium, mesh, tables = _setup(level=4, k=2)
         sysm = assemble_direction(DODG(), mesh, tables, quad, kernel, medium, 7)
-        M = _SweepSolve(sysm).M
+        M = _SweepSolve(sysm, {}).M
         assert M.format == "csc" and np.all(M.diagonal() == 1.0)
         b = np.random.default_rng(3).standard_normal(M.shape[0])
         ref = spla.spsolve_triangular(M, b, lower=True, unit_diagonal=True)
@@ -541,8 +541,8 @@ class TestSplitStorage:
         built = []
 
         class Kept(_SweepSolve):
-            def __init__(self, system):
-                super().__init__(system)
+            def __init__(self, system, patterns):
+                super().__init__(system, patterns)
                 built.append(self)
 
         monkeypatch.setattr(dowg.solver, "_SweepSolve", Kept)

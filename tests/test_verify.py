@@ -260,10 +260,10 @@ class TestCheckMemory:
     def test_estimate_scales_with_the_run(self):
         # Q1 at level 9 needs several GiB of operators; level 8 a quarter
         with pytest.raises(ValueError, match="level 9"):
-            _check_memory(1, 9, 20, budget=5 * 2**30)
-        _check_memory(1, 8, 20, budget=5 * 2**30)
+            _check_memory(1, 9, 20, budget=4 * 2**30)
+        _check_memory(1, 8, 20, budget=4 * 2**30)
         with pytest.raises(ValueError, match="M = 80"):
-            _check_memory(1, 8, 80, budget=5 * 2**30)
+            _check_memory(1, 8, 80, budget=4 * 2**30)
 
     def test_solve_case_checks_before_assembly(self, monkeypatch):
         monkeypatch.setattr("dowg.verify._memory_budget", lambda: 2**10)
