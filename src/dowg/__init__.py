@@ -42,7 +42,6 @@ from .assembly import (
     Medium,
     assemble_direction,
     eval_bilinear,
-    export_matrix_coo,
     l2_dom_norm,
     triple_norm,
 )

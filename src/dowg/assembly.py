@@ -42,7 +42,6 @@ import scipy.sparse as sp
 from . import _hooks
 from .elements import _edge_points
 from .mesh import _grid, classify_edges
-from .reporting import _with_stream
 
 __all__ = [
     "WG",
@@ -55,7 +54,6 @@ __all__ = [
     "triple_norm",
     "l2_dom_norm",
     "eval_bilinear",
-    "export_matrix_coo",
 ]
 
 
@@ -563,14 +561,3 @@ def eval_bilinear(scheme, mesh, tables, quad, kernel, medium, u, v):
         ] * scatter[m]
     return float(total)
 
-
-def export_matrix_coo(system, target):
-    """Write the assembled matrix as 'row col value' text lines."""
-    A = system.matrix.tocoo()
-
-    def write(stream):
-        stream.write(f"# {A.shape[0]} {A.shape[1]} {A.nnz}\n")
-        for r, c, x in zip(A.row, A.col, A.data):
-            stream.write(f"{r} {c} {x:.17g}\n")
-
-    _with_stream(target, write)

@@ -81,31 +81,6 @@ EXIT_IO = 5
 _COMMANDS = ("solve", "convergence", "compare", "angular-study", "selftest")
 _FORMATS = ("csv", "md", "svg")
 
-_DEFAULTS = {
-    "case": "example1",
-    "scheme": "wg",
-    "order": 1,
-    "levels": "3-7",
-    "directions": "20",
-    "sigma_t": 2.0,
-    "sigma_s": 0.5,
-    "eta": 0.5,
-    "tol": None,
-    "cp": 0.1,
-    "sd_c": 1.0,
-    "renormalize_kernel": True,
-    "out": ".",
-    "format": "csv,md,svg",
-}
-
-# per-command defaults that differ from the table above
-_COMMAND_DEFAULTS = {
-    "solve": {"levels": "3"},
-    "compare": {"levels": "3-6"},
-    "angular-study": {"order": 2, "levels": "5", "directions": "4,8,16,32",
-                      "tol": 1e-9},
-}
-
 
 class UsageError(Exception):
     pass
@@ -170,21 +145,34 @@ def _parse_formats(text):
     return fmts
 
 
-_CONVERTERS = {
-    "case": str,
-    "scheme": str,
-    "order": int,
-    "levels": _parse_levels,
-    "directions": _parse_int_list,
-    "sigma_t": float,
-    "sigma_s": float,
-    "eta": float,
-    "tol": lambda t: None if str(t).lower() in ("none", "auto") else float(t),
-    "cp": float,
-    "sd_c": float,
-    "renormalize_kernel": _parse_bool,
-    "out": str,
-    "format": _parse_formats,
+# name: (converter from text, default, argparse keywords); the flag is
+# --name with '-' for '_', and the config-file key is the name itself
+_OPTIONS = {
+    "case": (str, "example1", {"choices": ("example1", "example2")}),
+    "scheme": (str, "wg", {"choices": ("wg", "dodg", "dodsd")}),
+    "order": (int, 1, {"help": "element order k (1 or 2)"}),
+    "levels": (_parse_levels, "3-7", {"help": "'3-7', '3,5,7', or a single level"}),
+    "directions": (_parse_int_list, "20",
+                   {"help": "ordinate count M (comma list for angular-study)"}),
+    "sigma_t": (float, 2.0, {}),
+    "sigma_s": (float, 0.5, {}),
+    "eta": (float, 0.5, {"help": "anisotropy in (-1, 1)"}),
+    "tol": (lambda t: None if str(t).lower() in ("none", "auto") else float(t), None,
+            {"help": "bound on the iteration error and the relative residual "
+                     "('auto' = certified rows)"}),
+    "cp": (float, 0.1, {"help": "upwind jump penalty c_p"}),
+    "sd_c": (float, 1.0, {"help": "streamline parameter multiplier (delta = c h)"}),
+    "renormalize_kernel": (_parse_bool, True, {"metavar": "BOOL"}),
+    "out": (str, ".", {"help": "output directory"}),
+    "format": (_parse_formats, "csv,md,svg", {"help": "comma list from csv, md, svg"}),
+}
+
+# per-command defaults that differ from the table above
+_COMMAND_DEFAULTS = {
+    "solve": {"levels": "3"},
+    "compare": {"levels": "3-6"},
+    "angular-study": {"order": 2, "levels": "5", "directions": "4,8,16,32",
+                      "tol": 1e-9},
 }
 
 
@@ -204,7 +192,7 @@ def _read_config_file(path):
             raise UsageError(f"{path}:{ln}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
         key = key.replace("-", "_")
-        if key not in _DEFAULTS:
+        if key not in _OPTIONS:
             raise UsageError(f"{path}:{ln}: unknown key {key!r}")
         entries[key] = value
     return entries
@@ -220,69 +208,32 @@ def build_parser():
     for command in _COMMANDS:
         p = sub.add_parser(command)
         p.add_argument("--config", help="flat key = value config file")
-        p.add_argument("--case", choices=("example1", "example2"))
-        p.add_argument("--scheme", choices=("wg", "dodg", "dodsd"))
-        p.add_argument("--order", type=int, help="element order k (1 or 2)")
-        p.add_argument("--levels", help="'3-7', '3,5,7', or a single level")
-        p.add_argument("--directions",
-                       help="ordinate count M (comma list for angular-study)")
-        p.add_argument("--sigma-t", dest="sigma_t", type=float)
-        p.add_argument("--sigma-s", dest="sigma_s", type=float)
-        p.add_argument("--eta", type=float, help="anisotropy in (-1, 1)")
-        p.add_argument("--tol", help="bound on the iteration error and the "
-                       "relative residual ('auto' = certified rows)")
-        p.add_argument("--cp", type=float, help="upwind jump penalty c_p")
-        p.add_argument("--sd-c", dest="sd_c", type=float,
-                       help="streamline parameter multiplier (delta = c h)")
-        p.add_argument("--renormalize-kernel", dest="renormalize_kernel",
-                       metavar="BOOL")
-        p.add_argument("--out", help="output directory")
-        p.add_argument("--format", help="comma list from csv, md, svg")
+        for name, (convert, _, kwargs) in _OPTIONS.items():
+            # argparse converts the numeric flags itself, so a bad one
+            # exits 2 with argparse's message
+            numeric = convert if convert in (int, float) else None
+            p.add_argument("--" + name.replace("_", "-"), type=numeric, **kwargs)
     return parser
 
 
 def parse_config(argv):
     """argv -> RunConfig; flags beat config-file entries beat defaults."""
     ns = build_parser().parse_args(argv)
-    command = ns.command
     file_entries = _read_config_file(ns.config) if ns.config else {}
-    defaults = dict(_DEFAULTS)
-    defaults.update(_COMMAND_DEFAULTS.get(command, {}))
-
+    command_defaults = _COMMAND_DEFAULTS.get(ns.command, {})
     resolved = {}
-    for key, default in defaults.items():
-        flag = getattr(ns, key, None)
-        if flag is not None:
-            raw = flag
-        elif key in file_entries:
-            raw = file_entries[key]
-        else:
-            raw = default
-        if raw is None or not isinstance(raw, str):
-            resolved[key] = raw
-            continue
-        try:
-            resolved[key] = _CONVERTERS[key](raw)
-        except (ValueError, TypeError) as err:
-            raise UsageError(f"bad value for {key}: {err}") from err
-
-    cfg = RunConfig(
-        command=command,
-        case=resolved["case"],
-        scheme=resolved["scheme"],
-        order=int(resolved["order"]),
-        levels=list(resolved["levels"]),
-        directions=list(resolved["directions"]),
-        sigma_t=resolved["sigma_t"],
-        sigma_s=resolved["sigma_s"],
-        eta=resolved["eta"],
-        tol=resolved["tol"],
-        cp=resolved["cp"],
-        sd_c=resolved["sd_c"],
-        renormalize_kernel=resolved["renormalize_kernel"],
-        out=resolved["out"],
-        formats=resolved["format"],
-    )
+    for name, (convert, default, _) in _OPTIONS.items():
+        value = getattr(ns, name)
+        if value is None:
+            value = file_entries.get(name, command_defaults.get(name, default))
+        if isinstance(value, str):
+            try:
+                value = convert(value)
+            except (ValueError, TypeError) as err:
+                raise UsageError(f"bad value for {name}: {err}") from err
+        resolved[name] = value
+    resolved["formats"] = resolved.pop("format")  # RunConfig names it in the plural
+    cfg = RunConfig(command=ns.command, **resolved)
     _validate(cfg)
     return cfg
 
@@ -293,8 +244,8 @@ def _validate(cfg):
         (cfg.scheme in ("wg", "dodg", "dodsd"), f"unknown scheme {cfg.scheme!r}"),
         (cfg.order in (1, 2), f"order must be 1 or 2, got {cfg.order}"),
         (len(cfg.levels) > 0, "no levels given"),
-        (all(0 <= lv <= 10 for lv in cfg.levels),
-         f"levels must lie in 0..10, got {cfg.levels}"),
+        (all(1 <= lv <= 10 for lv in cfg.levels),
+         f"levels must lie in 1..10, got {cfg.levels}"),
         (all(b > a for a, b in zip(cfg.levels, cfg.levels[1:])),
          f"levels must be strictly increasing, got {cfg.levels}"),
         (all(m >= 2 for m in cfg.directions),

@@ -246,10 +246,9 @@ class _SweepSolve:
             lower[t, slot] = dinv[t] @ P[t, j]
         # R = A - P: in the own and upwind slots minus the shift, or 0
         acc.blocks[:, kept] -= P
-        R = _filled(patterns, acc, acc.blocks)
         self.d = d
         self.M = _filled(patterns, acc, lower, front)
-        self.R = R if R.nnz else None
+        self.R = _filled(patterns, acc, acc.blocks) if acc.blocks.any() else None
         self.dinv = dinv[acc.cls[order]]
         self._order = order
         self._rank = rank

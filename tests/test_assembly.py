@@ -1,4 +1,3 @@
-import io
 from contextlib import nullcontext
 
 import numpy as np
@@ -25,12 +24,17 @@ from dowg.assembly import (
     Medium,
     assemble_direction,
     eval_bilinear,
-    export_matrix_coo,
     l2_dom_norm,
     scattering_source,
     triple_norm,
 )
-from dowg.elements import ElementQuadrature, ElementTables, LocalBasis, project_field
+from dowg.elements import (
+    ElementQuadrature,
+    ElementTables,
+    LocalBasis,
+    project_field,
+    weak_convection_blocks,
+)
 from dowg.mesh import build_mesh, classify_edges
 
 ST, SS = 2.0, 0.5
@@ -345,6 +349,42 @@ class TestStencilAssembly:
             acc.add([5, 5], [6, 6], one)
 
 
+class TestWGConvection:
+    """The WG stencil less its mass, stabilizer and weak inflow term is
+    the element convection map ``weak_convection_blocks`` on every cell:
+    the assembly's edge-group adds build the same B(u, w)."""
+
+    # stencil slot of the neighbour across cell side 0..3 (left, right,
+    # bottom, top)
+    _SLOT = {0: 1, 1: 3, 2: 0, 3: 4}
+
+    @pytest.mark.parametrize("level", [1, 2, 3])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_every_ordinate(self, quad, kernel, k, level):
+        mesh, tables = build_mesh(level), _tables(k)
+        h = mesh.h
+        for m in range(len(quad)):
+            sysm = assemble_direction(WG(), mesh, tables, quad, kernel, Medium(ST, SS), m)
+            acc, shift = sysm.stencil(), dowg.assembly._sweep_shift(sysm)
+            side_sn = classify_edges(mesh, sysm.direction).side_sn
+            mass = dowg.assembly._mass_blocks(tables, mesh, ST, sysm.scatter_test)
+            for cell in range(mesh.n_cells):
+                bdy = tuple(
+                    b for b in range(4) if mesh.edge_cells[mesh.cell_edges[cell, b], 1] < 0
+                )
+                rest = acc.blocks[acc.cls[cell]] - shift.blocks[shift.cls[cell]]
+                rest[2] -= mass
+                for b in bdy:
+                    if side_sn[b] < 0:
+                        rest[2] -= sysm.inflow_sign * h * side_sn[b] * tables.E_self[b]
+                blk, nbr = weak_convection_blocks(tables, h, sysm.direction, bdy)
+                expected = np.zeros_like(rest)
+                expected[2] = blk
+                for side, B in nbr.items():
+                    expected[self._SLOT[side]] = B
+                assert_allclose(rest, expected, rtol=0, atol=1e-15)
+
+
 class TestSparsity:
     def test_wg_block_rows(self, quad, kernel):
         # each cell couples only to itself and edge neighbours
@@ -478,32 +518,6 @@ class TestHooks:
         assert (base.matrix != mutated).nnz == 0
         assert plain.side_sn[2] == 0.0
         assert 2 in plain.outflow_sides and 2 in tied.inflow_sides
-
-
-class TestExport:
-    def test_coo_round_trip(self, quad, kernel):
-        mesh, tables = build_mesh(1), _tables(1)
-        sysm = assemble_direction(WG(), mesh, tables, quad, kernel, Medium(), 4)
-        buf = io.StringIO()
-        export_matrix_coo(sysm, buf)
-        lines = buf.getvalue().strip().splitlines()
-        n, m, nnz = (int(t) for t in lines[0][1:].split())
-        assert (n, m) == sysm.matrix.shape
-        assert nnz == sysm.matrix.nnz == len(lines) - 1
-        dense = np.zeros((n, m))
-        for ln in lines[1:]:
-            r, c, x = ln.split()
-            dense[int(r), int(c)] += float(x)
-        assert_allclose(dense, sysm.matrix.toarray(), atol=1e-15)
-
-    def test_path_target(self, quad, kernel, tmp_path):
-        mesh, tables = build_mesh(1), _tables(1)
-        sysm = assemble_direction(WG(), mesh, tables, quad, kernel, Medium(), 4)
-        buf = io.StringIO()
-        export_matrix_coo(sysm, buf)
-        target = tmp_path / "matrix.txt"
-        export_matrix_coo(sysm, target)
-        assert target.read_text() == buf.getvalue()
 
 
 class TestDirectionSystem:

@@ -13,6 +13,7 @@ from dowg.cli import (
     EXIT_VALIDATION,
     UsageError,
     ValidationError,
+    _OPTIONS,
     main,
     parse_config,
     selftest,
@@ -68,6 +69,9 @@ class TestParseConfig:
             parse_config(["convergence", "--eta", "1.5"])
         with pytest.raises(ValidationError, match="sigma_s"):
             parse_config(["convergence", "--sigma-s", "3.0"])
+        # build_mesh starts at level 1
+        with pytest.raises(ValidationError, match=r"levels must lie in 1\.\.10"):
+            parse_config(["solve", "--levels", "0"])
         with pytest.raises(ValidationError, match="single level"):
             parse_config(["solve", "--levels", "3-5"])
         with pytest.raises(ValidationError, match="ordinate count"):
@@ -83,6 +87,46 @@ class TestParseConfig:
         assert off.renormalize_kernel is False
         on = parse_config(["solve", "--renormalize-kernel", "1"])
         assert on.renormalize_kernel is True
+
+
+# per option, as text: a valid non-default value, and a second valid value
+# that differs from it
+_SAMPLES = {
+    "case": ("example2", "example1"),
+    "scheme": ("dodsd", "dodg"),
+    "order": ("2", "1"),
+    "levels": ("4-5", "2,6"),
+    "directions": ("8", "12"),
+    "sigma_t": ("3.0", "2.5"),
+    "sigma_s": ("1.0", "0.25"),
+    "eta": ("0.25", "-0.5"),
+    "tol": ("1e-7", "auto"),
+    "cp": ("0.2", "0.3"),
+    "sd_c": ("0.5", "2.0"),
+    "renormalize_kernel": ("off", "yes"),
+    "out": ("a", "b"),
+    "format": ("md", "csv,svg"),
+}
+
+
+class TestFlagsAndConfigFile:
+    def test_samples_cover_every_option(self):
+        assert set(_SAMPLES) == set(_OPTIONS)
+
+    @pytest.mark.parametrize("name", sorted(_SAMPLES))
+    def test_flag_equals_file_entry_and_wins(self, name, tmp_path):
+        flag = "--" + name.replace("_", "-")
+        value, other = _SAMPLES[name]
+        same, conflict = tmp_path / "same.txt", tmp_path / "conflict.txt"
+        same.write_text(f"{name} = {value}\n")
+        conflict.write_text(f"{name} = {other}\n")
+        by_flag = parse_config(["convergence", flag, value])
+        assert by_flag != parse_config(["convergence"])
+        assert parse_config(["convergence", "--config", str(same)]) == by_flag
+        assert parse_config(["convergence", "--config", str(conflict)]) != by_flag
+        assert parse_config(
+            ["convergence", "--config", str(conflict), flag, value]
+        ) == by_flag
 
 
 class TestExitCodes:
