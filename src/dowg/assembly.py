@@ -23,15 +23,16 @@ DODSD
     v + delta s.grad v with delta = c*h, inflow data and interelement
     coupling through <[u], v |s.n|> over inflow cell edges.
 
-Uniform grids make every edge of a topological group (interior vertical,
-interior horizontal, four boundary sides) carry identical element blocks,
-so assembly reduces to a handful of block adds on the grid's five-point
-block stencil (each cell's blocks for its bottom, left, own, right and
-top neighbour), emitted block-row-wise as the CSR system matrix.  With a
-constant sigma_t a cell's blocks depend only on which domain sides it
-touches, so the adds run once per cell class, on a 3 x 3 class grid at
-the mesh's h, and every cell takes its class's blocks (a callable
-sigma_t makes each cell its own class).
+Every term is a sum over cell sides, and on the uniform grid a cell's
+blocks depend only on which of its four sides have a neighbour, so each
+ordinate's system is assembled on the grid's five-point block stencil
+(each cell's blocks for its bottom, left, own, right and top neighbour)
+once per cell class: the scheme's volume block, then its terms on the
+interior sides, its jump term and its boundary-side terms, each added
+into the slot across its side.  With a constant sigma_t the classes are
+the cells of a 3 x 3 class grid (first, interior and last column and
+row); a callable sigma_t makes each cell its own class.  The stencil is
+emitted block-row-wise as the CSR system matrix.
 """
 
 from dataclasses import dataclass
@@ -41,7 +42,7 @@ import scipy.sparse as sp
 
 from . import _hooks
 from .elements import _edge_points
-from .mesh import _grid, classify_edges
+from .mesh import SIDE_NORMALS, classify_edges
 
 __all__ = [
     "WG",
@@ -154,33 +155,23 @@ class _BlockStencil:
 
     Per test cell there are the d x d blocks for its bottom, left, own,
     right and top neighbour (cell offsets -n, -1, 0, 1, n, in column
-    order).  Cells whose blocks are equal share a class: ``cls`` maps each
-    of the n*n cells to its class, the classes are the cells of an m x m
-    class grid (see ``_class_grid``), and ``add`` addresses class cells
-    on that grid.  ``blocks`` and ``touched`` are per class; cell c's
-    blocks are ``blocks[cls[c]]``.  A written block stays in the pattern
-    even if it sums to 0."""
+    order; ``_SLOT`` names the slot across each cell side).  Cells whose
+    blocks are equal share a class: ``cls`` maps each of the n*n cells
+    to its class, one of the m*m cells of the class grid (see
+    ``_class_grid``).  ``blocks`` and ``touched`` are per class; cell
+    c's blocks are ``blocks[cls[c]]``.  A written block stays in the
+    pattern even if it sums to 0."""
 
     def __init__(self, n, d, m, cls):
         self.d = d
         self.cls = cls
         self.offsets = np.array([-n, -1, 0, 1, n])
-        self._class_offsets = np.array([-m, -1, 0, 1, m])
         self.blocks = np.zeros((m * m, 5, d, d))
         self.touched = np.zeros((m * m, 5), dtype=bool)
 
-    def add(self, test_cells, trial_cells, block):
-        test_cells = np.atleast_1d(test_cells)
-        offset = np.atleast_1d(trial_cells) - test_cells
-        if offset.size == 0:
-            return
-        if np.any(offset != offset[0]) or offset[0] not in self._class_offsets:
-            raise ValueError(f"cell offsets {np.unique(offset)} are not one stencil slot")
-        if np.bincount(test_cells).max() > 1:
-            raise ValueError("a test cell repeats within one call")
-        slot = int(np.searchsorted(self._class_offsets, offset[0]))
-        self.blocks[test_cells, slot] += block
-        self.touched[test_cells, slot] = True
+    def add(self, classes, slot, block):
+        self.blocks[classes, slot] += block
+        self.touched[classes, slot] = True
 
     def tocsr(self, blocks=None):
         """The stencil as a CSR matrix over the n*n cells, with ``blocks``
@@ -197,23 +188,38 @@ class _BlockStencil:
         ).tocsr()
 
 
+# stencil slot of the neighbour across cell side 0..3 (left, right,
+# bottom, top), and the order the interior sides' terms are added in
+# (right, left, top, bottom), which fixes the rounding of each block sum
+_SLOT = (1, 3, 0, 4)
+_INTERIOR_ORDER = (1, 0, 3, 2)
+
+
 def _class_grid(mesh, sigma_t):
-    """The grid a stencil on ``mesh`` is assembled on, and each cell's
-    class: the cell of that grid that stands for it.
+    """The side m of the class grid a stencil on ``mesh`` is assembled
+    on, and each cell's class: the cell of that grid that stands for it.
 
     With constant sigma_t a cell's blocks depend only on which domain
-    sides it touches, so the 3 x 3 grid at the mesh's h stands for the
-    whole mesh: class column 0 is the first column of cells, 1 the
-    interior ones and 2 the last, and likewise for rows (n = 2 has only
-    the four corner classes).  Each class cell sees the same edge groups
-    in the same order as the cells it stands for, so its blocks are
-    bitwise theirs.  A callable sigma_t makes every cell its own class.
+    sides it touches, so a 3 x 3 class grid stands for the whole mesh:
+    class column 0 is the first column of cells, 1 the interior ones and
+    2 the last, and likewise for rows (n = 2 has only the four corner
+    classes).  A callable sigma_t makes every cell its own class.
     """
     if callable(sigma_t):
-        return mesh, np.arange(mesh.n_cells)
+        return mesh.n, np.arange(mesh.n_cells)
     idx = np.arange(mesh.n)
     side = (idx > 0).astype(np.intp) + (idx == mesh.n - 1)
-    return _grid(mesh.level, 3, mesh.h), (3 * side[:, None] + side[None, :]).ravel()
+    return 3, (3 * side[:, None] + side[None, :]).ravel()
+
+
+def _empty_stencil(system):
+    """An empty stencil on the system's class grid, and which of the
+    sides 0..3 of each class has a neighbour, shape (m*m, 4)."""
+    mesh = system.mesh
+    m, cls = _class_grid(mesh, system.medium.sigma_t)
+    i, j = np.arange(m * m) % m, np.arange(m * m) // m
+    inner = np.column_stack([i > 0, i < m - 1, j > 0, j < m - 1])
+    return _BlockStencil(mesh.n, system.tables.dof, m, cls), inner
 
 
 def _edge_groups(mesh):
@@ -300,94 +306,67 @@ def assemble_direction(scheme, mesh, tables, quad, kernel, medium, m, f=None, u_
 
 
 def _assemble_stencil(system):
-    """The block stencil of one ordinate's system matrix, assembled on the
-    cell-class grid (``mesh`` below) by the same adds, in the same order,
-    as on the full mesh."""
+    """The block stencil of one ordinate's system matrix on its class grid:
+    the scheme's volume block, then its terms on the interior sides (right,
+    left, top, bottom), its jump term on the same sides, and its terms on
+    the boundary sides 0..3, each a list of ``_add_sides`` terms."""
     scheme, tables, medium = system.scheme, system.tables, system.medium
-    mesh, cls = _class_grid(system.mesh, medium.sigma_t)
-    sets = classify_edges(mesh, system.direction)
-    s = sets.direction
-    h = mesh.h
-    cells = np.arange(mesh.n_cells)
-    acc = _BlockStencil(system.mesh.n, tables.dof, mesh.n, cls)
-    int_groups, bdy_groups = _edge_groups(mesh)
+    st, inner = _empty_stencil(system)
+    s, h = system.direction, system.mesh.h
+    sn = SIDE_NORMALS @ s
     w = tables.quad.vol_weights
     test_table = system.scatter_test
 
     if isinstance(scheme, DODSD):
-        sd = s[0] * tables.DX + s[1] * tables.DY
         # (s.grad u + sigma_t u, v + delta s.grad v)_T
-        base = h * (test_table.T @ (w[:, None] * sd))
-        acc.add(cells, cells, base + _mass_blocks(tables, mesh, medium.sigma_t, test_table))
-        # inflow-edge jump <[u], v |s.n|> from the downwind cell
-        for g, s1, s2 in int_groups:
-            sn = sets.side_sn[s1]
-            if sn == 0.0:
-                continue
-            c1, c2 = mesh.edge_cells[g, 0], mesh.edge_cells[g, 1]
-            dnw_cell, dnw_side, upw_cell = (c2, s2, c1) if sn > 0 else (c1, s1, c2)
-            acc.add(dnw_cell, dnw_cell, abs(sn) * h * tables.E_self[dnw_side])
-            acc.add(dnw_cell, upw_cell, -abs(sn) * h * tables.E_pair[dnw_side])
-        for b in range(4):
-            sn = sets.side_sn[b]
-            if sn < 0:
-                bc = mesh.edge_cells[bdy_groups[b], 0]
-                acc.add(bc, bc, abs(sn) * h * tables.E_self[b])
+        volume = h * (test_table.T @ (w[:, None] * (s[0] * tables.DX + s[1] * tables.DY)))
+        # inflow-side jump <[u], v |s.n|> on the downwind cell, and the
+        # inflow boundary
+        interior = [(b, abs(sn[b]) * h, -abs(sn[b]) * h) for b in _INTERIOR_ORDER if sn[b] < 0]
+        boundary = [(b, abs(sn[b]) * h, None) for b in range(4) if sn[b] < 0]
     else:
-        base = -h * (s[0] * tables.GX + s[1] * tables.GY)
-        acc.add(cells, cells, base + _mass_blocks(tables, mesh, medium.sigma_t, test_table))
-
+        volume = -h * (s[0] * tables.GX + s[1] * tables.GY)
         if isinstance(scheme, WG):
-            for g, s1, s2 in int_groups:
-                sn = sets.side_sn[s1]
-                c1, c2 = mesh.edge_cells[g, 0], mesh.edge_cells[g, 1]
-                # <{u}, s.n v> from both incident cells
-                acc.add(c1, c1, 0.5 * h * sn * tables.E_self[s1])
-                acc.add(c1, c2, 0.5 * h * sn * tables.E_pair[s1])
-                acc.add(c2, c2, -0.5 * h * sn * tables.E_self[s2])
-                acc.add(c2, c1, -0.5 * h * sn * tables.E_pair[s2])
-            _add_jump(acc, mesh, tables, sets, _wg_stabilizer)
+            # <{u}, s.n v> and the stabilizer (|s.n|/4) <[u], [v]>; on the
+            # boundary {u} = u, plus the weak inflow term -<s.n u, v>
+            interior = [(b, 0.5 * h * sn[b], 0.5 * h * sn[b]) for b in _INTERIOR_ORDER]
+            interior += _jump(0.25 * np.abs(sn) * h)
+            boundary = []
             for b in range(4):
-                sn = sets.side_sn[b]
-                if sn == 0.0:
-                    continue
-                bc = mesh.edge_cells[bdy_groups[b], 0]
-                acc.add(bc, bc, h * sn * tables.E_self[b])  # <{u}, s.n v>, {u} = u
-                if sn < 0:  # weak inflow boundary term -<s.n u, v>
-                    acc.add(bc, bc, system.inflow_sign * h * sn * tables.E_self[b])
+                if sn[b] != 0.0:
+                    boundary.append((b, h * sn[b], None))
+                if sn[b] < 0:
+                    boundary.append((b, system.inflow_sign * h * sn[b], None))
         else:
-            for g, s1, s2 in int_groups:
-                sn = sets.side_sn[s1]
-                c1, c2 = mesh.edge_cells[g, 0], mesh.edge_cells[g, 1]
-                if sn > 0:  # upwind cell is c1
-                    acc.add(c1, c1, h * sn * tables.E_self[s1])
-                    acc.add(c2, c1, -h * sn * tables.E_pair[s2])
-                elif sn < 0:  # upwind cell is c2
-                    acc.add(c1, c2, h * sn * tables.E_pair[s1])
-                    acc.add(c2, c2, -h * sn * tables.E_self[s2])
-            _add_jump(acc, mesh, tables, sets, lambda sn: scheme.c_p)
-            for b in range(4):
-                sn = sets.side_sn[b]
-                if sn > 0:  # outflow boundary: u_hat is the interior trace
-                    bc = mesh.edge_cells[bdy_groups[b], 0]
-                    acc.add(bc, bc, h * sn * tables.E_self[b])
-    return acc
+            # upwind trace u_hat: the cell's own on outflow sides, the
+            # neighbour's on inflow sides; then the jump penalty
+            interior = [
+                (b, h * sn[b], None) if sn[b] > 0 else (b, None, h * sn[b])
+                for b in _INTERIOR_ORDER if sn[b] != 0.0
+            ]
+            interior += _jump(np.full(4, scheme.c_p * h))
+            boundary = [(b, h * sn[b], None) for b in range(4) if sn[b] > 0]
+
+    st.add(slice(None), 2, volume + _mass_blocks(tables, system.mesh, medium.sigma_t, test_table))
+    _add_sides(st, inner, tables, interior)
+    _add_sides(st, ~inner, tables, boundary)
+    return st
 
 
-def _wg_stabilizer(sn):
-    """Jump weight of the WG stabilizer (|s.n|/4) <[u], [v]>."""
-    return 0.25 * abs(sn)
+def _add_sides(st, on, tables, terms):
+    """For each (b, own, pair) in order: own * E_self[b] into the own slot
+    and pair * E_pair[b] into the slot across side b, of every class with
+    ``on[:, b]``; a coefficient None adds nothing."""
+    for b, own, pair in terms:
+        if own is not None:
+            st.add(on[:, b], 2, own * tables.E_self[b])
+        if pair is not None:
+            st.add(on[:, b], _SLOT[b], pair * tables.E_pair[b])
 
 
-def _add_jump(acc, mesh, tables, sets, weight):
-    """Interior-edge jump term weight(s.n) <[u], [v]>."""
-    for g, s1, s2 in _edge_groups(mesh)[0]:
-        c1, c2 = mesh.edge_cells[g, 0], mesh.edge_cells[g, 1]
-        kappa = weight(sets.side_sn[s1]) * mesh.h
-        acc.add(c1, c1, kappa * tables.E_self[s1])
-        acc.add(c1, c2, -kappa * tables.E_pair[s1])
-        acc.add(c2, c1, -kappa * tables.E_pair[s2])
-        acc.add(c2, c2, kappa * tables.E_self[s2])
+def _jump(kappa):
+    """Interior-side terms of the jump kappa <[u], [v]>, kappa per side."""
+    return [(b, kappa[b], -kappa[b]) for b in _INTERIOR_ORDER]
 
 
 def _sweep_shift(system):
@@ -399,12 +378,10 @@ def _sweep_shift(system):
     system's own blocks.  Its cell classes are the system stencil's."""
     if not isinstance(system.scheme, WG):
         return None
-    tables = system.tables
-    mesh, cls = _class_grid(system.mesh, system.medium.sigma_t)
-    acc = _BlockStencil(system.mesh.n, tables.dof, mesh.n, cls)
-    sets = classify_edges(mesh, system.direction)
-    _add_jump(acc, mesh, tables, sets, _wg_stabilizer)
-    return acc
+    st, inner = _empty_stencil(system)
+    sn = SIDE_NORMALS @ system.direction
+    _add_sides(st, inner, system.tables, _jump(0.25 * np.abs(sn) * system.mesh.h))
+    return st
 
 
 def _scatter_map(system):

@@ -145,26 +145,28 @@ def _parse_formats(text):
     return fmts
 
 
-# name: (converter from text, default, argparse keywords); the flag is
-# --name with '-' for '_', and the config-file key is the name itself
+# name: (converter from text, default, help text, argparse keywords); the
+# flag is --name with '-' for '_', and the config-file key is the name itself
 _OPTIONS = {
-    "case": (str, "example1", {"choices": ("example1", "example2")}),
-    "scheme": (str, "wg", {"choices": ("wg", "dodg", "dodsd")}),
-    "order": (int, 1, {"help": "element order k (1 or 2)"}),
-    "levels": (_parse_levels, "3-7", {"help": "'3-7', '3,5,7', or a single level"}),
-    "directions": (_parse_int_list, "20",
-                   {"help": "ordinate count M (comma list for angular-study)"}),
-    "sigma_t": (float, 2.0, {}),
-    "sigma_s": (float, 0.5, {}),
-    "eta": (float, 0.5, {"help": "anisotropy in (-1, 1)"}),
+    "case": (str, "example1", "manufactured case", {"choices": ("example1", "example2")}),
+    "scheme": (str, "wg", "scheme (compare runs all three)",
+               {"choices": ("wg", "dodg", "dodsd")}),
+    "order": (int, 1, "element order k (1 or 2)", {}),
+    "levels": (_parse_levels, "3-7", "'3-7', '3,5,7', or a single level, each in 1..10", {}),
+    "directions": (_parse_int_list, "20", "ordinate count M (comma list for angular-study)",
+                   {}),
+    "sigma_t": (float, 2.0, "total cross section, > 0", {}),
+    "sigma_s": (float, 0.5, "scattering cross section, 0 <= sigma_s < sigma_t", {}),
+    "eta": (float, 0.5, "Henyey-Greenstein anisotropy of example1, in (-1, 1)", {}),
     "tol": (lambda t: None if str(t).lower() in ("none", "auto") else float(t), None,
-            {"help": "bound on the iteration error and the relative residual "
-                     "('auto' = certified rows)"}),
-    "cp": (float, 0.1, {"help": "upwind jump penalty c_p"}),
-    "sd_c": (float, 1.0, {"help": "streamline parameter multiplier (delta = c h)"}),
-    "renormalize_kernel": (_parse_bool, True, {"metavar": "BOOL"}),
-    "out": (str, ".", {"help": "output directory"}),
-    "format": (_parse_formats, "csv,md,svg", {"help": "comma list from csv, md, svg"}),
+            "bound on the iteration error and the relative residual "
+            "('auto' = certified rows)", {}),
+    "cp": (float, 0.1, "upwind jump penalty c_p", {}),
+    "sd_c": (float, 1.0, "streamline parameter multiplier (delta = c h)", {}),
+    "renormalize_kernel": (_parse_bool, True, "renormalize the discrete scattering kernel",
+                           {"metavar": "BOOL"}),
+    "out": (str, ".", "output directory", {}),
+    "format": (_parse_formats, "csv,md,svg", "comma list from csv, md, svg", {}),
 }
 
 # per-command defaults that differ from the table above
@@ -172,7 +174,7 @@ _COMMAND_DEFAULTS = {
     "solve": {"levels": "3"},
     "compare": {"levels": "3-6"},
     "angular-study": {"order": 2, "levels": "5", "directions": "4,8,16,32",
-                      "tol": 1e-9},
+                      "tol": "1e-9"},
 }
 
 
@@ -208,11 +210,15 @@ def build_parser():
     for command in _COMMANDS:
         p = sub.add_parser(command)
         p.add_argument("--config", help="flat key = value config file")
-        for name, (convert, _, kwargs) in _OPTIONS.items():
+        for name, (convert, default, text, kwargs) in _OPTIONS.items():
             # argparse converts the numeric flags itself, so a bad one
-            # exits 2 with argparse's message
+            # exits 2 with argparse's message; its default stays None, so
+            # that a file entry can fill an absent flag
             numeric = convert if convert in (int, float) else None
-            p.add_argument("--" + name.replace("_", "-"), type=numeric, **kwargs)
+            default = _COMMAND_DEFAULTS.get(command, {}).get(name, default)
+            shown = "auto" if default is None else str(default).lower()
+            p.add_argument("--" + name.replace("_", "-"), type=numeric,
+                           help=f"{text} (default: {shown})", **kwargs)
     return parser
 
 
@@ -222,7 +228,7 @@ def parse_config(argv):
     file_entries = _read_config_file(ns.config) if ns.config else {}
     command_defaults = _COMMAND_DEFAULTS.get(ns.command, {})
     resolved = {}
-    for name, (convert, default, _) in _OPTIONS.items():
+    for name, (convert, default, _, _) in _OPTIONS.items():
         value = getattr(ns, name)
         if value is None:
             value = file_entries.get(name, command_defaults.get(name, default))
@@ -264,6 +270,8 @@ def _validate(cfg):
         checks.append((False, f"{cfg.command} takes a single level"))
     if cfg.command != "angular-study" and len(cfg.directions) != 1:
         checks.append((False, f"{cfg.command} takes a single ordinate count"))
+    if cfg.command == "angular-study" and len(cfg.directions) < 2:
+        checks.append((False, "angular-study needs at least two ordinate counts"))
     for ok, msg in checks:
         if not ok:
             raise ValidationError(msg)
@@ -336,6 +344,12 @@ def _cmd_solve(cfg):
         "md": write_md,
         "svg": lambda p: write_trace_svg(sol.trace, p),
     })
+    if not sol.trace.converged:
+        print(f"solver failure: source iteration stopped uncertified after "
+              f"{sol.trace.iterations} sweeps, iteration-error bound "
+              f"{sol.trace.bound:.3e}, relative residual {sol.trace.residual:.3e}",
+              file=sys.stderr)
+        return EXIT_SOLVER
     return EXIT_OK
 
 

@@ -100,12 +100,7 @@ def build_mesh(level):
     if not 1 <= level <= 10:
         raise ValueError(f"refinement level must be in 1..10, got {level}")
     n = 2**level
-    return _grid(level, n, 1.0 / n)
-
-
-def _grid(level, n, h):
-    """The n x n grid of cells of width h: the mesh itself, or (n = 3)
-    the cell-class grid the assembly builds a level's blocks on."""
+    h = 1.0 / n
     n_cells = n * n
     n_vert = (n + 1) * n  # vertical edges: x = i*h, strip j
     n_edges = 2 * n_vert

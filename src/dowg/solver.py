@@ -198,17 +198,17 @@ class _SweepSolve:
     (``_unit_lower_solve``), O(nnz) in time and memory; with ``R`` it is
     the ordinate's pair.
 
-    The stencil is held per cell class (``assembly._BlockStencil``), so
-    the set-up works on class-sized data: it inverts at most nine
-    diagonal blocks, forms at most eighteen D^{-1} L blocks, and fills
-    M and R by one gather each into a sparsity pattern.  ``patterns`` is
-    a dict the caller keeps for one run: a pattern is computed once per
-    key (the grid, for M the quadrant, and the nonzero entries of the
-    class blocks, which are 0 outside the touched slots), and the
-    ordinates with that key share its read-only ``indices`` and
-    ``indptr``, as those of a quadrant share its front order.  Every
-    array equals, bit for bit, what one ordinate's per-cell blocks
-    convert to on their own.
+    The stencil and the WG shift hold one block row per cell class (nine
+    with a constant sigma_t, ``assembly._class_grid``), so the set-up
+    works on class-sized data: per class it inverts one diagonal block
+    and forms at most two D^{-1} L blocks, and it fills M and R by one
+    gather each into a sparsity pattern.  ``patterns`` is a dict the
+    caller keeps for one run: a pattern is computed once per key (the
+    grid, for M the quadrant, and the nonzero entries of the class
+    blocks, which are 0 outside the touched slots), and the ordinates
+    with that key share its read-only ``indices`` and ``indptr``, as
+    those of a quadrant share its front order.  Every array equals, bit
+    for bit, what one ordinate's per-cell blocks convert to on their own.
     """
 
     def __init__(self, system, patterns):

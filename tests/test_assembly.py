@@ -35,7 +35,7 @@ from dowg.elements import (
     project_field,
     weak_convection_blocks,
 )
-from dowg.mesh import build_mesh, classify_edges
+from dowg.mesh import SIDE_NORMALS, build_mesh, classify_edges
 
 ST, SS = 2.0, 0.5
 
@@ -78,35 +78,66 @@ def _quadrature_norm(mesh, tables, quad, field):
 def _per_cell(mesh, sigma_t):
     """Stand-in for ``assembly._class_grid`` that makes every cell its own
     class, so a stencil is assembled cell by cell on the mesh itself."""
-    return mesh, np.arange(mesh.n_cells)
+    return mesh.n, np.arange(mesh.n_cells)
 
 
-class _BlockCOO:
-    """Reference accumulator: global scalar COO triplets, summed and
-    sorted by ``tocsr``, as the assembly built its matrices before the
-    five-point stencil accumulator.  It takes the stencil's arguments but
-    holds every cell on its own (use it under ``_per_cell``)."""
+def _coo_reference(system):
+    """Reference system matrix: every term added edge by edge on the full
+    mesh as scalar COO triplets, summed and sorted by ``tocsr``.  A block
+    a term writes stays in the pattern even where it is 0."""
+    scheme, mesh, tables, medium = system.scheme, system.mesh, system.tables, system.medium
+    s, h, d = system.direction, mesh.h, tables.dof
+    rows, cols, vals = [], [], []
 
-    def __init__(self, n, d, m, cls):
-        assert m == n and np.array_equal(cls, np.arange(n * n))
-        self.d, self.size = d, n * n * d
-        self.rows, self.cols, self.vals = [], [], []
+    def add(test, trial, block):
+        rows.append(test * d + np.repeat(np.arange(d), d))
+        cols.append(trial * d + np.tile(np.arange(d), d))
+        vals.append(np.ravel(block))
 
-    def add(self, test_cells, trial_cells, block):
-        d = self.d
-        test_cells = np.atleast_1d(np.asarray(test_cells))
-        trial_cells = np.atleast_1d(np.asarray(trial_cells))
-        self.rows.append(np.add.outer(test_cells * d, np.repeat(np.arange(d), d)).ravel())
-        self.cols.append(np.add.outer(trial_cells * d, np.tile(np.arange(d), d)).ravel())
-        block = np.asarray(block).reshape(-1, d * d)
-        self.vals.append(np.broadcast_to(block, (len(test_cells), d * d)).ravel())
+    w, test_table = tables.quad.vol_weights, system.scatter_test
+    pts = mesh.cell_origins[:, None, :] + h * tables.quad.vol_points[None, :, :]
+    sigma = medium.sigma_t
+    sv = sigma(pts[..., 0], pts[..., 1]) if callable(sigma) else np.full(pts.shape[:2], sigma)
+    mass = h * h * np.einsum("cq,qi,qj->cij", w * sv, test_table, tables.V)
+    if isinstance(scheme, DODSD):
+        sd = s[0] * tables.DX + s[1] * tables.DY
+        volume = h * (test_table.T @ (w[:, None] * sd))
+    else:
+        volume = -h * (s[0] * tables.GX + s[1] * tables.GY)
+    for c in range(mesh.n_cells):
+        add(c, c, volume + mass[c])
 
-    def tocsr(self):
-        A = sp.coo_matrix(
-            (np.concatenate(self.vals), (np.concatenate(self.rows), np.concatenate(self.cols))),
-            shape=(self.size, self.size),
-        )
-        return A.tocsr()
+    for e in range(mesh.n_edges):
+        sn = SIDE_NORMALS[mesh.edge_sides[e]] @ s  # s.n of each incident cell
+        if mesh.boundary_side[e] >= 0:
+            # the own block is in the pattern anyway, so a 0 term may add
+            c, b, sn = mesh.edge_cells[e, 0], mesh.boundary_side[e], sn[0]
+            if isinstance(scheme, WG):  # <u, s.n v>, and -<s.n u, v> on inflow
+                coef = h * sn + (system.inflow_sign * h * sn if sn < 0 else 0.0)
+            elif isinstance(scheme, DODG):  # outflow, where u_hat = u
+                coef = h * max(sn, 0.0)
+            else:  # DODSD: inflow <u, v |s.n|>
+                coef = -h * min(sn, 0.0)
+            add(c, c, coef * tables.E_self[b])
+            continue
+        c1, c2 = mesh.edge_cells[e]
+        for (c, nbr), b, sn in zip(((c1, c2), (c2, c1)), mesh.edge_sides[e], sn):
+            if isinstance(scheme, WG):  # <{u}, s.n v> and (|s.n|/4) <[u], [v]>
+                kappa = 0.25 * abs(sn) * h
+                add(c, c, (0.5 * h * sn + kappa) * tables.E_self[b])
+                add(c, nbr, (0.5 * h * sn - kappa) * tables.E_pair[b])
+            elif isinstance(scheme, DODG):  # upwind trace and c_p <[u], [v]>
+                kappa = scheme.c_p * h
+                add(c, c, (h * max(sn, 0.0) + kappa) * tables.E_self[b])
+                add(c, nbr, (h * min(sn, 0.0) - kappa) * tables.E_pair[b])
+            elif sn < 0:  # DODSD: <[u], v |s.n|> on the downwind cell
+                add(c, c, -h * sn * tables.E_self[b])
+                add(c, nbr, h * sn * tables.E_pair[b])
+    A = sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(system.n_dof, system.n_dof),
+    )
+    return A.tocsr()
 
 
 def _one_ordinate(theta):
@@ -308,16 +339,16 @@ class TestCoefficientSpace:
 
 
 class TestStencilAssembly:
-    """The five-point stencil accumulator assembles what the scalar COO
-    triplets did: the same pattern, explicit zero blocks included, and
-    the same values up to the order of summation."""
+    """The class stencil assembles what the scalar COO triplets of every
+    term, added edge by edge on the full mesh, do: the same pattern,
+    explicit zero blocks included, and the same values up to the order
+    of summation."""
 
     @pytest.mark.parametrize("flip", [False, True])
     @pytest.mark.parametrize("callable_sigma", [False, True])
     @pytest.mark.parametrize("k", [1, 2])
     @pytest.mark.parametrize("scheme", [WG(), DODG(), DODSD()])
-    def test_matches_coo_reference(self, monkeypatch, quad, kernel, scheme, k,
-                                   callable_sigma, flip):
+    def test_matches_coo_reference(self, quad, kernel, scheme, k, callable_sigma, flip):
         tables = _tables(k)
         sigma_t = (lambda x, y: 2.0 + x * y) if callable_sigma else ST
         med = Medium(sigma_t, SS)
@@ -325,28 +356,12 @@ class TestStencilAssembly:
             mesh = build_mesh(level)
             for m in (0, 3, 5, 12, 17):  # m = 0 and 5 lie on the axes
                 with _hooks.inject("flip_inflow_sign") if flip else nullcontext():
-                    new = assemble_direction(scheme, mesh, tables, quad, kernel, med, m)
-                    with monkeypatch.context() as mp:
-                        mp.setattr(dowg.assembly, "_BlockStencil", _BlockCOO)
-                        mp.setattr(dowg.assembly, "_class_grid", _per_cell)
-                        ref = assemble_direction(
-                            scheme, mesh, tables, quad, kernel, med, m
-                        ).matrix
-                new = new.matrix
+                    system = assemble_direction(scheme, mesh, tables, quad, kernel, med, m)
+                new, ref = system.matrix, _coo_reference(system)
                 assert_array_equal(new.indptr, ref.indptr)
                 assert_array_equal(new.indices, ref.indices)
                 err = np.abs(new.data - ref.data).max()
                 assert err <= 1e-14 * np.abs(ref.data).max()
-
-    def test_rejects_calls_off_the_stencil(self):
-        acc = dowg.assembly._BlockStencil(4, 1, 4, np.arange(16))
-        one = np.ones((1, 1))
-        with pytest.raises(ValueError, match="stencil slot"):
-            acc.add([0, 1], [1, 3], one)  # offsets 1 and 2 in one call
-        with pytest.raises(ValueError, match="stencil slot"):
-            acc.add([0], [2], one)
-        with pytest.raises(ValueError, match="repeats"):
-            acc.add([5, 5], [6, 6], one)
 
 
 class TestWGConvection:

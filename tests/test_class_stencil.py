@@ -2,9 +2,9 @@
 
 Each ordinate's block stencil is assembled once per cell class and each
 sweep is filled into sparsity patterns shared by the ordinates of a run.
-The references below are the per-cell stencil accumulator and sweep
-construction the solver used before: they assemble every cell on its
-own and convert each ordinate's blocks to CSR/CSC separately.
+The references below are the per-cell stencil, every cell its own
+class, and the sweep construction the solver used before: it converts
+each ordinate's per-cell blocks to CSR/CSC separately.
 """
 
 import gc
@@ -28,37 +28,6 @@ from dowg.mesh import build_mesh
 from dowg.solver import SourceIterationConfig, _pairs, _SweepSolve, source_iteration
 
 _SCHEMES = {"wg": WG(), "dodg": DODG(), "dodsd": DODSD()}
-
-
-class _CellStencil:
-    """Reference accumulator: the five-point block stencil with one
-    block row per cell, as the assembly held it before the cell classes.
-    It takes the class stencil's arguments; use it under ``_per_cell``."""
-
-    def __init__(self, n, d, m, cls):
-        assert m == n and np.array_equal(cls, np.arange(n * n))
-        self.d = d
-        self.offsets = np.array([-n, -1, 0, 1, n])
-        self.blocks = np.zeros((n * n, 5, d, d))
-        self.touched = np.zeros((n * n, 5), dtype=bool)
-
-    def add(self, test_cells, trial_cells, block):
-        test_cells = np.atleast_1d(test_cells)
-        offset = np.atleast_1d(trial_cells) - test_cells
-        if offset.size == 0:
-            return
-        slot = int(np.searchsorted(self.offsets, offset[0]))
-        self.blocks[test_cells, slot] += block
-        self.touched[test_cells, slot] = True
-
-    def tocsr(self):
-        C, d = len(self.touched), self.d
-        cells, slots = np.nonzero(self.touched)
-        indptr = np.concatenate(([0], np.cumsum(self.touched.sum(axis=1))))
-        return sp.bsr_matrix(
-            (self.blocks[cells, slots], cells + self.offsets[slots], indptr),
-            shape=(C * d, C * d),
-        ).tocsr()
 
 
 class _CellSweep:
@@ -120,7 +89,6 @@ class _CellSweep:
 def _cell_built(system):
     """The system matrix and sweep of the per-cell references."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(dowg.assembly, "_BlockStencil", _CellStencil)
         mp.setattr(dowg.assembly, "_class_grid", _per_cell)
         return system.matrix, _CellSweep(system)
 

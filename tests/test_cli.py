@@ -129,6 +129,30 @@ class TestFlagsAndConfigFile:
         ) == by_flag
 
 
+class TestHelp:
+    # each command's own defaults, as the README lists them
+    _DEFAULTS = {
+        "solve": {"levels": "3"},
+        "convergence": {"levels": "3-7"},
+        "compare": {"levels": "3-6"},
+        "angular-study": {"levels": "5", "order": "2", "directions": "4,8,16,32",
+                          "tol": "1e-9"},
+    }
+
+    @pytest.mark.parametrize("command", sorted(_DEFAULTS))
+    def test_every_option_shows_its_text_and_default(self, command, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "400")  # no wrapped help lines
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == EXIT_OK
+        out = capsys.readouterr().out
+        shown = {"order": "1", "directions": "20", "tol": "auto",
+                 "renormalize_kernel": "true", "format": "csv,md,svg"}
+        shown.update(self._DEFAULTS[command])
+        for name, (_, default, text, _) in _OPTIONS.items():
+            assert f"{text} (default: {shown.get(name, default)})" in out
+
+
 class TestExitCodes:
     def test_usage(self, capsys):
         assert main(["convergence", "--tol", "soon"]) == EXIT_USAGE
@@ -172,6 +196,26 @@ class TestExitCodes:
         assert code == EXIT_SOLVER
         err = capsys.readouterr().err
         assert "solver failure" in err and "level 2" in err
+        assert not any(tmp_path.iterdir())
+
+    def test_uncertified_solve_exits_4_after_its_reports(self, tmp_path, capsys):
+        # a tolerance below roundoff is never certified: the run stops at
+        # the sweep cap, writes its reports and its summary, then fails
+        code = main(["solve", "--levels", "2", "--tol", "1e-16", "--out", str(tmp_path)])
+        assert code == EXIT_SOLVER
+        captured = capsys.readouterr()
+        assert "200 sweeps, converged=False" in captured.out
+        assert "solver failure" in captured.err and "uncertified" in captured.err
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            f"solve_example1_wg_Q1.{e}" for e in ("csv", "md", "svg")
+        ]
+
+    def test_angular_study_needs_two_ordinate_counts(self, tmp_path, capsys):
+        # the library takes one count, but the study's plateau needs two
+        code = main(["angular-study", "--levels", "2", "--order", "1",
+                     "--directions", "4", "--out", str(tmp_path)])
+        assert code == EXIT_VALIDATION
+        assert "at least two ordinate counts" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
     def test_selftest_ok(self, capsys):
