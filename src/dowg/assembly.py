@@ -73,8 +73,8 @@ class DODG:
     name = "dodg"
 
     def __post_init__(self):
-        if not self.c_p > 0:
-            raise ValueError(f"penalty c_p must be positive, got {self.c_p}")
+        if not 0 < self.c_p < np.inf:
+            raise ValueError(f"penalty c_p must be positive and finite, got {self.c_p}")
 
 
 @dataclass(frozen=True)
@@ -85,8 +85,10 @@ class DODSD:
     name = "dodsd"
 
     def __post_init__(self):
-        if not self.c > 0:
-            raise ValueError(f"stabilization multiplier c must be positive, got {self.c}")
+        if not 0 < self.c < np.inf:
+            raise ValueError(
+                f"stabilization multiplier c must be positive and finite, got {self.c}"
+            )
 
 
 @dataclass(frozen=True)
@@ -101,10 +103,10 @@ def _check_margin(kernel, medium):
     if callable(medium.sigma_t):
         return  # variable-coefficient path: caller's responsibility
     margin = medium.sigma_t - medium.sigma_s * float(kernel.row_mass.max())
-    if not margin > 0:
+    if not 0 < margin < np.inf:
         raise ValueError(
-            "nonpositive positivity margin sigma_t - sigma_s*max_m b_m = "
-            f"{margin:.6g}; the scheme requires it strictly positive"
+            "positivity margin sigma_t - sigma_s*max_m b_m = "
+            f"{margin:.6g}; the scheme requires it positive and finite"
         )
 
 
@@ -222,16 +224,6 @@ def _empty_stencil(system):
     return _BlockStencil(mesh.n, system.tables.dof, m, cls), inner
 
 
-def _edge_groups(mesh):
-    """Interior edges split by orientation, boundary edges by domain side."""
-    first_side = mesh.edge_sides[:, 0]
-    interior = mesh.boundary_side < 0
-    int_v = np.nonzero(interior & (first_side == 1))[0]
-    int_h = np.nonzero(interior & (first_side == 3))[0]
-    bdy = [np.nonzero(mesh.boundary_side == b)[0] for b in range(4)]
-    return ((int_v, 1, 0), (int_h, 3, 2)), bdy
-
-
 def _mass_blocks(tables, mesh, sigma_t, test):
     """sigma_t mass (sigma_t u, test): one shared block or per-cell blocks."""
     h = mesh.h
@@ -252,7 +244,7 @@ def _rhs_volume(mesh, tables, test_table, f, theta):
     return h * h * ((tables.quad.vol_weights[None, :] * fv) @ test_table)
 
 
-def _rhs_inflow_data(mesh, tables, quad_edges, side, cells, sn, u_in, theta):
+def _rhs_inflow_data(mesh, tables, side, cells, sn, u_in, theta):
     """- h * s.n * <u_in, trace> on one inflow boundary side (s.n < 0)."""
     h = mesh.h
     t = tables.quad.edge_points
@@ -273,17 +265,16 @@ def assemble_direction(scheme, mesh, tables, quad, kernel, medium, m, f=None, u_
     is assembled on demand (``DirectionSystem.stencil`` and ``matrix``).
 
     The scattering term stays out of the matrix (lagged source); the
-    positivity margin sigma_t - sigma_s*max b_m must be positive.
+    positivity margin sigma_t - sigma_s*max b_m must be positive and finite.
     """
     _check_margin(kernel, medium)
     if not isinstance(scheme, (WG, DODG, DODSD)):
         raise TypeError(f"unknown scheme {scheme!r}")
     theta = quad.nodes[m].theta
-    sets = classify_edges(mesh, quad.vectors[m])
+    sets = classify_edges(quad.vectors[m])
     s = sets.direction  # snapped copy
     d = tables.dof
     C = mesh.n_cells
-    bdy_groups = _edge_groups(mesh)[1]
     if isinstance(scheme, DODSD):
         test_table = tables.V + scheme.c * (s[0] * tables.DX + s[1] * tables.DY)
     else:
@@ -296,8 +287,8 @@ def assemble_direction(scheme, mesh, tables, quad, kernel, medium, m, f=None, u_
         for b in range(4):
             sn = sets.side_sn[b]
             if sn < 0:
-                bc = mesh.edge_cells[bdy_groups[b], 0]
-                rhs[bc] += _rhs_inflow_data(mesh, tables, quad, b, bc, sn, u_in, theta)
+                bc = mesh.boundary_cells(b)
+                rhs[bc] += _rhs_inflow_data(mesh, tables, b, bc, sn, u_in, theta)
 
     inflow_sign = 1.0 if _hooks.flip_inflow_sign else -1.0
     return DirectionSystem(
@@ -416,13 +407,11 @@ def _field_edge_terms(mesh, tables, coeffs_u, coeffs_v, sets):
     """
     h = mesh.h
     we = tables.quad.edge_weights
-    int_groups, bdy_groups = _edge_groups(mesh)
     jump = 0.0
-    for g, s1, s2 in int_groups:
+    for s1, s2, c1, c2 in mesh.interior_faces():
         sn = sets.side_sn[s1]
-        if sn == 0.0 or len(g) == 0:
+        if sn == 0.0:
             continue
-        c1, c2 = mesh.edge_cells[g, 0], mesh.edge_cells[g, 1]
         ju = coeffs_u[c1] @ tables.trace[s1].T - coeffs_u[c2] @ tables.trace[s2].T
         jv = coeffs_v[c1] @ tables.trace[s1].T - coeffs_v[c2] @ tables.trace[s2].T
         jump += abs(sn) * h * np.sum(we[None, :] * ju * jv)
@@ -432,7 +421,7 @@ def _field_edge_terms(mesh, tables, coeffs_u, coeffs_v, sets):
         sn = sets.side_sn[b]
         if sn == 0.0:
             continue
-        bc = mesh.edge_cells[bdy_groups[b], 0]
+        bc = mesh.boundary_cells(b)
         tu = coeffs_u[bc] @ tables.trace[b].T
         tv = coeffs_v[bc] @ tables.trace[b].T
         val = h * np.sum(we[None, :] * tu * tv)
@@ -459,7 +448,7 @@ def triple_norm(mesh, tables, quad, field):
     vol = h * h * np.einsum("q,lcq->l", w, vals**2)
     total = 0.0
     for m in range(len(quad)):
-        sets = classify_edges(mesh, quad.vectors[m])
+        sets = classify_edges(quad.vectors[m])
         jump, bdy, _ = _field_edge_terms(mesh, tables, field[m], field[m], sets)
         total += quad.weights[m] * (vol[m] + 0.5 * jump + bdy)
     return float(np.sqrt(total))
@@ -500,22 +489,19 @@ def eval_bilinear(scheme, mesh, tables, quad, kernel, medium, u, v):
 
     total = 0.0
     sign = 1.0 if _hooks.flip_inflow_sign else -1.0
-    int_groups, bdy_groups = _edge_groups(mesh)
+    we = tables.quad.edge_weights
     for m in range(len(quad)):
-        s = quad.vectors[m]
-        sets = classify_edges(mesh, s)
+        sets = classify_edges(quad.vectors[m])
         s = sets.direction
         # -(u, s.grad v) per cell
         sgv = np.einsum("cd,qd->cq", v[m], s[0] * tables.DX + s[1] * tables.DY)
         conv = -h * np.sum(w[None, :] * uis[m] * sgv)
         # <{u}, s.n v> over cell boundaries
         edge = 0.0
-        for g, s1, s2 in int_groups:
+        for s1, s2, c1, c2 in mesh.interior_faces():
             sn = sets.side_sn[s1]
             if sn == 0.0:
                 continue
-            c1, c2 = mesh.edge_cells[g, 0], mesh.edge_cells[g, 1]
-            we = tables.quad.edge_weights
             u1 = u[m][c1] @ tables.trace[s1].T
             u2 = u[m][c2] @ tables.trace[s2].T
             v1 = v[m][c1] @ tables.trace[s1].T
@@ -527,8 +513,7 @@ def eval_bilinear(scheme, mesh, tables, quad, kernel, medium, u, v):
             sn = sets.side_sn[b]
             if sn == 0.0:
                 continue
-            bc = mesh.edge_cells[bdy_groups[b], 0]
-            we = tables.quad.edge_weights
+            bc = mesh.boundary_cells(b)
             tu = u[m][bc] @ tables.trace[b].T
             tv = v[m][bc] @ tables.trace[b].T
             edge += sn * h * np.sum(we[None, :] * tu * tv)

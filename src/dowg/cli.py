@@ -245,7 +245,12 @@ def parse_config(argv):
 
 
 def _validate(cfg):
+    floats = {name: getattr(cfg, name)
+              for name in ("sigma_t", "sigma_s", "eta", "tol", "cp", "sd_c")}
     checks = [
+        *((value is None or np.isfinite(value),
+           f"{name.replace('_', '-')} must be finite, got {value}")
+          for name, value in floats.items()),
         (cfg.case in ("example1", "example2"), f"unknown case {cfg.case!r}"),
         (cfg.scheme in ("wg", "dodg", "dodsd"), f"unknown scheme {cfg.scheme!r}"),
         (cfg.order in (1, 2), f"order must be 1 or 2, got {cfg.order}"),
@@ -446,11 +451,8 @@ def _check_weak_operators():
         s = np.array([np.cos(0.6), np.sin(0.6)])
         ones = np.ones(tables.dof)
         for cell in range(mesh.n_cells):
-            bdy = tuple(
-                b for b in range(4)
-                if mesh.edge_cells[mesh.cell_edges[cell, b], 1] < 0
-            )
-            blk, nbr = weak_convection_blocks(tables, mesh.h, s, bdy)
+            blk, nbr = weak_convection_blocks(tables, mesh.h, s,
+                                              mesh.sides_on_boundary(cell))
             total = ones @ (blk @ ones) + sum(ones @ (B @ ones)
                                               for B in nbr.values())
             if abs(total) > 1e-13:
@@ -488,7 +490,7 @@ def _check_constant_solutions():
 
     # the tie rule: s.n == 0 counts as outflow, checked on axis directions
     for m in (0, 2, 4, 6):
-        sets = classify_edges(mesh, quad.vectors[m])
+        sets = classify_edges(quad.vectors[m])
         ties = tuple(int(b) for b in np.nonzero(sets.side_sn == 0.0)[0])
         misplaced = [b for b in ties if b in sets.inflow_sides]
         if misplaced:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .mesh import OPPOSITE_SIDE
+from .mesh import OPPOSITE_SIDE, SIDE_NORMALS
 
 __all__ = [
     "LocalBasis",
@@ -269,16 +269,13 @@ def weak_gradient(mesh, tables, coeffs, cell):
     for comp in range(2):
         rhs[comp] = -h * (Pg[:, :, comp].T @ (q.vol_weights * v_vol))
 
-    from .mesh import SIDE_NORMALS
-
+    boundary = mesh.sides_on_boundary(cell)
     for side in range(4):
-        e = mesh.cell_edges[cell, side]
         own = tables.trace[side] @ coeffs[cell]
-        c1, c2 = mesh.edge_cells[e]
-        if c2 < 0:
+        if side in boundary:
             avg = edge_average(own)
         else:
-            nbr = c1 if c1 != cell else c2
+            nbr = mesh.neighbours[cell, side]
             nbr_trace = tables.trace[OPPOSITE_SIDE[side]] @ coeffs[nbr]
             avg = edge_average(own, nbr_trace)
         pe = pk.eval(_edge_points(side, q.edge_points))  # (q_e, pdim)
@@ -289,7 +286,7 @@ def weak_gradient(mesh, tables, coeffs, cell):
     return np.linalg.solve(gram, rhs.T).T
 
 
-def weak_convection_blocks(tables, h, s, boundary_sides=()):
+def weak_convection_blocks(tables, h, s, on_boundary=()):
     """Element blocks of the convection bilinear map assembled through the
     weak-divergence identity tested against the full Q_k space:
 
@@ -298,15 +295,13 @@ def weak_convection_blocks(tables, h, s, boundary_sides=()):
     Returns ``(self_block, neighbor_blocks)`` with row = test index (w),
     column = trial index (u); ``neighbor_blocks[side]`` couples the test
     cell to the neighbor across that side (through the 1/2 in {u}).
-    Sides listed in ``boundary_sides`` use {u} = own trace.
+    Sides listed in ``on_boundary`` use {u} = own trace.
     """
-    from .mesh import SIDE_NORMALS
-
     sn = SIDE_NORMALS @ np.asarray(s, dtype=float)
     self_block = -h * (s[0] * tables.GX + s[1] * tables.GY)
     neighbor = {}
     for side in range(4):
-        if side in boundary_sides:
+        if side in on_boundary:
             self_block = self_block + h * sn[side] * tables.E_self[side]
         else:
             self_block = self_block + 0.5 * h * sn[side] * tables.E_self[side]

@@ -2,18 +2,22 @@
 
 Level ``l`` partitions the unit square into ``n x n`` axis-aligned cells
 with ``n = 2**l`` (level 1 is the 2x2 coarse grid).  All solver stages
-share one mesh across ordinate directions; only the inflow/outflow edge
+share one mesh across ordinate directions; only the inflow/outflow side
 classification (``classify_edges``) depends on the direction.
 
 Conventions
 -----------
 Cells are numbered row-major, ``cell = j*n + i`` with column ``i``
 (x direction) and row ``j``.  Cell sides are numbered 0 = left,
-1 = right, 2 = bottom, 3 = top.  Each edge records its incident cells;
-interior edges list the left/bottom cell first, and the stored edge
-normal is the outward normal of that first cell (always +x or +y).
-Boundary edges list their single cell first with the outward domain
-normal.
+1 = right, 2 = bottom, 3 = top, with outward normals ``SIDE_NORMALS``;
+side s of a cell and side ``OPPOSITE_SIDE[s]`` of its neighbour across
+it are the same face.  ``QuadMesh.neighbours[c, s]`` is that neighbour,
+or -1 where side s lies on the domain boundary.  ``interior_faces``
+names each interior face once, by the cell left of or below it and its
+neighbour across side 1 or 3; ``boundary_cells(s)`` lists the cells
+whose side s is on the domain boundary.  Both come grid line by grid
+line (x = i h, then y = j h), in ascending order along each line; the
+norms and the right sides sum in that order.
 """
 
 from dataclasses import dataclass, field
@@ -39,38 +43,40 @@ class QuadMesh:
         Cells per side, ``2**level``.
     h : float
         Mesh width ``1/n``.
-    edge_cells : ndarray, shape (E, 2)
-        Incident cell indices; column 1 is -1 on boundary edges.
-    edge_sides : ndarray, shape (E, 2)
-        Side id of the edge within each incident cell (-1 where absent).
-    edge_normals : ndarray, shape (E, 2)
-        Outward unit normal of the first incident cell.
-    cell_edges : ndarray, shape (C, 4)
-        Edge index by cell and side.
-    boundary_side : ndarray, shape (E,)
-        Domain side (0..3) for boundary edges, -1 for interior.
+    neighbours : ndarray, shape (C, 4)
+        The cell across each side 0..3, -1 on the domain boundary.
     """
 
     level: int
     n: int
     h: float
-    edge_cells: np.ndarray = field(repr=False)
-    edge_sides: np.ndarray = field(repr=False)
-    edge_normals: np.ndarray = field(repr=False)
-    cell_edges: np.ndarray = field(repr=False)
-    boundary_side: np.ndarray = field(repr=False)
+    neighbours: np.ndarray = field(repr=False)
 
     @property
     def n_cells(self):
         return self.n * self.n
 
-    @property
-    def n_edges(self):
-        return self.edge_cells.shape[0]
+    def interior_faces(self):
+        """Every interior face once, as ``(side, opposite, cells,
+        neighbours)`` for the vertical faces (side 1 of the cells left of
+        them), then the horizontal ones (side 3 of the cells below)."""
+        cells = np.arange(self.n_cells).reshape(self.n, self.n)
+        faces = []
+        for side, lines in ((1, cells.T), (3, cells)):
+            lines = lines.ravel()
+            nbr = self.neighbours[lines, side]
+            inner = nbr >= 0
+            faces.append((side, OPPOSITE_SIDE[side], lines[inner], nbr[inner]))
+        return faces
 
-    @property
-    def boundary_edges(self):
-        return np.nonzero(self.boundary_side >= 0)[0]
+    def boundary_cells(self, side):
+        """The cells whose ``side`` lies on the domain boundary, in
+        ascending order along it."""
+        return np.nonzero(self.neighbours[:, side] < 0)[0]
+
+    def sides_on_boundary(self, cell):
+        """The sides of ``cell`` that lie on the domain boundary."""
+        return tuple(int(b) for b in np.nonzero(self.neighbours[cell] < 0)[0])
 
     @property
     def cell_origins(self):
@@ -100,64 +106,18 @@ def build_mesh(level):
     if not 1 <= level <= 10:
         raise ValueError(f"refinement level must be in 1..10, got {level}")
     n = 2**level
-    h = 1.0 / n
-    n_cells = n * n
-    n_vert = (n + 1) * n  # vertical edges: x = i*h, strip j
-    n_edges = 2 * n_vert
-
-    edge_cells = np.full((n_edges, 2), -1, dtype=int)
-    edge_sides = np.full((n_edges, 2), -1, dtype=int)
-    edge_normals = np.zeros((n_edges, 2))
-    boundary_side = np.full(n_edges, -1, dtype=int)
-    cell_edges = np.full((n_cells, 4), -1, dtype=int)
-
-    i, j = np.meshgrid(np.arange(n + 1), np.arange(n), indexing="ij")
-    i, j = i.ravel(), j.ravel()
-
-    # vertical edges, id = i*n + j
-    e = i * n + j
-    left = (i > 0).nonzero()[0]
-    right = (i < n).nonzero()[0]
-    # first incident cell: the one to the left (or the right cell when on
-    # the left domain boundary)
-    first_is_left = i > 0
-    fc = np.where(first_is_left, j * n + (i - 1), j * n + i)
-    fs = np.where(first_is_left, 1, 0)
-    edge_cells[e, 0] = fc
-    edge_sides[e, 0] = fs
-    edge_normals[e, 0] = np.where(first_is_left, 1.0, -1.0)
-    interior = (i > 0) & (i < n)
-    edge_cells[e[interior], 1] = (j * n + i)[interior]
-    edge_sides[e[interior], 1] = 0
-    boundary_side[e[i == 0]] = 0
-    boundary_side[e[i == n]] = 1
-    cell_edges[fc, fs] = e
-    cell_edges[(j * n + i)[interior], 0] = e[interior]
-
-    # horizontal edges, id = n_vert + j*n + i (y = j*h, column i)
-    ih, jh = np.meshgrid(np.arange(n), np.arange(n + 1), indexing="ij")
-    ih, jh = ih.ravel(), jh.ravel()
-    e = n_vert + jh * n + ih
-    first_is_below = jh > 0
-    fc = np.where(first_is_below, (jh - 1) * n + ih, jh * n + ih)
-    fs = np.where(first_is_below, 3, 2)
-    edge_cells[e, 0] = fc
-    edge_sides[e, 0] = fs
-    edge_normals[e, 1] = np.where(first_is_below, 1.0, -1.0)
-    interior = (jh > 0) & (jh < n)
-    edge_cells[e[interior], 1] = (jh * n + ih)[interior]
-    edge_sides[e[interior], 1] = 2
-    boundary_side[e[jh == 0]] = 2
-    boundary_side[e[jh == n]] = 3
-    cell_edges[fc, fs] = e
-    cell_edges[(jh * n + ih)[interior], 2] = e[interior]
-
-    return QuadMesh(level, n, h, edge_cells, edge_sides, edge_normals, cell_edges, boundary_side)
+    cells = np.arange(n * n).reshape(n, n)  # [row j, column i]
+    nbr = np.full((n, n, 4), -1, dtype=np.intp)
+    nbr[:, 1:, 0] = cells[:, :-1]
+    nbr[:, :-1, 1] = cells[:, 1:]
+    nbr[1:, :, 2] = cells[:-1, :]
+    nbr[:-1, :, 3] = cells[1:, :]
+    return QuadMesh(level, n, 1.0 / n, nbr.reshape(n * n, 4))
 
 
 @dataclass(frozen=True)
 class DirectionalEdgeSets:
-    """Inflow/outflow edge classification for one ordinate direction.
+    """Inflow/outflow side classification for one ordinate direction.
 
     The grid is uniform, so the per-cell partition reduces to a partition
     of the four side ids: side s is inflow for a cell when
@@ -171,27 +131,20 @@ class DirectionalEdgeSets:
         s_m . n for the four cell sides (left, right, bottom, top).
     inflow_sides, outflow_sides : tuple of int
         Partition of side ids by the sign rule.
-    inflow_boundary, outflow_boundary : ndarray
-        Boundary edge indices with s.n < 0 resp. >= 0.
-    sn_first : ndarray, shape (E,)
-        s_m . n with n the stored first-cell outward normal, per edge.
     """
 
     direction: np.ndarray
     side_sn: np.ndarray
     inflow_sides: tuple
     outflow_sides: tuple
-    inflow_boundary: np.ndarray
-    outflow_boundary: np.ndarray
-    sn_first: np.ndarray
 
 
-def classify_edges(mesh, direction):
-    """Classify mesh edges against a direction by the sign of s.n.
+def classify_edges(direction):
+    """Classify the cell sides against a direction by the sign of s.n.
 
-    Ties (s.n == 0, axis-aligned directions) count as outflow.  Boundary
-    edges with s.n < 0 form the inflow boundary where prescribed external
-    intensity enters.
+    Ties (s.n == 0, axis-aligned directions) count as outflow.  The
+    domain sides with s.n < 0 form the inflow boundary where prescribed
+    external intensity enters.
     """
     s = np.asarray(getattr(direction, "unit_vector", direction), dtype=float)
     if s.shape != (2,):
@@ -204,14 +157,4 @@ def classify_edges(mesh, direction):
         inflow = side_sn < 0.0
     inflow_sides = tuple(np.nonzero(inflow)[0])
     outflow_sides = tuple(np.nonzero(~inflow)[0])
-
-    bdy = mesh.boundary_edges
-    bdy_sn = side_sn[mesh.boundary_side[bdy]]
-    if _hooks.tie_break_inflow:
-        mask = bdy_sn <= 0.0
-    else:
-        mask = bdy_sn < 0.0
-    sn_first = mesh.edge_normals @ s
-    return DirectionalEdgeSets(
-        s, side_sn, inflow_sides, outflow_sides, bdy[mask], bdy[~mask], sn_first
-    )
+    return DirectionalEdgeSets(s, side_sn, inflow_sides, outflow_sides)

@@ -78,8 +78,8 @@ class SourceIterationConfig:
     max_outer: int = 200
 
     def __post_init__(self):
-        if not self.tol > 0:
-            raise ValueError("outer tolerance must be positive")
+        if not 0 < self.tol < np.inf:
+            raise ValueError(f"outer tolerance must be positive and finite, got {self.tol}")
         if self.max_outer < 1:
             raise ValueError(f"need at least one sweep, got {self.max_outer}")
 

@@ -345,15 +345,14 @@ def measure_error(field, case, mesh, tables, quad):
     tf = [tables.basis.eval(_edge_points(b, p1)) for b in range(4)]
     total = 0.0
     for m in range(len(quad)):
-        sets = classify_edges(mesh, quad.vectors[m])
+        sets = classify_edges(quad.vectors[m])
         jump, _, _ = _field_edge_terms(mesh, tables, field[m], field[m], sets)
         bdy = 0.0
         for b in range(4):
             sn = sets.side_sn[b]
             if sn == 0.0:
                 continue
-            cells = np.nonzero(mesh.boundary_side == b)[0]
-            bc = mesh.edge_cells[cells, 0]
+            bc = mesh.boundary_cells(b)
             ref = _edge_points(b, p1)
             xe = org[bc, 0][:, None] + h * ref[None, :, 0]
             ye = org[bc, 1][:, None] + h * ref[None, :, 1]

@@ -254,18 +254,14 @@ def _fine_rule(n=12):
 
 def _side_average(mesh, basis, coeffs, cell, side, t):
     own = basis.eval(_edge_points(side, t)) @ coeffs[cell]
-    e = mesh.cell_edges[cell, side]
-    c1, c2 = mesh.edge_cells[e]
-    if c2 < 0:
+    nbr = mesh.neighbours[cell, side]
+    if nbr < 0:
         return own
-    nbr = c1 if c1 != cell else c2
     return 0.5 * (own + basis.eval(_edge_points(OPPOSITE_SIDE[side], t)) @ coeffs[nbr])
 
 
 def _boundary_sides(mesh, cell):
-    return tuple(
-        s for s in range(4) if mesh.edge_cells[mesh.cell_edges[cell, s], 1] < 0
-    )
+    return tuple(s for s in range(4) if mesh.neighbours[cell, s] < 0)
 
 
 def test_criterion_5_weak_operator_identities():
@@ -314,9 +310,7 @@ def test_criterion_5_weak_operator_identities():
                 )
                 val = v[cell] @ (blk @ u[cell])
                 for side, B in nbr.items():
-                    e = mesh.cell_edges[cell, side]
-                    c1, c2 = mesh.edge_cells[e]
-                    val += v[cell] @ (B @ u[c1 if c1 != cell else c2])
+                    val += v[cell] @ (B @ u[mesh.neighbours[cell, side]])
                 uv = basis.eval(pts) @ u[cell]
                 term = -h * h * np.sum(w * uv * (sgrad @ v[cell] / h))
                 for side in range(4):

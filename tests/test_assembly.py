@@ -82,8 +82,8 @@ def _per_cell(mesh, sigma_t):
 
 
 def _coo_reference(system):
-    """Reference system matrix: every term added edge by edge on the full
-    mesh as scalar COO triplets, summed and sorted by ``tocsr``.  A block
+    """Reference system matrix: every term added cell side by cell side
+    on the full mesh as scalar COO triplets, summed and sorted by ``tocsr``.  A block
     a term writes stays in the pattern even where it is 0."""
     scheme, mesh, tables, medium = system.scheme, system.mesh, system.tables, system.medium
     s, h, d = system.direction, mesh.h, tables.dof
@@ -107,11 +107,11 @@ def _coo_reference(system):
     for c in range(mesh.n_cells):
         add(c, c, volume + mass[c])
 
-    for e in range(mesh.n_edges):
-        sn = SIDE_NORMALS[mesh.edge_sides[e]] @ s  # s.n of each incident cell
-        if mesh.boundary_side[e] >= 0:
+    for c, b in np.ndindex(mesh.neighbours.shape):
+        nbr = mesh.neighbours[c, b]
+        sn = SIDE_NORMALS[b] @ s  # s.n of cell c on side b
+        if nbr < 0:
             # the own block is in the pattern anyway, so a 0 term may add
-            c, b, sn = mesh.edge_cells[e, 0], mesh.boundary_side[e], sn[0]
             if isinstance(scheme, WG):  # <u, s.n v>, and -<s.n u, v> on inflow
                 coef = h * sn + (system.inflow_sign * h * sn if sn < 0 else 0.0)
             elif isinstance(scheme, DODG):  # outflow, where u_hat = u
@@ -119,20 +119,17 @@ def _coo_reference(system):
             else:  # DODSD: inflow <u, v |s.n|>
                 coef = -h * min(sn, 0.0)
             add(c, c, coef * tables.E_self[b])
-            continue
-        c1, c2 = mesh.edge_cells[e]
-        for (c, nbr), b, sn in zip(((c1, c2), (c2, c1)), mesh.edge_sides[e], sn):
-            if isinstance(scheme, WG):  # <{u}, s.n v> and (|s.n|/4) <[u], [v]>
-                kappa = 0.25 * abs(sn) * h
-                add(c, c, (0.5 * h * sn + kappa) * tables.E_self[b])
-                add(c, nbr, (0.5 * h * sn - kappa) * tables.E_pair[b])
-            elif isinstance(scheme, DODG):  # upwind trace and c_p <[u], [v]>
-                kappa = scheme.c_p * h
-                add(c, c, (h * max(sn, 0.0) + kappa) * tables.E_self[b])
-                add(c, nbr, (h * min(sn, 0.0) - kappa) * tables.E_pair[b])
-            elif sn < 0:  # DODSD: <[u], v |s.n|> on the downwind cell
-                add(c, c, -h * sn * tables.E_self[b])
-                add(c, nbr, h * sn * tables.E_pair[b])
+        elif isinstance(scheme, WG):  # <{u}, s.n v> and (|s.n|/4) <[u], [v]>
+            kappa = 0.25 * abs(sn) * h
+            add(c, c, (0.5 * h * sn + kappa) * tables.E_self[b])
+            add(c, nbr, (0.5 * h * sn - kappa) * tables.E_pair[b])
+        elif isinstance(scheme, DODG):  # upwind trace and c_p <[u], [v]>
+            kappa = scheme.c_p * h
+            add(c, c, (h * max(sn, 0.0) + kappa) * tables.E_self[b])
+            add(c, nbr, (h * min(sn, 0.0) - kappa) * tables.E_pair[b])
+        elif sn < 0:  # DODSD: <[u], v |s.n|> on the downwind cell
+            add(c, c, -h * sn * tables.E_self[b])
+            add(c, nbr, h * sn * tables.E_pair[b])
     A = sp.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(system.n_dof, system.n_dof),
@@ -191,6 +188,24 @@ class TestSchemes:
         mesh, tables = build_mesh(1), _tables(1)
         with pytest.raises(ValueError, match="positivity margin"):
             assemble_direction(WG(), mesh, tables, quad, hot, Medium(1.0, 0.75), 0)
+
+    @pytest.mark.parametrize("make", [
+        lambda: DODG(c_p=np.inf),
+        lambda: DODG(c_p=np.nan),
+        lambda: DODSD(c=np.inf),
+    ], ids=["dodg-cp-inf", "dodg-cp-nan", "dodsd-c-inf"])
+    def test_rejects_non_finite_parameters(self, make):
+        with pytest.raises(ValueError, match="finite"):
+            make()
+
+    @pytest.mark.parametrize("medium", [Medium(np.inf, 0.5), Medium(2.0, -np.inf)],
+                             ids=["sigma-t-inf", "sigma-s-minus-inf"])
+    def test_rejects_non_finite_margin(self, quad, kernel, medium):
+        # an infinite sigma_t would pass a sign check and reach the
+        # factorization as an infinite system
+        mesh, tables = build_mesh(1), _tables(1)
+        with pytest.raises(ValueError, match="positive and finite"):
+            assemble_direction(WG(), mesh, tables, quad, kernel, medium, 0)
 
 
 class TestConstantSolution:
@@ -281,13 +296,13 @@ class TestInvariantProperty:
         # inflow is s.n < 0 exactly; s.n = 0 counts as outflow, and the
         # axis directions carry exact ties on two sides
         mesh = build_mesh(2)
-        sets = classify_edges(mesh, _one_ordinate(theta).vectors[0])
+        sets = classify_edges(_one_ordinate(theta).vectors[0])
         sn = sets.side_sn
         assert sets.inflow_sides == tuple(np.nonzero(sn < 0)[0])
         assert sets.outflow_sides == tuple(np.nonzero(sn >= 0)[0])
-        sides = mesh.boundary_side[sets.inflow_boundary]
-        assert set(sides) == set(sets.inflow_sides)
-        assert len(sides) == mesh.n * len(sets.inflow_sides)
+        # each inflow side is inflow on its n domain-boundary cells
+        on_boundary = mesh.neighbours[:, list(sets.inflow_sides)] < 0
+        assert list(on_boundary.sum(axis=0)) == [mesh.n] * len(sets.inflow_sides)
         if theta in _AXIS_THETAS:
             assert np.count_nonzero(sn == 0.0) == 2
             assert len(sets.inflow_sides) == 1
@@ -381,12 +396,10 @@ class TestWGConvection:
         for m in range(len(quad)):
             sysm = assemble_direction(WG(), mesh, tables, quad, kernel, Medium(ST, SS), m)
             acc, shift = sysm.stencil(), dowg.assembly._sweep_shift(sysm)
-            side_sn = classify_edges(mesh, sysm.direction).side_sn
+            side_sn = classify_edges(sysm.direction).side_sn
             mass = dowg.assembly._mass_blocks(tables, mesh, ST, sysm.scatter_test)
             for cell in range(mesh.n_cells):
-                bdy = tuple(
-                    b for b in range(4) if mesh.edge_cells[mesh.cell_edges[cell, b], 1] < 0
-                )
+                bdy = tuple(b for b in range(4) if mesh.neighbours[cell, b] < 0)
                 rest = acc.blocks[acc.cls[cell]] - shift.blocks[shift.cls[cell]]
                 rest[2] -= mass
                 for b in bdy:
@@ -525,11 +538,11 @@ class TestHooks:
         m_axis = 0  # theta = 0: horizontal edges have s.n = 0
         base = assemble_direction(WG(), mesh, tables, quad, kernel, med, m_axis)
         s = quad.vectors[m_axis]
-        plain = classify_edges(mesh, s)
+        plain = classify_edges(s)
         with _hooks.inject("tie_break_inflow"):
             mutated = assemble_direction(WG(), mesh, tables, quad, kernel, med, m_axis)
             mutated = mutated.matrix
-            tied = classify_edges(mesh, s)
+            tied = classify_edges(s)
         assert (base.matrix != mutated).nnz == 0
         assert plain.side_sn[2] == 0.0
         assert 2 in plain.outflow_sides and 2 in tied.inflow_sides

@@ -162,6 +162,20 @@ class TestExitCodes:
         assert main(["convergence", "--eta", "1.5"]) == EXIT_VALIDATION
         assert "eta" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--tol", "inf"],
+        ["convergence", "--tol", "inf"],
+        ["solve", "--sigma-t", "inf"],
+        ["solve", "--scheme", "dodg", "--cp", "inf"],
+        ["solve", "--scheme", "dodsd", "--sd-c", "inf"],
+        ["solve", "--sigma-s", "nan"],
+    ], ids=["solve-tol", "convergence-tol", "sigma-t", "cp", "sd-c", "sigma-s-nan"])
+    def test_non_finite_value_exits_3(self, argv, tmp_path, capsys):
+        code = main(argv + ["--levels", "2", "--out", str(tmp_path)])
+        assert code == EXIT_VALIDATION
+        assert "must be finite" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
     @pytest.mark.parametrize("flag", ["--linear-tol=1e-8", "--angle-ordering=jacobi"])
     def test_removed_solver_flags_exit_2(self, flag):
         with pytest.raises(SystemExit) as exc:

@@ -2,29 +2,32 @@ import io
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from dowg import _hooks
-from dowg.mesh import SIDE_NORMALS, build_mesh, classify_edges
+from dowg.mesh import OPPOSITE_SIDE, SIDE_NORMALS, build_mesh, classify_edges
 
 
 class TestBuildMesh:
     def test_coarse_grid(self):
         m = build_mesh(1)
         assert m.n_cells == 4
-        assert m.n_edges == 12
         assert m.h == 0.5
+        # 4 interior faces, each seen from both cells, and 8 boundary faces
+        assert np.count_nonzero(m.neighbours >= 0) == 8
+        assert np.count_nonzero(m.neighbours < 0) == 8
+
+    def test_edge_counts(self):
+        m = build_mesh(2)
+        n = m.n
+        faces = m.interior_faces()
+        assert sum(len(cells) for _, _, cells, _ in faces) == 2 * n * (n - 1)
+        assert sum(len(m.boundary_cells(s)) for s in range(4)) == 4 * n
 
     def test_level3(self):
         m = build_mesh(3)
         assert m.n_cells == 64
         assert m.h == 1 / 8
-
-    def test_edge_counts(self):
-        m = build_mesh(2)
-        n = m.n
-        assert np.count_nonzero(m.boundary_side < 0) == 2 * n * (n - 1)
-        assert len(m.boundary_edges) == 4 * n
 
     def test_refinement(self):
         for lv in (1, 2, 3):
@@ -45,23 +48,67 @@ class TestBuildMesh:
         with pytest.raises(ValueError):
             build_mesh(11)
 
+    @pytest.mark.parametrize("level", [1, 2, 3, 4, 5])
+    def test_neighbour_contract(self, level):
+        m = build_mesh(level)
+        n, nbr = m.n, m.neighbours
+        assert nbr.shape == (m.n_cells, 4)
+        # a neighbour sees the cell back across the opposite side, one
+        # mesh width away along that side's normal
+        for c, s in zip(*np.nonzero(nbr >= 0)):
+            assert nbr[nbr[c, s], OPPOSITE_SIDE[s]] == c
+            step = m.cell_origins[nbr[c, s]] - m.cell_origins[c]
+            assert_allclose(step, m.h * SIDE_NORMALS[s], atol=1e-15)
+        assert np.count_nonzero(nbr < 0) == 4 * n
+        # each domain side has n boundary cells, in ascending order along it
+        for s in range(4):
+            cells = m.boundary_cells(s)
+            assert_array_equal(cells, np.nonzero(nbr[:, s] < 0)[0])
+            along = m.cell_origins[cells, 1 if s < 2 else 0]
+            assert_allclose(along, m.h * np.arange(n))
+            across = m.cell_origins[cells, 0 if s < 2 else 1]
+            assert_allclose(across, 0.0 if s % 2 == 0 else 1.0 - m.h)
+
+    @pytest.mark.parametrize("level", [1, 2, 3])
+    def test_interior_faces(self, level):
+        m = build_mesh(level)
+        n = m.n
+        # every interior face once, line by line: vertical lines x = i h
+        # left to right, each bottom to top, then horizontal lines y = j h,
+        # each left to right
+        faces = m.interior_faces()
+        assert [(s1, s2) for s1, s2, _, _ in faces] == [(1, 0), (3, 2)]
+        keys = (lambda c: (c % n, c // n), lambda c: (c // n, c % n))
+        for (s1, s2, cells, nbrs), key in zip(faces, keys):
+            assert len(cells) == n * (n - 1)
+            assert_array_equal(nbrs, m.neighbours[cells, s1])
+            assert_array_equal(m.neighbours[nbrs, s2], cells)
+            assert [key(c) for c in cells] == sorted(key(c) for c in cells)
+        assert 2 * sum(len(f[2]) for f in faces) == np.count_nonzero(m.neighbours >= 0)
+
+    def test_sides_on_boundary(self):
+        m = build_mesh(2)
+        assert m.sides_on_boundary(0) == (0, 2)
+        assert m.sides_on_boundary(5) == ()
+        assert m.sides_on_boundary(15) == (1, 3)
+        for c in range(m.n_cells):
+            assert m.sides_on_boundary(c) == tuple(
+                s for s in range(4) if m.neighbours[c, s] < 0
+            )
+
     def test_incidence(self):
         m = build_mesh(2)
-        # interior edges: two incident cells, opposite sides, consistent
-        # with the cell_edges lookup table
-        for e in np.nonzero(m.boundary_side < 0)[0]:
-            (c1, c2), (s1, s2) = m.edge_cells[e], m.edge_sides[e]
-            assert c1 >= 0 and c2 >= 0
+        # interior faces: two incident cells across opposite sides,
+        # consistent with the neighbour table both ways
+        for s1, s2, cells, nbrs in m.interior_faces():
             assert {s1, s2} in ({0, 1}, {2, 3})
-            assert m.cell_edges[c1, s1] == e
-            assert m.cell_edges[c2, s2] == e
-            # stored normal is outward for the first cell, inward for the second
-            assert_allclose(m.edge_normals[e], SIDE_NORMALS[s1])
-            assert_allclose(-m.edge_normals[e], SIDE_NORMALS[s2])
-        for e in m.boundary_edges:
-            assert m.edge_cells[e, 1] == -1
-            assert_allclose(m.edge_normals[e], SIDE_NORMALS[m.edge_sides[e, 0]])
-        assert np.all(m.cell_edges >= 0)
+            assert_allclose(SIDE_NORMALS[s1], -SIDE_NORMALS[s2])
+            assert np.all(cells >= 0) and np.all(nbrs >= 0)
+            assert_array_equal(m.neighbours[cells, s1], nbrs)
+            assert_array_equal(m.neighbours[nbrs, s2], cells)
+        for s in range(4):
+            assert np.all(m.neighbours[m.boundary_cells(s), s] == -1)
+        assert np.all(m.neighbours >= -1)
 
     def test_flux_identity(self):
         # sum over cell edges of (s.n)|e| vanishes for any direction
@@ -87,53 +134,46 @@ class TestBuildMesh:
 class TestClassifyEdges:
     def test_axis_aligned(self):
         m = build_mesh(2)
-        sets = classify_edges(m, np.array([1.0, 0.0]))
+        sets = classify_edges(np.array([1.0, 0.0]))
         # inflow boundary is the left side of the domain
-        assert len(sets.inflow_boundary) == m.n
-        assert np.all(m.boundary_side[sets.inflow_boundary] == 0)
-        # horizontal sides have s.n = 0: outflow by the tie rule
         assert sets.inflow_sides == (0,)
+        inflow = m.boundary_cells(0)
+        assert len(inflow) == m.n
+        assert np.all(m.cell_origins[inflow, 0] == 0.0)
+        # horizontal sides have s.n = 0: outflow by the tie rule
         assert set(sets.outflow_sides) == {1, 2, 3}
 
     def test_diagonal(self):
         m = build_mesh(1)
         s = np.array([np.cos(np.pi / 4), np.sin(np.pi / 4)])
-        sets = classify_edges(m, s)
-        assert len(sets.inflow_boundary) == 4  # left + bottom
-        assert set(m.boundary_side[sets.inflow_boundary]) == {0, 2}
-        assert sets.inflow_sides == (0, 2)
+        sets = classify_edges(s)
+        assert sets.inflow_sides == (0, 2)  # left + bottom
+        assert sum(len(m.boundary_cells(b)) for b in sets.inflow_sides) == 4
+        assert sorted(sets.inflow_sides + sets.outflow_sides) == [0, 1, 2, 3]
 
     def test_partition_covers(self):
         m = build_mesh(2)
-        sets = classify_edges(m, np.array([np.cos(1.0), np.sin(1.0)]))
+        sets = classify_edges(np.array([np.cos(1.0), np.sin(1.0)]))
         assert sorted(sets.inflow_sides + sets.outflow_sides) == [0, 1, 2, 3]
-        # every boundary edge lands in exactly one of the boundary lists
-        both = np.concatenate([sets.inflow_boundary, sets.outflow_boundary])
-        assert sorted(both) == sorted(m.boundary_edges)
+        # every boundary side of every cell lands in exactly one of the lists
+        both = [(c, b) for b in sets.inflow_sides + sets.outflow_sides
+                for c in m.boundary_cells(b)]
+        assert sorted(both) == sorted(zip(*np.nonzero(m.neighbours < 0)))
 
     def test_direction_object(self):
         from dowg.angular import build_circle_trapezoid
 
-        m = build_mesh(1)
         q = build_circle_trapezoid(4)
-        sets = classify_edges(m, q.nodes[1])  # theta = pi/2
-        assert np.all(m.boundary_side[sets.inflow_boundary] == 2)
-
-    def test_sn_first(self):
-        m = build_mesh(2)
-        s = np.array([0.8, -0.6])
-        sets = classify_edges(m, s)
-        assert_allclose(sets.sn_first, m.edge_normals @ s)
+        sets = classify_edges(q.nodes[1])  # theta = pi/2
+        assert sets.inflow_sides == (2,)
 
     def test_tie_break_hook(self):
-        m = build_mesh(1)
-        sets = classify_edges(m, np.array([1.0, 0.0]))
+        sets = classify_edges(np.array([1.0, 0.0]))
         assert 2 not in sets.inflow_sides and 3 not in sets.inflow_sides
         with _hooks.inject("tie_break_inflow"):
-            mutated = classify_edges(m, np.array([1.0, 0.0]))
+            mutated = classify_edges(np.array([1.0, 0.0]))
         assert 2 in mutated.inflow_sides and 3 in mutated.inflow_sides
 
     def test_rejects_bad_direction(self):
-        m = build_mesh(1)
         with pytest.raises(ValueError):
-            classify_edges(m, np.array([1.0, 0.0, 0.0]))
+            classify_edges(np.array([1.0, 0.0, 0.0]))

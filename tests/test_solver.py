@@ -186,6 +186,12 @@ class TestLinearSolve:
         with pytest.raises(ValueError):
             SourceIterationConfig(max_outer=0)
 
+    @pytest.mark.parametrize("tol", [np.inf, np.nan])
+    def test_config_rejects_non_finite_tol(self, tol):
+        # tol = inf would stop after one sweep and report convergence
+        with pytest.raises(ValueError, match="finite"):
+            SourceIterationConfig(tol=tol)
+
 
 class TestSweep:
     def test_matches_direct_all_schemes(self, monkeypatch):
