@@ -41,7 +41,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import _hooks
-from .elements import _edge_points
+from .elements import _edge_points, _sample
 from .mesh import SIDE_NORMALS, classify_edges
 
 __all__ = [
@@ -229,31 +229,9 @@ def _mass_blocks(tables, mesh, sigma_t, test):
     h = mesh.h
     w = tables.quad.vol_weights
     if callable(sigma_t):
-        pts = mesh.cell_origins[:, None, :] + h * tables.quad.vol_points[None, :, :]
-        sv = np.asarray(sigma_t(pts[:, :, 0], pts[:, :, 1]), dtype=float)
+        sv = _sample(sigma_t, *mesh.points(tables.quad.vol_points))
         return h * h * np.einsum("cq,qi,qj->cij", w * sv, test, tables.V)
     return float(sigma_t) * h * h * (test.T @ (w[:, None] * tables.V))
-
-
-def _rhs_volume(mesh, tables, test_table, f, theta):
-    h = mesh.h
-    pts = mesh.cell_origins[:, None, :] + h * tables.quad.vol_points[None, :, :]
-    fv = np.asarray(f(pts[:, :, 0], pts[:, :, 1], theta), dtype=float)
-    if fv.shape != pts.shape[:2]:
-        fv = np.broadcast_to(fv, pts.shape[:2])
-    return h * h * ((tables.quad.vol_weights[None, :] * fv) @ test_table)
-
-
-def _rhs_inflow_data(mesh, tables, side, cells, sn, u_in, theta):
-    """- h * s.n * <u_in, trace> on one inflow boundary side (s.n < 0)."""
-    h = mesh.h
-    t = tables.quad.edge_points
-    ref = _edge_points(side, t)
-    pts = mesh.cell_origins[cells][:, None, :] + h * ref[None, :, :]
-    g = np.asarray(u_in(pts[:, :, 0], pts[:, :, 1], theta), dtype=float)
-    if g.shape != pts.shape[:2]:
-        g = np.broadcast_to(g, pts.shape[:2])
-    return -h * sn * ((tables.quad.edge_weights[None, :] * g) @ tables.trace[side])
 
 
 def assemble_direction(scheme, mesh, tables, quad, kernel, medium, m, f=None, u_in=None):
@@ -280,15 +258,19 @@ def assemble_direction(scheme, mesh, tables, quad, kernel, medium, m, f=None, u_
     else:
         test_table = tables.V
 
+    h, q = mesh.h, tables.quad
     rhs = np.zeros((C, d))
     if f is not None:
-        rhs += _rhs_volume(mesh, tables, test_table, f, theta)
+        fv = _sample(f, *mesh.points(q.vol_points), theta)
+        rhs += h * h * ((q.vol_weights * fv) @ test_table)
     if u_in is not None:
+        # - h s.n <u_in, v> on each inflow boundary side (s.n < 0)
         for b in range(4):
             sn = sets.side_sn[b]
             if sn < 0:
                 bc = mesh.boundary_cells(b)
-                rhs[bc] += _rhs_inflow_data(mesh, tables, b, bc, sn, u_in, theta)
+                g = _sample(u_in, *mesh.points(_edge_points(b, q.edge_points), bc), theta)
+                rhs[bc] += -h * sn * ((q.edge_weights * g) @ tables.trace[b])
 
     inflow_sign = 1.0 if _hooks.flip_inflow_sign else -1.0
     return DirectionSystem(
@@ -398,37 +380,40 @@ def scattering_source(systems, kernel, quad, field):
     return np.stack([coeffs[s.m] @ _scatter_map(s) for s in systems])
 
 
-def _field_edge_terms(mesh, tables, coeffs_u, coeffs_v, sets):
-    """Per-direction edge sums used by norms and the bilinear evaluator.
+def _face_traces(mesh, tables, coeffs):
+    """The traces of a broken field ``coeffs`` (C, dof) at the edge
+    quadrature points, each (faces, q_e): per interior face group
+    ``(side, own, across)``, from the cells whose ``side`` the faces are
+    and from their neighbours across it; and the boundary sides' traces
+    (``_side_traces``)."""
+    interior = [
+        (s1, coeffs[c1] @ tables.trace[s1].T, coeffs[c2] @ tables.trace[s2].T)
+        for s1, s2, c1, c2 in mesh.interior_faces()
+    ]
+    return interior, _side_traces(mesh, tables, coeffs)
 
-    Returns (interior jump integral sum_e int |s.n| [u][v],
-             boundary integral sum_e int |s.n| u v,
-             signed boundary integral sum_e int (s.n) u v on inflow part).
-    """
-    h = mesh.h
-    we = tables.quad.edge_weights
-    jump = 0.0
-    for s1, s2, c1, c2 in mesh.interior_faces():
-        sn = sets.side_sn[s1]
-        if sn == 0.0:
-            continue
-        ju = coeffs_u[c1] @ tables.trace[s1].T - coeffs_u[c2] @ tables.trace[s2].T
-        jv = coeffs_v[c1] @ tables.trace[s1].T - coeffs_v[c2] @ tables.trace[s2].T
-        jump += abs(sn) * h * np.sum(we[None, :] * ju * jv)
-    bdy_abs = 0.0
-    bdy_inflow_signed = 0.0
-    for b in range(4):
-        sn = sets.side_sn[b]
-        if sn == 0.0:
-            continue
-        bc = mesh.boundary_cells(b)
-        tu = coeffs_u[bc] @ tables.trace[b].T
-        tv = coeffs_v[bc] @ tables.trace[b].T
-        val = h * np.sum(we[None, :] * tu * tv)
-        bdy_abs += abs(sn) * val
-        if sn < 0:
-            bdy_inflow_signed += sn * val
-    return jump, bdy_abs, bdy_inflow_signed
+
+def _side_traces(mesh, tables, coeffs):
+    """Per domain side 0..3 the traces of its cells, each (n, q_e)."""
+    return [coeffs[mesh.boundary_cells(b)] @ tables.trace[b].T for b in range(4)]
+
+
+def _jump_sum(kappa, we, faces_u, faces_v):
+    """sum_e kappa[side] int_e [u][v] over the interior faces, from the
+    ``_face_traces`` of u and v; kappa carries h, and sides with kappa 0
+    are skipped."""
+    return sum(
+        kappa[side] * np.sum(we * (u1 - u2) * (v1 - v2))
+        for (side, u1, u2), (_, v1, v2) in zip(faces_u, faces_v) if kappa[side] != 0.0
+    )
+
+
+def _boundary_sum(kappa, we, sides_u, sides_v):
+    """sum_b kappa[b] int u v over domain side b, from the traces of u and
+    v on each side; kappa carries h, and sides with kappa 0 are skipped."""
+    return sum(
+        kappa[b] * np.sum(we * (sides_u[b] * sides_v[b])) for b in range(4) if kappa[b] != 0.0
+    )
 
 
 def triple_norm(mesh, tables, quad, field):
@@ -443,14 +428,15 @@ def triple_norm(mesh, tables, quad, field):
     """
     field = np.asarray(field)
     h = mesh.h
-    w = tables.quad.vol_weights
+    w, we = tables.quad.vol_weights, tables.quad.edge_weights
     vals = np.einsum("lcd,qd->lcq", field, tables.V)
     vol = h * h * np.einsum("q,lcq->l", w, vals**2)
     total = 0.0
     for m in range(len(quad)):
-        sets = classify_edges(quad.vectors[m])
-        jump, bdy, _ = _field_edge_terms(mesh, tables, field[m], field[m], sets)
-        total += quad.weights[m] * (vol[m] + 0.5 * jump + bdy)
+        kappa = np.abs(classify_edges(quad.vectors[m]).side_sn) * h
+        faces, sides = _face_traces(mesh, tables, field[m])
+        jump = _jump_sum(kappa, we, faces, faces)
+        total += quad.weights[m] * (vol[m] + 0.5 * jump + _boundary_sum(kappa, we, sides, sides))
     return float(np.sqrt(total))
 
 
@@ -474,13 +460,12 @@ def eval_bilinear(scheme, mesh, tables, quad, kernel, medium, u, v):
     u = np.asarray(u)
     v = np.asarray(v)
     h = mesh.h
-    w = tables.quad.vol_weights
+    w, we = tables.quad.vol_weights, tables.quad.edge_weights
     uis = np.einsum("lcd,qd->lcq", u, tables.V)
     vis = np.einsum("lcd,qd->lcq", v, tables.V)
     sigma_t = medium.sigma_t
     if callable(sigma_t):
-        pts = mesh.cell_origins[:, None, :] + h * tables.quad.vol_points[None, :, :]
-        st = np.asarray(sigma_t(pts[:, :, 0], pts[:, :, 1]), dtype=float)[None, :, :]
+        st = _sample(sigma_t, *mesh.points(tables.quad.vol_points))
     else:
         st = float(sigma_t)
     mass = h * h * np.einsum("q,lcq->l", w, (st * uis) * vis)
@@ -489,37 +474,22 @@ def eval_bilinear(scheme, mesh, tables, quad, kernel, medium, u, v):
 
     total = 0.0
     sign = 1.0 if _hooks.flip_inflow_sign else -1.0
-    we = tables.quad.edge_weights
     for m in range(len(quad)):
         sets = classify_edges(quad.vectors[m])
-        s = sets.direction
+        s, sn = sets.direction, sets.side_sn
         # -(u, s.grad v) per cell
         sgv = np.einsum("cd,qd->cq", v[m], s[0] * tables.DX + s[1] * tables.DY)
         conv = -h * np.sum(w[None, :] * uis[m] * sgv)
-        # <{u}, s.n v> over cell boundaries
-        edge = 0.0
-        for s1, s2, c1, c2 in mesh.interior_faces():
-            sn = sets.side_sn[s1]
-            if sn == 0.0:
-                continue
-            u1 = u[m][c1] @ tables.trace[s1].T
-            u2 = u[m][c2] @ tables.trace[s2].T
-            v1 = v[m][c1] @ tables.trace[s1].T
-            v2 = v[m][c2] @ tables.trace[s2].T
-            avg = 0.5 * (u1 + u2)
-            edge += sn * h * np.sum(we[None, :] * avg * (v1 - v2))
-        jump, _, bdy_in = _field_edge_terms(mesh, tables, u[m], v[m], sets)
-        for b in range(4):
-            sn = sets.side_sn[b]
-            if sn == 0.0:
-                continue
-            bc = mesh.boundary_cells(b)
-            tu = u[m][bc] @ tables.trace[b].T
-            tv = v[m][bc] @ tables.trace[b].T
-            edge += sn * h * np.sum(we[None, :] * tu * tv)
-        a_st = 0.25 * jump
-        total += quad.weights[m] * (conv + edge + a_st + sign * bdy_in + mass[m]) - quad.weights[
-            m
-        ] * scatter[m]
+        faces_u, sides_u = _face_traces(mesh, tables, u[m])
+        faces_v, sides_v = _face_traces(mesh, tables, v[m])
+        # <{u}, s.n v> over interior faces, and the stabilizer
+        # (|s.n|/4) <[u], [v]>
+        edge = sum(
+            sn[side] * h * np.sum(we * (0.5 * (u1 + u2)) * (v1 - v2))
+            for (side, u1, u2), (_, v1, v2) in zip(faces_u, faces_v) if sn[side] != 0.0
+        )
+        a_st = 0.25 * _jump_sum(np.abs(sn) * h, we, faces_u, faces_v)
+        # <u, s.n v> on the boundary, plus the weak inflow term -<s.n u, v>
+        bdy = _boundary_sum(h * sn * np.where(sn < 0, 1.0 + sign, 1.0), we, sides_u, sides_v)
+        total += quad.weights[m] * (conv + edge + bdy + a_st + mass[m] - scatter[m])
     return float(total)
-

@@ -498,10 +498,10 @@ def _check_constant_solutions():
                     f"(sides {misplaced})")
 
     def f(x, y, th):
-        return np.full_like(np.broadcast_arrays(x, th)[0], 1.5 * c0)
+        return 1.5 * c0
 
     def u_in(x, y, th):
-        return np.full_like(np.broadcast_arrays(x, th)[0], c0)
+        return c0
 
     for scheme in (WG(), DODG(), DODSD()):
         for k in (1, 2):

@@ -197,13 +197,16 @@ def l2_project(tables, h, f, origin):
     return np.linalg.solve(tables.M, tables.V.T @ (tables.quad.vol_weights * fv))
 
 
+def _sample(fn, x, y, *args):
+    """``fn(x, y, *args)`` as floats of the points' shape; a constant that
+    ``fn`` returns is broadcast."""
+    return np.broadcast_to(np.asarray(fn(x, y, *args), dtype=float), x.shape)
+
+
 def project_field(mesh, tables, f):
     """Elementwise L2 projection over the whole mesh, shape (C, dof)."""
-    pts = mesh.cell_origins[:, None, :] + mesh.h * tables.quad.vol_points[None, :, :]
-    fv = np.asarray(f(pts[:, :, 0], pts[:, :, 1]), dtype=float)
-    if fv.shape != pts.shape[:2]:
-        fv = np.broadcast_to(fv, pts.shape[:2])
-    rhs = (tables.quad.vol_weights[None, :] * fv) @ tables.V
+    fv = _sample(f, *mesh.points(tables.quad.vol_points))
+    rhs = (tables.quad.vol_weights * fv) @ tables.V
     return np.linalg.solve(tables.M, rhs.T).T
 
 

@@ -17,7 +17,11 @@ names each interior face once, by the cell left of or below it and its
 neighbour across side 1 or 3; ``boundary_cells(s)`` lists the cells
 whose side s is on the domain boundary.  Both come grid line by grid
 line (x = i h, then y = j h), in ascending order along each line; the
-norms and the right sides sum in that order.
+norms and the right sides sum in that order.  ``points(ref, cells)``
+maps reference points of [0, 1]^2 into cells: cell c's lower-left
+corner plus h times the point, as the physical x and y per cell and
+point.  Assembly, projection and error measurement sample sigma_t,
+sources, inflow data and exact solutions there.
 """
 
 from dataclasses import dataclass, field
@@ -83,6 +87,13 @@ class QuadMesh:
         """Lower-left corner of every cell, shape (C, 2)."""
         idx = np.arange(self.n_cells)
         return self.h * np.column_stack([idx % self.n, idx // self.n]).astype(float)
+
+    def points(self, ref, cells=slice(None)):
+        """Physical x and y of the reference points ``ref`` (shape (P, 2))
+        in each of ``cells``, each of shape (cells, P)."""
+        ref = np.asarray(ref)
+        o = self.cell_origins[cells]
+        return o[:, :1] + self.h * ref[:, 0], o[:, 1:] + self.h * ref[:, 1]
 
     @property
     def cell_corners(self):

@@ -147,11 +147,18 @@ def _fmt_pow(t):
 
 def _svg_loglog(series, guides, xlabel, ylabel, title):
     """series: (label, xs, ys) tuples; guides: (slope, label) dashed
-    reference lines anchored at the last point of the first series."""
-    xs_all = [x for _, xs, _ in series for x in xs]
-    ys_all = [y for _, _, ys in series for y in ys if y > 0]
-    lx0, lx1 = math.log10(min(xs_all)), math.log10(max(xs_all))
-    ly0, ly1 = math.log10(min(ys_all)), math.log10(max(ys_all))
+    reference lines from the first to the last point of the first series.
+    Only points whose coordinates are finite and positive are plotted;
+    with none, the axes are drawn empty."""
+    series = [
+        (label, [(math.log10(x), math.log10(y)) for x, y in zip(xs, ys)
+                 if 0 < x < math.inf and 0 < y < math.inf])
+        for label, xs, ys in series
+    ]
+    lxs = [lx for _, pts in series for lx, _ in pts] or [0.0]
+    lys = [ly for _, pts in series for _, ly in pts] or [0.0]
+    lx0, lx1 = min(lxs), max(lxs)
+    ly0, ly1 = min(lys), max(lys)
     if lx1 - lx0 < 1e-9:
         lx0, lx1 = lx0 - 0.5, lx1 + 0.5
     pad = 0.05 * max(ly1 - ly0, 1e-9) + 0.08
@@ -202,10 +209,9 @@ def _svg_loglog(series, guides, xlabel, ylabel, title):
         f'transform="rotate(-90 16 {_H / 2:.1f})">{ylabel}</text>'
     )
 
-    for slope, label in guides:
-        _, xs, ys = series[0]
-        lxa, lya = math.log10(xs[0]), math.log10(ys[0])
-        lxb = math.log10(xs[-1])
+    first = series[0][1]
+    for slope, label in guides if first else ():
+        (lxa, lya), (lxb, _) = first[0], first[-1]
         lyb = lya - slope * (lxb - lxa)
         shift = 0.15  # nudge below the data
         out.append(
@@ -218,20 +224,16 @@ def _svg_loglog(series, guides, xlabel, ylabel, title):
             f'text-anchor="end" fill="#666">{label}</text>'
         )
 
-    for i, (label, xs, ys) in enumerate(series):
+    for i, (label, pts) in enumerate(series):
         color = _COLORS[i % len(_COLORS)]
-        pts = " ".join(
-            f"{px(math.log10(x)):.1f},{py(math.log10(y)):.1f}"
-            for x, y in zip(xs, ys)
-        )
+        line = " ".join(f"{px(lx):.1f},{py(ly):.1f}" for lx, ly in pts)
         out.append(
-            f'<polyline points="{pts}" fill="none" stroke="{color}" '
+            f'<polyline points="{line}" fill="none" stroke="{color}" '
             f'stroke-width="1.8"/>'
         )
-        for x, y in zip(xs, ys):
+        for lx, ly in pts:
             out.append(
-                f'<circle cx="{px(math.log10(x)):.1f}" '
-                f'cy="{py(math.log10(y)):.1f}" r="3" fill="{color}"/>'
+                f'<circle cx="{px(lx):.1f}" cy="{py(ly):.1f}" r="3" fill="{color}"/>'
             )
         ly = _MT + 16 + 16 * i
         out.append(

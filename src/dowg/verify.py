@@ -34,7 +34,10 @@ from .assembly import (
     DODSD,
     WG,
     Medium,
-    _field_edge_terms,
+    _boundary_sum,
+    _face_traces,
+    _jump_sum,
+    _side_traces,
     assemble_direction,
 )
 from .elements import (
@@ -42,7 +45,7 @@ from .elements import (
     ElementTables,
     LocalBasis,
     _edge_points,
-    gauss_01,
+    _sample,
     project_field,
 )
 from .mesh import build_mesh, classify_edges
@@ -250,6 +253,12 @@ def _check_memory(k, level, M, budget=None):
     source's temporaries), so the larger of the two counts.  With a
     constant sigma_t the class blocks the set-up works on are a few
     kilobytes and not counted.
+
+    The dense (L, L) arrays of the scattering kernel come on top.  Its
+    build, which runs before anything else is allocated, peaks at four
+    of them (three for the linear and isotropic phases), measured with
+    tracemalloc at M = 1000 and 2000; it keeps one, the kernel, and
+    ``scattering_source`` forms one more on each sweep.
     """
     d = (k + 1) ** 2
     C = 4**level
@@ -259,13 +268,14 @@ def _check_memory(k, level, M, budget=None):
     patterns = 2 * min(L, 8)
     shared = patterns * (4 * 2 * blocks + 4 * n)
     setup = patterns * 8 * 2 * blocks + 80 * blocks
-    need = L * sweep + shared + max(setup, 5 * 8 * L * n)
+    kernel = 8 * L * L
+    need = max(4 * kernel, L * sweep + shared + max(setup, 5 * 8 * L * n) + 2 * kernel)
     budget = _memory_budget() if budget is None else budget
     if budget is not None and need > budget:
         raise ValueError(
             f"Q{k} at level {level} with M = {M} needs about {need / 2**30:.1f} "
-            f"GiB of operators and fields, above the {budget / 2**30:.1f} GiB "
-            "this process may use"
+            "GiB of operators, fields and scattering kernel, above the "
+            f"{budget / 2**30:.1f} GiB this process may use"
         )
 
 
@@ -327,37 +337,29 @@ def measure_error(field, case, mesh, tables, quad):
     h = mesh.h
     k = tables.basis.k
     thetas = np.array([d.theta for d in quad.nodes])
+    fine = ElementTables(tables.basis, ElementQuadrature.build(k, k + 3, k + 3))
+    fq = fine.quad
 
-    p1, w1 = gauss_01(k + 3)
-    P = np.stack(np.meshgrid(p1, p1, indexing="ij"), axis=-1).reshape(-1, 2)
-    W = np.outer(w1, w1).ravel()
-    Vf = tables.basis.eval(P)
-    org = mesh.cell_origins
-    X = org[:, 0][:, None] + h * P[None, :, 0]
-    Y = org[:, 1][:, None] + h * P[None, :, 1]
+    X, Y = mesh.points(fq.vol_points)
     # one ordinate at a time, so no (L, C, q) array is formed
     vol = np.empty(len(quad))
     for m in range(len(quad)):
-        diff = field[m] @ Vf.T - case.u(X, Y, thetas[m])
-        vol[m] = h * h * np.sum(diff**2 @ W)
+        diff = field[m] @ fine.V.T - _sample(case.u, X, Y, thetas[m])
+        vol[m] = h * h * np.sum(diff**2 @ fq.vol_weights)
     err_dom = float(np.sqrt(np.sum(quad.weights * vol)))
 
-    tf = [tables.basis.eval(_edge_points(b, p1)) for b in range(4)]
+    edges = [
+        mesh.points(_edge_points(b, fq.edge_points), mesh.boundary_cells(b))
+        for b in range(4)
+    ]
     total = 0.0
     for m in range(len(quad)):
-        sets = classify_edges(quad.vectors[m])
-        jump, _, _ = _field_edge_terms(mesh, tables, field[m], field[m], sets)
-        bdy = 0.0
-        for b in range(4):
-            sn = sets.side_sn[b]
-            if sn == 0.0:
-                continue
-            bc = mesh.boundary_cells(b)
-            ref = _edge_points(b, p1)
-            xe = org[bc, 0][:, None] + h * ref[None, :, 0]
-            ye = org[bc, 1][:, None] + h * ref[None, :, 1]
-            diff = field[m][bc] @ tf[b].T - case.u(xe, ye, thetas[m])
-            bdy += abs(sn) * h * np.sum(w1[None, :] * diff**2)
+        kappa = np.abs(classify_edges(quad.vectors[m]).side_sn) * h
+        faces, _ = _face_traces(mesh, tables, field[m])
+        jump = _jump_sum(kappa, tables.quad.edge_weights, faces, faces)
+        sides = _side_traces(mesh, fine, field[m])
+        diff = [t - _sample(case.u, x, y, thetas[m]) for t, (x, y) in zip(sides, edges)]
+        bdy = _boundary_sum(kappa, fq.edge_weights, diff, diff)
         total += quad.weights[m] * (vol[m] + 0.5 * jump + bdy)
     return err_dom, float(np.sqrt(total))
 

@@ -578,15 +578,20 @@ class TestDirectionSystem:
         assert np.abs(sysm.scatter_test - tables.V).max() > 0.1
 
     def test_variable_sigma_t(self, quad, kernel):
-        # callable total cross-section lands in the mass term
+        # callable total cross-section lands in the mass term, and a
+        # constant it returns is broadcast
         mesh, tables = build_mesh(1), _tables(1)
-        fixed = assemble_direction(
-            WG(), mesh, tables, quad, kernel, Medium(2.0, 0.5), 0
-        )
-        varying = assemble_direction(
-            WG(), mesh, tables, quad, kernel,
-            Medium(lambda x, y: np.full_like(x, 2.0), 0.5), 0,
-        )
-        assert_allclose(
-            varying.matrix.toarray(), fixed.matrix.toarray(), atol=1e-13
-        )
+        fixed = Medium(2.0, 0.5)
+        u, v = np.random.default_rng(3).standard_normal((2, len(quad), mesh.n_cells, tables.dof))
+        for sigma_t in (lambda x, y: np.full_like(x, 2.0), lambda x, y: 2.0):
+            varying = Medium(sigma_t, 0.5)
+            assert_allclose(
+                assemble_direction(WG(), mesh, tables, quad, kernel, varying, 0).matrix.toarray(),
+                assemble_direction(WG(), mesh, tables, quad, kernel, fixed, 0).matrix.toarray(),
+                atol=1e-13,
+            )
+            assert_allclose(
+                eval_bilinear(WG(), mesh, tables, quad, kernel, varying, u, v),
+                eval_bilinear(WG(), mesh, tables, quad, kernel, fixed, u, v),
+                rtol=1e-13,
+            )

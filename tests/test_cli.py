@@ -1,8 +1,13 @@
 import io
+import os
+import resource
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 
 import pytest
 
+import dowg
 from dowg import _hooks
 from dowg.cli import (
     EXIT_IO,
@@ -191,6 +196,32 @@ class TestExitCodes:
         assert "GiB" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
+    def test_scattering_kernel_too_large_exits_3(self, tmp_path):
+        # the (L, L) kernel of 100000 ordinates is 75 GiB; the size check
+        # refuses it before anything is built, and the address-space limit
+        # keeps the run from allocating it should the check let it through
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (8 * 2**30, 8 * 2**30))
+
+        src = os.path.dirname(os.path.dirname(dowg.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        run = subprocess.run(
+            [sys.executable, "-m", "dowg.cli", "solve", "--levels", "2",
+             "--directions", "100000", "--out", str(tmp_path)],
+            preexec_fn=limit, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert run.returncode == EXIT_VALIDATION
+        assert "GiB" in run.stderr and "Traceback" not in run.stderr
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("level", ["2", "5"], ids=["exact-lu", "sweep"])
+    def test_singular_system_exits_3(self, level, tmp_path, capsys):
+        code = main(["solve", "--scheme", "dodsd", "--sd-c", "1e300",
+                     "--levels", level, "--out", str(tmp_path)])
+        assert code == EXIT_VALIDATION
+        assert "singular" in capsys.readouterr().err.lower()
+
     def test_unknown_flag_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["convergence", "--bogus"])
@@ -222,6 +253,17 @@ class TestExitCodes:
         assert "solver failure" in captured.err and "uncertified" in captured.err
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             f"solve_example1_wg_Q1.{e}" for e in ("csv", "md", "svg")
+        ]
+
+    def test_diverged_solve_exits_4_after_its_reports(self, tmp_path, capsys):
+        # a huge penalty makes every update norm NaN; the trace plot has
+        # no point to draw, but the reports are written before the exit 4
+        code = main(["solve", "--scheme", "dodg", "--cp", "1e300", "--levels", "2",
+                     "--out", str(tmp_path)])
+        assert code == EXIT_SOLVER
+        assert "uncertified" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            f"solve_example1_dodg_Q1.{e}" for e in ("csv", "md", "svg")
         ]
 
     def test_angular_study_needs_two_ordinate_counts(self, tmp_path, capsys):
@@ -264,6 +306,13 @@ def run_files(tmp_path, argv):
 
 
 class TestCommands:
+    def test_exact_sweeps_write_the_trace_svg(self, tmp_path):
+        # without scattering the second sweep changes nothing, so its
+        # update norm is 0, which the log-log trace plot leaves out
+        names = run_files(tmp_path, ["solve", "--sigma-s", "0", "--levels", "2"])
+        assert names == [f"solve_example1_wg_Q1.{e}" for e in ("csv", "md", "svg")]
+        ET.fromstring((tmp_path / "solve_example1_wg_Q1.svg").read_text())
+
     def test_solve_outputs(self, tmp_path, capsys):
         names = run_files(tmp_path, [
             "solve", "--levels", "2", "--directions", "8", "--order", "1",

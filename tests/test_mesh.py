@@ -42,6 +42,16 @@ class TestBuildMesh:
         dy = corners[:, 3, 1] - corners[:, 0, 1]
         assert_allclose(np.sum(dx * dy), 1.0, atol=1e-14)
 
+    @pytest.mark.parametrize("level", [1, 2, 3])
+    def test_points_map_reference_corners(self, level):
+        m = build_mesh(level)
+        ref = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+        for cells in (slice(None), np.arange(m.n_cells)[1::3]):
+            x, y = m.points(ref, cells)
+            assert x.shape == y.shape == (len(m.cell_corners[cells]), 4)
+            assert_array_equal(x, m.cell_corners[cells][:, :, 0])
+            assert_array_equal(y, m.cell_corners[cells][:, :, 1])
+
     def test_level_bounds(self):
         with pytest.raises(ValueError):
             build_mesh(0)

@@ -12,7 +12,9 @@ from dowg.reporting import (
     write_convergence_csv,
     write_convergence_markdown,
     write_convergence_svg,
+    write_trace_svg,
 )
+from dowg.solver import IterationTrace
 from dowg.verify import AngularStudyReport, ConvergenceReport
 
 
@@ -137,3 +139,15 @@ class TestSvg:
         write_convergence_svg(conv_report(), a)
         write_convergence_svg(conv_report(), b)
         assert a.getvalue() == b.getvalue()
+
+    @pytest.mark.parametrize("errs, points", [([1.0, 0.0], 1), ([float("nan")] * 2, 0)],
+                             ids=["exact-sweep", "nan"])
+    def test_trace_plots_only_finite_positive_updates(self, errs, points):
+        # an exact sweep's update norm is 0, a diverged run's NaN; neither
+        # has a logarithm, and with no point left the axes stay empty
+        buf = io.StringIO()
+        write_trace_svg(IterationTrace(errs, False), buf)
+        text = buf.getvalue()
+        ET.fromstring(text)
+        assert text.count("<circle") == points
+        assert "nan" not in text

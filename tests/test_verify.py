@@ -265,6 +265,13 @@ class TestCheckMemory:
         with pytest.raises(ValueError, match="M = 80"):
             _check_memory(1, 8, 80, budget=4 * 2**30)
 
+    def test_counts_the_scattering_kernel(self):
+        # at M = 100000 the dense (L, L) kernel alone is 75 GiB, while the
+        # per-ordinate storage and fields on a 4 x 4 grid are 1.3 GB
+        with pytest.raises(ValueError, match="M = 100000"):
+            _check_memory(1, 2, 100_000, budget=8 * 2**30)
+        _check_memory(1, 2, 20, budget=8 * 2**30)
+
     def test_solve_case_checks_before_assembly(self, monkeypatch):
         monkeypatch.setattr("dowg.verify._memory_budget", lambda: 2**10)
         with pytest.raises(ValueError, match="GiB"):
