@@ -92,8 +92,11 @@ class QuadMesh:
         """Physical x and y of the reference points ``ref`` (shape (P, 2))
         in each of ``cells``, each of shape (cells, P)."""
         ref = np.asarray(ref)
-        o = self.cell_origins[cells]
-        return o[:, :1] + self.h * ref[:, 0], o[:, 1:] + self.h * ref[:, 1]
+        # the requested cells' origins only, as ``cell_origins`` forms them
+        idx = np.arange(self.n_cells)[cells, None]
+        x = self.h * (idx % self.n).astype(float)
+        y = self.h * (idx // self.n).astype(float)
+        return x + self.h * ref[:, 0], y + self.h * ref[:, 1]
 
     @property
     def cell_corners(self):

@@ -16,7 +16,8 @@ weighted broken L2) and residuals bounds the remaining iteration error
 by a multiple of rho/(1 - rho) times the last update norm (``_bound``).
 The loop stops when that bound and the coupled relative residual
 ||r|| / ||b + S x|| are both at most the tolerance; rho >= 1 means no
-stop.
+stop.  An update norm or residual that is not finite (the field
+overflowed) ends the loop at once, uncertified.
 
 Each ordinate is the pair (P_m^{-1}, R_m), built once before the first
 sweep (``_pairs``), with R_m None when P_m = A_m.  At desk scale that is
@@ -27,8 +28,9 @@ downwind remainder (the DODG jump penalty; WG sweeps its matrix plus its
 own stabilizer, the penalty-free upwind operator, and leaves the
 stabilizer as the remainder), and the streamline-diffusion systems are
 exactly triangular in that order (R_m = 0).  A sweep ordinate holds
-D^{-1}, the unit lower triangular M = D^{-1}(D + L) and R_m, cut
-straight from the block stencil; the assembled A_m is never formed.
+D^{-1} per cell class, the unit lower triangular M = D^{-1}(D + L) and
+R_m, cut straight from the block stencil; the assembled A_m is never
+formed.
 The stencil holds one block row per cell class (at most nine on the
 uniform grid), so the set-up works on class blocks and fills M and R
 into sparsity patterns that the ordinates of a run share.  A
@@ -190,11 +192,16 @@ class _SweepSolve:
     downwind jump-penalty blocks, for DODSD nothing.
 
     The ordinate holds three things, built straight from the stencil
-    slots: ``dinv``, the cell blocks of D^{-1} in front order; ``M`` =
-    D^{-1}(D + L), unit lower triangular once the cells are renumbered
-    front by front, as CSC with its unit diagonal stored; and ``R`` as
-    CSR in natural order, None when it is 0.  ``_forward`` applies
-    P^{-1} as a D^{-1} scaling and one triangular solve with M
+    slots: D^{-1} per cell class; ``M`` = D^{-1}(D + L), unit lower
+    triangular once the cells are renumbered front by front, as CSC with
+    its unit diagonal stored; and ``R`` as CSR in natural order, None
+    when it is 0.  D^{-1} is ``_bulk``, the block of the class that
+    covers the most cells, transposed for a right multiply, and
+    ``_edge_dinv``, the blocks of the other cells, at the front
+    positions ``_edge``: with a constant sigma_t those are the 4n - 4
+    boundary cells, with a callable one all cells but one.
+    ``_forward`` applies P^{-1} as one matrix product with ``_bulk``,
+    the edge cells' own scaling over it and one triangular solve with M
     (``_unit_lower_solve``), O(nnz) in time and memory; with ``R`` it is
     the ordinate's pair.
 
@@ -207,8 +214,9 @@ class _SweepSolve:
     grid, for M the quadrant, and the nonzero entries of the class
     blocks, which are 0 outside the touched slots), and the ordinates
     with that key share its read-only ``indices`` and ``indptr``, as
-    those of a quadrant share its front order.  Every array equals, bit
-    for bit, what one ordinate's per-cell blocks convert to on their own.
+    those of a quadrant share its front order and ``_edge``.  Every
+    array equals, bit for bit, what one ordinate's per-cell blocks
+    convert to on their own.
     """
 
     def __init__(self, system, patterns):
@@ -246,19 +254,34 @@ class _SweepSolve:
             lower[t, slot] = dinv[t] @ P[t, j]
         # R = A - P: in the own and upwind slots minus the shift, or 0
         acc.blocks[:, kept] -= P
+        # D^{-1} per class: the bulk class's block for one right multiply,
+        # and the blocks of the other cells at their front positions; the
+        # grid and the class count fix the cell -> class map
+        key = (front, len(dinv))
+        if key not in patterns:
+            cls = acc.cls[order]
+            bulk = np.argmax(np.bincount(cls))
+            edge = np.nonzero(cls != bulk)[0]
+            edge.flags.writeable = False
+            patterns[key] = bulk, edge
+        bulk, edge = patterns[key]
         self.d = d
         self.M = _filled(patterns, acc, lower, front)
         self.R = _filled(patterns, acc, acc.blocks) if acc.blocks.any() else None
-        self.dinv = dinv[acc.cls[order]]
+        self._bulk = dinv[bulk].T.copy()
+        self._edge = edge
+        self._edge_dinv = dinv[acc.cls[order[edge]]]
         self._order = order
         self._rank = rank
 
     def _forward(self, g):
         """Apply (D + L)^{-1}: scale by D^{-1}, then solve with the unit
         lower triangular M in front order."""
-        d = self.d
-        y = np.einsum("cij,cj->ci", self.dinv, np.reshape(g, (-1, d))[self._order]).ravel()
-        z = _unit_lower_solve(self.M, y)
+        d, edge = self.d, self._edge
+        g = np.reshape(g, (-1, d))[self._order]
+        y = g @ self._bulk
+        y[edge] = np.einsum("cij,cj->ci", self._edge_dinv, g[edge])
+        z = _unit_lower_solve(self.M, y.ravel())
         return z.reshape(-1, d)[self._rank].ravel()
 
 
@@ -333,8 +356,9 @@ def source_iteration(systems, kernel, quad, cfg=None, certify=None):
     the coupled relative residual are both at most ``cfg.tol``.  If
     ``certify`` is given, it maps that field to a target for the bound;
     while the bound is above it, the loop resumes with the target as its
-    tolerance.  Running out of ``cfg.max_outer`` sweeps is flagged in the
-    trace rather than raised; the partial field is still returned.
+    tolerance.  Running out of ``cfg.max_outer`` sweeps, or an update
+    norm or residual that is not finite, is flagged in the trace rather
+    than raised; the partial field is still returned.
     """
     cfg = cfg or SourceIterationConfig()
     sys0 = systems[0]
@@ -372,6 +396,8 @@ def source_iteration(systems, kernel, quad, cfg=None, certify=None):
         residuals.append(residual)
         errs.append(l2_dom_norm(mesh, tables, quad, update))
         bound = _bound(errs, residuals)
+        if not np.isfinite(errs[-1] + residual):
+            break  # the field overflowed: stop uncertified
         if bound <= tol and residual <= tol:
             target = tol if certify is None else certify(field)
             if bound <= target:

@@ -238,15 +238,18 @@ def _check_memory(k, level, M, budget=None):
     whose estimated storage is above ``budget`` bytes (by default
     ``_memory_budget()``).
 
-    The estimate counts, per ordinate, what its sweep keeps: D^{-1} (one
-    d x d block per cell), the 8-byte values of M and R (at most two
-    blocks per cell each; over the three schemes, k = 1, 2 and every
-    ordinate at 1/h = 32 and 64 they hold at most 1.23 and 1.73) and the
-    right side.  The index arrays of M and R are shared by the ordinates
-    of one sparsity pattern, so they count once per pattern: at most
-    eight for M and eight for R (four quadrants, on an axis or not, and
-    never more than the ordinates), each with 4-byte indices and its
-    indptr.  The set-up's scratch (the patterns' 8-byte gathers and one
+    The estimate counts, per ordinate, what its sweep keeps: D^{-1}, the
+    8-byte values of M and R (at most two blocks per cell each; over the
+    three schemes, k = 1, 2 and every ordinate at 1/h = 32 and 64 they
+    hold at most 1.23 and 1.73) and the right side.  D^{-1} counts one
+    d x d block per cell, the bound for a callable sigma_t, which makes
+    every cell its own class; with a constant sigma_t the sweep keeps
+    4n - 3 blocks, so this term overcounts there, but sigma_t is not
+    known before the kernel is built.  The index arrays of M and R are
+    shared by the ordinates of one sparsity pattern, so they count once
+    per pattern: at most eight for M and eight for R (four quadrants, on
+    an axis or not, and never more than the ordinates), each with 4-byte
+    indices and its indptr.  The set-up's scratch (the patterns' 8-byte gathers and one
     pattern's conversion, measured at most 68 bytes per block entry) is
     freed before the loop allocates five (L, C, dof) fields (the
     iterate, the previous right sides g, the update and the scattering

@@ -25,7 +25,9 @@ from dowg.angular import HenyeyGreenstein, build_circle_trapezoid, build_scatter
 from dowg.assembly import DODG, DODSD, WG, Medium, assemble_direction
 from dowg.elements import ElementQuadrature, ElementTables, LocalBasis
 from dowg.mesh import build_mesh
-from dowg.solver import SourceIterationConfig, _pairs, _SweepSolve, source_iteration
+from dowg.solver import (
+    SourceIterationConfig, _pairs, _SweepSolve, _unit_lower_solve, source_iteration,
+)
 
 _SCHEMES = {"wg": WG(), "dodg": DODG(), "dodsd": DODSD()}
 
@@ -93,6 +95,15 @@ def _cell_built(system):
         return system.matrix, _CellSweep(system)
 
 
+def _dinv_cells(sw):
+    """The per-cell D^{-1} in front order that a sweep's class storage
+    stands for: its bulk block at every cell, the edge blocks at
+    ``_edge``."""
+    cells = np.repeat(sw._bulk.T[None], len(sw._order), axis=0)
+    cells[sw._edge] = sw._edge_dinv
+    return cells
+
+
 def _same(a, b):
     """Equal dtype, shape and bytes."""
     a, b = np.asarray(a), np.asarray(b)
@@ -117,7 +128,7 @@ def _assert_class_built_is_cell_built(systems):
         sw = _SweepSolve(system, patterns)
         _same_sparse(sw.M, ref.M)
         _same_sparse(sw.R, ref.R)
-        _same(sw.dinv, ref.dinv)
+        _same(_dinv_cells(sw), ref.dinv)
         _same(sw._order, ref._order)
         _same(sw._rank, ref._rank)
 
@@ -183,6 +194,69 @@ class TestClassBuiltEqualsCellBuilt:
             _assert_class_built_is_cell_built([system])
 
 
+def _assert_forward_is_cell_forward(systems):
+    """Each sweep's ``_forward`` equals the per-cell reference: the
+    per-cell D^{-1} einsum, the triangular solve, the rank gather."""
+    patterns = {}
+    rng = np.random.default_rng(11)
+    for system in systems:
+        _, ref = _cell_built(system)
+        sw = _SweepSolve(system, patterns)
+        d = sw.d
+        g = rng.standard_normal(system.n_dof)
+        y = np.einsum("cij,cj->ci", ref.dinv, g.reshape(-1, d)[ref._order]).ravel()
+        want = _unit_lower_solve(ref.M, y).reshape(-1, d)[ref._rank].ravel()
+        assert np.abs(sw._forward(g) - want).max() <= 1e-14 * np.abs(want).max()
+
+
+def _sigma_t(kind):
+    return 2.0 if kind == "constant" else (lambda x, y: 2.0 + x * y)
+
+
+class TestClassDinv:
+    """D^{-1} is held per class: one bulk block and the blocks of the
+    other cells, and ``_forward`` applies it as the per-cell blocks did."""
+
+    @pytest.mark.parametrize("kind", ["constant", "callable"])
+    @pytest.mark.parametrize("level", [1, 2, 4])  # n = 2, 4, 16
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("name", sorted(_SCHEMES))
+    def test_forward_equals_per_cell(self, name, k, level, kind):
+        _assert_forward_is_cell_forward(_systems(name, k, level, sigma_t=_sigma_t(kind)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        theta=_THETAS,
+        k=st.sampled_from([1, 2]),
+        name=st.sampled_from(sorted(_SCHEMES)),
+        level=st.sampled_from([1, 2, 4]),
+        kind=st.sampled_from(["constant", "callable"]),
+        hook=st.sampled_from([None, "flip_inflow_sign", "tie_break_inflow"]),
+    )
+    def test_any_direction(self, theta, k, name, level, kind, hook):
+        _, kernel, medium, mesh, tables = _setup(k, level, _sigma_t(kind))
+        one = _one_ordinate(theta)
+        with _hooks.inject(hook) if hook else nullcontext():
+            system = assemble_direction(_SCHEMES[name], mesh, tables, one, kernel, medium, 0)
+            _assert_forward_is_cell_forward([system])
+
+    @pytest.mark.parametrize("level", [2, 4, 5])
+    def test_class_sized_storage(self, level):
+        # with a constant sigma_t the edge cells are the boundary ones
+        # (n > 2), and no array holds a block per cell; a callable sigma_t
+        # keeps every cell but the bulk one at the edge
+        n = 2**level
+        for kind, edge in (("constant", 4 * n - 4), ("callable", n * n - 1)):
+            patterns = {}
+            for system in _systems("dodg", 1, level, sigma_t=_sigma_t(kind)):
+                sw = _SweepSolve(system, patterns)
+                assert sw._bulk.shape == (sw.d, sw.d) and len(sw._edge) == edge
+                assert sw._edge_dinv.shape == (edge, sw.d, sw.d)
+                blocks = sum(v.size for v in vars(sw).values()
+                             if isinstance(v, np.ndarray) and v.ndim > 1)
+                assert blocks == (edge + 1) * sw.d**2
+
+
 class TestSharedPatterns:
     def test_one_quadrant_shares_its_indices(self):
         # m = 1..4 lie strictly inside the first quadrant; the patterns
@@ -195,8 +269,10 @@ class TestSharedPatterns:
                 assert np.shares_memory(a.indptr, b.indptr)
                 assert not np.shares_memory(a.data, b.data)
             assert sw._order is first._order and sw._rank is first._rank
+            assert sw._edge is first._edge
         assert not first.M.indices.flags.writeable
         assert not first.R.indptr.flags.writeable
+        assert not first._edge.flags.writeable
         assert not np.shares_memory(sweeps[0].M.indices, first.M.indices)  # on an axis
 
     def test_sweeps_die_with_the_run(self, monkeypatch):

@@ -256,15 +256,20 @@ class TestExitCodes:
         ]
 
     def test_diverged_solve_exits_4_after_its_reports(self, tmp_path, capsys):
-        # a huge penalty makes every update norm NaN; the trace plot has
-        # no point to draw, but the reports are written before the exit 4
+        # a huge penalty makes the first update norm NaN; the run stops
+        # there, not at the sweep cap, and the trace plot has no point to
+        # draw, but the reports are written before the exit 4
         code = main(["solve", "--scheme", "dodg", "--cp", "1e300", "--levels", "2",
                      "--out", str(tmp_path)])
         assert code == EXIT_SOLVER
-        assert "uncertified" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert "1 sweeps, converged=False" in captured.out
+        assert "uncertified" in captured.err
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             f"solve_example1_dodg_Q1.{e}" for e in ("csv", "md", "svg")
         ]
+        csv = (tmp_path / "solve_example1_dodg_Q1.csv").read_text().splitlines()
+        assert csv == ["iteration,err", "1,nan"]
 
     def test_angular_study_needs_two_ordinate_counts(self, tmp_path, capsys):
         # the library takes one count, but the study's plateau needs two

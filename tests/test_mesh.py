@@ -52,6 +52,17 @@ class TestBuildMesh:
             assert_array_equal(x, m.cell_corners[cells][:, :, 0])
             assert_array_equal(y, m.cell_corners[cells][:, :, 1])
 
+    @pytest.mark.parametrize("level", [1, 3, 7])
+    def test_points_of_some_cells_are_rows_of_all(self, level):
+        # only the requested cells are mapped, bit for bit as in the full map
+        m = build_mesh(level)
+        ref = np.random.default_rng(level).random((5, 2))
+        X, Y = m.points(ref)
+        for cells in (slice(1, None, 3), np.arange(m.n_cells)[::-5],
+                      *(m.boundary_cells(s) for s in range(4))):
+            x, y = m.points(ref, cells)
+            assert x.tobytes() == X[cells].tobytes() and y.tobytes() == Y[cells].tobytes()
+
     def test_level_bounds(self):
         with pytest.raises(ValueError):
             build_mesh(0)

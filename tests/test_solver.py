@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 from test_assembly import _THETAS, _one_ordinate, _quadrature_norm, _quadrature_source
+from test_class_stencil import _dinv_cells
 
 import dowg.solver
 from dowg.angular import (
@@ -112,7 +113,7 @@ def _natural_lower(sw):
     holds: D from D^{-1}, and D M renumbered back from front order."""
     d = sw.d
     dofs = (np.asarray(sw._order)[:, None] * d + np.arange(d)).ravel()
-    D = sp.block_diag(list(np.linalg.inv(sw.dinv)), format="csr")
+    D = sp.block_diag(list(np.linalg.inv(_dinv_cells(sw))), format="csr")
     P = (D @ sw.M).tocoo()
     return sp.csr_matrix(
         (P.data, (dofs[P.row], dofs[P.col])), shape=P.shape
@@ -421,6 +422,37 @@ class TestSourceIteration:
         assert not trace.converged
         assert trace.iterations == 2
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_update_stops_at_once(self, monkeypatch, bad):
+        # a sweep whose solve returns a non-finite field ends the loop,
+        # uncertified, after that sweep
+        quad, kernel, medium, mesh, tables = _setup(level=4, k=1)
+        systems = _systems(WG(), quad, kernel, medium, mesh, tables, f=_source)
+        real = dowg.solver._pairs
+        solves = []
+
+        def poisoned(solve):
+            def step(g):
+                solves.append(1)
+                x = solve(g)
+                if len(solves) > 2 * len(quad):  # from the third sweep on
+                    x[0] = bad
+                return x
+            return step
+
+        def failing(systems):
+            return [(poisoned(solve), R) for solve, R in real(systems)]
+
+        monkeypatch.setattr(dowg.solver, "_pairs", failing)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            _, trace = source_iteration(
+                systems, kernel, quad, SourceIterationConfig(tol=1e-9)
+            )
+        assert not trace.converged and trace.iterations == 3
+        assert not np.isfinite(trace.errs[-1])
+        assert np.isfinite(trace.errs[:2]).all()
+
     def test_scattering_fixed_point(self):
         # converged field solves each direction system with the lagged
         # source evaluated at the field itself
@@ -533,8 +565,8 @@ class TestUnitLowerSolve:
 
 
 class TestSplitStorage:
-    """Each sweep ordinate holds D^{-1}, M and R only, and the loop never
-    assembles a system matrix."""
+    """Each sweep ordinate holds D^{-1} per class, M and R only, and the
+    loop never assembles a system matrix."""
 
     @staticmethod
     def _no_matrix(system):
@@ -563,7 +595,10 @@ class TestSplitStorage:
             assert held["M"].format == "csc"
             if sw.R is not None:
                 assert sw.R.format == "csr" and sw.R.nnz < sysm.matrix.nnz
-            assert sw.dinv.shape == (mesh.n_cells, tables.dof, tables.dof)
+            # D^{-1} per class: the bulk block and the 4n - 4 boundary cells' blocks
+            blocks = sum(v.size for v in vars(sw).values()
+                         if isinstance(v, np.ndarray) and v.ndim > 1)
+            assert blocks <= (4 * mesh.n - 3) * tables.dof**2
             assert not any(sp.issparse(v) for v in vars(sysm).values())
 
 
