@@ -12,7 +12,6 @@ convergence orders.
 
 from .angular import (
     AngularQuadrature,
-    Direction,
     HenyeyGreenstein,
     Isotropic,
     LinearAnisotropic,

@@ -13,12 +13,11 @@ iteration and coercivity both require the margin sigma_t - sigma_s * max_m
 b_m to stay positive.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "Direction",
     "AngularQuadrature",
     "HenyeyGreenstein",
     "LinearAnisotropic",
@@ -33,71 +32,41 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class Direction:
-    """A single quadrature ordinate.
-
-    Attributes
-    ----------
-    theta : float
-        Angle in radians on [0, 2*pi].
-    unit_vector : ndarray
-        Cartesian components; unit length to rounding.
-    """
-
-    theta: object
-    unit_vector: np.ndarray
-
-
-@dataclass(frozen=True)
 class AngularQuadrature:
-    """Ordinate directions and weights for the discrete-ordinate method.
+    """Ordinate angles, weights and directions for the discrete-ordinate
+    method, one row per ordinate.
 
     Attributes
     ----------
-    nodes : list of Direction
-    weights : ndarray
+    thetas : ndarray, shape (L,)
+        Angles in radians on [0, 2*pi].
+    weights : ndarray, shape (L,)
         Strictly positive; sums to 2*pi.
-    mode : str
-        ``"circle-trapezoid"``.
-    M : int
-        Node index bound (circle: nodes are indexed 0..M).
-    h_theta : float or None
-        Angular spacing 2*pi/M in circle mode, None otherwise.
+    vectors : ndarray, shape (L, 2)
+        Direction s_m = (cos theta_m, sin theta_m); unit length to rounding.
     """
 
-    nodes: list
+    thetas: np.ndarray
     weights: np.ndarray
-    mode: str
-    M: int
-    h_theta: float | None = None
-    vectors: np.ndarray = field(default=None, repr=False)  # (L, dim) row per node
-
-    def __post_init__(self):
-        if self.vectors is None:
-            vec = np.array([d.unit_vector for d in self.nodes])
-            object.__setattr__(self, "vectors", vec)
+    vectors: np.ndarray
 
     def __len__(self):
-        return len(self.nodes)
-
-    @property
-    def thetas(self):
-        return np.array([d.theta for d in self.nodes])
+        return len(self.thetas)
 
 
 def build_circle_trapezoid(M):
     """Composite trapezoid rule on the unit circle with M panels.
 
-    Returns M+1 nodes theta_m = m*2*pi/M, m = 0..M, with the endpoint
-    weights halved: w_0 = w_M = h_theta/2 and w_m = h_theta in the
-    interior.  theta_0 = 0 and theta_M = 2*pi carry the same direction
-    vector but are kept as distinct ordinates; downstream solves treat
-    them separately and their solutions coincide by construction.
+    Returns M+1 ordinates theta_m = m*h, m = 0..M, with the endpoint
+    weights halved: w_0 = w_M = h/2 and w_m = h in the interior.
+    theta_0 = 0 and theta_M = 2*pi carry the same direction vector but
+    are kept as distinct ordinates; downstream solves treat them
+    separately and their solutions coincide by construction.
 
     Parameters
     ----------
     M : int
-        Number of panels, M >= 2.  The angular spacing is h_theta = 2*pi/M.
+        Number of panels, M >= 2.  The angular spacing is h = 2*pi/M.
     """
     M = int(M)
     if M < 2:
@@ -112,8 +81,7 @@ def build_circle_trapezoid(M):
     vectors[-1] = vectors[0]
     weights = np.full(M + 1, h)
     weights[0] = weights[-1] = 0.5 * h
-    nodes = [Direction(float(t), vectors[i]) for i, t in enumerate(thetas)]
-    return AngularQuadrature(nodes, weights, "circle-trapezoid", M, h, vectors)
+    return AngularQuadrature(thetas, weights, vectors)
 
 
 @dataclass(frozen=True)

@@ -41,6 +41,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import _hooks
+from .angular import apply_scatter
 from .elements import _edge_points, _sample
 from .mesh import SIDE_NORMALS, classify_edges
 
@@ -248,7 +249,7 @@ def assemble_direction(scheme, mesh, tables, quad, kernel, medium, m, f=None, u_
     _check_margin(kernel, medium)
     if not isinstance(scheme, (WG, DODG, DODSD)):
         raise TypeError(f"unknown scheme {scheme!r}")
-    theta = quad.nodes[m].theta
+    theta = quad.thetas[m]
     sets = classify_edges(quad.vectors[m])
     s = sets.direction  # snapped copy
     d = tables.dof
@@ -372,11 +373,12 @@ def scattering_source(systems, kernel, quad, field):
     ordinates, from the current iterate.
 
     ``field`` has shape (L, C, dof); returns the same shape.  The kernel
-    is contracted on the broken-polynomial coefficients, and the result
-    is mapped to each system's test table through the (dof, dof) matrix
-    sigma_s h^2 V^T W test, so no quadrature-point array is formed.
+    is applied (``apply_scatter``) to the broken-polynomial coefficients,
+    and the result is mapped to each system's test table through the
+    (dof, dof) matrix sigma_s h^2 V^T W test, so no quadrature-point
+    array is formed.
     """
-    coeffs = np.tensordot(kernel.matrix * quad.weights[None, :], field, axes=1)
+    coeffs = apply_scatter(kernel, quad, field)
     return np.stack([coeffs[s.m] @ _scatter_map(s) for s in systems])
 
 

@@ -325,8 +325,12 @@ def _cmd_solve(cfg):
     sol = solve_case(case, scheme=_scheme(cfg), k=cfg.order,
                      level=cfg.levels[0], M=cfg.directions[0], cfg=it_cfg,
                      renormalize=cfg.renormalize_kernel)
-    err_dom, err_tri = measure_error(sol.field, case, sol.mesh, sol.tables,
-                                     sol.quad)
+    # the loop's own stop test: a field that overflowed is not measured
+    if np.isfinite(sol.trace.errs[-1] + sol.trace.residual):
+        err_dom, err_tri = measure_error(sol.field, case, sol.mesh, sol.tables,
+                                         sol.quad)
+    else:
+        err_dom = err_tri = np.nan
     n = sol.mesh.n
     print(f"{cfg.case} {cfg.scheme} Q{cfg.order} 1/h={n} M={cfg.directions[0]}: "
           f"error {err_dom:.4e} (energy {err_tri:.4e}), "
@@ -358,20 +362,12 @@ def _cmd_solve(cfg):
     return EXIT_OK
 
 
-def _print_markdown(write, *args):
-    import io
-
-    buf = io.StringIO()
-    write(*args, buf)
-    print(buf.getvalue(), end="")
-
-
 def _cmd_convergence(cfg):
     rep = run_convergence(
         _case(cfg), scheme=_scheme(cfg), k=cfg.order, levels=cfg.levels,
         M=cfg.directions[0], tol=cfg.tol, renormalize=cfg.renormalize_kernel,
     )
-    _print_markdown(write_convergence_markdown, rep)
+    write_convergence_markdown(rep, sys.stdout)
     _emit(cfg, {
         "csv": lambda p: write_convergence_csv(rep, p),
         "md": lambda p: write_convergence_markdown(rep, p),
@@ -386,7 +382,7 @@ def _cmd_compare(cfg):
         c_p=cfg.cp, sd_c=cfg.sd_c, tol=cfg.tol,
         renormalize=cfg.renormalize_kernel,
     )
-    _print_markdown(write_comparison_markdown, reps)
+    write_comparison_markdown(reps, sys.stdout)
     ratios = dominance_ratios(reps)
     print("wg error over best competitor, per level: "
           + " ".join(f"{r:.3f}" for r in ratios))
@@ -404,7 +400,7 @@ def _cmd_angular(cfg):
         Ms=cfg.directions, tol=cfg.tol if cfg.tol is not None else 1e-9,
         renormalize=cfg.renormalize_kernel,
     )
-    _print_markdown(write_angular_markdown, rep)
+    write_angular_markdown(rep, sys.stdout)
     print(f"angular contribution monotone: {rep.monotone}; "
           f"plateaued: {rep.plateaued()}")
     _emit(cfg, {

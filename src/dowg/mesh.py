@@ -160,7 +160,7 @@ def classify_edges(direction):
     domain sides with s.n < 0 form the inflow boundary where prescribed
     external intensity enters.
     """
-    s = np.asarray(getattr(direction, "unit_vector", direction), dtype=float)
+    s = np.asarray(direction, dtype=float)
     if s.shape != (2,):
         raise ValueError("direction must be a 2D unit vector")
     s = np.where(np.abs(s) < 1e-14, 0.0, s)  # rounding noise breaks the tie rule

@@ -339,15 +339,14 @@ def measure_error(field, case, mesh, tables, quad):
     field = np.asarray(field)
     h = mesh.h
     k = tables.basis.k
-    thetas = np.array([d.theta for d in quad.nodes])
     fine = ElementTables(tables.basis, ElementQuadrature.build(k, k + 3, k + 3))
     fq = fine.quad
 
     X, Y = mesh.points(fq.vol_points)
     # one ordinate at a time, so no (L, C, q) array is formed
     vol = np.empty(len(quad))
-    for m in range(len(quad)):
-        diff = field[m] @ fine.V.T - _sample(case.u, X, Y, thetas[m])
+    for m, th in enumerate(quad.thetas):
+        diff = field[m] @ fine.V.T - _sample(case.u, X, Y, th)
         vol[m] = h * h * np.sum(diff**2 @ fq.vol_weights)
     err_dom = float(np.sqrt(np.sum(quad.weights * vol)))
 
@@ -356,12 +355,12 @@ def measure_error(field, case, mesh, tables, quad):
         for b in range(4)
     ]
     total = 0.0
-    for m in range(len(quad)):
+    for m, th in enumerate(quad.thetas):
         kappa = np.abs(classify_edges(quad.vectors[m]).side_sn) * h
         faces, _ = _face_traces(mesh, tables, field[m])
         jump = _jump_sum(kappa, tables.quad.edge_weights, faces, faces)
         sides = _side_traces(mesh, fine, field[m])
-        diff = [t - _sample(case.u, x, y, thetas[m]) for t, (x, y) in zip(sides, edges)]
+        diff = [t - _sample(case.u, x, y, th) for t, (x, y) in zip(sides, edges)]
         bdy = _boundary_sum(kappa, fq.edge_weights, diff, diff)
         total += quad.weights[m] * (vol[m] + 0.5 * jump + bdy)
     return err_dom, float(np.sqrt(total))
@@ -370,8 +369,7 @@ def measure_error(field, case, mesh, tables, quad):
 def project_exact(case, mesh, tables, quad):
     """Elementwise L2 projection of the exact solution, per ordinate."""
     field = np.empty((len(quad), mesh.n_cells, tables.dof))
-    for m, node in enumerate(quad.nodes):
-        th = node.theta
+    for m, th in enumerate(quad.thetas):
         field[m] = project_field(mesh, tables, lambda x, y: case.u(x, y, th))
     return field
 

@@ -27,7 +27,6 @@ class TestCircleTrapezoid:
     def test_paper_resolution(self):
         q = build_circle_trapezoid(20)
         assert len(q) == 21
-        assert_allclose(q.h_theta, np.pi / 10)
         assert_allclose(q.weights[0], np.pi / 20)
         assert_allclose(q.weights[-1], np.pi / 20)
         assert_allclose(q.weights[1:-1], np.pi / 10)
@@ -57,6 +56,18 @@ class TestCircleTrapezoid:
         q = build_circle_trapezoid(12)
         assert_allclose(np.linalg.norm(q.vectors, axis=1), 1.0, atol=1e-14)
         # duplicated endpoint shares the direction vector of theta = 0
+        assert np.array_equal(q.vectors[-1], q.vectors[0])
+
+    @pytest.mark.parametrize("M", [4, 8, 20])
+    def test_stock_rows(self, M):
+        # the s.n = 0 tie rule needs exact zeros on the axes
+        q = build_circle_trapezoid(M)
+        assert len(q) == M + 1
+        assert np.array_equal(q.thetas, 2 * np.pi / M * np.arange(M + 1))
+        assert_allclose(q.vectors, np.column_stack([np.cos(q.thetas), np.sin(q.thetas)]),
+                        rtol=0, atol=1e-15)
+        # pi/2, pi and 3 pi/2
+        assert q.vectors[M // 4, 0] == q.vectors[M // 2, 1] == q.vectors[3 * M // 4, 0] == 0.0
         assert np.array_equal(q.vectors[-1], q.vectors[0])
 
     def test_rejects_small_M(self):

@@ -11,7 +11,6 @@ import dowg.assembly
 from dowg import _hooks
 from dowg.angular import (
     AngularQuadrature,
-    Direction,
     HenyeyGreenstein,
     Isotropic,
     build_circle_trapezoid,
@@ -142,10 +141,7 @@ def _one_ordinate(theta):
     of rounding noise on the axes as the stock circle rule."""
     vec = np.array([np.cos(theta), np.sin(theta)])
     vec[np.abs(vec) < 1e-14] = 0.0
-    return AngularQuadrature(
-        [Direction(theta, vec)], np.array([2 * np.pi]), "circle-trapezoid", 1,
-        2 * np.pi,
-    )
+    return AngularQuadrature(np.array([theta]), np.array([2 * np.pi]), vec[None, :])
 
 
 # random angles plus exact axis ties and angles just below 2 pi

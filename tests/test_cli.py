@@ -255,15 +255,20 @@ class TestExitCodes:
             f"solve_example1_wg_Q1.{e}" for e in ("csv", "md", "svg")
         ]
 
-    def test_diverged_solve_exits_4_after_its_reports(self, tmp_path, capsys):
+    def test_diverged_solve_exits_4_after_its_reports(self, tmp_path, capsys, monkeypatch):
         # a huge penalty makes the first update norm NaN; the run stops
         # there, not at the sweep cap, and the trace plot has no point to
-        # draw, but the reports are written before the exit 4
+        # draw, but the reports are written before the exit 4; the
+        # overflowed field is not measured
+        def measure_error(*args):
+            raise AssertionError("an overflowed field was measured")
+
+        monkeypatch.setattr(dowg.cli, "measure_error", measure_error)
         code = main(["solve", "--scheme", "dodg", "--cp", "1e300", "--levels", "2",
                      "--out", str(tmp_path)])
         assert code == EXIT_SOLVER
         captured = capsys.readouterr()
-        assert "1 sweeps, converged=False" in captured.out
+        assert "error nan (energy nan), 1 sweeps, converged=False" in captured.out
         assert "uncertified" in captured.err
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             f"solve_example1_dodg_Q1.{e}" for e in ("csv", "md", "svg")

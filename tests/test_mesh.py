@@ -185,7 +185,7 @@ class TestClassifyEdges:
         from dowg.angular import build_circle_trapezoid
 
         q = build_circle_trapezoid(4)
-        sets = classify_edges(q.nodes[1])  # theta = pi/2
+        sets = classify_edges(q.vectors[1])  # theta = pi/2
         assert sets.inflow_sides == (2,)
 
     def test_tie_break_hook(self):
