@@ -27,8 +27,6 @@ from .elements import (
     ElementQuadrature,
     ElementTables,
     LocalBasis,
-    edge_average,
-    l2_project,
     project_field,
     weak_convection_blocks,
     weak_gradient,

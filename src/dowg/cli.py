@@ -103,7 +103,7 @@ class RunConfig:
     sigma_t: float
     sigma_s: float
     eta: float
-    tol: float  # None -> certified rows (1e-9 for solve)
+    tol: float  # None -> 1e-9 (solve, angular-study), certified rows (convergence, compare)
     cp: float
     sd_c: float
     renormalize_kernel: bool
@@ -160,7 +160,8 @@ _OPTIONS = {
     "eta": (float, 0.5, "Henyey-Greenstein anisotropy of example1, in (-1, 1)", {}),
     "tol": (lambda t: None if str(t).lower() in ("none", "auto") else float(t), None,
             "bound on the iteration error and the relative residual "
-            "('auto' = certified rows)", {}),
+            "('auto' = 1e-9 for solve and angular-study, certified rows for "
+            "convergence and compare)", {}),
     "cp": (float, 0.1, "upwind jump penalty c_p", {}),
     "sd_c": (float, 1.0, "streamline parameter multiplier (delta = c h)", {}),
     "renormalize_kernel": (_parse_bool, True, "renormalize the discrete scattering kernel",
@@ -447,8 +448,8 @@ def _check_weak_operators():
         s = np.array([np.cos(0.6), np.sin(0.6)])
         ones = np.ones(tables.dof)
         for cell in range(mesh.n_cells):
-            blk, nbr = weak_convection_blocks(tables, mesh.h, s,
-                                              mesh.sides_on_boundary(cell))
+            blk, nbr = weak_convection_blocks(
+                tables, mesh.h, s, tuple(np.nonzero(mesh.neighbours[cell] < 0)[0]))
             total = ones @ (blk @ ones) + sum(ones @ (B @ ones)
                                               for B in nbr.values())
             if abs(total) > 1e-13:

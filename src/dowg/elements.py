@@ -1,5 +1,5 @@
 """Local broken Q_k spaces on the reference square, elemental quadrature,
-edge traces, weak operators, and L2 projections.
+edge traces, weak operators, and the elementwise L2 projection.
 
 All element-level quantities live on the reference cell [0,1]^2 and are
 scaled by the mesh width h at use sites (mass ~ h^2, edge terms ~ h,
@@ -26,8 +26,6 @@ __all__ = [
     "ElementTables",
     "PkBasis",
     "gauss_01",
-    "edge_average",
-    "l2_project",
     "project_field",
     "weak_gradient",
     "weak_convection_blocks",
@@ -168,35 +166,6 @@ class ElementTables:
         return self.basis.dof_count
 
 
-def edge_average(v_plus, v_minus=None, interior=None):
-    """Edge average {v}: the mean of the two traces on interior edges, the
-    single trace on boundary edges.
-
-    ``interior`` defaults to ``v_minus is not None``; passing
-    ``interior=True`` without a second trace is a topology error.
-    """
-    if interior is None:
-        interior = v_minus is not None
-    if interior:
-        if v_minus is None:
-            raise ValueError("interior edge is missing its second trace")
-        return 0.5 * (np.asarray(v_plus) + np.asarray(v_minus))
-    return np.asarray(v_plus)
-
-
-def l2_project(tables, h, f, origin):
-    """Coefficients of the elementwise L2 projection of f onto Q_k.
-
-    ``f`` is called with physical coordinate arrays; ``origin`` is the
-    cell's lower-left corner.  The h^2 Jacobian cancels in the Gram solve.
-    """
-    pts = np.asarray(origin) + h * tables.quad.vol_points
-    fv = np.asarray(f(pts[:, 0], pts[:, 1]), dtype=float)
-    if fv.shape != pts[:, 0].shape:
-        fv = np.broadcast_to(fv, pts[:, 0].shape)
-    return np.linalg.solve(tables.M, tables.V.T @ (tables.quad.vol_weights * fv))
-
-
 def _sample(fn, x, y, *args):
     """``fn(x, y, *args)`` as floats of the points' shape; a constant that
     ``fn`` returns is broadcast."""
@@ -272,15 +241,11 @@ def weak_gradient(mesh, tables, coeffs, cell):
     for comp in range(2):
         rhs[comp] = -h * (Pg[:, :, comp].T @ (q.vol_weights * v_vol))
 
-    boundary = mesh.sides_on_boundary(cell)
     for side in range(4):
-        own = tables.trace[side] @ coeffs[cell]
-        if side in boundary:
-            avg = edge_average(own)
-        else:
-            nbr = mesh.neighbours[cell, side]
-            nbr_trace = tables.trace[OPPOSITE_SIDE[side]] @ coeffs[nbr]
-            avg = edge_average(own, nbr_trace)
+        avg = tables.trace[side] @ coeffs[cell]
+        nbr = mesh.neighbours[cell, side]
+        if nbr >= 0:
+            avg = 0.5 * (avg + tables.trace[OPPOSITE_SIDE[side]] @ coeffs[nbr])
         pe = pk.eval(_edge_points(side, q.edge_points))  # (q_e, pdim)
         moment = h * (pe.T @ (q.edge_weights * avg))
         for comp in range(2):

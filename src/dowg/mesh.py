@@ -38,20 +38,19 @@ OPPOSITE_SIDE = (1, 0, 3, 2)
 
 @dataclass(frozen=True)
 class QuadMesh:
-    """Uniform n x n partition of the unit square.
+    """Uniform n x n partition of the unit square, held as its
+    neighbour table; faces, boundary cells and points are read from it.
 
     Attributes
     ----------
-    level : int
     n : int
-        Cells per side, ``2**level``.
+        Cells per side, ``2**level`` for the level of ``build_mesh``.
     h : float
         Mesh width ``1/n``.
     neighbours : ndarray, shape (C, 4)
         The cell across each side 0..3, -1 on the domain boundary.
     """
 
-    level: int
     n: int
     h: float
     neighbours: np.ndarray = field(repr=False)
@@ -78,40 +77,15 @@ class QuadMesh:
         ascending order along it."""
         return np.nonzero(self.neighbours[:, side] < 0)[0]
 
-    def sides_on_boundary(self, cell):
-        """The sides of ``cell`` that lie on the domain boundary."""
-        return tuple(int(b) for b in np.nonzero(self.neighbours[cell] < 0)[0])
-
-    @property
-    def cell_origins(self):
-        """Lower-left corner of every cell, shape (C, 2)."""
-        idx = np.arange(self.n_cells)
-        return self.h * np.column_stack([idx % self.n, idx // self.n]).astype(float)
-
     def points(self, ref, cells=slice(None)):
         """Physical x and y of the reference points ``ref`` (shape (P, 2))
         in each of ``cells``, each of shape (cells, P)."""
         ref = np.asarray(ref)
-        # the requested cells' origins only, as ``cell_origins`` forms them
+        # the lower-left corners of the requested cells only
         idx = np.arange(self.n_cells)[cells, None]
         x = self.h * (idx % self.n).astype(float)
         y = self.h * (idx // self.n).astype(float)
         return x + self.h * ref[:, 0], y + self.h * ref[:, 1]
-
-    @property
-    def cell_corners(self):
-        """Corner coordinates per cell, shape (C, 4, 2), counterclockwise."""
-        o = self.cell_origins
-        h = self.h
-        offsets = np.array([[0.0, 0.0], [h, 0.0], [h, h], [0.0, h]])
-        return o[:, None, :] + offsets[None, :, :]
-
-    def dump(self, stream):
-        """Write the cell corner list as plain text (debugging aid)."""
-        stream.write(f"# level {self.level}, {self.n_cells} cells, h = {self.h!r}\n")
-        for c, quad in enumerate(self.cell_corners):
-            pts = " ".join(f"({x:.6f},{y:.6f})" for x, y in quad)
-            stream.write(f"cell {c}: {pts}\n")
 
 
 def build_mesh(level):
@@ -126,7 +100,7 @@ def build_mesh(level):
     nbr[:, :-1, 1] = cells[:, 1:]
     nbr[1:, :, 2] = cells[:-1, :]
     nbr[:-1, :, 3] = cells[1:, :]
-    return QuadMesh(level, n, 1.0 / n, nbr.reshape(n * n, 4))
+    return QuadMesh(n, 1.0 / n, nbr.reshape(n * n, 4))
 
 
 @dataclass(frozen=True)

@@ -299,10 +299,10 @@ _ROUNDOFF = 256 * np.finfo(float).eps
 
 
 def _exact(A):
-    """The exact pair of A: sparse LU's solve as P^{-1}, and R = None
-    (P = A).  A singular A raises ``np.linalg.LinAlgError``."""
+    """The exact pair of A: sparse LU's solve (COLAMD order) as P^{-1},
+    and R = None (P = A).  A singular A raises ``np.linalg.LinAlgError``."""
     try:
-        lu = spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A")
+        lu = spla.splu(A.tocsc())
     except RuntimeError as err:  # SuperLU's "Factor is exactly singular"
         raise np.linalg.LinAlgError(str(err)) from err
     return lu.solve, None

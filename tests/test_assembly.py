@@ -94,7 +94,9 @@ def _coo_reference(system):
         vals.append(np.ravel(block))
 
     w, test_table = tables.quad.vol_weights, system.scatter_test
-    pts = mesh.cell_origins[:, None, :] + h * tables.quad.vol_points[None, :, :]
+    idx = np.arange(mesh.n_cells)
+    origins = mesh.h * np.column_stack([idx % mesh.n, idx // mesh.n]).astype(float)
+    pts = origins[:, None, :] + h * tables.quad.vol_points[None, :, :]
     sigma = medium.sigma_t
     sv = sigma(pts[..., 0], pts[..., 1]) if callable(sigma) else np.full(pts.shape[:2], sigma)
     mass = h * h * np.einsum("cq,qi,qj->cij", w * sv, test_table, tables.V)

@@ -156,6 +156,9 @@ class TestHelp:
         shown.update(self._DEFAULTS[command])
         for name, (_, default, text, _) in _OPTIONS.items():
             assert f"{text} (default: {shown.get(name, default)})" in out
+        # 'auto' runs solve and angular-study at 1e-9, not at certified rows
+        [tol_line] = [ln for ln in out.splitlines() if ln.lstrip().startswith("--tol")]
+        assert "'auto' = 1e-9 for solve and angular-study" in tol_line
 
 
 class TestExitCodes:

@@ -8,9 +8,7 @@ from dowg.elements import (
     LocalBasis,
     PkBasis,
     _edge_points,
-    edge_average,
     gauss_01,
-    l2_project,
     project_field,
     weak_convection_blocks,
     weak_gradient,
@@ -88,18 +86,23 @@ class TestProjection:
     @pytest.mark.parametrize("k", [1, 2])
     def test_reproduces_qk(self, k):
         t = make_tables(k)
-        h, origin = 0.25, np.array([0.5, 0.25])
+        m = build_mesh(2)
         f = lambda x, y: (1 + 2 * x + 3 * y + 4 * x * y) * (1 if k == 1 else (x + y) )
-        c = l2_project(t, h, f, origin)
-        # nodal basis: coefficients are nodal values
+        c = project_field(m, t, f)
+        # nodal basis: coefficients are nodal values, the nodes placed in
+        # cell c = j*n + i at (h*i, h*j) + h*node
         b = t.basis
         X, Y = np.meshgrid(b.nodes_1d, b.nodes_1d, indexing="xy")
-        nodes = origin + h * np.column_stack([X.ravel(), Y.ravel()])
-        assert_allclose(c, f(nodes[:, 0], nodes[:, 1]), atol=1e-12)
+        for cell in range(m.n_cells):
+            j, i = divmod(cell, m.n)
+            x, y = m.h * i + m.h * X.ravel(), m.h * j + m.h * Y.ravel()
+            assert_allclose(c[cell], f(x, y), atol=1e-12)
 
     def test_zero(self):
         t = make_tables(1)
-        assert_allclose(l2_project(t, 0.5, lambda x, y: 0.0 * x, (0, 0)), 0.0)
+        m = build_mesh(1)
+        assert_allclose(project_field(m, t, lambda x, y: 0.0 * x), 0.0)
+        assert_allclose(project_field(m, t, lambda x, y: 0.0), 0.0)
 
     def test_projection_rate(self):
         # L2 error of the elementwise projection of a smooth field decays
@@ -111,33 +114,23 @@ class TestProjection:
         for lv in (2, 3, 4, 5):
             m = build_mesh(lv)
             c = project_field(m, t, f)
-            pts = m.cell_origins[:, None, :] + m.h * t.quad.vol_points[None, :, :]
-            diff = f(pts[:, :, 0], pts[:, :, 1]) - c @ t.V.T
+            diff = f(*m.points(t.quad.vol_points)) - c @ t.V.T
             errs.append(np.sqrt(m.h**2 * np.sum(t.quad.vol_weights * diff**2)))
         rates = np.log2(np.array(errs[:-1]) / errs[1:])
         assert rates[-1] >= 1.9
 
     def test_project_field_matches_local(self):
+        # the local L2 projection on every cell: the residual f - P f is
+        # orthogonal to Q_k there, in the volume rule, V^T (w * (f - V c)) = 0
         t = make_tables(2)
         m = build_mesh(2)
         f = lambda x, y: np.exp(-x) * np.cos(y)
         c = project_field(m, t, f)
-        for cell in (0, 5, 15):
-            assert_allclose(c[cell], l2_project(t, m.h, f, m.cell_origins[cell]), atol=1e-13)
-
-
-class TestEdgeTraceOps:
-    def test_average(self):
-        assert_allclose(edge_average(np.ones(3), 3 * np.ones(3)), 2.0)
-        assert_allclose(edge_average(np.array([5.0, 7.0])), [5.0, 7.0])
-
-    def test_continuous(self):
-        v = np.array([1.0, -2.0, 0.25])
-        assert_allclose(edge_average(v, v.copy()), v)
-
-    def test_topology_error(self):
-        with pytest.raises(ValueError):
-            edge_average(np.ones(3), interior=True)
+        fv = f(*m.points(t.quad.vol_points))
+        w = t.quad.vol_weights
+        for cell in range(m.n_cells):
+            residual = t.V.T @ (w * (fv[cell] - t.V @ c[cell]))
+            assert_allclose(residual, 0.0, atol=1e-13)
 
 
 def fine_rule(n=12):
@@ -188,7 +181,8 @@ class TestWeakGradient:
         ref = np.random.default_rng(1).uniform(0, 1, (6, 2))
         for cell in range(m.n_cells):
             g = weak_gradient(m, t, coeffs, cell)
-            phys = m.cell_origins[cell] + m.h * ref
+            j, i = divmod(cell, m.n)
+            phys = m.h * np.array([i, j]) + m.h * ref
             assert_allclose(pk.eval(ref) @ g[0], 2 * phys[:, 0] + 3 * phys[:, 1], atol=1e-12)
             assert_allclose(pk.eval(ref) @ g[1], 3 * phys[:, 0] - 1, atol=1e-12)
 

@@ -1,5 +1,3 @@
-import io
-
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -37,20 +35,22 @@ class TestBuildMesh:
 
     def test_area_sum(self):
         m = build_mesh(3)
-        corners = m.cell_corners
-        dx = corners[:, 1, 0] - corners[:, 0, 0]
-        dy = corners[:, 3, 1] - corners[:, 0, 1]
+        x, y = m.points([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+        dx = x[:, 1] - x[:, 0]
+        dy = y[:, 3] - y[:, 0]
         assert_allclose(np.sum(dx * dy), 1.0, atol=1e-14)
 
     @pytest.mark.parametrize("level", [1, 2, 3])
     def test_points_map_reference_corners(self, level):
+        # cell c = j*n + i maps the reference point r to (h*i, h*j) + h*r
         m = build_mesh(level)
         ref = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
         for cells in (slice(None), np.arange(m.n_cells)[1::3]):
+            j, i = np.divmod(np.arange(m.n_cells)[cells], m.n)
             x, y = m.points(ref, cells)
-            assert x.shape == y.shape == (len(m.cell_corners[cells]), 4)
-            assert_array_equal(x, m.cell_corners[cells][:, :, 0])
-            assert_array_equal(y, m.cell_corners[cells][:, :, 1])
+            assert x.shape == y.shape == (len(i), 4)
+            assert_array_equal(x, m.h * i[:, None] + m.h * ref[:, 0])
+            assert_array_equal(y, m.h * j[:, None] + m.h * ref[:, 1])
 
     @pytest.mark.parametrize("level", [1, 3, 7])
     def test_points_of_some_cells_are_rows_of_all(self, level):
@@ -75,20 +75,22 @@ class TestBuildMesh:
         n, nbr = m.n, m.neighbours
         assert nbr.shape == (m.n_cells, 4)
         # a neighbour sees the cell back across the opposite side, one
-        # mesh width away along that side's normal
+        # cell away along that side's normal: (column i, row j) of cell
+        # j*n + i step by the normal
         for c, s in zip(*np.nonzero(nbr >= 0)):
             assert nbr[nbr[c, s], OPPOSITE_SIDE[s]] == c
-            step = m.cell_origins[nbr[c, s]] - m.cell_origins[c]
-            assert_allclose(step, m.h * SIDE_NORMALS[s], atol=1e-15)
+            step = np.subtract(divmod(nbr[c, s], n), divmod(c, n))[::-1]
+            assert_array_equal(step, SIDE_NORMALS[s])
         assert np.count_nonzero(nbr < 0) == 4 * n
         # each domain side has n boundary cells, in ascending order along it
         for s in range(4):
             cells = m.boundary_cells(s)
             assert_array_equal(cells, np.nonzero(nbr[:, s] < 0)[0])
-            along = m.cell_origins[cells, 1 if s < 2 else 0]
-            assert_allclose(along, m.h * np.arange(n))
-            across = m.cell_origins[cells, 0 if s < 2 else 1]
-            assert_allclose(across, 0.0 if s % 2 == 0 else 1.0 - m.h)
+            # row j runs along a vertical side, column i along a horizontal one
+            j, i = np.divmod(cells, n)
+            along, across = (j, i) if s < 2 else (i, j)
+            assert_array_equal(along, np.arange(n))
+            assert_array_equal(across, 0 if s % 2 == 0 else n - 1)
 
     @pytest.mark.parametrize("level", [1, 2, 3])
     def test_interior_faces(self, level):
@@ -106,16 +108,6 @@ class TestBuildMesh:
             assert_array_equal(m.neighbours[nbrs, s2], cells)
             assert [key(c) for c in cells] == sorted(key(c) for c in cells)
         assert 2 * sum(len(f[2]) for f in faces) == np.count_nonzero(m.neighbours >= 0)
-
-    def test_sides_on_boundary(self):
-        m = build_mesh(2)
-        assert m.sides_on_boundary(0) == (0, 2)
-        assert m.sides_on_boundary(5) == ()
-        assert m.sides_on_boundary(15) == (1, 3)
-        for c in range(m.n_cells):
-            assert m.sides_on_boundary(c) == tuple(
-                s for s in range(4) if m.neighbours[c, s] < 0
-            )
 
     def test_incidence(self):
         m = build_mesh(2)
@@ -143,14 +135,6 @@ class TestBuildMesh:
                 total = sum(sn[side] * m.h for side in range(4))
                 assert abs(total) <= 1e-14
 
-    def test_dump(self):
-        m = build_mesh(1)
-        buf = io.StringIO()
-        m.dump(buf)
-        text = buf.getvalue()
-        assert text.count("cell ") == 4
-        assert "(0.500000,0.500000)" in text
-
 
 class TestClassifyEdges:
     def test_axis_aligned(self):
@@ -160,7 +144,7 @@ class TestClassifyEdges:
         assert sets.inflow_sides == (0,)
         inflow = m.boundary_cells(0)
         assert len(inflow) == m.n
-        assert np.all(m.cell_origins[inflow, 0] == 0.0)
+        assert np.all(inflow % m.n == 0)  # column i = 0, at x = 0
         # horizontal sides have s.n = 0: outflow by the tie rule
         assert set(sets.outflow_sides) == {1, 2, 3}
 

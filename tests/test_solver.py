@@ -34,7 +34,7 @@ from dowg.solver import (
     _unit_lower_solve,
     source_iteration,
 )
-from dowg.verify import _iterate
+from dowg.verify import _iterate, solve_case
 
 
 def _setup(level=2, k=1, sigma_s=0.5, phase=None, renormalize=True):
@@ -75,7 +75,8 @@ def _lower_part(P, d, mesh, direction):
     """D + L of P in the original numbering: the diagonal cell blocks and
     the blocks coupling a cell to cells on earlier fronts, with fronts
     counted along the flow from the cells' grid coordinates."""
-    ij = np.rint(mesh.cell_origins / mesh.h).astype(int)
+    c = np.arange(mesh.n_cells)
+    ij = np.column_stack([c % mesh.n, c // mesh.n])  # (column i, row j)
     front = np.zeros(mesh.n_cells, dtype=int)
     for axis in (0, 1):
         t = ij[:, axis]
@@ -272,6 +273,19 @@ class TestSweep:
         for m in (0, 3, 8, 14):
             ref = spla.spsolve(systems[m].matrix.tocsc(), systems[m].rhs_fixed)
             assert_allclose(field[m].ravel(), ref, atol=1e-10 * np.abs(ref).max())
+
+    def test_large_dodg_penalty_reaches_the_fallback(self):
+        # no patching: at c_p = 10 the DODG sweeps' downwind remainder is
+        # too strong for them to converge, so the real input stalls, warns
+        # once and certifies on sparse LU for every ordinate
+        with pytest.warns(RuntimeWarning, match="sparse LU") as record:
+            sol = solve_case("example1", scheme=DODG(c_p=10), k=1, level=5, M=4,
+                             cfg=SourceIterationConfig(tol=1e-9))
+        warned = [str(w.message) for w in record if w.category is RuntimeWarning]
+        assert len(warned) == 1
+        assert "switching 5 of 5 ordinates to sparse LU" in warned[0]
+        assert sol.trace.converged
+        assert sol.trace.escalated == 5
 
     @pytest.mark.parametrize("name", ["wg", "dodg"])
     def test_roundoff_is_not_a_stall(self, name):
