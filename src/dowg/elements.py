@@ -13,6 +13,7 @@ side 0 (left) and 1 (right) are parametrized by y, side 2 (bottom) and
 3 (top) by x.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -177,6 +178,32 @@ def project_field(mesh, tables, f):
     fv = _sample(f, *mesh.points(tables.quad.vol_points))
     rhs = (tables.quad.vol_weights * fv) @ tables.V
     return np.linalg.solve(tables.M, rhs.T).T
+
+
+def _prolong(field, basis, times=1):
+    """A broken Q_k field (L, C, dof) on an n x n mesh as the same field
+    on the mesh refined ``times`` times, (L, 4**times C, dof).
+
+    Q_k on a child cell holds its parent's polynomial, and the basis is
+    nodal, so child (a, b) of a cell (its lower-left corner at (a, b)/2
+    of the parent) takes the parent's values at its nodes: one (dof, dof)
+    map ``basis.eval((nodes + (a, b)) / 2)`` per child.  Cell c = j n + i
+    has the children (2j + b) 2n + 2i + a, so the maps are applied by
+    index reshapes, without a mass matrix or a cell loop.
+    """
+    X, Y = np.meshgrid(basis.nodes_1d, basis.nodes_1d)
+    nodes = np.column_stack([X.ravel(), Y.ravel()])  # in dof order
+    maps = [[basis.eval((nodes + (a, b)) / 2).T for a in (0, 1)] for b in (0, 1)]
+    for _ in range(times):
+        L, C, d = field.shape
+        n = math.isqrt(C)
+        coarse = field.reshape(L, n, n, d)
+        fine = np.empty((L, n, 2, n, 2, d))
+        for b in (0, 1):
+            for a in (0, 1):
+                np.matmul(coarse, maps[b][a], out=fine[:, :, b, :, a])
+        field = fine.reshape(L, 4 * C, d)
+    return field
 
 
 class PkBasis:

@@ -2,18 +2,20 @@
 
 The discrete ordinates are coupled only through scattering.  Each
 ordinate's system splits as A_m = P_m + R_m, P_m the part it inverts and
-R_m the remainder.  Starting from the zero field, each sweep forms
-g_m = b_m + S_m x - R_m x_m from the current field (b_m the fixed right
-side, S_m x the lagged scattering source) and sets x_m = P_m^{-1} g_m.
-This is the transport-sweep form of Adams & Larsen, "Fast iterative
-methods for discrete-ordinates particle transport calculations", Prog.
-Nucl. Energy 40 (2002).  As P_m x_m is the previous sweep's g_m (and
-g = 0 before the first), the residual b_m + S_m x - A_m x_m of the
-current field is g_m minus its previous value, so it costs no product
-with A_m.  A positive margin sigma_t - sigma_s*max b_m makes the map
-contract, and the ratio rho of successive update norms (angularly
-weighted broken L2) and residuals bounds the remaining iteration error
-by a multiple of rho/(1 - rho) times the last update norm (``_bound``).
+R_m the remainder.  Starting from the zero field, or from a given start
+field x0, each sweep forms g_m = b_m + S_m x - R_m x_m from the current
+field (b_m the fixed right side, S_m x the lagged scattering source) and
+sets x_m = P_m^{-1} g_m.  This is the transport-sweep form of Adams &
+Larsen, "Fast iterative methods for discrete-ordinates particle
+transport calculations", Prog. Nucl. Energy 40 (2002).  As P_m x_m is
+the previous sweep's g_m (and P_m x0 before the first: 0 from zero,
+formed with the pairs from a start field), the residual
+b_m + S_m x - A_m x_m of the current field is g_m minus its previous
+value, so it costs no product with A_m.  A positive margin
+sigma_t - sigma_s*max b_m makes the map contract, and the ratio rho of
+successive update norms (angularly weighted broken L2) and residuals
+bounds the remaining iteration error by a multiple of rho/(1 - rho)
+times the last update norm (``_bound``).
 The loop stops when that bound and the coupled relative residual
 ||r|| / ||b + S x|| are both at most the tolerance; rho >= 1 means no
 stop.  An update norm or residual that is not finite (the field
@@ -203,7 +205,10 @@ class _SweepSolve:
     ``_forward`` applies P^{-1} as one matrix product with ``_bulk``,
     the edge cells' own scaling over it and one triangular solve with M
     (``_unit_lower_solve``), O(nnz) in time and memory; with ``R`` it is
-    the ordinate's pair.
+    the ordinate's pair.  Given ``start``, one ordinate's start field x0
+    as a flat array, the set-up overwrites it with P x0 = D (M x0), from
+    the class blocks of D while they are in hand, so that neither D nor A
+    is kept or assembled.
 
     The stencil and the WG shift hold one block row per cell class (nine
     with a constant sigma_t, ``assembly._class_grid``), so the set-up
@@ -219,7 +224,7 @@ class _SweepSolve:
     convert to on their own.
     """
 
-    def __init__(self, system, patterns):
+    def __init__(self, system, patterns, start=None):
         n, d = system.mesh.n, system.tables.dof
         sx, sy = system.direction
         front = (n, bool(sx >= 0), bool(sy >= 0))
@@ -273,16 +278,28 @@ class _SweepSolve:
         self._edge_dinv = dinv[acc.cls[order[edge]]]
         self._order = order
         self._rank = rank
+        if start is not None:
+            D = P[:, 2]
+            z = (self.M @ start.reshape(-1, d)[order].ravel()).reshape(-1, d)
+            start[:] = _by_class(z, D[bulk].T, edge, D[acc.cls[order[edge]]])[rank].ravel()
 
     def _forward(self, g):
         """Apply (D + L)^{-1}: scale by D^{-1}, then solve with the unit
         lower triangular M in front order."""
-        d, edge = self.d, self._edge
+        d = self.d
         g = np.reshape(g, (-1, d))[self._order]
-        y = g @ self._bulk
-        y[edge] = np.einsum("cij,cj->ci", self._edge_dinv, g[edge])
+        y = _by_class(g, self._bulk, self._edge, self._edge_dinv)
         z = _unit_lower_solve(self.M, y.ravel())
         return z.reshape(-1, d)[self._rank].ravel()
+
+
+def _by_class(v, bulk, edge, blocks):
+    """Each cell's block of ``v`` (one row per cell, in front order) times
+    its class block: ``bulk`` (transposed, for a right multiply) for every
+    cell, then ``blocks`` in place of it at the front positions ``edge``."""
+    y = v @ bulk
+    y[edge] = np.einsum("cij,cj->ci", blocks, v[edge])
+    return y
 
 
 # ordinates with at most this many unknowns are solved exactly, the
@@ -308,17 +325,26 @@ def _exact(A):
     return lu.solve, None
 
 
-def _pairs(systems):
+def _pairs(systems, start=None):
     """Each ordinate's (P^{-1}, R): exact up to ``_EXACT_UP_TO``
-    unknowns, the wavefront sweep above."""
+    unknowns, the wavefront sweep above.
+
+    ``start``, if given, holds a start field x0 as (L, C*dof) rows; row m
+    is overwritten with P_m x0[m], from the matrix the exact pair factors
+    (P = A) or from the sweep's class blocks.
+    """
     pairs = []
     # the sweeps' sparsity patterns, shared by the ordinates of this run
     patterns = {}
-    for s in systems:
+    for m, s in enumerate(systems):
+        x0 = None if start is None else start[m]
         if s.n_dof <= _EXACT_UP_TO:
-            pairs.append(_exact(s.matrix))
+            A = s.matrix
+            pairs.append(_exact(A))
+            if x0 is not None:
+                x0[:] = A @ x0
         else:
-            sw = _SweepSolve(s, patterns)
+            sw = _SweepSolve(s, patterns) if x0 is None else _SweepSolve(s, patterns, x0)
             pairs.append((sw._forward, sw.R))
     return pairs
 
@@ -348,12 +374,16 @@ def _bound(errs, residuals):
     return 2.0 * rho / (1.0 - rho) * errs[-1]
 
 
-def source_iteration(systems, kernel, quad, cfg=None, certify=None):
+def source_iteration(systems, kernel, quad, cfg=None, certify=None, start=None):
     """Run the fused sweep-scattering loop over all direction systems.
 
     Returns ``(field, trace)`` with ``field`` of shape (L, C, dof).  The
-    loop starts from zero and stops once the iteration-error bound and
-    the coupled relative residual are both at most ``cfg.tol``.  If
+    loop starts from zero, or from ``start`` (shape (L, C, dof)): that
+    array becomes the iterate and is overwritten, and each ordinate's
+    P x0 is formed with its pair, so the first residual is that of
+    ``start`` and the stop is the same as from zero.  It stops once the
+    iteration-error bound and the coupled relative residual are both at
+    most ``cfg.tol``.  If
     ``certify`` is given, it maps that field to a target for the bound;
     while the bound is above it, the loop resumes with the target as its
     tolerance.  Running out of ``cfg.max_outer`` sweeps, or an update
@@ -369,10 +399,15 @@ def source_iteration(systems, kernel, quad, cfg=None, certify=None):
     if L != len(quad):
         raise ValueError("one system per quadrature ordinate is required")
 
-    pairs = _pairs(systems)
-    field = np.zeros((L, C, d))
     # g of the previous sweep, which P x solves for the current field
-    g_prev = np.zeros((L, C * d))
+    if start is None:
+        pairs = _pairs(systems)
+        field, g_prev = np.zeros((L, C, d)), np.zeros((L, C * d))
+    else:
+        if start.shape != (L, C, d):
+            raise ValueError(f"start field must have shape {(L, C, d)}, got {start.shape}")
+        field, g_prev = start, start.reshape(L, C * d).copy()
+        pairs = _pairs(systems, g_prev)
     errs, residuals = [], []
     tol = cfg.tol
     converged = switched = False
