@@ -8,6 +8,7 @@ from dowg.elements import (
     LocalBasis,
     PkBasis,
     _edge_points,
+    _prolong,
     gauss_01,
     project_field,
     weak_convection_blocks,
@@ -148,6 +149,31 @@ def side_averages(mesh, tables_or_basis, coeffs, cell, side, t):
         return own
     nbr_vals = basis.eval(_edge_points(OPPOSITE_SIDE[side], t)) @ coeffs[nbr]
     return 0.5 * (own + nbr_vals)
+
+
+class TestProlong:
+    @staticmethod
+    def _nodal(basis, level, coef):
+        # a global Q_k polynomial's nodal field, in the mesh's cell order
+        X, Y = np.meshgrid(basis.nodes_1d, basis.nodes_1d)
+        nodes = np.column_stack([X.ravel(), Y.ravel()])
+        x, y = build_mesh(level).points(nodes)
+        return np.polynomial.polynomial.polyval2d(x, y, coef)
+
+    @pytest.mark.parametrize("times", [1, 2])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_global_qk_is_kept(self, k, times):
+        # broken Q_k on the children holds the parent's polynomial, so the
+        # prolonged field is the polynomial's nodal field on the finer
+        # mesh, in its cell order (a misplaced child reads other values)
+        b = LocalBasis(k)
+        coef = np.random.default_rng(k).standard_normal((2, k + 1, k + 1))
+        for level in (2, 3):
+            coarse = np.stack([self._nodal(b, level, c) for c in coef])
+            fine = _prolong(coarse, b, times)
+            ref = np.stack([self._nodal(b, level + times, c) for c in coef])
+            assert fine.shape == ref.shape == (2, 4**times * 4**level, b.dof_count)
+            assert np.abs(fine - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
 class TestWeakGradient:

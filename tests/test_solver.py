@@ -34,7 +34,7 @@ from dowg.solver import (
     _unit_lower_solve,
     source_iteration,
 )
-from dowg.verify import _iterate, solve_case
+from dowg.verify import _iterate, run_convergence, solve_case
 
 
 def _setup(level=2, k=1, sigma_s=0.5, phase=None, renormalize=True):
@@ -660,6 +660,80 @@ class TestFreeResidual:
         with pytest.warns(RuntimeWarning, match="sparse LU"):
             trace = self._check(monkeypatch, systems, kernel, quad, 14)
         assert trace.escalated == len(quad)
+
+
+class TestStartField:
+    """From a start field x0 the loop iterates x0 itself, and each
+    ordinate's first previous g is P x0, so the first residual is that of
+    x0 and the stop is unchanged; with no start it is the zero start, bit
+    for bit.  Q2 at 1/h = 8 takes the exact pairs, Q1 at 1/h = 16 the
+    sweeps."""
+
+    @staticmethod
+    def _run(name, k, level, **cfg):
+        quad, kernel, medium, mesh, tables = _setup(level=level, k=k)
+        systems = _systems(_SCHEMES[name], quad, kernel, medium, mesh, tables, f=_source)
+        assert (systems[0].n_dof <= dowg.solver._EXACT_UP_TO) == (k == 2)
+
+        def run(start=None):
+            return source_iteration(
+                systems, kernel, quad, SourceIterationConfig(**cfg), start=start
+            )
+
+        return systems, kernel, quad, run
+
+    @pytest.mark.parametrize("k, level", [(2, 3), (1, 4)])
+    @pytest.mark.parametrize("name", sorted(_SCHEMES))
+    def test_first_residual_is_the_starts(self, name, k, level):
+        systems, kernel, quad, run = self._run(name, k, level, tol=1e-300, max_outer=1)
+        s0 = systems[0]
+        x0 = np.random.default_rng(7).standard_normal((len(quad), s0.mesh.n_cells, s0.tables.dof))
+        start = x0.copy()
+        field, trace = run(start)
+        assert field is start
+        ref = _discrete_residual(systems, kernel, quad, x0)
+        assert trace.residual == pytest.approx(ref, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("k, level, sweeps", [
+        (2, 3, {"dodg": 10, "dodsd": 10, "wg": 10}),
+        (1, 4, {"dodg": 21, "dodsd": 10, "wg": 21}),
+    ])
+    @pytest.mark.parametrize("name", sorted(_SCHEMES))
+    def test_no_start_is_the_zero_start(self, name, k, level, sweeps):
+        _, _, _, run = self._run(name, k, level, tol=1e-8)
+        field, trace = run()
+        zero, tzero = run(np.zeros_like(field))
+        assert trace.converged and trace.iterations == sweeps[name]
+        assert_array_equal(zero, field)
+        assert tzero.iterations == trace.iterations
+
+    @pytest.mark.parametrize("k, level", [(2, 3), (1, 4)])
+    @pytest.mark.parametrize("name", sorted(_SCHEMES))
+    def test_certified_start_certifies_at_once(self, name, k, level):
+        _, _, _, run = self._run(name, k, level, tol=1e-8)
+        field, _ = run()
+        again, trace = run(field.copy())
+        assert trace.converged and trace.iterations <= 2
+        assert np.abs(again - field).max() <= 1e-7 * np.abs(field).max()
+
+    @pytest.mark.parametrize("name", sorted(_SCHEMES))
+    def test_sweep_start_never_assembles(self, monkeypatch, name):
+        _, _, _, run = self._run(name, 1, 4, tol=1e-8)
+        field, _ = run()
+        monkeypatch.setattr(DirectionSystem, "matrix", property(TestSplitStorage._no_matrix))
+        _, trace = run(field)
+        assert trace.converged
+
+    def test_start_shape_is_checked(self):
+        _, _, quad, run = self._run("wg", 2, 3)
+        with pytest.raises(ValueError, match="start field"):
+            run(np.zeros((len(quad), 64, 4)))
+
+    def test_nested_convergence_sweeps(self):
+        # each level after the first starts from the previous one's field;
+        # from zero the same rows take 10 / 40 / 75 sweeps
+        rep = run_convergence("example2", DODG(), k=2, levels=range(3, 6))
+        assert rep.iterations == [10, 14, 26]
 
 
 class TestIterationTrace:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import dowg.verify
 from dowg.angular import Isotropic, build_circle_trapezoid
 from dowg.assembly import DODG, DODSD, WG, Medium
 from dowg.mesh import build_mesh
@@ -195,6 +196,24 @@ class TestRunConvergence:
         )
         assert trace.converged and trace.bound <= 0.01 * err
         assert abs(err - measure(ref)[0]) <= 0.01 * err
+
+    def test_gap_levels_prolong_twice(self, monkeypatch):
+        # level 4 starts from level 2's field prolonged over the gap; every
+        # row is certified, and each error is within 1% of its zero
+        # start's, which a one-level run gives
+        gaps = []
+        real = dowg.verify._prolong
+
+        def recording(field, basis, times=1):
+            gaps.append((field.shape[1], times))
+            return real(field, basis, times)
+
+        monkeypatch.setattr(dowg.verify, "_prolong", recording)
+        rep = run_convergence("example1", k=1, levels=[2, 4])
+        assert rep.inv_h == [4, 16] and gaps == [(16, 2)]
+        for lv, err in zip((2, 4), rep.errors):
+            zero = run_convergence("example1", k=1, levels=[lv]).errors[0]
+            assert abs(err - zero) <= 0.01 * zero
 
     def test_tolerance_override(self):
         rep = run_convergence("example1", k=1, levels=[2, 3], tol=1e-7)
