@@ -22,7 +22,7 @@ from .angular import (
     eval_phase,
     normalization_residual,
 )
-from .mesh import DirectionalEdgeSets, QuadMesh, build_mesh, classify_edges
+from .mesh import QuadMesh, build_mesh
 from .elements import (
     ElementQuadrature,
     ElementTables,

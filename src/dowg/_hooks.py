@@ -1,18 +1,15 @@
-"""Fault-injection switches for the self-test harness.
+"""Fault-injection switch for the self-test harness.
 
-Production code paths read these module-level flags; they exist so the
-self-test can verify that deliberately broken variants of sign and
-tie-break conventions are actually caught by the invariant checks.
-Never enable outside tests.
+Production code paths read this module-level flag; it exists so the
+self-test can verify that a deliberately broken sign of WG's weak
+inflow term is actually caught by the invariant checks.  Never enable
+outside tests.
 """
 
 from contextlib import contextmanager
 
 # inflow boundary term assembled with +<s.n u, v> instead of -<s.n u, v>
 flip_inflow_sign = False
-
-# edges with s.n == 0 classified as inflow instead of outflow
-tie_break_inflow = False
 
 
 @contextmanager

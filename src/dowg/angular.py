@@ -44,6 +44,9 @@ class AngularQuadrature:
         Strictly positive; sums to 2*pi.
     vectors : ndarray, shape (L, 2)
         Direction s_m = (cos theta_m, sin theta_m); unit length to rounding.
+        A component that is zero in exact arithmetic (an axis-aligned
+        ordinate) is stored as an exact 0.0, so s_m.n is exactly 0 on the
+        cell sides parallel to s_m.
     """
 
     thetas: np.ndarray
@@ -74,8 +77,8 @@ def build_circle_trapezoid(M):
     h = 2.0 * np.pi / M
     thetas = h * np.arange(M + 1)
     vectors = np.column_stack([np.cos(thetas), np.sin(thetas)])
-    # snap rounding noise at axis-aligned angles to exact zeros so the
-    # s.n = 0 tie rule in edge classification sees true ties
+    # snap rounding noise at axis-aligned angles to exact zeros, so s.n
+    # is exactly 0 on the cell sides parallel to those ordinates
     vectors[np.abs(vectors) < 1e-14] = 0.0
     # pin the duplicated endpoint to the exact same vector as theta=0
     vectors[-1] = vectors[0]

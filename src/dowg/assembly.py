@@ -43,7 +43,7 @@ import scipy.sparse as sp
 from . import _hooks
 from .angular import apply_scatter
 from .elements import _edge_points, _sample
-from .mesh import SIDE_NORMALS, classify_edges
+from .mesh import SIDE_NORMALS
 
 __all__ = [
     "WG",
@@ -121,6 +121,8 @@ class DirectionSystem:
     solve holds only what its per-ordinate solver keeps: ``stencil()``
     assembles the blocks once per cell class, and ``matrix`` gathers
     them into every cell's block row.
+    ``direction`` is the quadrature's own vector s_m, which every term
+    meets only through its side products ``SIDE_NORMALS @ direction``.
     ``scatter_test`` holds the volume test table the lagged scattering
     source is integrated against (basis values for WG/DODG, the
     streamline-diffusion test combination for DODSD).  ``inflow_sign``
@@ -249,9 +251,7 @@ def assemble_direction(scheme, mesh, tables, quad, kernel, medium, m, f=None, u_
     _check_margin(kernel, medium)
     if not isinstance(scheme, (WG, DODG, DODSD)):
         raise TypeError(f"unknown scheme {scheme!r}")
-    theta = quad.thetas[m]
-    sets = classify_edges(quad.vectors[m])
-    s = sets.direction  # snapped copy
+    theta, s = quad.thetas[m], quad.vectors[m]
     d = tables.dof
     C = mesh.n_cells
     if isinstance(scheme, DODSD):
@@ -266,12 +266,12 @@ def assemble_direction(scheme, mesh, tables, quad, kernel, medium, m, f=None, u_
         rhs += h * h * ((q.vol_weights * fv) @ test_table)
     if u_in is not None:
         # - h s.n <u_in, v> on each inflow boundary side (s.n < 0)
+        sn = SIDE_NORMALS @ s
         for b in range(4):
-            sn = sets.side_sn[b]
-            if sn < 0:
+            if sn[b] < 0:
                 bc = mesh.boundary_cells(b)
                 g = _sample(u_in, *mesh.points(_edge_points(b, q.edge_points), bc), theta)
-                rhs[bc] += -h * sn * ((q.edge_weights * g) @ tables.trace[b])
+                rhs[bc] += -h * sn[b] * ((q.edge_weights * g) @ tables.trace[b])
 
     inflow_sign = 1.0 if _hooks.flip_inflow_sign else -1.0
     return DirectionSystem(
@@ -435,7 +435,7 @@ def triple_norm(mesh, tables, quad, field):
     vol = h * h * np.einsum("q,lcq->l", w, vals**2)
     total = 0.0
     for m in range(len(quad)):
-        kappa = np.abs(classify_edges(quad.vectors[m]).side_sn) * h
+        kappa = np.abs(SIDE_NORMALS @ quad.vectors[m]) * h
         faces, sides = _face_traces(mesh, tables, field[m])
         jump = _jump_sum(kappa, we, faces, faces)
         total += quad.weights[m] * (vol[m] + 0.5 * jump + _boundary_sum(kappa, we, sides, sides))
@@ -477,8 +477,8 @@ def eval_bilinear(scheme, mesh, tables, quad, kernel, medium, u, v):
     total = 0.0
     sign = 1.0 if _hooks.flip_inflow_sign else -1.0
     for m in range(len(quad)):
-        sets = classify_edges(quad.vectors[m])
-        s, sn = sets.direction, sets.side_sn
+        s = quad.vectors[m]
+        sn = SIDE_NORMALS @ s
         # -(u, s.grad v) per cell
         sgv = np.einsum("cd,qd->cq", v[m], s[0] * tables.DX + s[1] * tables.DY)
         conv = -h * np.sum(w[None, :] * uis[m] * sgv)

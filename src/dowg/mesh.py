@@ -2,8 +2,8 @@
 
 Level ``l`` partitions the unit square into ``n x n`` axis-aligned cells
 with ``n = 2**l`` (level 1 is the 2x2 coarse grid).  All solver stages
-share one mesh across ordinate directions; only the inflow/outflow side
-classification (``classify_edges``) depends on the direction.
+share one mesh across ordinate directions; a direction s meets the four
+cell sides only through their s.n, ``SIDE_NORMALS @ s``.
 
 Conventions
 -----------
@@ -28,9 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _hooks
-
-__all__ = ["QuadMesh", "DirectionalEdgeSets", "build_mesh", "classify_edges"]
+__all__ = ["QuadMesh", "build_mesh"]
 
 SIDE_NORMALS = np.array([[-1.0, 0.0], [1.0, 0.0], [0.0, -1.0], [0.0, 1.0]])
 OPPOSITE_SIDE = (1, 0, 3, 2)
@@ -101,48 +99,3 @@ def build_mesh(level):
     nbr[1:, :, 2] = cells[:-1, :]
     nbr[:-1, :, 3] = cells[1:, :]
     return QuadMesh(n, 1.0 / n, nbr.reshape(n * n, 4))
-
-
-@dataclass(frozen=True)
-class DirectionalEdgeSets:
-    """Inflow/outflow side classification for one ordinate direction.
-
-    The grid is uniform, so the per-cell partition reduces to a partition
-    of the four side ids: side s is inflow for a cell when
-    s_m . n_side < 0, outflow when >= 0 (ties are outflow).
-
-    Attributes
-    ----------
-    direction : ndarray
-        Unit vector s_m.
-    side_sn : ndarray, shape (4,)
-        s_m . n for the four cell sides (left, right, bottom, top).
-    inflow_sides, outflow_sides : tuple of int
-        Partition of side ids by the sign rule.
-    """
-
-    direction: np.ndarray
-    side_sn: np.ndarray
-    inflow_sides: tuple
-    outflow_sides: tuple
-
-
-def classify_edges(direction):
-    """Classify the cell sides against a direction by the sign of s.n.
-
-    Ties (s.n == 0, axis-aligned directions) count as outflow.  The
-    domain sides with s.n < 0 form the inflow boundary where prescribed
-    external intensity enters.
-    """
-    s = np.asarray(direction, dtype=float)
-    if s.shape != (2,):
-        raise ValueError("direction must be a 2D unit vector")
-    s = np.where(np.abs(s) < 1e-14, 0.0, s)  # rounding noise breaks the tie rule
-    side_sn = SIDE_NORMALS @ s
-    if _hooks.tie_break_inflow:
-        inflow = side_sn <= 0.0
-    else:
-        inflow = side_sn < 0.0
-    inflow_sides = tuple(np.nonzero(inflow)[0])
-    outflow_sides = tuple(np.nonzero(~inflow)[0])
-    return DirectionalEdgeSets(s, side_sn, inflow_sides, outflow_sides)

@@ -60,14 +60,20 @@ def write_convergence_markdown(report, target):
     _with_stream(target, write)
 
 
+def _shared_levels(reports):
+    """The names of the reports and their common 1/h column; raises
+    ValueError if they do not share their levels."""
+    names = list(reports)
+    inv_h = reports[names[0]].inv_h
+    if any(reports[n].inv_h != inv_h for n in names):
+        raise ValueError("comparison reports must share their levels")
+    return names, inv_h
+
+
 def write_comparison_csv(reports, target):
     """Side-by-side error/eoc columns for reports sharing levels."""
-    names = list(reports)
+    names, inv_h = _shared_levels(reports)
     rows = [reports[n].rows for n in names]
-    inv_h = reports[names[0]].inv_h
-    for n in names:
-        if reports[n].inv_h != inv_h:
-            raise ValueError("comparison reports must share their levels")
 
     def write(s):
         cols = ",".join(f"{n}_error,{n}_eoc" for n in names)
@@ -83,11 +89,7 @@ def write_comparison_csv(reports, target):
 
 
 def write_comparison_markdown(reports, target):
-    names = list(reports)
-    inv_h = reports[names[0]].inv_h
-    for n in names:
-        if reports[n].inv_h != inv_h:
-            raise ValueError("comparison reports must share their levels")
+    names, inv_h = _shared_levels(reports)
     first = reports[names[0]]
 
     def write(s):

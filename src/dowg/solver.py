@@ -315,13 +315,18 @@ _STALL = 10
 _ROUNDOFF = 256 * np.finfo(float).eps
 
 
-def _exact(A):
-    """The exact pair of A: sparse LU's solve (COLAMD order) as P^{-1},
-    and R = None (P = A).  A singular A raises ``np.linalg.LinAlgError``."""
+def _exact(system, x=None):
+    """The exact pair of the system's matrix A: sparse LU's solve (COLAMD
+    order) as P^{-1}, and R = None (P = A).  Given ``x``, one ordinate's
+    field as a flat array, it is overwritten with A x.  A singular A
+    raises ``np.linalg.LinAlgError``."""
+    A = system.matrix
     try:
         lu = spla.splu(A.tocsc())
     except RuntimeError as err:  # SuperLU's "Factor is exactly singular"
         raise np.linalg.LinAlgError(str(err)) from err
+    if x is not None:
+        x[:] = A @ x
     return lu.solve, None
 
 
@@ -339,12 +344,9 @@ def _pairs(systems, start=None):
     for m, s in enumerate(systems):
         x0 = None if start is None else start[m]
         if s.n_dof <= _EXACT_UP_TO:
-            A = s.matrix
-            pairs.append(_exact(A))
-            if x0 is not None:
-                x0[:] = A @ x0
+            pairs.append(_exact(s, x0))
         else:
-            sw = _SweepSolve(s, patterns) if x0 is None else _SweepSolve(s, patterns, x0)
+            sw = _SweepSolve(s, patterns, x0)
             pairs.append((sw._forward, sw.R))
     return pairs
 
@@ -452,8 +454,7 @@ def source_iteration(systems, kernel, quad, cfg=None, certify=None, start=None):
                     "sparse LU", RuntimeWarning, stacklevel=2,
                 )
                 for m in inexact:
-                    A = systems[m].matrix
-                    pairs[m] = _exact(A)
-                    g_prev[m] = A @ field[m].ravel()
+                    g_prev[m] = field[m].ravel()
+                    pairs[m] = _exact(systems[m], g_prev[m])
                 escalated = len(inexact)
     return field, IterationTrace(errs, converged, bound, residual, escalated)

@@ -49,7 +49,8 @@ from .elements import (
     _sample,
     project_field,
 )
-from .mesh import build_mesh, classify_edges
+from .mesh import SIDE_NORMALS, build_mesh
+from .reporting import _shared_levels
 from .solver import SolverFailure, SourceIterationConfig, source_iteration
 
 __all__ = [
@@ -363,7 +364,7 @@ def measure_error(field, case, mesh, tables, quad):
     ]
     total = 0.0
     for m, th in enumerate(quad.thetas):
-        kappa = np.abs(classify_edges(quad.vectors[m]).side_sn) * h
+        kappa = np.abs(SIDE_NORMALS @ quad.vectors[m]) * h
         faces, _ = _face_traces(mesh, tables, field[m])
         jump = _jump_sum(kappa, tables.quad.edge_weights, faces, faces)
         sides = _side_traces(mesh, fine, field[m])
@@ -476,12 +477,8 @@ def run_comparison(case="example2", k=1, levels=range(3, 7), M=20, c_p=0.1,
 def dominance_ratios(reports):
     """Per-level ratio of the first scheme's error to the best competing
     one; the recorded closeness metric for scheme comparisons."""
-    names = list(reports)
+    names, _ = _shared_levels(reports)
     lead, rest = names[0], names[1:]
-    inv_h = reports[lead].inv_h
-    for n in rest:
-        if reports[n].inv_h != inv_h:
-            raise ValueError("comparison reports must share their levels")
     return [
         e / min(reports[n].errors[i] for n in rest)
         for i, e in enumerate(reports[lead].errors)

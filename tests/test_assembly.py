@@ -34,7 +34,7 @@ from dowg.elements import (
     project_field,
     weak_convection_blocks,
 )
-from dowg.mesh import SIDE_NORMALS, build_mesh, classify_edges
+from dowg.mesh import SIDE_NORMALS, build_mesh
 
 ST, SS = 2.0, 0.5
 
@@ -291,19 +291,12 @@ class TestInvariantProperty:
     @settings(max_examples=60, deadline=None)
     @given(theta=_THETAS)
     def test_tie_rule(self, theta):
-        # inflow is s.n < 0 exactly; s.n = 0 counts as outflow, and the
-        # axis directions carry exact ties on two sides
-        mesh = build_mesh(2)
-        sets = classify_edges(_one_ordinate(theta).vectors[0])
-        sn = sets.side_sn
-        assert sets.inflow_sides == tuple(np.nonzero(sn < 0)[0])
-        assert sets.outflow_sides == tuple(np.nonzero(sn >= 0)[0])
-        # each inflow side is inflow on its n domain-boundary cells
-        on_boundary = mesh.neighbours[:, list(sets.inflow_sides)] < 0
-        assert list(on_boundary.sum(axis=0)) == [mesh.n] * len(sets.inflow_sides)
+        # s.n read straight from the quadrature's vector: the axis
+        # directions carry exact ties on the two sides parallel to them,
+        # and exactly +-1 on the other two
+        sn = SIDE_NORMALS @ _one_ordinate(theta).vectors[0]
         if theta in _AXIS_THETAS:
-            assert np.count_nonzero(sn == 0.0) == 2
-            assert len(sets.inflow_sides) == 1
+            assert_array_equal(np.sort(sn), [-1.0, 0.0, 0.0, 1.0])
 
 
 class TestCoefficientSpace:
@@ -394,7 +387,7 @@ class TestWGConvection:
         for m in range(len(quad)):
             sysm = assemble_direction(WG(), mesh, tables, quad, kernel, Medium(ST, SS), m)
             acc, shift = sysm.stencil(), dowg.assembly._sweep_shift(sysm)
-            side_sn = classify_edges(sysm.direction).side_sn
+            side_sn = SIDE_NORMALS @ sysm.direction
             mass = dowg.assembly._mass_blocks(tables, mesh, ST, sysm.scatter_test)
             for cell in range(mesh.n_cells):
                 bdy = tuple(b for b in range(4) if mesh.neighbours[cell, b] < 0)
@@ -525,25 +518,45 @@ class TestBilinear:
         assert broken > 0
 
 
-class TestHooks:
-    def test_tie_break_leaves_matrix_unchanged(self, quad, kernel):
-        # edges with s.n = 0 carry no flux or stabilizer weight, so the
-        # inflow/outflow tie break cannot show up in assembled entries;
-        # the classification itself must flip, which the structural
-        # selftest relies on
-        mesh, tables = build_mesh(2), _tables(1)
-        med = Medium(ST, SS)
-        m_axis = 0  # theta = 0: horizontal edges have s.n = 0
-        base = assemble_direction(WG(), mesh, tables, quad, kernel, med, m_axis)
-        s = quad.vectors[m_axis]
-        plain = classify_edges(s)
-        with _hooks.inject("tie_break_inflow"):
-            mutated = assemble_direction(WG(), mesh, tables, quad, kernel, med, m_axis)
-            mutated = mutated.matrix
-            tied = classify_edges(s)
-        assert (base.matrix != mutated).nnz == 0
-        assert plain.side_sn[2] == 0.0
-        assert 2 in plain.outflow_sides and 2 in tied.inflow_sides
+class TestTieSides:
+    """A side with s.n = 0 adds nothing to an ordinate's system but
+    DODG's jump penalty: checked on the axis-only ordinate set, whose
+    ties are exact zeros of s.n."""
+
+    @pytest.mark.parametrize("level", [2, 3])
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("scheme", [WG(), DODG(), DODSD()], ids=["wg", "dodg", "dodsd"])
+    def test_tie_slots_and_right_side(self, scheme, k, level):
+        quad = build_circle_trapezoid(4)
+        kern = build_scatter_kernel(quad, Isotropic(), ST, SS)
+        mesh, tables = build_mesh(level), _tables(k)
+        for m in range(len(quad)):
+            sysm = assemble_direction(
+                scheme, mesh, tables, quad, kern, Medium(ST, SS), m,
+                u_in=lambda x, y, th: 1.0,
+            )
+            sn = SIDE_NORMALS @ quad.vectors[m]
+            ties = np.nonzero(sn == 0.0)[0]
+            assert len(ties) == 2
+            acc = sysm.stencil()
+            # one cell of each class, and whether it has a neighbour per side
+            first = np.unique(acc.cls, return_index=True)[1]
+            inner = mesh.neighbours[first] >= 0
+            for b in ties:
+                expected = np.zeros_like(tables.E_pair[b])
+                if isinstance(scheme, DODG):
+                    expected = -(scheme.c_p * mesh.h) * tables.E_pair[b]
+                blocks = acc.blocks[inner[:, b], TestWGConvection._SLOT[b]]
+                assert len(blocks) > 0
+                for block in blocks:
+                    assert_array_equal(block, expected)
+            # inflow data enters only through the cells on an s.n < 0 side
+            rhs = sysm.rhs_fixed.reshape(mesh.n_cells, tables.dof)
+            inflow = np.zeros(mesh.n_cells, dtype=bool)
+            for b in np.nonzero(sn < 0)[0]:
+                inflow[mesh.boundary_cells(b)] = True
+            assert np.all(rhs[~inflow] == 0.0)
+            assert np.all(np.any(rhs[inflow] != 0.0, axis=1))
 
 
 class TestDirectionSystem:

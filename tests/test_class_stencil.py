@@ -163,7 +163,7 @@ class TestClassBuiltEqualsCellBuilt:
     def test_every_ordinate(self, name, k, level):
         _assert_class_built_is_cell_built(_systems(name, k, level))
 
-    @pytest.mark.parametrize("hook", ["flip_inflow_sign", "tie_break_inflow"])
+    @pytest.mark.parametrize("hook", ["flip_inflow_sign"])
     @pytest.mark.parametrize("k", [1, 2])
     @pytest.mark.parametrize("name", sorted(_SCHEMES))
     def test_under_hooks(self, name, k, hook):
@@ -184,7 +184,7 @@ class TestClassBuiltEqualsCellBuilt:
         k=st.sampled_from([1, 2]),
         name=st.sampled_from(sorted(_SCHEMES)),
         level=st.sampled_from([1, 2, 3]),
-        hook=st.sampled_from([None, "flip_inflow_sign", "tie_break_inflow"]),
+        hook=st.sampled_from([None, "flip_inflow_sign"]),
     )
     def test_any_direction(self, theta, k, name, level, hook):
         _, kernel, medium, mesh, tables = _setup(k, level)
@@ -231,7 +231,7 @@ class TestClassDinv:
         name=st.sampled_from(sorted(_SCHEMES)),
         level=st.sampled_from([1, 2, 4]),
         kind=st.sampled_from(["constant", "callable"]),
-        hook=st.sampled_from([None, "flip_inflow_sign", "tie_break_inflow"]),
+        hook=st.sampled_from([None, "flip_inflow_sign"]),
     )
     def test_any_direction(self, theta, k, name, level, kind, hook):
         _, kernel, medium, mesh, tables = _setup(k, level, _sigma_t(kind))
@@ -281,8 +281,8 @@ class TestSharedPatterns:
         refs = []
 
         class Watched(_SweepSolve):
-            def __init__(self, system, patterns):
-                super().__init__(system, patterns)
+            def __init__(self, system, patterns, start=None):
+                super().__init__(system, patterns, start)
                 refs.append(weakref.ref(self))
 
         monkeypatch.setattr(dowg.solver, "_SweepSolve", Watched)

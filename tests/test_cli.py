@@ -299,14 +299,6 @@ class TestExitCodes:
         assert n >= 1
         assert "FAIL coercivity sample" in buf.getvalue()
 
-    def test_selftest_catches_tie_break(self):
-        buf = io.StringIO()
-        with _hooks.inject("tie_break_inflow"):
-            n = selftest(buf)
-        assert n == 1
-        assert "FAIL constant-solution residuals" in buf.getvalue()
-        assert "tie edges" in buf.getvalue()
-
     def test_selftest_exit_code_under_fault(self):
         with _hooks.inject("flip_inflow_sign"):
             assert main(["selftest"]) == EXIT_SELFTEST

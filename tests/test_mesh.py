@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from dowg import _hooks
-from dowg.mesh import OPPOSITE_SIDE, SIDE_NORMALS, build_mesh, classify_edges
+from dowg.mesh import OPPOSITE_SIDE, SIDE_NORMALS, build_mesh
 
 
 class TestBuildMesh:
@@ -135,50 +134,3 @@ class TestBuildMesh:
                 total = sum(sn[side] * m.h for side in range(4))
                 assert abs(total) <= 1e-14
 
-
-class TestClassifyEdges:
-    def test_axis_aligned(self):
-        m = build_mesh(2)
-        sets = classify_edges(np.array([1.0, 0.0]))
-        # inflow boundary is the left side of the domain
-        assert sets.inflow_sides == (0,)
-        inflow = m.boundary_cells(0)
-        assert len(inflow) == m.n
-        assert np.all(inflow % m.n == 0)  # column i = 0, at x = 0
-        # horizontal sides have s.n = 0: outflow by the tie rule
-        assert set(sets.outflow_sides) == {1, 2, 3}
-
-    def test_diagonal(self):
-        m = build_mesh(1)
-        s = np.array([np.cos(np.pi / 4), np.sin(np.pi / 4)])
-        sets = classify_edges(s)
-        assert sets.inflow_sides == (0, 2)  # left + bottom
-        assert sum(len(m.boundary_cells(b)) for b in sets.inflow_sides) == 4
-        assert sorted(sets.inflow_sides + sets.outflow_sides) == [0, 1, 2, 3]
-
-    def test_partition_covers(self):
-        m = build_mesh(2)
-        sets = classify_edges(np.array([np.cos(1.0), np.sin(1.0)]))
-        assert sorted(sets.inflow_sides + sets.outflow_sides) == [0, 1, 2, 3]
-        # every boundary side of every cell lands in exactly one of the lists
-        both = [(c, b) for b in sets.inflow_sides + sets.outflow_sides
-                for c in m.boundary_cells(b)]
-        assert sorted(both) == sorted(zip(*np.nonzero(m.neighbours < 0)))
-
-    def test_direction_object(self):
-        from dowg.angular import build_circle_trapezoid
-
-        q = build_circle_trapezoid(4)
-        sets = classify_edges(q.vectors[1])  # theta = pi/2
-        assert sets.inflow_sides == (2,)
-
-    def test_tie_break_hook(self):
-        sets = classify_edges(np.array([1.0, 0.0]))
-        assert 2 not in sets.inflow_sides and 3 not in sets.inflow_sides
-        with _hooks.inject("tie_break_inflow"):
-            mutated = classify_edges(np.array([1.0, 0.0]))
-        assert 2 in mutated.inflow_sides and 3 in mutated.inflow_sides
-
-    def test_rejects_bad_direction(self):
-        with pytest.raises(ValueError):
-            classify_edges(np.array([1.0, 0.0, 0.0]))

@@ -126,8 +126,8 @@ class _FrontLoopSweep(_SweepSolve):
     front in a Python loop over the blocks of the assembled sweep matrix,
     as the solver did before the triangular solve replaced it."""
 
-    def __init__(self, system, patterns):
-        super().__init__(system, patterns)
+    def __init__(self, system, patterns, start=None):
+        super().__init__(system, patterns, start)
         mesh, d, direction = system.mesh, system.tables.dof, system.direction
         n = mesh.n
         idx = np.arange(n)
@@ -593,8 +593,8 @@ class TestSplitStorage:
         built = []
 
         class Kept(_SweepSolve):
-            def __init__(self, system, patterns):
-                super().__init__(system, patterns)
+            def __init__(self, system, patterns, start=None):
+                super().__init__(system, patterns, start)
                 built.append(self)
 
         monkeypatch.setattr(dowg.solver, "_SweepSolve", Kept)
