@@ -52,6 +52,7 @@ from .verify import (
     AngularStudyReport,
     ConvergenceReport,
     ManufacturedCase,
+    Separable,
     build_case,
     dominance_ratios,
     measure_error,

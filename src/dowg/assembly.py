@@ -265,18 +265,28 @@ def assemble_direction(scheme, mesh, tables, quad, kernel, medium, m, f=None, u_
         fv = _sample(f, *mesh.points(q.vol_points), theta)
         rhs += h * h * ((q.vol_weights * fv) @ test_table)
     if u_in is not None:
-        # - h s.n <u_in, v> on each inflow boundary side (s.n < 0)
-        sn = SIDE_NORMALS @ s
-        for b in range(4):
-            if sn[b] < 0:
-                bc = mesh.boundary_cells(b)
-                g = _sample(u_in, *mesh.points(_edge_points(b, q.edge_points), bc), theta)
-                rhs[bc] += -h * sn[b] * ((q.edge_weights * g) @ tables.trace[b])
+        sides = _side_points(mesh, q)
+        _add_inflow(rhs, mesh, tables, s, lambda b: _sample(u_in, *sides[b], theta))
 
     inflow_sign = 1.0 if _hooks.flip_inflow_sign else -1.0
     return DirectionSystem(
         m, s, rhs.ravel(), scheme, mesh, tables, medium, test_table, inflow_sign
     )
+
+
+def _side_points(mesh, quad):
+    """Per domain side 0..3 the (x, y) of ``quad``'s edge points on its cells."""
+    return [mesh.points(_edge_points(b, quad.edge_points), mesh.boundary_cells(b)) for b in range(4)]
+
+
+def _add_inflow(rhs, mesh, tables, s, u_in):
+    """Add - h s.n <u_in, v> on each inflow side b (s.n < 0) to ``rhs``
+    (C, dof), with ``u_in(b)`` the data at side b's ``_side_points``."""
+    sn = SIDE_NORMALS @ s
+    we = tables.quad.edge_weights
+    for b in range(4):
+        if sn[b] < 0:
+            rhs[mesh.boundary_cells(b)] += -mesh.h * sn[b] * ((we * u_in(b)) @ tables.trace[b])
 
 
 def _assemble_stencil(system):

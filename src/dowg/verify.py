@@ -11,6 +11,10 @@ Two smooth cases on the unit square with constant cross sections:
   exp(-x/2 - y/2) (1 + (c/4) cos theta) and c = 1/(1 + 6 sigma_s)
   makes the pair consistent.
 
+Each case function is a ``Separable`` sum of angular times spatial factors,
+and the drivers sample each spatial factor once per run and combine the
+samples per ordinate; ``assemble_direction`` still takes any callable.
+
 Errors are measured against the exact solution per ordinate with a
 Gauss rule two degrees above the assembly rule, in both the angularly
 weighted broken L2 norm (the tabulated quantity) and the triple norm
@@ -34,9 +38,11 @@ from .assembly import (
     DODSD,
     WG,
     Medium,
+    _add_inflow,
     _boundary_sum,
     _face_traces,
     _jump_sum,
+    _side_points,
     _side_traces,
     assemble_direction,
 )
@@ -44,7 +50,6 @@ from .elements import (
     ElementQuadrature,
     ElementTables,
     LocalBasis,
-    _edge_points,
     _prolong,
     _sample,
     project_field,
@@ -55,6 +60,7 @@ from .solver import SolverFailure, SourceIterationConfig, source_iteration
 
 __all__ = [
     "ManufacturedCase",
+    "Separable",
     "ConvergenceReport",
     "AngularStudyReport",
     "CaseSolution",
@@ -69,15 +75,31 @@ __all__ = [
 
 
 @dataclass(frozen=True)
+class Separable:
+    """sum_j a_j(theta) g_j(x, y) from ``terms``, its (a_j, g_j) pairs of
+    angular and spatial factors; called like a vectorized f(x, y, theta)."""
+
+    terms: tuple
+
+    def __call__(self, x, y, th):
+        return sum(a(th) * g(x, y) for a, g in self.terms)
+
+    def sampled(self, sample):
+        """theta -> sum_j a_j(theta) sample(g_j), each sample(g_j) taken here, once."""
+        parts = [(a, sample(g)) for a, g in self.terms]
+        return lambda th: sum(a(th) * G for a, G in parts)
+
+
+@dataclass(frozen=True)
 class ManufacturedCase:
     """Exact solution, its angular convolution, the matching source,
-    and the inflow data, all vectorized over (x, y, theta)."""
+    and the inflow data, each a ``Separable`` over (x, y, theta)."""
 
     name: str
-    u: callable
-    scatter_u: callable
-    f: callable
-    u_in: callable
+    u: Separable
+    scatter_u: Separable
+    f: Separable
+    u_in: Separable
     phase: object
     medium: Medium
     renormalize: bool = True
@@ -94,37 +116,29 @@ def build_case(name, sigma_t=2.0, sigma_s=0.5, eta=0.5):
     st, ss = float(sigma_t), float(sigma_s)
     medium = Medium(st, ss)
     if name == "example1":
-
-        def u(x, y, th):
-            return np.sin(np.pi * x) * np.sin(np.pi * y) + 0.0 * th
-
-        def f(x, y, th):
-            adv = np.pi * (
-                np.cos(th) * np.cos(np.pi * x) * np.sin(np.pi * y)
-                + np.sin(th) * np.sin(np.pi * x) * np.cos(np.pi * y)
-            )
-            return adv + (st - ss) * np.sin(np.pi * x) * np.sin(np.pi * y)
-
-        return ManufacturedCase(
-            name, u, u, f, u, HenyeyGreenstein(eta), medium
-        )
+        pi = np.pi
+        sines = (np.ones_like, lambda x, y: np.sin(pi * x) * np.sin(pi * y))
+        u = Separable((sines,))
+        f = Separable((
+            (np.cos, lambda x, y: pi * np.cos(pi * x) * np.sin(pi * y)),
+            (np.sin, lambda x, y: pi * np.sin(pi * x) * np.cos(pi * y)),
+            (lambda th: (st - ss) * np.ones_like(th), sines[1]),
+        ))
+        return ManufacturedCase(name, u, u, f, u, HenyeyGreenstein(eta), medium)
     if name == "example2":
         c = 1.0 / (1.0 + 6.0 * ss)
 
-        def u(x, y, th):
-            return np.exp(-0.5 * x - 0.5 * y) * (1.0 + c * np.cos(th))
+        def e(x, y):
+            return np.exp(-0.5 * x - 0.5 * y)
 
-        def ku(x, y, th):
-            return np.exp(-0.5 * x - 0.5 * y) * (1.0 + 0.25 * c * np.cos(th))
-
-        def f(x, y, th):
-            e = np.exp(-0.5 * x - 0.5 * y)
-            adv = -0.5 * (np.cos(th) + np.sin(th)) * e * (1.0 + c * np.cos(th))
-            return adv + st * e * (1.0 + c * np.cos(th)) - ss * e * (
+        def f(th):
+            return (st - 0.5 * (np.cos(th) + np.sin(th))) * (1.0 + c * np.cos(th)) - ss * (
                 1.0 + 0.25 * c * np.cos(th)
             )
 
-        return ManufacturedCase(name, u, ku, f, u, LinearAnisotropic(), medium)
+        u = Separable(((lambda th: 1.0 + c * np.cos(th), e),))
+        ku = Separable(((lambda th: 1.0 + 0.25 * c * np.cos(th), e),))
+        return ManufacturedCase(name, u, ku, Separable(((f, e),)), u, LinearAnisotropic(), medium)
     raise ValueError(f"unknown manufactured case {name!r}")
 
 
@@ -307,13 +321,20 @@ def _case_kernel(case, quad, renormalize):
 
 
 def _assemble_all(case, scheme, mesh, tables, quad, kernel):
-    return [
-        assemble_direction(
-            scheme, mesh, tables, quad, kernel, case.medium, m,
-            f=case.f, u_in=case.u_in,
-        )
-        for m in range(len(quad))
-    ]
+    """Every ordinate's system, its right side combined from the spatial
+    factors of the source (pre-weighted by h^2 w) and inflow data, sampled here once."""
+    q = tables.quad
+    X, Y = mesh.points(q.vol_points)
+    f = case.f.sampled(lambda g: mesh.h**2 * q.vol_weights * _sample(g, X, Y))
+    u_in = [case.u_in.sampled(lambda g: _sample(g, x, y)) for x, y in _side_points(mesh, q)]
+    systems = []
+    for m, th in enumerate(quad.thetas):
+        system = assemble_direction(scheme, mesh, tables, quad, kernel, case.medium, m)
+        rhs = system.rhs_fixed.reshape(mesh.n_cells, tables.dof)
+        rhs += f(th) @ system.scatter_test
+        _add_inflow(rhs, mesh, tables, system.direction, lambda b: u_in[b](th))
+        systems.append(system)
+    return systems
 
 
 def solve_case(case, scheme=None, k=1, level=3, M=20, cfg=None, renormalize=None):
@@ -351,35 +372,32 @@ def measure_error(field, case, mesh, tables, quad):
     fq = fine.quad
 
     X, Y = mesh.points(fq.vol_points)
+    u = case.u.sampled(lambda g: _sample(g, X, Y))
     # one ordinate at a time, so no (L, C, q) array is formed
     vol = np.empty(len(quad))
     for m, th in enumerate(quad.thetas):
-        diff = field[m] @ fine.V.T - _sample(case.u, X, Y, th)
+        diff = field[m] @ fine.V.T - u(th)
         vol[m] = h * h * np.sum(diff**2 @ fq.vol_weights)
     err_dom = float(np.sqrt(np.sum(quad.weights * vol)))
 
-    edges = [
-        mesh.points(_edge_points(b, fq.edge_points), mesh.boundary_cells(b))
-        for b in range(4)
-    ]
+    edges = [case.u.sampled(lambda g: _sample(g, x, y)) for x, y in _side_points(mesh, fq)]
     total = 0.0
     for m, th in enumerate(quad.thetas):
         kappa = np.abs(SIDE_NORMALS @ quad.vectors[m]) * h
         faces, _ = _face_traces(mesh, tables, field[m])
         jump = _jump_sum(kappa, tables.quad.edge_weights, faces, faces)
         sides = _side_traces(mesh, fine, field[m])
-        diff = [t - _sample(case.u, x, y, th) for t, (x, y) in zip(sides, edges)]
+        diff = [t - u_b(th) for t, u_b in zip(sides, edges)]
         bdy = _boundary_sum(kappa, fq.edge_weights, diff, diff)
         total += quad.weights[m] * (vol[m] + 0.5 * jump + bdy)
     return err_dom, float(np.sqrt(total))
 
 
 def project_exact(case, mesh, tables, quad):
-    """Elementwise L2 projection of the exact solution, per ordinate."""
-    field = np.empty((len(quad), mesh.n_cells, tables.dof))
-    for m, th in enumerate(quad.thetas):
-        field[m] = project_field(mesh, tables, lambda x, y: case.u(x, y, th))
-    return field
+    """Elementwise L2 projection of the exact solution, per ordinate:
+    each spatial factor of u is projected once."""
+    u = case.u.sampled(lambda g: project_field(mesh, tables, g))
+    return np.stack([u(th) for th in quad.thetas])
 
 
 def _iterate(systems, kernel, quad, tol, where, measure, start=None):

@@ -1,16 +1,32 @@
+import collections
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 import dowg.verify
 from dowg.angular import Isotropic, build_circle_trapezoid
-from dowg.assembly import DODG, DODSD, WG, Medium
-from dowg.mesh import build_mesh
+from dowg.assembly import (
+    DODG,
+    DODSD,
+    WG,
+    Medium,
+    _boundary_sum,
+    _face_traces,
+    _jump_sum,
+    _side_points,
+    _side_traces,
+    assemble_direction,
+)
+from dowg.elements import ElementQuadrature, ElementTables
+from dowg.mesh import SIDE_NORMALS, build_mesh
 from dowg.solver import SolverFailure, SourceIterationConfig, source_iteration
 from dowg.verify import (
     AngularStudyReport,
     ConvergenceReport,
     ManufacturedCase,
+    Separable,
     build_case,
     dominance_ratios,
     measure_error,
@@ -99,7 +115,7 @@ class TestMeasureError:
     def test_polynomial_exactness(self):
         poly = ManufacturedCase(
             "poly",
-            u=lambda x, y, th: (1 + 2 * x) * (0.5 - y) + 0.0 * th,
+            u=Separable(((np.ones_like, lambda x, y: (1 + 2 * x) * (0.5 - y)),)),
             scatter_u=None, f=None, u_in=None,
             phase=Isotropic(), medium=Medium(),
         )
@@ -135,6 +151,89 @@ class TestMeasureError:
             tri_orders = np.log2(np.array(tris[:-1]) / np.array(tris[1:]))
             assert dom_orders.min() >= k + 0.9
             assert tri_orders.min() >= k + 0.4
+
+
+def _pointwise_errors(field, case, mesh, tables, quad):
+    """``measure_error`` with the exact solution evaluated pointwise at
+    every ordinate, as a reference for the once-sampled factors."""
+    h, k = mesh.h, tables.basis.k
+    fine = ElementTables(tables.basis, ElementQuadrature.build(k, k + 3, k + 3))
+    fq = fine.quad
+    X, Y = mesh.points(fq.vol_points)
+    edges = _side_points(mesh, fq)
+    dom = tri = 0.0
+    for m, th in enumerate(quad.thetas):
+        diff = field[m] @ fine.V.T - case.u(X, Y, th)
+        vol = h * h * np.sum(diff**2 @ fq.vol_weights)
+        kappa = np.abs(SIDE_NORMALS @ quad.vectors[m]) * h
+        faces, _ = _face_traces(mesh, tables, field[m])
+        jump = _jump_sum(kappa, tables.quad.edge_weights, faces, faces)
+        sides = _side_traces(mesh, fine, field[m])
+        bdy = [t - case.u(x, y, th) for t, (x, y) in zip(sides, edges)]
+        dom += quad.weights[m] * vol
+        tri += quad.weights[m] * (
+            vol + 0.5 * jump + _boundary_sum(kappa, fq.edge_weights, bdy, bdy)
+        )
+    return np.sqrt(dom), np.sqrt(tri)
+
+
+_SCHEMES = {"wg": WG(), "dodg": DODG(), "dodsd": DODSD()}
+
+
+class TestSeparableTerms:
+    # level 3 is solved by the exact pairs (at most 576 unknowns per
+    # ordinate), level 4 by sweeps; the last two cases are non-stock at odd M
+    @pytest.mark.parametrize(
+        "name,scheme,k,level,kw,M",
+        [
+            (name, scheme, k, level, {}, 20)
+            for name in ("example1", "example2")
+            for scheme in _SCHEMES
+            for k in (1, 2)
+            for level in (3, 4)
+        ]
+        + [("example2", "dodsd", 2, 4, {"sigma_t": 5.0, "sigma_s": 3.0}, 7),
+           ("example1", "wg", 1, 4, {"sigma_t": 5.0, "sigma_s": 3.0}, 7)],
+    )
+    def test_match_pointwise_evaluation(self, name, scheme, k, level, kw, M):
+        case = build_case(name, **kw)
+        sol = solve_case(case, scheme=_SCHEMES[scheme], k=k, level=level, M=M)
+        for system in sol.systems:
+            ref = assemble_direction(
+                sol.scheme, sol.mesh, sol.tables, sol.quad, sol.kernel, case.medium,
+                system.m, f=case.f, u_in=case.u_in,
+            ).rhs_fixed
+            assert np.linalg.norm(system.rhs_fixed - ref) <= 1e-14 * np.linalg.norm(ref)
+        got = measure_error(sol.field, case, sol.mesh, sol.tables, sol.quad)
+        ref = _pointwise_errors(sol.field, case, sol.mesh, sol.tables, sol.quad)
+        assert_allclose(got, ref, rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("name", ["example1", "example2"])
+    def test_each_factor_sampled_once_per_run(self, name):
+        # the spatial factors are evaluated as often at M = 16 as at M = 4
+        def counted(fn, label, counts):
+            def wrap(g, key):
+                def g_counted(x, y):
+                    counts[key] += 1
+                    return g(x, y)
+                return g_counted
+
+            return Separable(tuple((a, wrap(g, (label, j))) for j, (a, g) in enumerate(fn.terms)))
+
+        runs = []
+        for M in (4, 16):
+            counts = collections.Counter()
+            base = build_case(name)
+            case = dataclasses.replace(
+                base, u=counted(base.u, "u", counts), f=counted(base.f, "f", counts),
+                u_in=counted(base.u_in, "u_in", counts),
+            )
+            sol = solve_case(case, k=1, level=2, M=M)
+            measure_error(sol.field, case, sol.mesh, sol.tables, sol.quad)
+            project_exact(case, sol.mesh, sol.tables, sol.quad)
+            runs.append(counts)
+        assert runs[0] == runs[1]
+        assert {label for label, _ in runs[0]} == {"u", "f", "u_in"}
 
 
 class TestSolveCase:
