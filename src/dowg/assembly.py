@@ -178,17 +178,15 @@ class _BlockStencil:
         self.blocks[classes, slot] += block
         self.touched[classes, slot] = True
 
-    def tocsr(self, blocks=None):
-        """The stencil as a CSR matrix over the n*n cells, with ``blocks``
-        (per class and slot, by default the stencil's own) gathered into
-        every cell's block row."""
-        blocks = self.blocks if blocks is None else blocks
+    def tocsr(self):
+        """The stencil as a CSR matrix over the n*n cells, its class
+        blocks gathered into every cell's block row."""
         C, d = len(self.cls), self.d
         touched = self.touched[self.cls]
         cells, slots = np.nonzero(touched)
         indptr = np.concatenate(([0], np.cumsum(touched.sum(axis=1))))
         return sp.bsr_matrix(
-            (blocks[self.cls[cells], slots], cells + self.offsets[slots], indptr),
+            (self.blocks[self.cls[cells], slots], cells + self.offsets[slots], indptr),
             shape=(C * d, C * d),
         ).tocsr()
 
@@ -399,7 +397,8 @@ def _face_traces(mesh, tables, coeffs):
     and from their neighbours across it; and the boundary sides' traces
     (``_side_traces``)."""
     interior = [
-        (s1, coeffs[c1] @ tables.trace[s1].T, coeffs[c2] @ tables.trace[s2].T)
+        (s1, np.take(coeffs, c1, axis=0) @ tables.trace[s1].T,
+         np.take(coeffs, c2, axis=0) @ tables.trace[s2].T)
         for s1, s2, c1, c2 in mesh.interior_faces()
     ]
     return interior, _side_traces(mesh, tables, coeffs)
@@ -407,7 +406,7 @@ def _face_traces(mesh, tables, coeffs):
 
 def _side_traces(mesh, tables, coeffs):
     """Per domain side 0..3 the traces of its cells, each (n, q_e)."""
-    return [coeffs[mesh.boundary_cells(b)] @ tables.trace[b].T for b in range(4)]
+    return [np.take(coeffs, mesh.boundary_cells(b), axis=0) @ tables.trace[b].T for b in range(4)]
 
 
 def _jump_sum(kappa, we, faces_u, faces_v):

@@ -265,18 +265,18 @@ def _check_memory(k, level, M, budget=None):
     shared by the ordinates of one sparsity pattern, so they count once
     per pattern: at most eight for M and eight for R (four quadrants, on
     an axis or not, and never more than the ordinates), each with 4-byte
-    indices and its indptr.  The set-up's scratch (the patterns' 8-byte gathers and one
-    pattern's conversion, measured at most 68 bytes per block entry) is
-    freed before the loop allocates five (L, C, dof) fields (the
-    iterate, the previous right sides g, the update and the scattering
-    source's temporaries), so the larger of the two counts.  A nested
-    start (``run_convergence`` past its first level) allocates two of
-    the five before the set-up: the prolonged start field, which is the
-    iterate, and the g that its P x0 is formed into; so the set-up
-    counts with those two.  The coarse field it was prolonged from, a
-    quarter of one field, is freed before the level assembles.  With a
-    constant sigma_t the class blocks the set-up works on are a few
-    kilobytes and not counted.
+    indices and its indptr.  The set-up's scratch (the patterns' 8-byte
+    takes and one pattern's build, by tracemalloc at most 44 bytes per
+    block entry at Q1 and Q2, 1/h = 64) is freed before the loop
+    allocates five (L, C, dof) fields (the iterate, the previous right
+    sides g, the update and the scattering source's temporaries), so
+    the larger of the two counts.  A nested start (``run_convergence``
+    past its first level) allocates two of the five before the set-up:
+    the prolonged start field, which is the iterate, and the g that its
+    P x0 is formed into; so the set-up counts with those two.  The
+    coarse field it was prolonged from, a quarter of one field, is freed
+    before the level assembles.  With a constant sigma_t the class
+    blocks the set-up works on are a few kilobytes and not counted.
 
     The dense (L, L) arrays of the scattering kernel come on top.  Its
     build, which runs before anything else is allocated, peaks at four
@@ -354,7 +354,7 @@ def solve_case(case, scheme=None, k=1, level=3, M=20, cfg=None, renormalize=None
     return CaseSolution(case, scheme, field, trace, systems, quad, kernel, mesh, tables)
 
 
-def measure_error(field, case, mesh, tables, quad):
+def measure_error(field, case, mesh, tables, quad, triple=True):
     """Both error norms of u - u_h against the case's exact solution.
 
     Volume terms use a (k+3)-point Gauss rule per axis (degree 2k+5,
@@ -363,7 +363,7 @@ def measure_error(field, case, mesh, tables, quad):
     boundary terms evaluate the exact trace on the finer edge rule.
 
     Returns (broken-L2 error, triple-norm error), both angularly
-    weighted.
+    weighted; ``triple`` False skips the triple norm (None).
     """
     field = np.asarray(field)
     h = mesh.h
@@ -379,6 +379,8 @@ def measure_error(field, case, mesh, tables, quad):
         diff = field[m] @ fine.V.T - u(th)
         vol[m] = h * h * np.sum(diff**2 @ fq.vol_weights)
     err_dom = float(np.sqrt(np.sum(quad.weights * vol)))
+    if not triple:
+        return err_dom, None
 
     edges = [case.u.sampled(lambda g: _sample(g, x, y)) for x, y in _side_points(mesh, fq)]
     total = 0.0
@@ -406,15 +408,12 @@ def _iterate(systems, kernel, quad, tol, where, measure, start=None):
 
     With ``tol`` None the row is certified: the loop starts at the
     production tolerance and resumes until its iteration-error bound is
-    at most 1% of the measured error.  A row that stops uncertified
-    raises SolverFailure with ``where`` attached, so no unconverged row
-    is tabulated.
+    at most 1% of its L2 error, ``measure(field, triple=False)[0]``;
+    both errors come from the final field.  A row that stops uncertified
+    raises SolverFailure with ``where``, so none is tabulated.
     """
-    measured = []
-
     def certify(field):
-        measured.append(measure(field))
-        return 0.01 * measured[-1][0]
+        return 0.01 * measure(field, triple=False)[0]
 
     cfg = SourceIterationConfig(tol=1e-3 if tol is None else tol)
     field, trace = source_iteration(
@@ -428,7 +427,7 @@ def _iterate(systems, kernel, quad, tol, where, measure, start=None):
             f"relative residual {trace.residual:.3e}",
             trace.residual,
         )
-    return field, trace, measured[-1] if measured else measure(field)
+    return field, trace, measure(field)
 
 
 def run_convergence(case="example1", scheme=None, k=1, levels=range(3, 8), M=20,
@@ -467,7 +466,7 @@ def run_convergence(case="example1", scheme=None, k=1, levels=range(3, 8), M=20,
         systems = _assemble_all(case, scheme, mesh, tables, quad, kernel)
         field, trace, (err_dom, err_tri) = _iterate(
             systems, kernel, quad, tol, f"level {lv} (1/h = {mesh.n})",
-            lambda f: measure_error(f, case, mesh, tables, quad), field,
+            lambda f, triple=True: measure_error(f, case, mesh, tables, quad, triple), field,
         )
         wall = time.perf_counter() - t0
         eoc = None if prev is None else float(np.log2(prev / err_dom))
@@ -529,7 +528,7 @@ def run_angular_study(case="example2", scheme=None, k=2, level=5,
         systems = _assemble_all(case, scheme, mesh, tables, quad, kernel)
         _, _, (err_dom, _) = _iterate(
             systems, kernel, quad, tol, f"M = {M}",
-            lambda f: measure_error(f, case, mesh, tables, quad),
+            lambda f, triple=False: measure_error(f, case, mesh, tables, quad, triple),
         )
         rows.append((M, err_dom))
     return AngularStudyReport(case.name, scheme.name, k, level, rows)

@@ -7,6 +7,7 @@ class, and the sweep construction the solver used before: it converts
 each ordinate's per-cell blocks to CSR/CSC separately.
 """
 
+import copy
 import gc
 import weakref
 from contextlib import nullcontext
@@ -22,12 +23,13 @@ import dowg.assembly
 import dowg.solver
 from dowg import _hooks
 from dowg.angular import HenyeyGreenstein, build_circle_trapezoid, build_scatter_kernel
-from dowg.assembly import DODG, DODSD, WG, Medium, assemble_direction
+from dowg.assembly import DODG, DODSD, WG, Medium, assemble_direction, triple_norm
 from dowg.elements import ElementQuadrature, ElementTables, LocalBasis
 from dowg.mesh import build_mesh
 from dowg.solver import (
-    SourceIterationConfig, _pairs, _SweepSolve, _unit_lower_solve, source_iteration,
+    SourceIterationConfig, _pairs, _pattern, _SweepSolve, _unit_lower_solve, source_iteration,
 )
+from dowg.verify import build_case, measure_error
 
 _SCHEMES = {"wg": WG(), "dodg": DODG(), "dodsd": DODSD()}
 
@@ -133,15 +135,15 @@ def _assert_class_built_is_cell_built(systems):
         _same(sw._rank, ref._rank)
 
 
-def _setup(k, level, sigma_t=2.0):
-    quad = build_circle_trapezoid(20)
+def _setup(k, level, sigma_t=2.0, M=20):
+    quad = build_circle_trapezoid(M)
     kernel = build_scatter_kernel(quad, HenyeyGreenstein(0.5), 2.0, 0.5, renormalize=True)
     tables = ElementTables(LocalBasis(k), ElementQuadrature.build(k))
     return quad, kernel, Medium(sigma_t, 0.5), build_mesh(level), tables
 
 
-def _systems(name, k, level, sigma_t=2.0, f=None):
-    quad, kernel, medium, mesh, tables = _setup(k, level, sigma_t)
+def _systems(name, k, level, sigma_t=2.0, f=None, M=20):
+    quad, kernel, medium, mesh, tables = _setup(k, level, sigma_t, M)
     return [
         assemble_direction(_SCHEMES[name], mesh, tables, quad, kernel, medium, m, f=f)
         for m in range(len(quad))
@@ -297,3 +299,110 @@ class TestSharedPatterns:
         finally:
             if enabled:
                 gc.enable()
+
+
+def _reference_pattern(acc, nonzero, front=None):
+    """``_pattern`` as the conversion it replaced: every touched slot
+    expanded block by block to BSR, then CSR, its zeros removed, and for
+    M a COO round trip into CSC in front order, all on 1 + each entry's
+    position in the class blocks."""
+    ids = np.arange(1, nonzero.size + 1, dtype=np.intc).reshape(nonzero.shape)
+    st = copy.copy(acc)
+    st.blocks = ids * nonzero
+    A = st.tocsr()
+    A.eliminate_zeros()
+    if front is not None:
+        A = A.tocoo()
+        dof = (front[1][:, None] * acc.d + np.arange(acc.d)).ravel()
+        A = sp.csc_matrix((A.data, (dof[A.row], dof[A.col])), shape=A.shape)
+    return A.indices.astype(np.intc), A.indptr.astype(np.intc), A.data.astype(np.intp) - 1
+
+
+def _fancy_by_class(v, bulk, edge, blocks):
+    """``_by_class`` with fancy-indexed rows."""
+    y = v @ bulk
+    y[edge] = np.einsum("cij,cj->ci", blocks, v[edge])
+    return y
+
+
+def _fancy_face_traces(mesh, tables, coeffs):
+    """``assembly._face_traces`` with fancy-indexed rows."""
+    interior = [
+        (s1, coeffs[c1] @ tables.trace[s1].T, coeffs[c2] @ tables.trace[s2].T)
+        for s1, s2, c1, c2 in mesh.interior_faces()
+    ]
+    return interior, _fancy_side_traces(mesh, tables, coeffs)
+
+
+def _fancy_side_traces(mesh, tables, coeffs):
+    """``assembly._side_traces`` with fancy-indexed rows."""
+    return [coeffs[mesh.boundary_cells(b)] @ tables.trace[b].T for b in range(4)]
+
+
+class TestRowTakes:
+    """The live-slot pattern build and the ``np.take`` row moves equal,
+    bit for bit, the conversion and the fancy indexing they replaced."""
+
+    # every ordinate of M = 4 (all on an axis) and M = 20
+    @pytest.mark.parametrize("M", [4, 20])
+    @pytest.mark.parametrize("kind", ["constant", "callable"])
+    @pytest.mark.parametrize("level", [1, 2, 4])  # n = 2, 4, 16
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("name", sorted(_SCHEMES))
+    def test_pattern_equals_reference(self, name, k, level, kind, M, monkeypatch):
+        keys = []
+
+        def checked(acc, nonzero, front=None):
+            got = _pattern(acc, nonzero, front)
+            for a, b in zip(got, _reference_pattern(acc, nonzero, front), strict=True):
+                _same(a, b)
+            keys.append(front is None)
+            return got
+
+        monkeypatch.setattr(dowg.solver, "_pattern", checked)
+        patterns = {}
+        for system in _systems(name, k, level, sigma_t=_sigma_t(kind), M=M):
+            _SweepSolve(system, patterns)
+        # every pattern key of the run, M's and, but for DODSD, R's
+        assert len(keys) == sum(len(key) == 4 for key in patterns)
+        assert not all(keys) and any(keys) == (name != "dodsd")
+
+    @pytest.mark.parametrize("kind", ["constant", "callable"])
+    @pytest.mark.parametrize("level", [1, 2, 4])
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("name", sorted(_SCHEMES))
+    def test_forward_and_start_equal_fancy_indexing(self, name, k, level, kind):
+        patterns = {}
+        rng = np.random.default_rng(5)
+        for system in _systems(name, k, level, sigma_t=_sigma_t(kind)):
+            x0 = rng.standard_normal(system.n_dof)
+            px0 = x0.copy()
+            sw = _SweepSolve(system, patterns, px0)
+            d, order, rank = sw.d, sw._order, sw._rank
+            g = rng.standard_normal(system.n_dof)
+            y = _fancy_by_class(g.reshape(-1, d)[order], sw._bulk, sw._edge, sw._edge_dinv)
+            z = _unit_lower_solve(sw.M, y.ravel())
+            _same(sw._forward(g), z.reshape(-1, d)[rank].ravel())
+            # P x0 = D (M x0), D the own blocks of the swept stencil
+            acc = system.stencil()
+            D = acc.blocks[:, 2]
+            shift = dowg.assembly._sweep_shift(system)
+            if shift is not None:
+                D = D + shift.blocks[:, 2]
+            bulk = np.argmax(np.bincount(acc.cls[order]))
+            z = (sw.M @ x0.reshape(-1, d)[order].ravel()).reshape(-1, d)
+            y = _fancy_by_class(z, D[bulk].T, sw._edge, D[acc.cls[order[sw._edge]]])
+            _same(px0, y[rank].ravel())
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("name", ["example1", "example2"])
+    def test_norms_equal_fancy_indexing(self, name, k, monkeypatch):
+        quad, _, _, mesh, tables = _setup(k, 4)
+        field = np.random.default_rng(k).standard_normal((len(quad), mesh.n_cells, tables.dof))
+        case = build_case(name)
+        got = measure_error(field, case, mesh, tables, quad), triple_norm(mesh, tables, quad, field)
+        for module in (dowg.assembly, dowg.verify):
+            monkeypatch.setattr(module, "_face_traces", _fancy_face_traces)
+            monkeypatch.setattr(module, "_side_traces", _fancy_side_traces)
+        want = measure_error(field, case, mesh, tables, quad), triple_norm(mesh, tables, quad, field)
+        assert got == want

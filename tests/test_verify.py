@@ -286,8 +286,8 @@ class TestRunConvergence:
         mesh, tables = build_mesh(4), _build_tables(2)
         systems = _assemble_all(case, DODG(), mesh, tables, quad, kernel)
 
-        def measure(f):
-            return measure_error(f, case, mesh, tables, quad)
+        def measure(f, triple=True):
+            return measure_error(f, case, mesh, tables, quad, triple)
 
         _, trace, (err, _) = _iterate(systems, kernel, quad, None, "row", measure)
         ref, _ = source_iteration(
@@ -295,6 +295,25 @@ class TestRunConvergence:
         )
         assert trace.converged and trace.bound <= 0.01 * err
         assert abs(err - measure(ref)[0]) <= 0.01 * err
+
+    def test_triple_norm_once_per_row(self, monkeypatch):
+        # certification measures the broken-L2 error only; each row's two
+        # errors are measured once more, on its final field, and its L2
+        # error is bitwise the one its last certification saw
+        calls = []
+        real = dowg.verify.measure_error
+
+        def recording(field, case, mesh, tables, quad, triple=True):
+            calls.append((triple, real(field, case, mesh, tables, quad, triple)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(dowg.verify, "measure_error", recording)
+        rep = run_convergence("example2", k=1, levels=[2, 3, 4])
+        rows = [i for i, (triple, _) in enumerate(calls) if triple]
+        assert len(rows) == len(rep.rows) and len(calls) > 2 * len(rows)
+        for i, (_, err, _), tri in zip(rows, rep.rows, rep.triple_errors):
+            assert not calls[i - 1][0] and calls[i - 1][1] == (err, None)
+            assert calls[i][1] == (err, tri)
 
     def test_gap_levels_prolong_twice(self, monkeypatch):
         # level 4 starts from level 2's field prolonged over the gap; every
