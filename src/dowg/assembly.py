@@ -31,8 +31,9 @@ once per cell class: the scheme's volume block, then its terms on the
 interior sides, its jump term and its boundary-side terms, each added
 into the slot across its side.  With a constant sigma_t the classes are
 the cells of a 3 x 3 class grid (first, interior and last column and
-row); a callable sigma_t makes each cell its own class.  The stencil is
-emitted block-row-wise as the CSR system matrix.
+row); a callable sigma_t makes each cell its own class.  The class
+blocks expand to the CSR system matrix entry by entry, only the nonzero
+ones (``_pattern``).
 """
 
 from dataclasses import dataclass
@@ -115,12 +116,13 @@ def _check_margin(kernel, medium):
 class DirectionSystem:
     """One ordinate's system: its right side, and what assembles its matrix.
 
-    ``matrix`` is the system as CSR on the five-point block stencil; every
-    block an assembly term wrote is stored in full, even where the terms
-    cancel.  It is assembled afresh on each access and not cached, so a
-    solve holds only what its per-ordinate solver keeps: ``stencil()``
-    assembles the blocks once per cell class, and ``matrix`` gathers
-    them into every cell's block row.
+    ``matrix`` is the system as CSR on the five-point block stencil,
+    holding only its nonzero entries: where the terms cancel, or on a
+    side with s.n = 0, no entry is stored.  It is assembled afresh on
+    each access and not cached, so a solve holds only what its
+    per-ordinate solver keeps: ``stencil()`` assembles the blocks once
+    per cell class, and ``matrix`` expands them into every cell's block
+    row (``_pattern``).
     ``direction`` is the quadrature's own vector s_m, which every term
     meets only through its side products ``SIDE_NORMALS @ direction``.
     ``scatter_test`` holds the volume test table the lagged scattering
@@ -146,7 +148,9 @@ class DirectionSystem:
 
     @property
     def matrix(self):
-        return self.stencil().tocsr()
+        st = self.stencil()
+        indices, indptr, take = _pattern(st, st.blocks != 0)
+        return sp.csr_matrix((np.take(st.blocks, take), indices, indptr), shape=(self.n_dof,) * 2)
 
     def stencil(self):
         """The system's blocks on the five-point stencil, one block row
@@ -163,32 +167,59 @@ class _BlockStencil:
     order; ``_SLOT`` names the slot across each cell side).  Cells whose
     blocks are equal share a class: ``cls`` maps each of the n*n cells
     to its class, one of the m*m cells of the class grid (see
-    ``_class_grid``).  ``blocks`` and ``touched`` are per class; cell
-    c's blocks are ``blocks[cls[c]]``.  A written block stays in the
-    pattern even if it sums to 0."""
+    ``_class_grid``).  ``blocks`` are per class; cell c's blocks are
+    ``blocks[cls[c]]``.  A slot no term writes holds an all-zero block,
+    so ``blocks != 0`` marks the live entries."""
 
     def __init__(self, n, d, m, cls):
         self.d = d
         self.cls = cls
         self.offsets = np.array([-n, -1, 0, 1, n])
         self.blocks = np.zeros((m * m, 5, d, d))
-        self.touched = np.zeros((m * m, 5), dtype=bool)
 
     def add(self, classes, slot, block):
         self.blocks[classes, slot] += block
-        self.touched[classes, slot] = True
 
-    def tocsr(self):
-        """The stencil as a CSR matrix over the n*n cells, its class
-        blocks gathered into every cell's block row."""
-        C, d = len(self.cls), self.d
-        touched = self.touched[self.cls]
-        cells, slots = np.nonzero(touched)
-        indptr = np.concatenate(([0], np.cumsum(touched.sum(axis=1))))
-        return sp.bsr_matrix(
-            (self.blocks[self.cls[cells], slots], cells + self.offsets[slots], indptr),
-            shape=(C * d, C * d),
-        ).tocsr()
+
+def _pattern(st, nonzero, front=None):
+    """(indices, indptr, take) of the matrix that class blocks on the
+    stencil ``st`` expand to, less the entries ``nonzero`` marks 0 in
+    their class: CSR in natural order, or, given ``front`` = (order,
+    rank), CSC with cell c renumbered rank[c].  Its data is
+    ``np.take(blocks, take)`` of the class blocks.
+
+    Only the live entries expand, those ``nonzero`` marks: each class
+    lists its own once in CSR order (block row, slot, column), and the
+    cells' block rows, in natural or front order, repeat their class's
+    list.  The slots ascend in cell offset, so the CSR is canonical
+    (sorted, no duplicates, no zeros), and ``tocsc`` keeps it so: each
+    has the pattern and order of the values' own conversion.  The index
+    arrays are read-only, as the sweep's ordinates share them.
+    """
+    entries = nonzero.transpose(0, 2, 1, 3)
+    k, i, s, j = np.nonzero(entries)
+    per_row = entries.sum(axis=(2, 3))
+    cells, rank = (np.arange(len(st.cls)),) * 2 if front is None else front
+    cls = st.cls[cells]
+    count, n_e = per_row.sum(axis=1), per_row[cls].sum(axis=1)
+    # matrix entry e repeats entry e - (its cell's first entry) of its class's list
+    first = (np.cumsum(count) - count)[cls] - np.cumsum(n_e) + n_e
+    e = np.arange(n_e.sum()) + np.repeat(first, n_e)
+    nbr = np.repeat(cells, n_e)
+    nbr += st.offsets[s][e]
+    nbr = rank[nbr]
+    nbr *= st.d
+    nbr += j[e]
+    indices = nbr.astype(np.intc)
+    del nbr  # the scratch stays at two 8-byte arrays per entry
+    take = np.ravel_multi_index((k, s, i, j), nonzero.shape)[e]
+    del e
+    indptr = np.concatenate(([0], np.cumsum(per_row[cls].ravel()))).astype(np.intc)
+    if front is not None:
+        A = sp.csr_matrix((take, indices, indptr), shape=(len(indptr) - 1,) * 2).tocsc()
+        indices, indptr, take = A.indices, A.indptr, A.data
+    indices.flags.writeable = indptr.flags.writeable = False
+    return indices, indptr, take
 
 
 # stencil slot of the neighbour across cell side 0..3 (left, right,

@@ -53,7 +53,7 @@ from scipy.sparse.linalg._dsolve import _superlu
 
 # the benchmark's tracer (perfbench/tracing.py) patches these three names here
 from .assembly import assemble_direction, l2_dom_norm, scattering_source  # noqa: F401
-from .assembly import _sweep_shift
+from .assembly import _pattern, _sweep_shift
 from .reporting import _with_stream
 
 __all__ = [
@@ -138,52 +138,12 @@ def _unit_lower_solve(M, b):
     return z
 
 
-def _pattern(acc, nonzero, front=None):
-    """(indices, indptr, take) of the matrix that class blocks on the
-    stencil ``acc`` expand to, less the entries ``nonzero`` marks 0 in
-    their class: CSR in natural order, or, given ``front`` = (order,
-    rank), CSC with cell c renumbered rank[c].  Its data is
-    ``np.take(blocks, take)`` of the class blocks.
-
-    Only the live entries expand, those ``nonzero`` marks in touched
-    slots: each class lists its own once in CSR order (block row, slot,
-    column), and the cells' block rows, in natural or front order,
-    repeat their class's list.  The slots ascend in cell offset, so the
-    CSR is canonical (sorted, no duplicates, no zeros), and ``tocsc``
-    keeps it so: each has the pattern and order of the values' own
-    conversion.  The index arrays are read-only, as ordinates share them.
-    """
-    entries = (nonzero & acc.touched[:, :, None, None]).transpose(0, 2, 1, 3)
-    k, i, s, j = np.nonzero(entries)
-    per_row = entries.sum(axis=(2, 3))
-    cells, rank = (np.arange(len(acc.cls)),) * 2 if front is None else front
-    cls = acc.cls[cells]
-    count, n_e = per_row.sum(axis=1), per_row[cls].sum(axis=1)
-    # matrix entry e repeats entry e - (its cell's first entry) of its class's list
-    first = (np.cumsum(count) - count)[cls] - np.cumsum(n_e) + n_e
-    e = np.arange(n_e.sum()) + np.repeat(first, n_e)
-    nbr = np.repeat(cells, n_e)
-    nbr += acc.offsets[s][e]
-    nbr = rank[nbr]
-    nbr *= acc.d
-    nbr += j[e]
-    indices = nbr.astype(np.intc)
-    del nbr  # the scratch stays at two 8-byte arrays per entry
-    take = np.ravel_multi_index((k, s, i, j), nonzero.shape)[e]
-    del e
-    indptr = np.concatenate(([0], np.cumsum(per_row[cls].ravel()))).astype(np.intc)
-    if front is not None:
-        A = sp.csr_matrix((take, indices, indptr), shape=(len(indptr) - 1,) * 2).tocsc()
-        indices, indptr, take = A.indices, A.indptr, A.data
-    indices.flags.writeable = indptr.flags.writeable = False
-    return indices, indptr, take
-
-
 def _filled(patterns, acc, values, front=None):
     """``values``, class blocks on the stencil ``acc``, as the matrix they
     expand to without its zero entries: CSR in natural order, or CSC in
-    the front order ``patterns[front]``.  Its pattern is computed once
-    per key in ``patterns`` and shared by every matrix with that key."""
+    the front order ``patterns[front]``.  Its pattern
+    (``assembly._pattern``) is computed once per key in ``patterns`` and
+    shared by every matrix with that key."""
     nonzero = values != 0
     key = (front, len(acc.cls), nonzero.shape, nonzero.tobytes())
     if key not in patterns:
@@ -231,11 +191,10 @@ class _SweepSolve:
     gather each into a sparsity pattern.  ``patterns`` is a dict the
     caller keeps for one run: a pattern is computed once per key (the
     grid, for M the quadrant, and the nonzero entries of the class
-    blocks, which are 0 outside the touched slots), and the ordinates
-    with that key share its read-only ``indices`` and ``indptr``, as
-    those of a quadrant share its front order and ``_edge``.  Every
-    array equals, bit for bit, what one ordinate's per-cell blocks
-    convert to on their own.
+    blocks), and the ordinates with that key share its read-only
+    ``indices`` and ``indptr``, as those of a quadrant share its front
+    order and ``_edge``.  Every array equals, bit for bit, what one
+    ordinate's per-cell blocks convert to on their own.
     """
 
     def __init__(self, system, patterns, start=None):
@@ -269,7 +228,7 @@ class _SweepSolve:
         lower = np.zeros_like(acc.blocks)
         lower[:, 2] = np.eye(d)
         for j, slot in enumerate(upwind):
-            t = np.nonzero(acc.touched[:, slot])[0]
+            t = P[:, j].any(axis=(1, 2))  # the classes with an upwind block
             lower[t, slot] = dinv[t] @ P[t, j]
         # R = A - P: in the own and upwind slots minus the shift, or 0
         acc.blocks[:, kept] -= P

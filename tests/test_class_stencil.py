@@ -7,7 +7,6 @@ class, and the sweep construction the solver used before: it converts
 each ordinate's per-cell blocks to CSR/CSC separately.
 """
 
-import copy
 import gc
 import weakref
 from contextlib import nullcontext
@@ -32,6 +31,20 @@ from dowg.solver import (
 from dowg.verify import build_case, measure_error
 
 _SCHEMES = {"wg": WG(), "dodg": DODG(), "dodsd": DODSD()}
+
+
+def _bsr(acc, blocks):
+    """The stencil ``acc`` with class blocks ``blocks`` as CSR, by the
+    block conversion: every written block (one with a nonzero entry)
+    gathered in full into its cell's block row as BSR, then CSR."""
+    C, d = len(acc.cls), acc.d
+    written = blocks.any(axis=(2, 3))[acc.cls]
+    cells, slots = np.nonzero(written)
+    indptr = np.concatenate(([0], np.cumsum(written.sum(axis=1))))
+    return sp.bsr_matrix(
+        (blocks[acc.cls[cells], slots], cells + acc.offsets[slots], indptr),
+        shape=(C * d, C * d),
+    ).tocsr()
 
 
 class _CellSweep:
@@ -64,7 +77,7 @@ class _CellSweep:
 
         r, c, blocks = [rank], [rank], [np.broadcast_to(np.eye(d), (C, d, d))]
         for j, slot in enumerate(upwind):
-            cells = np.nonzero(acc.touched[:, slot])[0]
+            cells = np.nonzero(P[:, j].any(axis=(1, 2)))[0]
             r.append(rank[cells])
             c.append(rank[cells + acc.offsets[slot]])
             blocks.append(dinv[cells] @ P[cells, j])
@@ -80,8 +93,8 @@ class _CellSweep:
         if shifted:
             acc.blocks[:, kept] -= P
         else:
-            acc.touched[:, kept] = False
-        R = acc.tocsr()
+            acc.blocks[:, kept] = 0.0
+        R = _bsr(acc, acc.blocks)
         R.eliminate_zeros()
         self.M = M
         self.R = R if R.nnz else None
@@ -302,14 +315,12 @@ class TestSharedPatterns:
 
 
 def _reference_pattern(acc, nonzero, front=None):
-    """``_pattern`` as the conversion it replaced: every touched slot
+    """``_pattern`` as the conversion it replaced: every written block
     expanded block by block to BSR, then CSR, its zeros removed, and for
     M a COO round trip into CSC in front order, all on 1 + each entry's
     position in the class blocks."""
     ids = np.arange(1, nonzero.size + 1, dtype=np.intc).reshape(nonzero.shape)
-    st = copy.copy(acc)
-    st.blocks = ids * nonzero
-    A = st.tocsr()
+    A = _bsr(acc, ids * nonzero)
     A.eliminate_zeros()
     if front is not None:
         A = A.tocoo()
