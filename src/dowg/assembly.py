@@ -29,11 +29,10 @@ ordinate's system is assembled on the grid's five-point block stencil
 (each cell's blocks for its bottom, left, own, right and top neighbour)
 once per cell class: the scheme's volume block, then its terms on the
 interior sides, its jump term and its boundary-side terms, each added
-into the slot across its side.  With a constant sigma_t the classes are
-the cells of a 3 x 3 class grid (first, interior and last column and
-row); a callable sigma_t makes each cell its own class.  The class
-blocks expand to the CSR system matrix entry by entry, only the nonzero
-ones (``_pattern``).
+into the slot across its side.  The cross sections are numbers, so the
+classes are the cells of a 3 x 3 class grid (first, interior and last
+column and row).  The class blocks expand to the CSR system matrix entry
+by entry, only the nonzero ones (``_filled``).
 """
 
 from dataclasses import dataclass
@@ -95,15 +94,13 @@ class DODSD:
 
 @dataclass(frozen=True)
 class Medium:
-    """Constant cross-sections; sigma_t may be a callable for testing."""
+    """Constant cross-sections, both real numbers."""
 
-    sigma_t: object = 2.0
+    sigma_t: float = 2.0
     sigma_s: float = 0.5
 
 
 def _check_margin(kernel, medium):
-    if callable(medium.sigma_t):
-        return  # variable-coefficient path: caller's responsibility
     margin = medium.sigma_t - medium.sigma_s * float(kernel.row_mass.max())
     if not 0 < margin < np.inf:
         raise ValueError(
@@ -122,7 +119,7 @@ class DirectionSystem:
     each access and not cached, so a solve holds only what its
     per-ordinate solver keeps: ``stencil()`` assembles the blocks once
     per cell class, and ``matrix`` expands them into every cell's block
-    row (``_pattern``).
+    row (``_filled``).
     ``direction`` is the quadrature's own vector s_m, which every term
     meets only through its side products ``SIDE_NORMALS @ direction``.
     ``scatter_test`` holds the volume test table the lagged scattering
@@ -149,8 +146,7 @@ class DirectionSystem:
     @property
     def matrix(self):
         st = self.stencil()
-        indices, indptr, take = _pattern(st, st.blocks != 0)
-        return sp.csr_matrix((np.take(st.blocks, take), indices, indptr), shape=(self.n_dof,) * 2)
+        return _filled({}, st, st.blocks)
 
     def stencil(self):
         """The system's blocks on the five-point stencil, one block row
@@ -164,18 +160,23 @@ class _BlockStencil:
 
     Per test cell there are the d x d blocks for its bottom, left, own,
     right and top neighbour (cell offsets -n, -1, 0, 1, n, in column
-    order; ``_SLOT`` names the slot across each cell side).  Cells whose
-    blocks are equal share a class: ``cls`` maps each of the n*n cells
-    to its class, one of the m*m cells of the class grid (see
-    ``_class_grid``).  ``blocks`` are per class; cell c's blocks are
-    ``blocks[cls[c]]``.  A slot no term writes holds an all-zero block,
-    so ``blocks != 0`` marks the live entries."""
+    order; ``_SLOT`` names the slot across each cell side).  A cell's
+    blocks depend only on which domain sides it touches, so the cells of
+    a 3 x 3 class grid stand for the whole mesh: class column 0 is the
+    first column of cells, 1 the interior ones and 2 the last, and
+    likewise for rows (n = 2 has only the four corner classes).  ``cls``
+    maps each of the n*n cells to its class, and ``blocks`` are per
+    class; cell c's blocks are ``blocks[cls[c]]``.  A slot no term
+    writes holds an all-zero block, so ``blocks != 0`` marks the live
+    entries."""
 
-    def __init__(self, n, d, m, cls):
+    def __init__(self, n, d):
+        idx = np.arange(n)
+        side = (idx > 0).astype(np.intp) + (idx == n - 1)
         self.d = d
-        self.cls = cls
+        self.cls = (3 * side[:, None] + side[None, :]).ravel()
         self.offsets = np.array([-n, -1, 0, 1, n])
-        self.blocks = np.zeros((m * m, 5, d, d))
+        self.blocks = np.zeros((9, 5, d, d))
 
     def add(self, classes, slot, block):
         self.blocks[classes, slot] += block
@@ -222,6 +223,21 @@ def _pattern(st, nonzero, front=None):
     return indices, indptr, take
 
 
+def _filled(patterns, st, values, front=None):
+    """``values``, class blocks on the stencil ``st``, as the matrix they
+    expand to without its zero entries: CSR in natural order, or CSC in
+    the front order (order, rank) that ``patterns[front]`` begins with.
+    Its pattern (``_pattern``) is computed once per key in ``patterns``
+    and shared by every matrix with that key."""
+    nonzero = values != 0
+    key = (front, len(st.cls), nonzero.shape, nonzero.tobytes())
+    if key not in patterns:
+        patterns[key] = _pattern(st, nonzero, None if front is None else patterns[front][:2])
+    indices, indptr, take = patterns[key]
+    kind = sp.csr_matrix if front is None else sp.csc_matrix
+    return kind((np.take(values, take), indices, indptr), shape=(len(indptr) - 1,) * 2)
+
+
 # stencil slot of the neighbour across cell side 0..3 (left, right,
 # bottom, top), and the order the interior sides' terms are added in
 # (right, left, top, bottom), which fixes the rounding of each block sum
@@ -229,40 +245,18 @@ _SLOT = (1, 3, 0, 4)
 _INTERIOR_ORDER = (1, 0, 3, 2)
 
 
-def _class_grid(mesh, sigma_t):
-    """The side m of the class grid a stencil on ``mesh`` is assembled
-    on, and each cell's class: the cell of that grid that stands for it.
-
-    With constant sigma_t a cell's blocks depend only on which domain
-    sides it touches, so a 3 x 3 class grid stands for the whole mesh:
-    class column 0 is the first column of cells, 1 the interior ones and
-    2 the last, and likewise for rows (n = 2 has only the four corner
-    classes).  A callable sigma_t makes every cell its own class.
-    """
-    if callable(sigma_t):
-        return mesh.n, np.arange(mesh.n_cells)
-    idx = np.arange(mesh.n)
-    side = (idx > 0).astype(np.intp) + (idx == mesh.n - 1)
-    return 3, (3 * side[:, None] + side[None, :]).ravel()
-
-
 def _empty_stencil(system):
     """An empty stencil on the system's class grid, and which of the
-    sides 0..3 of each class has a neighbour, shape (m*m, 4)."""
-    mesh = system.mesh
-    m, cls = _class_grid(mesh, system.medium.sigma_t)
-    i, j = np.arange(m * m) % m, np.arange(m * m) // m
-    inner = np.column_stack([i > 0, i < m - 1, j > 0, j < m - 1])
-    return _BlockStencil(mesh.n, system.tables.dof, m, cls), inner
+    sides 0..3 of each class has a neighbour, shape (9, 4)."""
+    i, j = np.arange(9) % 3, np.arange(9) // 3
+    inner = np.column_stack([i > 0, i < 2, j > 0, j < 2])
+    return _BlockStencil(system.mesh.n, system.tables.dof), inner
 
 
 def _mass_blocks(tables, mesh, sigma_t, test):
-    """sigma_t mass (sigma_t u, test): one shared block or per-cell blocks."""
+    """sigma_t mass (sigma_t u, test): one block, shared by every cell."""
     h = mesh.h
     w = tables.quad.vol_weights
-    if callable(sigma_t):
-        sv = _sample(sigma_t, *mesh.points(tables.quad.vol_points))
-        return h * h * np.einsum("cq,qi,qj->cij", w * sv, test, tables.V)
     return float(sigma_t) * h * h * (test.T @ (w[:, None] * tables.V))
 
 
@@ -505,12 +499,7 @@ def eval_bilinear(scheme, mesh, tables, quad, kernel, medium, u, v):
     w, we = tables.quad.vol_weights, tables.quad.edge_weights
     uis = np.einsum("lcd,qd->lcq", u, tables.V)
     vis = np.einsum("lcd,qd->lcq", v, tables.V)
-    sigma_t = medium.sigma_t
-    if callable(sigma_t):
-        st = _sample(sigma_t, *mesh.points(tables.quad.vol_points))
-    else:
-        st = float(sigma_t)
-    mass = h * h * np.einsum("q,lcq->l", w, (st * uis) * vis)
+    mass = h * h * np.einsum("q,lcq->l", w, (float(medium.sigma_t) * uis) * vis)
     ku = np.einsum("ml,lcq->mcq", kernel.matrix * quad.weights[None, :], uis)
     scatter = h * h * medium.sigma_s * np.einsum("q,lcq->l", w, ku * vis)
 

@@ -13,13 +13,16 @@ selftest       fast invariant suite (quadrature, weak operators,
 Option precedence is flags over config-file entries over defaults; the
 defaults are the standard test configuration (sigma_t = 2, sigma_s = 1/2,
 eta = 0.5, M = 20, c_p = 0.1, c = 1).  Exit codes: 0 success, 1 selftest
-failure, 2 usage, 3 validation, 4 solver failure, 5 I/O.
+failure, 2 usage, 3 validation, 4 solver failure, 5 I/O.  A warning a
+run raises (the sparse-LU fallback) is printed as one line,
+``warning: <message>``, on stderr, unless a filter makes it an error.
 """
 
 import argparse
 import os
 import sys
 import time
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -552,6 +555,10 @@ _RUNNERS = {
 }
 
 
+def _print_warning(message, category, filename, lineno, file=None, line=None):
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None):
     argv = argv if argv is not None else sys.argv[1:]
     try:
@@ -563,7 +570,9 @@ def main(argv=None):
         print(f"invalid configuration: {err}", file=sys.stderr)
         return EXIT_VALIDATION
     try:
-        return _RUNNERS[cfg.command](cfg)
+        with warnings.catch_warnings():
+            warnings.showwarning = _print_warning
+            return _RUNNERS[cfg.command](cfg)
     except (ValidationError, ValueError) as err:
         print(f"invalid configuration: {err}", file=sys.stderr)
         return EXIT_VALIDATION

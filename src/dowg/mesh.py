@@ -20,8 +20,8 @@ line (x = i h, then y = j h), in ascending order along each line; the
 norms and the right sides sum in that order.  ``points(ref, cells)``
 maps reference points of [0, 1]^2 into cells: cell c's lower-left
 corner plus h times the point, as the physical x and y per cell and
-point.  Assembly, projection and error measurement sample sigma_t,
-sources, inflow data and exact solutions there.
+point.  Assembly, projection and error measurement sample sources,
+inflow data and exact solutions there.
 """
 
 from dataclasses import dataclass, field

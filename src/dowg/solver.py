@@ -33,13 +33,12 @@ exactly triangular in that order (R_m = 0).  A sweep ordinate holds
 D^{-1} per cell class, the unit lower triangular M = D^{-1}(D + L) and
 R_m, cut straight from the block stencil; the assembled A_m is never
 formed.
-The stencil holds one block row per cell class (at most nine on the
-uniform grid), so the set-up works on class blocks and fills M and R
-into sparsity patterns that the ordinates of a run share.  A
-run whose update norms stop falling, while still above roundoff,
-switches once, with a RuntimeWarning, to the exact pair for every
-ordinate with a remainder, and counts them in
-``IterationTrace.escalated``.
+The stencil holds one block row per cell class (nine on the uniform
+grid), so the set-up works on class blocks and fills M and R into
+sparsity patterns that the ordinates of a run share.  A run whose
+update norms stop falling, while still above roundoff, switches once,
+with a RuntimeWarning, to the exact pair for every ordinate with a
+remainder, and counts them in ``IterationTrace.escalated``.
 """
 
 import functools
@@ -53,7 +52,7 @@ from scipy.sparse.linalg._dsolve import _superlu
 
 # the benchmark's tracer (perfbench/tracing.py) patches these three names here
 from .assembly import assemble_direction, l2_dom_norm, scattering_source  # noqa: F401
-from .assembly import _pattern, _sweep_shift
+from .assembly import _filled, _sweep_shift
 from .reporting import _with_stream
 
 __all__ = [
@@ -138,21 +137,6 @@ def _unit_lower_solve(M, b):
     return z
 
 
-def _filled(patterns, acc, values, front=None):
-    """``values``, class blocks on the stencil ``acc``, as the matrix they
-    expand to without its zero entries: CSR in natural order, or CSC in
-    the front order ``patterns[front]``.  Its pattern
-    (``assembly._pattern``) is computed once per key in ``patterns`` and
-    shared by every matrix with that key."""
-    nonzero = values != 0
-    key = (front, len(acc.cls), nonzero.shape, nonzero.tobytes())
-    if key not in patterns:
-        patterns[key] = _pattern(acc, nonzero, patterns.get(front))
-    indices, indptr, take = patterns[key]
-    kind = sp.csr_matrix if front is None else sp.csc_matrix
-    return kind((np.take(values, take), indices, indptr), shape=(len(indptr) - 1,) * 2)
-
-
 class _SweepSolve:
     """Wavefront sweep for one ordinate: P^{-1} and the remainder R of
     the split A = P + R.
@@ -173,9 +157,8 @@ class _SweepSolve:
     its unit diagonal stored; and ``R`` as CSR in natural order, None
     when it is 0.  D^{-1} is ``_bulk``, the block of the class that
     covers the most cells, transposed for a right multiply, and
-    ``_edge_dinv``, the blocks of the other cells, at the front
-    positions ``_edge``: with a constant sigma_t those are the 4n - 4
-    boundary cells, with a callable one all cells but one.
+    ``_edge_dinv``, the blocks of the other cells, the 4n - 4 boundary
+    cells, at the front positions ``_edge``.
     ``_forward`` applies P^{-1} as one matrix product with ``_bulk``,
     the edge cells' own scaling over it and one triangular solve with M
     (``_unit_lower_solve``), O(nnz) in time and memory; with ``R`` it is
@@ -184,22 +167,24 @@ class _SweepSolve:
     the class blocks of D while they are in hand, so that neither D nor A
     is kept or assembled.
 
-    The stencil and the WG shift hold one block row per cell class (nine
-    with a constant sigma_t, ``assembly._class_grid``), so the set-up
-    works on class-sized data: per class it inverts one diagonal block
-    and forms at most two D^{-1} L blocks, and it fills M and R by one
-    gather each into a sparsity pattern.  ``patterns`` is a dict the
+    The stencil and the WG shift hold one block row per cell class (nine,
+    ``assembly._BlockStencil``), so the set-up works on class-sized data:
+    per class it inverts one diagonal block and forms at most two
+    D^{-1} L blocks, and it fills M and R by one gather each into a
+    sparsity pattern (``assembly._filled``).  ``patterns`` is a dict the
     caller keeps for one run: a pattern is computed once per key (the
     grid, for M the quadrant, and the nonzero entries of the class
     blocks), and the ordinates with that key share its read-only
     ``indices`` and ``indptr``, as those of a quadrant share its front
-    order and ``_edge``.  Every array equals, bit for bit, what one
-    ordinate's per-cell blocks convert to on their own.
+    entry: the front order, the bulk class and ``_edge``.  Every array
+    equals, bit for bit, what one ordinate's per-cell blocks convert to
+    on their own.
     """
 
     def __init__(self, system, patterns, start=None):
         n, d = system.mesh.n, system.tables.dof
         sx, sy = system.direction
+        acc = system.stencil()
         front = (n, bool(sx >= 0), bool(sy >= 0))
         if front not in patterns:
             idx = np.arange(n)
@@ -209,13 +194,18 @@ class _SweepSolve:
             order = np.argsort((jp[:, None] + ip[None, :]).ravel(), kind="stable")
             rank = np.empty_like(order)
             rank[order] = np.arange(n * n)
-            order.flags.writeable = rank.flags.writeable = False
-            patterns[front] = order, rank
-        order, rank = patterns[front]
+            # D^{-1} per class: the bulk class's block for one right
+            # multiply, and the blocks of the other cells at their front
+            # positions
+            cls = acc.cls[order]
+            bulk = np.argmax(np.bincount(cls))
+            edge = np.nonzero(cls != bulk)[0]
+            order.flags.writeable = rank.flags.writeable = edge.flags.writeable = False
+            patterns[front] = order, rank, bulk, edge
+        order, rank, bulk, edge = patterns[front]
 
         # stencil slots (bottom, left, own, right, top): the upwind two,
         # then own; every block below is per cell class
-        acc = system.stencil()
         upwind = [0 if sy >= 0 else 4, 1 if sx >= 0 else 3]
         kept = upwind + [2]
         P = acc.blocks[:, kept]
@@ -232,17 +222,6 @@ class _SweepSolve:
             lower[t, slot] = dinv[t] @ P[t, j]
         # R = A - P: in the own and upwind slots minus the shift, or 0
         acc.blocks[:, kept] -= P
-        # D^{-1} per class: the bulk class's block for one right multiply,
-        # and the blocks of the other cells at their front positions; the
-        # grid and the class count fix the cell -> class map
-        key = (front, len(dinv))
-        if key not in patterns:
-            cls = acc.cls[order]
-            bulk = np.argmax(np.bincount(cls))
-            edge = np.nonzero(cls != bulk)[0]
-            edge.flags.writeable = False
-            patterns[key] = bulk, edge
-        bulk, edge = patterns[key]
         self.d = d
         self.M = _filled(patterns, acc, lower, front)
         self.R = _filled(patterns, acc, acc.blocks) if acc.blocks.any() else None

@@ -258,16 +258,15 @@ def _check_memory(k, level, M, budget=None):
     8-byte values of M and R (at most two blocks per cell each; over the
     three schemes, k = 1, 2 and every ordinate at 1/h = 32 and 64 they
     hold at most 1.23 and 1.73) and the right side.  D^{-1} counts one
-    d x d block per cell, the bound for a callable sigma_t, which makes
-    every cell its own class; with a constant sigma_t the sweep keeps
-    4n - 3 blocks, so this term overcounts there, but sigma_t is not
-    known before the kernel is built.  The index arrays of M and R are
-    shared by the ordinates of one sparsity pattern, so they count once
-    per pattern: at most eight for M and eight for R (four quadrants, on
-    an axis or not, and never more than the ordinates), each with 4-byte
-    indices and its indptr.  The set-up's scratch (the patterns' 8-byte
-    takes and one pattern's build, by tracemalloc at most 44 bytes per
-    block entry at Q1 and Q2, 1/h = 64) is freed before the loop
+    d x d block per cell, where the sweep keeps 4n - 3 for n > 2 (the
+    bulk class's and the boundary cells'); the blocks it overcounts stay
+    as margin.  The index arrays of M and R are shared by the ordinates
+    of one sparsity pattern, so they count once per pattern: at most
+    eight for M and eight for R (four quadrants, on an axis or not, and
+    never more than the ordinates), each with 4-byte indices and its
+    indptr.  The set-up's scratch (the patterns' 8-byte takes and one
+    pattern's build, by tracemalloc at most 44 bytes per block entry at
+    Q1 and Q2, 1/h = 64) is freed before the loop
     allocates five (L, C, dof) fields (the iterate, the previous right
     sides g, the update and the scattering source's temporaries), so
     the larger of the two counts.  A nested start (``run_convergence``
@@ -275,8 +274,8 @@ def _check_memory(k, level, M, budget=None):
     the prolonged start field, which is the iterate, and the g that its
     P x0 is formed into; so the set-up counts with those two.  The
     coarse field it was prolonged from, a quarter of one field, is freed
-    before the level assembles.  With a constant sigma_t the class
-    blocks the set-up works on are a few kilobytes and not counted.
+    before the level assembles.  The nine class blocks the set-up works
+    on are a few kilobytes and not counted.
 
     The dense (L, L) arrays of the scattering kernel come on top.  Its
     build, which runs before anything else is allocated, peaks at four

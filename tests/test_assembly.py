@@ -3,7 +3,7 @@ from contextlib import nullcontext
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
@@ -74,10 +74,15 @@ def _quadrature_norm(mesh, tables, quad, field):
     return float(np.sqrt(np.sum(quad.weights * vol)))
 
 
-def _per_cell(mesh, sigma_t):
-    """Stand-in for ``assembly._class_grid`` that makes every cell its own
-    class, so a stencil is assembled cell by cell on the mesh itself."""
-    return mesh.n, np.arange(mesh.n_cells)
+def _per_cell(system):
+    """Stand-in for ``assembly._empty_stencil`` that makes every cell its
+    own class, so a stencil is assembled cell by cell on the mesh itself,
+    a side counting as inner where the mesh has a neighbour across it."""
+    mesh = system.mesh
+    st = dowg.assembly._BlockStencil(mesh.n, system.tables.dof)
+    st.cls = np.arange(mesh.n_cells)
+    st.blocks = np.zeros((mesh.n_cells,) + st.blocks.shape[1:])
+    return st, mesh.neighbours >= 0
 
 
 def _coo_reference(system):
@@ -98,8 +103,7 @@ def _coo_reference(system):
     idx = np.arange(mesh.n_cells)
     origins = mesh.h * np.column_stack([idx % mesh.n, idx // mesh.n]).astype(float)
     pts = origins[:, None, :] + h * tables.quad.vol_points[None, :, :]
-    sigma = medium.sigma_t
-    sv = sigma(pts[..., 0], pts[..., 1]) if callable(sigma) else np.full(pts.shape[:2], sigma)
+    sv = np.full(pts.shape[:2], medium.sigma_t)
     mass = h * h * np.einsum("cq,qi,qj->cij", w * sv, test_table, tables.V)
     if isinstance(scheme, DODSD):
         sd = s[0] * tables.DX + s[1] * tables.DY
@@ -305,21 +309,13 @@ class TestCoefficientSpace:
     coefficients; they equal the quadrature-point formulas."""
 
     @pytest.mark.parametrize(
-        "scheme, sigma_t, k",
-        [
-            (WG(), ST, 1),
-            (WG(), ST, 2),
-            (DODSD(), ST, 1),
-            (DODSD(), ST, 2),
-            (WG(), lambda x, y: 2.0 + 0.5 * np.sin(3.0 * x) * y, 1),
-            (DODSD(), lambda x, y: 2.0 + x * y, 2),
-        ],
-        ids=["wg-q1", "wg-q2", "dodsd-q1", "dodsd-q2", "wg-q1-callable",
-             "dodsd-q2-callable"],
+        "scheme, k",
+        [(WG(), 1), (WG(), 2), (DODSD(), 1), (DODSD(), 2)],
+        ids=["wg-q1", "wg-q2", "dodsd-q1", "dodsd-q2"],
     )
-    def test_scattering_matches_quadrature(self, quad, kernel, scheme, sigma_t, k):
+    def test_scattering_matches_quadrature(self, quad, kernel, scheme, k):
         mesh, tables = build_mesh(3), _tables(k)
-        med = Medium(sigma_t, SS)
+        med = Medium(ST, SS)
         systems = [
             assemble_direction(scheme, mesh, tables, quad, kernel, med, m)
             for m in range(len(quad))
@@ -345,18 +341,42 @@ class TestCoefficientSpace:
         )
 
 
-def _stencil_systems(quad, kernel, scheme, k, callable_sigma, flip):
+# a thick medium: sigma_t ten times the stock one, sigma_s 99 % of it
+THICK = Medium(20.0, 19.8)
+
+
+def _stencil_systems(quad, kernel, scheme, k, thick, flip):
     """The systems of ordinates m = 0, 3, 5, 12 and 17 (0 and 5 on the
-    axes) on levels 1..3, with a constant or a callable sigma_t, built
-    with or without the ``flip_inflow_sign`` hook."""
+    axes) on levels 1..3, in the stock or the thick medium, built with or
+    without the ``flip_inflow_sign`` hook."""
     tables = _tables(k)
-    sigma_t = (lambda x, y: 2.0 + x * y) if callable_sigma else ST
-    med = Medium(sigma_t, SS)
+    med = THICK if thick else Medium(ST, SS)
     for level in (1, 2, 3):
         mesh = build_mesh(level)
         for m in (0, 3, 5, 12, 17):
             with _hooks.inject("flip_inflow_sign") if flip else nullcontext():
                 yield assemble_direction(scheme, mesh, tables, quad, kernel, med, m)
+
+
+def _assert_matches_coo_reference(system):
+    """``system.matrix`` equals the COO reference within 1e-14 of its
+    largest entry, and stores the entries the reference does, but for
+    roundoff: an entry whose terms cancel can be exactly 0 in one
+    summation order and a residue of at most that bound in the other
+    (so it is stored in one of the two).  Returns both matrices, the
+    reference without its zero entries."""
+    new, ref = system.matrix, _coo_reference(system)
+    ref.eliminate_zeros()
+    tol = 1e-14 * np.abs(ref.data).max()
+    assert abs(new - ref).max() <= tol
+    only = (new != 0) != (ref != 0)  # stored by exactly one of them
+    assert abs(new.multiply(only)).max() <= tol and abs(ref.multiply(only)).max() <= tol
+    return new, ref
+
+
+# constant (sigma_t, sigma_s) with a positive margin sigma_t - sigma_s
+# under a renormalized kernel, thin to thick
+_MEDIA = st.floats(0.25, 40.0).flatmap(lambda t: st.tuples(st.just(t), st.floats(0.0, 0.99 * t)))
 
 
 class TestStencilAssembly:
@@ -366,29 +386,46 @@ class TestStencilAssembly:
     the order of summation."""
 
     @pytest.mark.parametrize("flip", [False, True])
-    @pytest.mark.parametrize("callable_sigma", [False, True])
+    @pytest.mark.parametrize("thick", [False, True])
     @pytest.mark.parametrize("k", [1, 2])
     @pytest.mark.parametrize("scheme", [WG(), DODG(), DODSD()])
-    def test_matches_coo_reference(self, quad, kernel, scheme, k, callable_sigma, flip):
-        for system in _stencil_systems(quad, kernel, scheme, k, callable_sigma, flip):
-            new, ref = system.matrix, _coo_reference(system)
-            ref.eliminate_zeros()
-            assert_array_equal(new.indptr, ref.indptr)
-            assert_array_equal(new.indices, ref.indices)
-            err = np.abs(new.data - ref.data).max()
-            assert err <= 1e-14 * np.abs(ref.data).max()
+    def test_matches_coo_reference(self, quad, kernel, scheme, k, thick, flip):
+        for system in _stencil_systems(quad, kernel, scheme, k, thick, flip):
+            new, ref = _assert_matches_coo_reference(system)
+            if not thick:
+                # no stock entry cancels to roundoff: the patterns are equal
+                assert_array_equal(new.indptr, ref.indptr)
+                assert_array_equal(new.indices, ref.indices)
 
     @pytest.mark.parametrize("flip", [False, True])
-    @pytest.mark.parametrize("callable_sigma", [False, True])
+    @pytest.mark.parametrize("thick", [False, True])
     @pytest.mark.parametrize("k", [1, 2])
     @pytest.mark.parametrize("scheme", [WG(), DODG(), DODSD()])
-    def test_stores_no_zero(self, quad, kernel, scheme, k, callable_sigma, flip):
+    def test_stores_no_zero(self, quad, kernel, scheme, k, thick, flip):
         # a block whose terms cancel, or a side with s.n = 0, stores no entry
-        for system in _stencil_systems(quad, kernel, scheme, k, callable_sigma, flip):
+        for system in _stencil_systems(quad, kernel, scheme, k, thick, flip):
             new, ref = system.matrix, _coo_reference(system)
             assert np.all(new.data != 0)
             err = np.abs(new.toarray() - ref.toarray()).max()
             assert err <= 1e-14 * np.abs(ref.data).max()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        theta=_THETAS,
+        k=st.sampled_from([1, 2]),
+        scheme=st.sampled_from([WG(), DODG(), DODSD()]),
+        level=st.sampled_from([1, 2, 3]),
+        medium=_MEDIA,
+    )
+    @example(theta=0.3, k=2, scheme=WG(), level=3, medium=(20.0, 19.8))
+    @example(theta=0.5 * np.pi, k=1, scheme=DODG(), level=2, medium=(20.0, 19.8))
+    def test_any_medium(self, theta, k, scheme, level, medium):
+        one = _one_ordinate(theta)
+        kern = build_scatter_kernel(one, Isotropic(), *medium, renormalize=True)
+        system = assemble_direction(
+            scheme, build_mesh(level), _tables(k), one, kern, Medium(*medium), 0
+        )
+        _assert_matches_coo_reference(system)
 
 
 class TestWGConvection:
@@ -609,21 +646,12 @@ class TestDirectionSystem:
         assert sysm.scatter_test.shape == tables.V.shape
         assert np.abs(sysm.scatter_test - tables.V).max() > 0.1
 
-    def test_variable_sigma_t(self, quad, kernel):
-        # callable total cross-section lands in the mass term, and a
-        # constant it returns is broadcast
-        mesh, tables = build_mesh(1), _tables(1)
-        fixed = Medium(2.0, 0.5)
-        u, v = np.random.default_rng(3).standard_normal((2, len(quad), mesh.n_cells, tables.dof))
-        for sigma_t in (lambda x, y: np.full_like(x, 2.0), lambda x, y: 2.0):
-            varying = Medium(sigma_t, 0.5)
-            assert_allclose(
-                assemble_direction(WG(), mesh, tables, quad, kernel, varying, 0).matrix.toarray(),
-                assemble_direction(WG(), mesh, tables, quad, kernel, fixed, 0).matrix.toarray(),
-                atol=1e-13,
-            )
-            assert_allclose(
-                eval_bilinear(WG(), mesh, tables, quad, kernel, varying, u, v),
-                eval_bilinear(WG(), mesh, tables, quad, kernel, fixed, u, v),
-                rtol=1e-13,
-            )
+    def test_variable_sigma_t(self, quad, kernel, monkeypatch):
+        # cross sections are numbers: a callable (varying) sigma_t raises
+        # before any system is built
+        built = []
+        monkeypatch.setattr(dowg.assembly, "DirectionSystem", lambda *args: built.append(args))
+        medium = Medium(lambda x, y: 2.0 + x * y, SS)
+        with pytest.raises(TypeError):
+            assemble_direction(WG(), build_mesh(1), _tables(1), quad, kernel, medium, 0)
+        assert not built

@@ -14,23 +14,27 @@ from contextlib import nullcontext
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from test_assembly import _THETAS, _one_ordinate, _per_cell
+from test_assembly import _MEDIA, _THETAS, _one_ordinate, _per_cell
 
 import dowg.assembly
 import dowg.solver
 from dowg import _hooks
 from dowg.angular import HenyeyGreenstein, build_circle_trapezoid, build_scatter_kernel
-from dowg.assembly import DODG, DODSD, WG, Medium, assemble_direction, triple_norm
+from dowg.assembly import DODG, DODSD, WG, Medium, _pattern, assemble_direction, triple_norm
 from dowg.elements import ElementQuadrature, ElementTables, LocalBasis
 from dowg.mesh import build_mesh
 from dowg.solver import (
-    SourceIterationConfig, _pairs, _pattern, _SweepSolve, _unit_lower_solve, source_iteration,
+    SourceIterationConfig, _pairs, _SweepSolve, _unit_lower_solve, source_iteration,
 )
 from dowg.verify import build_case, measure_error
 
 _SCHEMES = {"wg": WG(), "dodg": DODG(), "dodsd": DODSD()}
+
+# (sigma_t, sigma_s): the stock constant medium, and a thick one
+# (``test_assembly.THICK``)
+_KINDS = {"constant": (2.0, 0.5), "thick": (20.0, 19.8)}
 
 
 def _bsr(acc, blocks):
@@ -106,7 +110,7 @@ class _CellSweep:
 def _cell_built(system):
     """The system matrix and sweep of the per-cell references."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(dowg.assembly, "_class_grid", _per_cell)
+        mp.setattr(dowg.assembly, "_empty_stencil", _per_cell)
         return system.matrix, _CellSweep(system)
 
 
@@ -148,19 +152,28 @@ def _assert_class_built_is_cell_built(systems):
         _same(sw._rank, ref._rank)
 
 
-def _setup(k, level, sigma_t=2.0, M=20):
+def _setup(k, level, medium=_KINDS["constant"], M=20):
     quad = build_circle_trapezoid(M)
-    kernel = build_scatter_kernel(quad, HenyeyGreenstein(0.5), 2.0, 0.5, renormalize=True)
+    kernel = build_scatter_kernel(quad, HenyeyGreenstein(0.5), *medium, renormalize=True)
     tables = ElementTables(LocalBasis(k), ElementQuadrature.build(k))
-    return quad, kernel, Medium(sigma_t, 0.5), build_mesh(level), tables
+    return quad, kernel, Medium(*medium), build_mesh(level), tables
 
 
-def _systems(name, k, level, sigma_t=2.0, f=None, M=20):
-    quad, kernel, medium, mesh, tables = _setup(k, level, sigma_t, M)
+def _systems(name, k, level, medium=_KINDS["constant"], f=None, M=20):
+    quad, kernel, medium, mesh, tables = _setup(k, level, medium, M)
     return [
         assemble_direction(_SCHEMES[name], mesh, tables, quad, kernel, medium, m, f=f)
         for m in range(len(quad))
     ]
+
+
+def _assert_callable_refused(name, k, level):
+    """A callable sigma_t builds no system: the first ordinate's assembly
+    raises ``TypeError``, so there is no stencil, class grid or sweep."""
+    quad, kernel, _, mesh, tables = _setup(k, level)
+    medium = Medium(lambda x, y: 2.0 + x * y, 0.5)
+    with pytest.raises(TypeError):
+        assemble_direction(_SCHEMES[name], mesh, tables, quad, kernel, medium, 0)
 
 
 def _source(x, y, th):
@@ -188,10 +201,9 @@ class TestClassBuiltEqualsCellBuilt:
     @pytest.mark.parametrize("k", [1, 2])
     @pytest.mark.parametrize("name", sorted(_SCHEMES))
     def test_callable_sigma_t(self, name, k):
-        # a varying sigma_t makes every cell its own class
-        systems = _systems(name, k, 2, sigma_t=lambda x, y: 2.0 + x * y)
-        assert np.array_equal(systems[0].stencil().cls, np.arange(16))
-        _assert_class_built_is_cell_built(systems)
+        # cross sections are numbers: a varying sigma_t is refused rather
+        # than made into a grid of one class per cell
+        _assert_callable_refused(name, k, 2)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -207,6 +219,22 @@ class TestClassBuiltEqualsCellBuilt:
         with _hooks.inject(hook) if hook else nullcontext():
             system = assemble_direction(_SCHEMES[name], mesh, tables, one, kernel, medium, 0)
             _assert_class_built_is_cell_built([system])
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        theta=_THETAS,
+        k=st.sampled_from([1, 2]),
+        name=st.sampled_from(sorted(_SCHEMES)),
+        level=st.sampled_from([1, 2, 3]),
+        medium=_MEDIA,
+    )
+    @example(theta=0.3, k=2, name="wg", level=3, medium=(20.0, 19.8))
+    @example(theta=np.pi, k=1, name="dodg", level=2, medium=(20.0, 19.8))
+    def test_any_medium(self, theta, k, name, level, medium):
+        _, kernel, medium, mesh, tables = _setup(k, level, medium)
+        one = _one_ordinate(theta)
+        system = assemble_direction(_SCHEMES[name], mesh, tables, one, kernel, medium, 0)
+        _assert_class_built_is_cell_built([system])
 
 
 def _assert_forward_is_cell_forward(systems):
@@ -224,20 +252,19 @@ def _assert_forward_is_cell_forward(systems):
         assert np.abs(sw._forward(g) - want).max() <= 1e-14 * np.abs(want).max()
 
 
-def _sigma_t(kind):
-    return 2.0 if kind == "constant" else (lambda x, y: 2.0 + x * y)
-
-
 class TestClassDinv:
     """D^{-1} is held per class: one bulk block and the blocks of the
     other cells, and ``_forward`` applies it as the per-cell blocks did."""
 
-    @pytest.mark.parametrize("kind", ["constant", "callable"])
+    @pytest.mark.parametrize("kind", ["callable", *sorted(_KINDS)])
     @pytest.mark.parametrize("level", [1, 2, 4])  # n = 2, 4, 16
     @pytest.mark.parametrize("k", [1, 2])
     @pytest.mark.parametrize("name", sorted(_SCHEMES))
     def test_forward_equals_per_cell(self, name, k, level, kind):
-        _assert_forward_is_cell_forward(_systems(name, k, level, sigma_t=_sigma_t(kind)))
+        if kind == "callable":  # no system, so no sweep to hold D^{-1}
+            _assert_callable_refused(name, k, level)
+        else:
+            _assert_forward_is_cell_forward(_systems(name, k, level, _KINDS[kind]))
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -245,11 +272,11 @@ class TestClassDinv:
         k=st.sampled_from([1, 2]),
         name=st.sampled_from(sorted(_SCHEMES)),
         level=st.sampled_from([1, 2, 4]),
-        kind=st.sampled_from(["constant", "callable"]),
+        kind=st.sampled_from(sorted(_KINDS)),
         hook=st.sampled_from([None, "flip_inflow_sign"]),
     )
     def test_any_direction(self, theta, k, name, level, kind, hook):
-        _, kernel, medium, mesh, tables = _setup(k, level, _sigma_t(kind))
+        _, kernel, medium, mesh, tables = _setup(k, level, _KINDS[kind])
         one = _one_ordinate(theta)
         with _hooks.inject(hook) if hook else nullcontext():
             system = assemble_direction(_SCHEMES[name], mesh, tables, one, kernel, medium, 0)
@@ -257,19 +284,17 @@ class TestClassDinv:
 
     @pytest.mark.parametrize("level", [2, 4, 5])
     def test_class_sized_storage(self, level):
-        # with a constant sigma_t the edge cells are the boundary ones
-        # (n > 2), and no array holds a block per cell; a callable sigma_t
-        # keeps every cell but the bulk one at the edge
-        n = 2**level
-        for kind, edge in (("constant", 4 * n - 4), ("callable", n * n - 1)):
-            patterns = {}
-            for system in _systems("dodg", 1, level, sigma_t=_sigma_t(kind)):
-                sw = _SweepSolve(system, patterns)
-                assert sw._bulk.shape == (sw.d, sw.d) and len(sw._edge) == edge
-                assert sw._edge_dinv.shape == (edge, sw.d, sw.d)
-                blocks = sum(v.size for v in vars(sw).values()
-                             if isinstance(v, np.ndarray) and v.ndim > 1)
-                assert blocks == (edge + 1) * sw.d**2
+        # the edge cells are the boundary ones (n > 2), and no array holds
+        # a block per cell
+        edge = 4 * 2**level - 4
+        patterns = {}
+        for system in _systems("dodg", 1, level):
+            sw = _SweepSolve(system, patterns)
+            assert sw._bulk.shape == (sw.d, sw.d) and len(sw._edge) == edge
+            assert sw._edge_dinv.shape == (edge, sw.d, sw.d)
+            blocks = sum(v.size for v in vars(sw).values()
+                         if isinstance(v, np.ndarray) and v.ndim > 1)
+            assert blocks == (edge + 1) * sw.d**2
 
 
 class TestSharedPatterns:
@@ -356,7 +381,7 @@ class TestRowTakes:
 
     # every ordinate of M = 4 (all on an axis) and M = 20
     @pytest.mark.parametrize("M", [4, 20])
-    @pytest.mark.parametrize("kind", ["constant", "callable"])
+    @pytest.mark.parametrize("kind", sorted(_KINDS))
     @pytest.mark.parametrize("level", [1, 2, 4])  # n = 2, 4, 16
     @pytest.mark.parametrize("k", [1, 2])
     @pytest.mark.parametrize("name", sorted(_SCHEMES))
@@ -370,22 +395,22 @@ class TestRowTakes:
             keys.append(front is None)
             return got
 
-        monkeypatch.setattr(dowg.solver, "_pattern", checked)
+        monkeypatch.setattr(dowg.assembly, "_pattern", checked)
         patterns = {}
-        for system in _systems(name, k, level, sigma_t=_sigma_t(kind), M=M):
+        for system in _systems(name, k, level, _KINDS[kind], M=M):
             _SweepSolve(system, patterns)
         # every pattern key of the run, M's and, but for DODSD, R's
         assert len(keys) == sum(len(key) == 4 for key in patterns)
         assert not all(keys) and any(keys) == (name != "dodsd")
 
-    @pytest.mark.parametrize("kind", ["constant", "callable"])
+    @pytest.mark.parametrize("kind", sorted(_KINDS))
     @pytest.mark.parametrize("level", [1, 2, 4])
     @pytest.mark.parametrize("k", [1, 2])
     @pytest.mark.parametrize("name", sorted(_SCHEMES))
     def test_forward_and_start_equal_fancy_indexing(self, name, k, level, kind):
         patterns = {}
         rng = np.random.default_rng(5)
-        for system in _systems(name, k, level, sigma_t=_sigma_t(kind)):
+        for system in _systems(name, k, level, _KINDS[kind]):
             x0 = rng.standard_normal(system.n_dof)
             px0 = x0.copy()
             sw = _SweepSolve(system, patterns, px0)

@@ -1,8 +1,10 @@
 import io
 import os
+import re
 import resource
 import subprocess
 import sys
+import warnings
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -286,6 +288,21 @@ class TestExitCodes:
         assert code == EXIT_VALIDATION
         assert "at least two ordinate counts" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
+
+    def test_fallback_warning_is_one_line(self, tmp_path, capsys, monkeypatch):
+        # sweeping the WG matrix's own lower part stalls, so the run
+        # switches to sparse LU: its warning is one stderr line with no
+        # library file and line, and an error filter still raises it
+        monkeypatch.setattr(dowg.solver, "_sweep_shift", lambda s: None)
+        argv = ["solve", "--levels", "4", "--sigma-s", "0", "--out", str(tmp_path)]
+        assert main(argv) == EXIT_OK
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"warning: [^\n]*sparse LU\n", err)
+        assert not re.search(r"\.py:[0-9]+:", err)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(RuntimeWarning, match="sparse LU"):
+                main(argv)
 
     def test_selftest_ok(self, capsys):
         assert main(["selftest"]) == EXIT_OK
