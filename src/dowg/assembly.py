@@ -166,15 +166,18 @@ class _BlockStencil:
     first column of cells, 1 the interior ones and 2 the last, and
     likewise for rows (n = 2 has only the four corner classes).  ``cls``
     maps each of the n*n cells to its class, and ``blocks`` are per
-    class; cell c's blocks are ``blocks[cls[c]]``.  A slot no term
-    writes holds an all-zero block, so ``blocks != 0`` marks the live
-    entries."""
+    class; cell c's blocks are ``blocks[cls[c]]``.  ``inner`` says which
+    of the sides 0..3 of each class has a neighbour, and class
+    ``_INTERIOR`` has all four.  A slot no term writes holds an all-zero
+    block, so ``blocks != 0`` marks the live entries."""
 
     def __init__(self, n, d):
         idx = np.arange(n)
         side = (idx > 0).astype(np.intp) + (idx == n - 1)
+        i, j = np.arange(9) % 3, np.arange(9) // 3
         self.d = d
         self.cls = (3 * side[:, None] + side[None, :]).ravel()
+        self.inner = np.column_stack([i > 0, i < 2, j > 0, j < 2])
         self.offsets = np.array([-n, -1, 0, 1, n])
         self.blocks = np.zeros((9, 5, d, d))
 
@@ -182,33 +185,29 @@ class _BlockStencil:
         self.blocks[classes, slot] += block
 
 
-def _pattern(st, nonzero, front=None):
-    """(indices, indptr, take) of the matrix that class blocks on the
+def _pattern(st, nonzero):
+    """(indices, indptr, take) of the CSR matrix that class blocks on the
     stencil ``st`` expand to, less the entries ``nonzero`` marks 0 in
-    their class: CSR in natural order, or, given ``front`` = (order,
-    rank), CSC with cell c renumbered rank[c].  Its data is
-    ``np.take(blocks, take)`` of the class blocks.
+    their class.  Its data is ``np.take(blocks, take)`` of the class
+    blocks.
 
     Only the live entries expand, those ``nonzero`` marks: each class
     lists its own once in CSR order (block row, slot, column), and the
-    cells' block rows, in natural or front order, repeat their class's
-    list.  The slots ascend in cell offset, so the CSR is canonical
-    (sorted, no duplicates, no zeros), and ``tocsc`` keeps it so: each
-    has the pattern and order of the values' own conversion.  The index
-    arrays are read-only, as the sweep's ordinates share them.
+    cells' block rows repeat their class's list.  The slots ascend in
+    cell offset, so the CSR is canonical (sorted, no duplicates, no
+    zeros): it has the pattern and order of the values' own conversion.
+    The index arrays are read-only, as the sweep's ordinates share them.
     """
     entries = nonzero.transpose(0, 2, 1, 3)
     k, i, s, j = np.nonzero(entries)
     per_row = entries.sum(axis=(2, 3))
-    cells, rank = (np.arange(len(st.cls)),) * 2 if front is None else front
-    cls = st.cls[cells]
+    cls = st.cls
     count, n_e = per_row.sum(axis=1), per_row[cls].sum(axis=1)
     # matrix entry e repeats entry e - (its cell's first entry) of its class's list
     first = (np.cumsum(count) - count)[cls] - np.cumsum(n_e) + n_e
     e = np.arange(n_e.sum()) + np.repeat(first, n_e)
-    nbr = np.repeat(cells, n_e)
+    nbr = np.repeat(np.arange(len(cls)), n_e)
     nbr += st.offsets[s][e]
-    nbr = rank[nbr]
     nbr *= st.d
     nbr += j[e]
     indices = nbr.astype(np.intc)
@@ -216,26 +215,21 @@ def _pattern(st, nonzero, front=None):
     take = np.ravel_multi_index((k, s, i, j), nonzero.shape)[e]
     del e
     indptr = np.concatenate(([0], np.cumsum(per_row[cls].ravel()))).astype(np.intc)
-    if front is not None:
-        A = sp.csr_matrix((take, indices, indptr), shape=(len(indptr) - 1,) * 2).tocsc()
-        indices, indptr, take = A.indices, A.indptr, A.data
     indices.flags.writeable = indptr.flags.writeable = False
     return indices, indptr, take
 
 
-def _filled(patterns, st, values, front=None):
-    """``values``, class blocks on the stencil ``st``, as the matrix they
-    expand to without its zero entries: CSR in natural order, or CSC in
-    the front order (order, rank) that ``patterns[front]`` begins with.
-    Its pattern (``_pattern``) is computed once per key in ``patterns``
-    and shared by every matrix with that key."""
+def _filled(patterns, st, values):
+    """``values``, class blocks on the stencil ``st``, as the CSR matrix
+    they expand to without its zero entries.  Its pattern (``_pattern``)
+    is computed once per key in ``patterns`` and shared by every matrix
+    with that key."""
     nonzero = values != 0
-    key = (front, len(st.cls), nonzero.shape, nonzero.tobytes())
+    key = (len(st.cls), nonzero.shape, nonzero.tobytes())
     if key not in patterns:
-        patterns[key] = _pattern(st, nonzero, None if front is None else patterns[front][:2])
+        patterns[key] = _pattern(st, nonzero)
     indices, indptr, take = patterns[key]
-    kind = sp.csr_matrix if front is None else sp.csc_matrix
-    return kind((np.take(values, take), indices, indptr), shape=(len(indptr) - 1,) * 2)
+    return sp.csr_matrix((np.take(values, take), indices, indptr), shape=(len(indptr) - 1,) * 2)
 
 
 # stencil slot of the neighbour across cell side 0..3 (left, right,
@@ -244,13 +238,13 @@ def _filled(patterns, st, values, front=None):
 _SLOT = (1, 3, 0, 4)
 _INTERIOR_ORDER = (1, 0, 3, 2)
 
+# the class of the interior cells, with a neighbour across every side
+_INTERIOR = 4
+
 
 def _empty_stencil(system):
-    """An empty stencil on the system's class grid, and which of the
-    sides 0..3 of each class has a neighbour, shape (9, 4)."""
-    i, j = np.arange(9) % 3, np.arange(9) // 3
-    inner = np.column_stack([i > 0, i < 2, j > 0, j < 2])
-    return _BlockStencil(system.mesh.n, system.tables.dof), inner
+    """An empty stencil on the system's class grid."""
+    return _BlockStencil(system.mesh.n, system.tables.dof)
 
 
 def _mass_blocks(tables, mesh, sigma_t, test):
@@ -318,7 +312,7 @@ def _assemble_stencil(system):
     left, top, bottom), its jump term on the same sides, and its terms on
     the boundary sides 0..3, each a list of ``_add_sides`` terms."""
     scheme, tables, medium = system.scheme, system.tables, system.medium
-    st, inner = _empty_stencil(system)
+    st = _empty_stencil(system)
     s, h = system.direction, system.mesh.h
     sn = SIDE_NORMALS @ s
     w = tables.quad.vol_weights
@@ -355,8 +349,8 @@ def _assemble_stencil(system):
             boundary = [(b, h * sn[b], None) for b in range(4) if sn[b] > 0]
 
     st.add(slice(None), 2, volume + _mass_blocks(tables, system.mesh, medium.sigma_t, test_table))
-    _add_sides(st, inner, tables, interior)
-    _add_sides(st, ~inner, tables, boundary)
+    _add_sides(st, st.inner, tables, interior)
+    _add_sides(st, ~st.inner, tables, boundary)
     return st
 
 
@@ -385,9 +379,9 @@ def _sweep_shift(system):
     system's own blocks.  Its cell classes are the system stencil's."""
     if not isinstance(system.scheme, WG):
         return None
-    st, inner = _empty_stencil(system)
+    st = _empty_stencil(system)
     sn = SIDE_NORMALS @ system.direction
-    _add_sides(st, inner, system.tables, _jump(0.25 * np.abs(sn) * system.mesh.h))
+    _add_sides(st, st.inner, system.tables, _jump(0.25 * np.abs(sn) * system.mesh.h))
     return st
 
 

@@ -24,35 +24,32 @@ overflowed) ends the loop at once, uncertified.
 Each ordinate is the pair (P_m^{-1}, R_m), built once before the first
 sweep (``_pairs``), with R_m None when P_m = A_m.  At desk scale that is
 the exact pair, sparse LU of A_m (``_exact``).  Above that it is the
-wavefront sweep (``_SweepSolve``): ordering cells by upwind distance
-makes each transport matrix block lower triangular up to a weak
-downwind remainder (the DODG jump penalty; WG sweeps its matrix plus its
-own stabilizer, the penalty-free upwind operator, and leaves the
-stabilizer as the remainder), and the streamline-diffusion systems are
-exactly triangular in that order (R_m = 0).  A sweep ordinate holds
-D^{-1} per cell class, the unit lower triangular M = D^{-1}(D + L) and
-R_m, cut straight from the block stencil; the assembled A_m is never
-formed.
-The stencil holds one block row per cell class (nine on the uniform
-grid), so the set-up works on class blocks and fills M and R into
-sparsity patterns that the ordinates of a run share.  A run whose
-update norms stop falling, while still above roundoff, switches once,
-with a RuntimeWarning, to the exact pair for every ordinate with a
-remainder, and counts them in ``IterationTrace.escalated``.
+wavefront sweep: ordering cells by upwind distance makes each transport
+matrix block lower triangular up to a weak downwind remainder (the DODG
+jump penalty; WG sweeps its matrix plus its own stabilizer, the
+penalty-free upwind operator, and leaves the stabilizer as the
+remainder), and the streamline-diffusion systems are exactly triangular
+in that order (R_m = 0).  One ``_Sweep`` applies P_m^{-1} to every swept
+ordinate at once, front by front, the all-angle wavefront of Koch,
+Baker & Alcouffe (Trans. Am. Nucl. Soc. 65, 1992), from each ordinate's
+class blocks cut straight from its block stencil: D^{-1} and the two
+upwind blocks.  R_m is CSR in natural order, and the assembled A_m is
+never formed.  A run whose update norms stop falling, while still
+above roundoff, switches once, with a RuntimeWarning, to the exact pair
+for every ordinate with a remainder, which leaves the batch, and counts
+them in ``IterationTrace.escalated``.
 """
 
-import functools
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.sparse.linalg._dsolve import _superlu
+from numpy.lib.stride_tricks import as_strided
 
 # the benchmark's tracer (perfbench/tracing.py) patches these three names here
 from .assembly import assemble_direction, l2_dom_norm, scattering_source  # noqa: F401
-from .assembly import _filled, _sweep_shift
+from .assembly import _INTERIOR, _SLOT, _filled, _sweep_shift
 from .reporting import _with_stream
 
 __all__ = [
@@ -112,148 +109,136 @@ class IterationTrace:
         _with_stream(target, write)
 
 
-@functools.lru_cache(maxsize=4)
-def _empty_csc(n):
-    """An n x n CSC matrix with no entries: the U of ``_unit_lower_solve``."""
-    return sp.csc_matrix((n, n))
+class _Sweep:
+    """The wavefront sweep of the ordinates ``ms`` at once: each one's
+    P^{-1} and the remainder R of its split A = P + R.
 
+    Cells are ranked by upwind distance l = i' + j', the primed indices
+    counted along the flow, so a cell's two upwind neighbours sit on front
+    l - 1 (ties count left and bottom as upwind).  On the block stencil of
+    A, plus for WG its stabilizer once more (``assembly._sweep_shift``),
+    P = D + L takes each cell's own and upwind blocks and R = A - P the
+    rest.  ``R`` maps each ordinate to R as CSR in natural order, None
+    when it is 0, with index arrays shared per pattern (``_filled``).
 
-def _unit_lower_solve(M, b):
-    """z with M z = b, for M unit lower triangular in CSC with its unit
-    diagonal stored and int32 indices.
-
-    This is the SuperLU ``gstrs`` call that ``spsolve_triangular`` ends
-    in, made on M's own arrays with a cached empty U, without that
-    wrapper's per-call O(N) ``setdiag`` and new U.
-    """
-    n = M.shape[0]
-    U = _empty_csc(n)
-    z, info = _superlu.gstrs(
-        "N", n, M.nnz, M.data, M.indices, M.indptr,
-        n, 0, U.data, U.indices, U.indptr, b,
-    )
-    if info:
-        raise np.linalg.LinAlgError("singular triangular sweep matrix")
-    return z
-
-
-class _SweepSolve:
-    """Wavefront sweep for one ordinate: P^{-1} and the remainder R of
-    the split A = P + R.
-
-    Cells are ranked by upwind distance l = i' + j' with the primed
-    indices counted along the flow, so of a cell's four edge neighbours
-    the two upwind ones sit on the previous front and the two downwind
-    ones on the next (ties count left and bottom as upwind).  On the
-    block stencil of A, plus for WG its stabilizer once more
-    (``assembly._sweep_shift``), P = D + L takes each cell's own and
-    upwind blocks, and R = A - P is the rest: for WG the downwind blocks
-    and minus the stabilizer's own and upwind blocks, for DODG the
-    downwind jump-penalty blocks, for DODSD nothing.
-
-    The ordinate holds three things, built straight from the stencil
-    slots: D^{-1} per cell class; ``M`` = D^{-1}(D + L), unit lower
-    triangular once the cells are renumbered front by front, as CSC with
-    its unit diagonal stored; and ``R`` as CSR in natural order, None
-    when it is 0.  D^{-1} is ``_bulk``, the block of the class that
-    covers the most cells, transposed for a right multiply, and
-    ``_edge_dinv``, the blocks of the other cells, the 4n - 4 boundary
-    cells, at the front positions ``_edge``.
-    ``_forward`` applies P^{-1} as one matrix product with ``_bulk``,
-    the edge cells' own scaling over it and one triangular solve with M
-    (``_unit_lower_solve``), O(nnz) in time and memory; with ``R`` it is
-    the ordinate's pair.  Given ``start``, one ordinate's start field x0
-    as a flat array, the set-up overwrites it with P x0 = D (M x0), from
-    the class blocks of D while they are in hand, so that neither D nor A
-    is kept or assembled.
-
-    The stencil and the WG shift hold one block row per cell class (nine,
-    ``assembly._BlockStencil``), so the set-up works on class-sized data:
-    per class it inverts one diagonal block and forms at most two
-    D^{-1} L blocks, and it fills M and R by one gather each into a
-    sparsity pattern (``assembly._filled``).  ``patterns`` is a dict the
-    caller keeps for one run: a pattern is computed once per key (the
-    grid, for M the quadrant, and the nonzero entries of the class
-    blocks), and the ordinates with that key share its read-only
-    ``indices`` and ``indptr``, as those of a quadrant share its front
-    entry: the front order, the bulk class and ``_edge``.  Every array
-    equals, bit for bit, what one ordinate's per-cell blocks convert to
-    on their own.
+    The class grid makes P uniform: every class with an upwind neighbour
+    holds the interior class's block there (checked bit for bit), a
+    front's inner cells are interior and its two ends boundary cells.  So
+    an ordinate keeps ``_upwind`` = [L_bottom^T; L_left^T], the interior
+    D^{-1} (``_bulk``) and per front its ends' D^{-1} (``_ends``), all
+    transposed for a right multiply.  ``solve`` works on one array of
+    shape (2n - 1 fronts, ordinates, n + 1, d) that holds the cell of
+    front l in flow row j' in column j' + 1, so its bottom and left
+    neighbours are columns j' and j' + 1 of front l - 1, two adjacent
+    rows for one product with ``_upwind``; column 0 and the columns
+    without a cell hold g's trailing zero row.  One ``np.take`` moves g
+    in, each front takes z = (g - L z_upwind) D^{-1} on views built once,
+    and one ``np.take`` moves the fields out in natural order.
     """
 
-    def __init__(self, system, patterns, start=None):
-        n, d = system.mesh.n, system.tables.dof
-        sx, sy = system.direction
-        acc = system.stencil()
-        front = (n, bool(sx >= 0), bool(sy >= 0))
-        if front not in patterns:
-            idx = np.arange(n)
-            ip = idx if sx >= 0 else idx[::-1]
-            jp = idx if sy >= 0 else idx[::-1]
-            # renumber the cells front by front: new index rank[c], old order[p]
-            order = np.argsort((jp[:, None] + ip[None, :]).ravel(), kind="stable")
-            rank = np.empty_like(order)
-            rank[order] = np.arange(n * n)
-            # D^{-1} per class: the bulk class's block for one right
-            # multiply, and the blocks of the other cells at their front
-            # positions
-            cls = acc.cls[order]
-            bulk = np.argmax(np.bincount(cls))
-            edge = np.nonzero(cls != bulk)[0]
-            order.flags.writeable = rank.flags.writeable = edge.flags.writeable = False
-            patterns[front] = order, rank, bulk, edge
-        order, rank, bulk, edge = patterns[front]
-
-        # stencil slots (bottom, left, own, right, top): the upwind two,
-        # then own; every block below is per cell class
-        upwind = [0 if sy >= 0 else 4, 1 if sx >= 0 else 3]
-        kept = upwind + [2]
-        P = acc.blocks[:, kept]
-        shift = _sweep_shift(system)
-        if shift is not None:
-            P += shift.blocks[:, kept]
-        dinv = np.linalg.inv(P[:, 2])
-
-        # M on the stencil: the identity, then D^{-1} L in the upwind slots
-        lower = np.zeros_like(acc.blocks)
-        lower[:, 2] = np.eye(d)
-        for j, slot in enumerate(upwind):
-            t = P[:, j].any(axis=(1, 2))  # the classes with an upwind block
-            lower[t, slot] = dinv[t] @ P[t, j]
-        # R = A - P: in the own and upwind slots minus the shift, or 0
-        acc.blocks[:, kept] -= P
-        self.d = d
-        self.M = _filled(patterns, acc, lower, front)
-        self.R = _filled(patterns, acc, acc.blocks) if acc.blocks.any() else None
-        self._bulk = dinv[bulk].T.copy()
-        self._edge = edge
-        self._edge_dinv = dinv[acc.cls[order[edge]]]
-        self._order = order
-        self._rank = rank
+    def __init__(self, systems, ms, start=None):
+        n, d = systems[ms[0]].mesh.n, systems[ms[0]].tables.dof
+        C, B, F = n * n, len(ms), 2 * n - 1
+        idx, f, c = np.arange(n), np.arange(F), np.arange(C)
+        # flow row j' of the first and last cell of each front
+        ends = np.stack([np.maximum(f - n + 1, 0), np.minimum(f, n - 1)])
+        self._upwind = upwind = np.empty((B, 2 * d, d))
+        own = np.empty((B, 9, d, d))
+        end_cls = np.empty((B, 2, F), dtype=np.intp)
+        row = np.empty((B, C), dtype=np.intp)
+        patterns, self.R = {}, {}
+        for b, m in enumerate(ms):
+            system = systems[m]
+            sx, sy = system.direction
+            acc = system.stencil()
+            # the upwind sides (bottom or top, left or right), their
+            # stencil slots, then own; every block below is per cell class
+            sides = (2 if sy >= 0 else 3, 0 if sx >= 0 else 1)
+            kept = [_SLOT[side] for side in sides] + [2]
+            P = acc.blocks[:, kept]
+            shift = _sweep_shift(system)
+            if shift is not None:
+                P += shift.blocks[:, kept]
+            for j, side in enumerate(sides):
+                if not np.array_equal(P[:, j], acc.inner[:, side, None, None] * P[_INTERIOR, j]):
+                    raise RuntimeError(f"ordinate {m}: the classes' upwind blocks differ")
+            upwind[b] = P[_INTERIOR, :2].transpose(0, 2, 1).reshape(2 * d, d)
+            own[b] = P[:, 2]
+            # R = A - P: in the own and upwind slots minus the shift, or 0
+            acc.blocks[:, kept] -= P
+            self.R[m] = _filled(patterns, acc, acc.blocks) if acc.blocks.any() else None
+            # grid index <-> index along the flow, each the other's inverse
+            fi, fj = (idx if t >= 0 else idx[::-1] for t in (sx, sy))
+            ip, jp = fi[c % n], fj[c // n]
+            row[b] = ((ip + jp) * B + b) * (n + 1) + jp + 1
+            end_cls[b] = acc.cls[fj[ends] * n + fi[f - ends]]
+        dinv = np.linalg.inv(own)
+        self._bulk = dinv[:, _INTERIOR].transpose(0, 2, 1).copy()
+        self._ends = _front_ends(dinv, end_cls)
+        self.rows = slice(None) if B == len(systems) else np.asarray(ms)
+        # each (ordinate, cell)'s work-array row, and each work-array
+        # row's g row: the zero row after g where it holds no cell
+        self._out = row.ravel()
+        self._in = np.full(F * B * (n + 1), len(systems) * C)
+        self._in[self._out] = (np.asarray(ms)[:, None] * C + c).ravel()
+        self._C, self._d = C, d
+        self._W = W = np.zeros((F, B, n + 1, d))
+        self._work = W.reshape(-1, d)
         if start is not None:
-            z = (self.M @ np.take(start.reshape(-1, d), order, axis=0).ravel()).reshape(-1, d)
-            y = _by_class(z, P[bulk, 2].T, edge, P[acc.cls[order[edge]], 2])
-            start[:] = np.take(y, rank, axis=0).ravel()
+            start[self._in[self._out]] = self._lower(start, own, end_cls, ends)
+        t = np.empty((B, n, d))
+        self._fronts = []
+        for l in range(F):
+            lo, hi = ends[:, l]
+            z, acc = W[l, :, lo + 1:hi + 2], t[:, :hi + 1 - lo]
+            win = None if l == 0 else _windows(W[l - 1, :, lo:], hi + 1 - lo)
+            self._fronts.append((win, z, acc, (z[:, :1], z[:, -1:]), (acc[:, :1], acc[:, -1:]),
+                                 self._ends[l]))
 
-    def _forward(self, g):
-        """Apply (D + L)^{-1}: scale by D^{-1}, then solve with the unit
-        lower triangular M in front order."""
-        d = self.d
-        # np.take: 35 us against 249 us for fancy indexing of (16384, 4) rows, same bits
-        g = np.take(np.reshape(g, (-1, d)), self._order, axis=0)
-        y = _by_class(g, self._bulk, self._edge, self._edge_dinv)
-        z = _unit_lower_solve(self.M, y.ravel())
-        return np.take(z.reshape(-1, d), self._rank, axis=0).ravel()
+    def _lower(self, start, own, end_cls, ends):
+        """(D + L) x0 of the start rows, as the (ordinate, cell) rows of
+        ``_out``, on the work-array layout: D by the interior class's block
+        and the fronts' ends by theirs, plus the upwind products."""
+        X = np.take(start, self._in, axis=0).reshape(self._W.shape)
+        Y = X @ own[:, _INTERIOR].transpose(0, 2, 1)
+        f = np.arange(len(X))
+        for e, D in enumerate(_front_ends(own, end_cls).transpose(1, 0, 2, 3, 4)):
+            Y[f, :, ends[e] + 1] = (X[f, :, ends[e] + 1][:, :, None] @ D)[:, :, 0]
+        Y[1:, :, 1:] += _windows(X[:-1], X.shape[2] - 1) @ self._upwind
+        return np.take(Y.reshape(-1, self._d), self._out, axis=0)
+
+    def solve(self, g):
+        """P^{-1} g of every ordinate of the batch, shape (ordinates, C,
+        d).  ``g`` holds all ordinates' g as rows of d, ordinate by
+        ordinate, and one zero row after them; it is left as it is."""
+        # every index is in range; "clip" lets take write ``out`` unbuffered
+        np.take(g, self._in, axis=0, out=self._work, mode="clip")
+        upwind, bulk = self._upwind, self._bulk
+        for win, z, acc, z_ends, acc_ends, ends in self._fronts:
+            if win is None:
+                acc[...] = z
+            else:
+                np.matmul(win, upwind, out=acc)
+                np.subtract(z, acc, out=acc)
+            np.matmul(acc, bulk, out=z)
+            for z_end, acc_end, end in zip(z_ends, acc_ends, ends):
+                np.matmul(acc_end, end, out=z_end)
+        return np.take(self._work, self._out, axis=0).reshape(-1, self._C, self._d)
 
 
-def _by_class(v, bulk, edge, blocks):
-    """Each cell's block of ``v`` (one row per cell, in front order) times
-    its class block: ``bulk`` (transposed, for a right multiply) for every
-    cell, then ``blocks`` in place of it at the front positions ``edge``."""
-    y = v @ bulk
-    # np.take, as in _forward: several times faster than v[edge], same bits
-    y[edge] = np.einsum("cij,cj->ci", blocks, np.take(v, edge, axis=0))
-    return y
+def _front_ends(blocks, end_cls):
+    """The class blocks (ordinates, classes, d, d) of each front's two end
+    cells, (fronts, 2, ordinates, d, d), transposed for a right multiply."""
+    b = np.arange(len(blocks))[:, None, None]
+    return blocks[b, end_cls].transpose(2, 1, 0, 4, 3).copy()
+
+
+def _windows(slab, count):
+    """Read-only view (..., count, 2d) of a work-array slab (..., columns,
+    d): window c is columns c and c + 1 side by side, the bottom and left
+    neighbours of column c + 1 on the next front."""
+    *outer, _, d = slab.shape
+    return as_strided(slab, (*outer, count, 2 * d), slab.strides, writeable=False)
 
 
 # ordinates with at most this many unknowns are solved exactly, the
@@ -271,7 +256,7 @@ _ROUNDOFF = 256 * np.finfo(float).eps
 
 def _exact(system, x=None):
     """The exact pair of the system's matrix A: sparse LU's solve (COLAMD
-    order) as P^{-1}, and R = None (P = A).  Given ``x``, one ordinate's
+    order) as P^{-1}, with R = 0 (P = A).  Given ``x``, one ordinate's
     field as a flat array, it is overwritten with A x.  A singular A
     raises ``np.linalg.LinAlgError``."""
     A = system.matrix
@@ -281,28 +266,23 @@ def _exact(system, x=None):
         raise np.linalg.LinAlgError(str(err)) from err
     if x is not None:
         x[:] = A @ x
-    return lu.solve, None
+    return lu.solve
 
 
 def _pairs(systems, start=None):
-    """Each ordinate's (P^{-1}, R): exact up to ``_EXACT_UP_TO``
-    unknowns, the wavefront sweep above.
-
-    ``start``, if given, holds a start field x0 as (L, C*dof) rows; row m
-    is overwritten with P_m x0[m], from the matrix the exact pair factors
-    (P = A) or from the sweep's class blocks.
-    """
-    pairs = []
-    # the sweeps' sparsity patterns, shared by the ordinates of this run
-    patterns = {}
-    for m, s in enumerate(systems):
-        x0 = None if start is None else start[m]
-        if s.n_dof <= _EXACT_UP_TO:
-            pairs.append(_exact(s, x0))
-        else:
-            sw = _SweepSolve(s, patterns, x0)
-            pairs.append((sw._forward, sw.R))
-    return pairs
+    """Each ordinate's P^{-1}: the exact pairs' solves by ordinate, up to
+    ``_EXACT_UP_TO`` unknowns, and one ``_Sweep`` over the others (None if
+    none).  ``start``, if given, holds a start field x0 as rows of d and
+    one zero row after them; each ordinate's rows are overwritten with
+    P_m x0[m], from A (P = A) or from the sweep's class blocks."""
+    L = len(systems)
+    x0 = None if start is None else start[:-1].reshape(L, -1)
+    solves = {
+        m: _exact(s, None if x0 is None else x0[m])
+        for m, s in enumerate(systems) if s.n_dof <= _EXACT_UP_TO
+    }
+    swept = [m for m in range(L) if m not in solves]
+    return solves, _Sweep(systems, swept, start) if swept else None
 
 
 def _bound(errs, residuals):
@@ -347,23 +327,25 @@ def source_iteration(systems, kernel, quad, cfg=None, certify=None, start=None):
     than raised; the partial field is still returned.
     """
     cfg = cfg or SourceIterationConfig()
-    sys0 = systems[0]
-    mesh, tables = sys0.mesh, sys0.tables
-    L = len(systems)
-    C = mesh.n_cells
-    d = tables.dof
+    mesh, tables = systems[0].mesh, systems[0].tables
+    L, C, d = len(systems), mesh.n_cells, tables.dof
     if L != len(quad):
         raise ValueError("one system per quadrature ordinate is required")
 
-    # g of the previous sweep, which P x solves for the current field
+    # g of the previous sweep, which P x solves for the current field, as
+    # rows of d with one zero row after them, which the sweep reads where
+    # a cell has no upwind neighbour
+    g_rows = np.zeros((L * C + 1, d))
+    g_prev = g_rows[:-1].reshape(L, C * d)
     if start is None:
-        pairs = _pairs(systems)
-        field, g_prev = np.zeros((L, C, d)), np.zeros((L, C * d))
+        field = np.zeros((L, C, d))
     else:
         if start.shape != (L, C, d):
             raise ValueError(f"start field must have shape {(L, C, d)}, got {start.shape}")
-        field, g_prev = start, start.reshape(L, C * d).copy()
-        pairs = _pairs(systems, g_prev)
+        field = start
+        g_prev[:] = start.reshape(L, C * d)
+    solves, sweep = _pairs(systems, None if start is None else g_rows)
+    remainders = {} if sweep is None else sweep.R
     errs, residuals = [], []
     tol = cfg.tol
     converged = switched = False
@@ -373,16 +355,22 @@ def source_iteration(systems, kernel, quad, cfg=None, certify=None, start=None):
         # each ordinate's update overwrites the scattering row it came from
         update = scattering_source(systems, kernel, quad, field)
         num = den = 0.0
-        for m, (s, (solve, R)) in enumerate(zip(systems, pairs)):
+        for m, s in enumerate(systems):
             rhs = s.rhs_fixed + update[m].ravel()
+            R = remainders.get(m)
             g = rhs if R is None else rhs - R @ field[m].ravel()
             r = g - g_prev[m]  # = rhs - A x, as P x = g_prev
             num += r @ r
             den += rhs @ rhs
             g_prev[m] = g
-            x = solve(g).reshape(C, d)
-            update[m] = x - field[m]
-            field[m] = x
+            if m in solves:
+                x = solves[m](g).reshape(C, d)
+                update[m] = x - field[m]
+                field[m] = x
+        if sweep is not None:
+            x, rows = sweep.solve(g_rows), sweep.rows
+            update[rows] = x - field[rows]
+            field[rows] = x
         residual = float(np.sqrt(num / den)) if num else 0.0
         residuals.append(residual)
         errs.append(l2_dom_norm(mesh, tables, quad, update))
@@ -400,7 +388,7 @@ def source_iteration(systems, kernel, quad, cfg=None, certify=None, start=None):
             and errs[-1] > _ROUNDOFF * l2_dom_norm(mesh, tables, quad, field)
         ):
             switched = True
-            inexact = [m for m, (_, R) in enumerate(pairs) if R is not None]
+            inexact = [m for m, R in remainders.items() if R is not None]
             if inexact:
                 warnings.warn(
                     f"update norm {errs[-1]:.3e} has not fallen in {_STALL} "
@@ -409,6 +397,10 @@ def source_iteration(systems, kernel, quad, cfg=None, certify=None, start=None):
                 )
                 for m in inexact:
                     g_prev[m] = field[m].ravel()
-                    pairs[m] = _exact(systems[m], g_prev[m])
+                    solves[m] = _exact(systems[m], g_prev[m])
+                # the ordinates without a remainder stay in the batch
+                rest = [m for m in remainders if m not in solves]
+                sweep = _Sweep(systems, rest) if rest else None
+                remainders = {} if sweep is None else sweep.R
                 escalated = len(inexact)
     return field, IterationTrace(errs, converged, bound, residual, escalated)

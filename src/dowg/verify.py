@@ -254,28 +254,26 @@ def _check_memory(k, level, M, budget=None):
     whose estimated storage is above ``budget`` bytes (by default
     ``_memory_budget()``).
 
-    The estimate counts, per ordinate, what its sweep keeps: D^{-1}, the
-    8-byte values of M and R (at most two blocks per cell each; over the
-    three schemes, k = 1, 2 and every ordinate at 1/h = 32 and 64 they
-    hold at most 1.23 and 1.73) and the right side.  D^{-1} counts one
-    d x d block per cell, where the sweep keeps 4n - 3 for n > 2 (the
-    bulk class's and the boundary cells'); the blocks it overcounts stay
-    as margin.  The index arrays of M and R are shared by the ordinates
-    of one sparsity pattern, so they count once per pattern: at most
-    eight for M and eight for R (four quadrants, on an axis or not, and
-    never more than the ordinates), each with 4-byte indices and its
-    indptr.  The set-up's scratch (the patterns' 8-byte takes and one
-    pattern's build, by tracemalloc at most 44 bytes per block entry at
-    Q1 and Q2, 1/h = 64) is freed before the loop
-    allocates five (L, C, dof) fields (the iterate, the previous right
-    sides g, the update and the scattering source's temporaries), so
-    the larger of the two counts.  A nested start (``run_convergence``
+    The estimate counts, per ordinate, D^{-1} as one d x d block per
+    cell, the 8-byte values of two operators of at most two blocks per
+    cell (R holds at most 1.23 and 1.73 over the three schemes, k = 1, 2
+    and every ordinate at 1/h = 32 and 64) and the right side, and the
+    index arrays of at most sixteen sparsity patterns, each with 4-byte
+    indices and its indptr.  The batched sweep keeps R, the interior
+    class's D^{-1} and two per front, and a work array of about two
+    fields with its two gather index arrays (3/d of a field); the bytes
+    counted for the second operator (2d fields) and for D^{-1} per cell
+    stay as margin and hold the work array and the loop's new field and
+    update temporaries.  The set-up's scratch (by tracemalloc at most 44
+    bytes per block entry at Q1 and Q2, 1/h = 64) is freed before the
+    loop allocates five (L, C, dof) fields (the iterate, the previous
+    right sides g, the update and the scattering source's temporaries),
+    so the larger of the two counts.  A nested start (``run_convergence``
     past its first level) allocates two of the five before the set-up:
     the prolonged start field, which is the iterate, and the g that its
     P x0 is formed into; so the set-up counts with those two.  The
     coarse field it was prolonged from, a quarter of one field, is freed
-    before the level assembles.  The nine class blocks the set-up works
-    on are a few kilobytes and not counted.
+    before the level assembles.
 
     The dense (L, L) arrays of the scattering kernel come on top.  Its
     build, which runs before anything else is allocated, peaks at four
@@ -364,6 +362,14 @@ def measure_error(field, case, mesh, tables, quad, triple=True):
     Returns (broken-L2 error, triple-norm error), both angularly
     weighted; ``triple`` False skips the triple norm (None).
     """
+    err_dom, finish = _errors(field, case, mesh, tables, quad)
+    return err_dom, finish() if triple else None
+
+
+def _errors(field, case, mesh, tables, quad):
+    """``measure_error`` in two steps: the broken-L2 error now, and a
+    function that finishes the triple-norm error from the same volume
+    terms, for as long as ``field`` is left as it is."""
     field = np.asarray(field)
     h = mesh.h
     k = tables.basis.k
@@ -378,20 +384,21 @@ def measure_error(field, case, mesh, tables, quad, triple=True):
         diff = field[m] @ fine.V.T - u(th)
         vol[m] = h * h * np.sum(diff**2 @ fq.vol_weights)
     err_dom = float(np.sqrt(np.sum(quad.weights * vol)))
-    if not triple:
-        return err_dom, None
 
-    edges = [case.u.sampled(lambda g: _sample(g, x, y)) for x, y in _side_points(mesh, fq)]
-    total = 0.0
-    for m, th in enumerate(quad.thetas):
-        kappa = np.abs(SIDE_NORMALS @ quad.vectors[m]) * h
-        faces, _ = _face_traces(mesh, tables, field[m])
-        jump = _jump_sum(kappa, tables.quad.edge_weights, faces, faces)
-        sides = _side_traces(mesh, fine, field[m])
-        diff = [t - u_b(th) for t, u_b in zip(sides, edges)]
-        bdy = _boundary_sum(kappa, fq.edge_weights, diff, diff)
-        total += quad.weights[m] * (vol[m] + 0.5 * jump + bdy)
-    return err_dom, float(np.sqrt(total))
+    def triple():
+        edges = [case.u.sampled(lambda g: _sample(g, x, y)) for x, y in _side_points(mesh, fq)]
+        total = 0.0
+        for m, th in enumerate(quad.thetas):
+            kappa = np.abs(SIDE_NORMALS @ quad.vectors[m]) * h
+            faces, _ = _face_traces(mesh, tables, field[m])
+            jump = _jump_sum(kappa, tables.quad.edge_weights, faces, faces)
+            sides = _side_traces(mesh, fine, field[m])
+            diff = [t - u_b(th) for t, u_b in zip(sides, edges)]
+            bdy = _boundary_sum(kappa, fq.edge_weights, diff, diff)
+            total += quad.weights[m] * (vol[m] + 0.5 * jump + bdy)
+        return float(np.sqrt(total))
+
+    return err_dom, triple
 
 
 def project_exact(case, mesh, tables, quad):
@@ -401,18 +408,23 @@ def project_exact(case, mesh, tables, quad):
     return np.stack([u(th) for th in quad.thetas])
 
 
-def _iterate(systems, kernel, quad, tol, where, measure, start=None):
+def _iterate(systems, kernel, quad, tol, where, errors, start=None):
     """``source_iteration`` for one table row, from zero or from
-    ``start``; returns ``(field, trace, measure(field))``.
+    ``start``; returns ``(field, trace, errors(field))``, ``errors`` as
+    ``_errors``.
 
     With ``tol`` None the row is certified: the loop starts at the
     production tolerance and resumes until its iteration-error bound is
-    at most 1% of its L2 error, ``measure(field, triple=False)[0]``;
-    both errors come from the final field.  A row that stops uncertified
-    raises SolverFailure with ``where``, so none is tabulated.
+    at most 1% of its L2 error, ``errors(field)[0]``; the loop stops
+    right after the call that certifies it, so that call's errors are
+    returned.  A row that stops uncertified raises SolverFailure with
+    ``where``, so none is tabulated.
     """
+    measured = []
+
     def certify(field):
-        return 0.01 * measure(field, triple=False)[0]
+        measured[:] = [errors(field)]
+        return 0.01 * measured[0][0]
 
     cfg = SourceIterationConfig(tol=1e-3 if tol is None else tol)
     field, trace = source_iteration(
@@ -426,7 +438,7 @@ def _iterate(systems, kernel, quad, tol, where, measure, start=None):
             f"relative residual {trace.residual:.3e}",
             trace.residual,
         )
-    return field, trace, measure(field)
+    return field, trace, measured[0] if measured else errors(field)
 
 
 def run_convergence(case="example1", scheme=None, k=1, levels=range(3, 8), M=20,
@@ -463,15 +475,15 @@ def run_convergence(case="example1", scheme=None, k=1, levels=range(3, 8), M=20,
             # the coarse field is freed here, before the level assembles
             field = _prolong(field, tables.basis, lv - levels[i - 1])
         systems = _assemble_all(case, scheme, mesh, tables, quad, kernel)
-        field, trace, (err_dom, err_tri) = _iterate(
+        field, trace, (err_dom, triple) = _iterate(
             systems, kernel, quad, tol, f"level {lv} (1/h = {mesh.n})",
-            lambda f, triple=True: measure_error(f, case, mesh, tables, quad, triple), field,
+            lambda f: _errors(f, case, mesh, tables, quad), field,
         )
         wall = time.perf_counter() - t0
         eoc = None if prev is None else float(np.log2(prev / err_dom))
         prev = err_dom
         report.rows.append((mesh.n, err_dom, eoc))
-        report.triple_errors.append(err_tri)
+        report.triple_errors.append(triple())
         report.walls.append(wall)
         report.iterations.append(trace.iterations)
     return report
@@ -527,7 +539,7 @@ def run_angular_study(case="example2", scheme=None, k=2, level=5,
         systems = _assemble_all(case, scheme, mesh, tables, quad, kernel)
         _, _, (err_dom, _) = _iterate(
             systems, kernel, quad, tol, f"M = {M}",
-            lambda f, triple=False: measure_error(f, case, mesh, tables, quad, triple),
+            lambda f: _errors(f, case, mesh, tables, quad),
         )
         rows.append((M, err_dom))
     return AngularStudyReport(case.name, scheme.name, k, level, rows)

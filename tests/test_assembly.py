@@ -82,7 +82,8 @@ def _per_cell(system):
     st = dowg.assembly._BlockStencil(mesh.n, system.tables.dof)
     st.cls = np.arange(mesh.n_cells)
     st.blocks = np.zeros((mesh.n_cells,) + st.blocks.shape[1:])
-    return st, mesh.neighbours >= 0
+    st.inner = mesh.neighbours >= 0
+    return st
 
 
 def _coo_reference(system):

@@ -1,10 +1,11 @@
 """The class-built stencil and sweep equal the per-cell ones bitwise.
 
-Each ordinate's block stencil is assembled once per cell class and each
-sweep is filled into sparsity patterns shared by the ordinates of a run.
-The references below are the per-cell stencil, every cell its own
-class, and the sweep construction the solver used before: it converts
-each ordinate's per-cell blocks to CSR/CSC separately.
+Each ordinate's block stencil is assembled once per cell class, and one
+batched sweep holds every swept ordinate's class blocks and fills each
+R into a sparsity pattern shared by the ordinates of a run.  The
+references below are the per-cell stencil, every cell its own class,
+and the sweep construction the solver used before: it converts each
+ordinate's per-cell blocks to CSR/CSC separately.
 """
 
 import gc
@@ -14,20 +15,22 @@ from contextlib import nullcontext
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from numpy.testing import assert_array_equal
 from test_assembly import _MEDIA, _THETAS, _one_ordinate, _per_cell
 
 import dowg.assembly
 import dowg.solver
 from dowg import _hooks
 from dowg.angular import HenyeyGreenstein, build_circle_trapezoid, build_scatter_kernel
-from dowg.assembly import DODG, DODSD, WG, Medium, _pattern, assemble_direction, triple_norm
+from dowg.assembly import (
+    _INTERIOR, _SLOT, DODG, DODSD, WG, Medium, _pattern, assemble_direction, triple_norm,
+)
 from dowg.elements import ElementQuadrature, ElementTables, LocalBasis
 from dowg.mesh import build_mesh
-from dowg.solver import (
-    SourceIterationConfig, _pairs, _SweepSolve, _unit_lower_solve, source_iteration,
-)
+from dowg.solver import SourceIterationConfig, _Sweep, _windows, source_iteration
 from dowg.verify import build_case, measure_error
 
 _SCHEMES = {"wg": WG(), "dodg": DODG(), "dodsd": DODSD()}
@@ -52,10 +55,10 @@ def _bsr(acc, blocks):
 
 
 class _CellSweep:
-    """Reference sweep construction: D^{-1}, M and R cut from one
-    ordinate's per-cell stencil, M converted block matrix -> CSC and R
-    stencil -> CSR on their own, as ``_SweepSolve`` built them before
-    the shared patterns."""
+    """Reference sweep construction: D^{-1} per cell, M = D^{-1}(D + L)
+    and R cut from one ordinate's per-cell stencil, M converted block
+    matrix -> CSC in front order and R stencil -> CSR on their own, as
+    the solver built them before the shared patterns and the batch."""
 
     def __init__(self, system):
         mesh = system.mesh
@@ -102,7 +105,7 @@ class _CellSweep:
         R.eliminate_zeros()
         self.M = M
         self.R = R if R.nnz else None
-        self.dinv = dinv[order]
+        self.dinv = dinv
         self._order = order
         self._rank = rank
 
@@ -114,13 +117,33 @@ def _cell_built(system):
         return system.matrix, _CellSweep(system)
 
 
-def _dinv_cells(sw):
-    """The per-cell D^{-1} in front order that a sweep's class storage
-    stands for: its bulk block at every cell, the edge blocks at
-    ``_edge``."""
-    cells = np.repeat(sw._bulk.T[None], len(sw._order), axis=0)
-    cells[sw._edge] = sw._edge_dinv
+def _front_cells(sweep, b):
+    """Per cell of the batch's ordinate b, in natural order: its front
+    and whether it is the front's first or last cell, from the work-array
+    rows ``_out``."""
+    F, B, cols, _ = sweep._W.shape
+    front, rest = np.divmod(sweep._out.reshape(B, -1)[b], B * cols)
+    col, n = rest % cols, cols - 1
+    return front, col == np.maximum(front - n + 1, 0) + 1, col == np.minimum(front, n - 1) + 1
+
+
+def _dinv_cells(sweep, b):
+    """The per-cell D^{-1} in natural order that the batch's class storage
+    stands for, for its ordinate b: the interior block at every cell, a
+    front's end blocks at its first and last cell."""
+    front, *ends = _front_cells(sweep, b)
+    cells = np.repeat(sweep._bulk[b].T[None], len(front), axis=0)
+    for e, at in enumerate(ends):
+        cells[at] = sweep._ends[front[at], e, b].transpose(0, 2, 1)
     return cells
+
+
+def _inverse(sweep, g):
+    """``solve`` of the rows of ``g``, one flat g per ordinate of the
+    systems the batch was built on, as one flat array per ordinate."""
+    d = sweep._d
+    rows = np.append(g, np.zeros(d)).reshape(-1, d)
+    return sweep.solve(rows).reshape(len(rows) // sweep._C, -1)
 
 
 def _same(a, b):
@@ -139,17 +162,18 @@ def _same_sparse(a, b):
         _same(getattr(a, name), getattr(b, name))
 
 
+def _batch(systems):
+    """One batched sweep over all ``systems``."""
+    return _Sweep(systems, range(len(systems)))
+
+
 def _assert_class_built_is_cell_built(systems):
-    patterns = {}
-    for system in systems:
+    sweep = _batch(systems)
+    for b, system in enumerate(systems):
         A_ref, ref = _cell_built(system)
         _same_sparse(system.matrix, A_ref)
-        sw = _SweepSolve(system, patterns)
-        _same_sparse(sw.M, ref.M)
-        _same_sparse(sw.R, ref.R)
-        _same(_dinv_cells(sw), ref.dinv)
-        _same(sw._order, ref._order)
-        _same(sw._rank, ref._rank)
+        _same_sparse(sweep.R[b], ref.R)
+        _same(_dinv_cells(sweep, b), ref.dinv)
 
 
 def _setup(k, level, medium=_KINDS["constant"], M=20):
@@ -181,8 +205,8 @@ def _source(x, y, th):
 
 
 class TestClassBuiltEqualsCellBuilt:
-    """``DirectionSystem.matrix`` and every sweep's M, R, D^{-1} and front
-    order are bitwise those of the per-cell construction."""
+    """``DirectionSystem.matrix`` and the batch's R and D^{-1} of every
+    ordinate are bitwise those of the per-cell construction."""
 
     # every M = 20 ordinate, m = 0, 5, 10, 15 and 20 on the axes
     @pytest.mark.parametrize("level", [1, 2, 4, 5])  # n = 2, 4, 16, 32
@@ -238,23 +262,24 @@ class TestClassBuiltEqualsCellBuilt:
 
 
 def _assert_forward_is_cell_forward(systems):
-    """Each sweep's ``_forward`` equals the per-cell reference: the
-    per-cell D^{-1} einsum, the triangular solve, the rank gather."""
-    patterns = {}
-    rng = np.random.default_rng(11)
-    for system in systems:
+    """The batch's P^{-1} equals the per-cell reference for each ordinate:
+    the per-cell D^{-1} einsum in front order, the triangular solve with
+    M, the rank gather."""
+    g = np.random.default_rng(11).standard_normal((len(systems), systems[0].n_dof))
+    x = _inverse(_batch(systems), g)
+    for b, system in enumerate(systems):
         _, ref = _cell_built(system)
-        sw = _SweepSolve(system, patterns)
-        d = sw.d
-        g = rng.standard_normal(system.n_dof)
-        y = np.einsum("cij,cj->ci", ref.dinv, g.reshape(-1, d)[ref._order]).ravel()
-        want = _unit_lower_solve(ref.M, y).reshape(-1, d)[ref._rank].ravel()
-        assert np.abs(sw._forward(g) - want).max() <= 1e-14 * np.abs(want).max()
+        d, order = system.tables.dof, ref._order
+        y = np.einsum("cij,cj->ci", ref.dinv[order], g[b].reshape(-1, d)[order]).ravel()
+        z = spla.spsolve_triangular(ref.M, y, lower=True, unit_diagonal=True)
+        want = z.reshape(-1, d)[ref._rank].ravel()
+        assert np.abs(x[b] - want).max() <= 1e-14 * np.abs(want).max()
 
 
 class TestClassDinv:
-    """D^{-1} is held per class: one bulk block and the blocks of the
-    other cells, and ``_forward`` applies it as the per-cell blocks did."""
+    """D^{-1} is held per class: the interior block and the blocks of
+    each front's two ends, and the batch applies it as the per-cell
+    blocks did."""
 
     @pytest.mark.parametrize("kind", ["callable", *sorted(_KINDS)])
     @pytest.mark.parametrize("level", [1, 2, 4])  # n = 2, 4, 16
@@ -284,81 +309,90 @@ class TestClassDinv:
 
     @pytest.mark.parametrize("level", [2, 4, 5])
     def test_class_sized_storage(self, level):
-        # the edge cells are the boundary ones (n > 2), and no array holds
-        # a block per cell
-        edge = 4 * 2**level - 4
-        patterns = {}
-        for system in _systems("dodg", 1, level):
-            sw = _SweepSolve(system, patterns)
-            assert sw._bulk.shape == (sw.d, sw.d) and len(sw._edge) == edge
-            assert sw._edge_dinv.shape == (edge, sw.d, sw.d)
-            blocks = sum(v.size for v in vars(sw).values()
-                         if isinstance(v, np.ndarray) and v.ndim > 1)
-            assert blocks == (edge + 1) * sw.d**2
+        # the fronts' ends are the 4n - 4 boundary cells (n > 2), and no
+        # array holds a block per cell
+        n = 2**level
+        systems = _systems("dodg", 1, level)
+        sweep = _batch(systems)
+        L, d = len(systems), sweep._d
+        assert sweep._bulk.shape == (L, d, d)
+        assert sweep._ends.shape == (2 * n - 1, 2, L, d, d)
+        assert sweep._upwind.shape == (L, 2 * d, d)
+        i, j = np.arange(n * n) % n, np.arange(n * n) // n
+        boundary = (i == 0) | (i == n - 1) | (j == 0) | (j == n - 1)
+        for b in range(L):
+            _, first, last = _front_cells(sweep, b)
+            assert_array_equal(first | last, boundary)
 
 
 class TestSharedPatterns:
     def test_one_quadrant_shares_its_indices(self):
-        # m = 1..4 lie strictly inside the first quadrant; the patterns
+        # m = 1..4 lie strictly inside the first quadrant; R's patterns
         # are shared and read-only, the values are each ordinate's own
-        sweeps = [solve.__self__ for solve, _ in _pairs(_systems("wg", 1, 4))]
-        first, *rest = sweeps[1:5]
-        for sw in rest:
-            for a, b in ((sw.M, first.M), (sw.R, first.R)):
-                assert np.shares_memory(a.indices, b.indices)
-                assert np.shares_memory(a.indptr, b.indptr)
-                assert not np.shares_memory(a.data, b.data)
-            assert sw._order is first._order and sw._rank is first._rank
-            assert sw._edge is first._edge
-        assert not first.M.indices.flags.writeable
-        assert not first.R.indptr.flags.writeable
-        assert not first._edge.flags.writeable
-        assert not np.shares_memory(sweeps[0].M.indices, first.M.indices)  # on an axis
+        R = _batch(_systems("wg", 1, 4)).R
+        first, *rest = (R[m] for m in range(1, 5))
+        for other in rest:
+            assert np.shares_memory(other.indices, first.indices)
+            assert np.shares_memory(other.indptr, first.indptr)
+            assert not np.shares_memory(other.data, first.data)
+        assert not first.indices.flags.writeable
+        assert not first.indptr.flags.writeable
+        assert not np.shares_memory(R[0].indices, first.indices)  # on an axis
 
     def test_sweeps_die_with_the_run(self, monkeypatch):
         # no reference cycle keeps a sweep alive after the loop returns:
         # with the cyclic collector off, reference counting alone frees it
         refs = []
 
-        class Watched(_SweepSolve):
-            def __init__(self, system, patterns, start=None):
-                super().__init__(system, patterns, start)
+        class Watched(_Sweep):
+            def __init__(self, systems, ms, start=None):
+                super().__init__(systems, ms, start)
                 refs.append(weakref.ref(self))
 
-        monkeypatch.setattr(dowg.solver, "_SweepSolve", Watched)
+        monkeypatch.setattr(dowg.solver, "_Sweep", Watched)
         systems = _systems("wg", 1, 4, f=_source)
         quad, kernel = _setup(1, 4)[:2]
         enabled = gc.isenabled()
         gc.disable()
         try:
             _, trace = source_iteration(systems, kernel, quad, SourceIterationConfig(tol=1e-6))
-            assert trace.converged and len(refs) == len(quad)
+            assert trace.converged and len(refs) == 1
             assert all(ref() is None for ref in refs)
         finally:
             if enabled:
                 gc.enable()
 
 
-def _reference_pattern(acc, nonzero, front=None):
+def _reference_pattern(acc, nonzero):
     """``_pattern`` as the conversion it replaced: every written block
-    expanded block by block to BSR, then CSR, its zeros removed, and for
-    M a COO round trip into CSC in front order, all on 1 + each entry's
-    position in the class blocks."""
+    expanded block by block to BSR, then CSR, its zeros removed, all on
+    1 + each entry's position in the class blocks."""
     ids = np.arange(1, nonzero.size + 1, dtype=np.intc).reshape(nonzero.shape)
     A = _bsr(acc, ids * nonzero)
     A.eliminate_zeros()
-    if front is not None:
-        A = A.tocoo()
-        dof = (front[1][:, None] * acc.d + np.arange(acc.d)).ravel()
-        A = sp.csc_matrix((A.data, (dof[A.row], dof[A.col])), shape=A.shape)
     return A.indices.astype(np.intc), A.indptr.astype(np.intc), A.data.astype(np.intp) - 1
 
 
-def _fancy_by_class(v, bulk, edge, blocks):
-    """``_by_class`` with fancy-indexed rows."""
-    y = v @ bulk
-    y[edge] = np.einsum("cij,cj->ci", blocks, v[edge])
-    return y
+def _fancy_solve(sweep, g):
+    """``_Sweep.solve`` with fancy-indexed row moves: the same products
+    front by front, on a work array filled by ``g[_in]`` and read out by
+    ``[_out]``."""
+    W = g[sweep._in].reshape(sweep._W.shape)
+    F, B, cols, d = W.shape
+    n = cols - 1
+    t = np.empty((B, n, d))
+    for l in range(F):
+        lo, hi = max(l - n + 1, 0), min(l, n - 1)
+        z, acc = W[l, :, lo + 1:hi + 2], t[:, :hi + 1 - lo]
+        if l:
+            np.matmul(_windows(W[l - 1, :, lo:], hi + 1 - lo), sweep._upwind, out=acc)
+            np.subtract(z, acc, out=acc)
+        else:
+            acc[...] = z
+        np.matmul(acc, sweep._bulk, out=z)
+        np.matmul(acc[:, :1], sweep._ends[l, 0], out=z[:, :1])
+        np.matmul(acc[:, -1:], sweep._ends[l, 1], out=z[:, -1:])
+    return W.reshape(-1, d)[sweep._out].reshape(B, -1, d)
 
 
 def _fancy_face_traces(mesh, tables, coeffs):
@@ -386,49 +420,58 @@ class TestRowTakes:
     @pytest.mark.parametrize("k", [1, 2])
     @pytest.mark.parametrize("name", sorted(_SCHEMES))
     def test_pattern_equals_reference(self, name, k, level, kind, M, monkeypatch):
-        keys = []
+        calls = []
 
-        def checked(acc, nonzero, front=None):
-            got = _pattern(acc, nonzero, front)
-            for a, b in zip(got, _reference_pattern(acc, nonzero, front), strict=True):
+        def checked(acc, nonzero):
+            got = _pattern(acc, nonzero)
+            for a, b in zip(got, _reference_pattern(acc, nonzero), strict=True):
                 _same(a, b)
-            keys.append(front is None)
+            calls.append(1)
             return got
 
         monkeypatch.setattr(dowg.assembly, "_pattern", checked)
-        patterns = {}
-        for system in _systems(name, k, level, _KINDS[kind], M=M):
-            _SweepSolve(system, patterns)
-        # every pattern key of the run, M's and, but for DODSD, R's
-        assert len(keys) == sum(len(key) == 4 for key in patterns)
-        assert not all(keys) and any(keys) == (name != "dodsd")
+        systems = _systems(name, k, level, _KINDS[kind], M=M)
+        R = [r for r in _batch(systems).R.values() if r is not None]
+        # one pattern per distinct R pattern of the run, none for DODSD
+        assert len(calls) == len({(r.indptr.tobytes(), r.indices.tobytes()) for r in R})
+        assert bool(R) == (name != "dodsd")
+        patterns = len(calls)
+        for system in systems:
+            _ = system.matrix  # its own pattern, checked the same way
+        assert len(calls) == patterns + len(systems)
 
     @pytest.mark.parametrize("kind", sorted(_KINDS))
     @pytest.mark.parametrize("level", [1, 2, 4])
     @pytest.mark.parametrize("k", [1, 2])
     @pytest.mark.parametrize("name", sorted(_SCHEMES))
     def test_forward_and_start_equal_fancy_indexing(self, name, k, level, kind):
-        patterns = {}
+        systems = _systems(name, k, level, _KINDS[kind])
         rng = np.random.default_rng(5)
-        for system in _systems(name, k, level, _KINDS[kind]):
-            x0 = rng.standard_normal(system.n_dof)
-            px0 = x0.copy()
-            sw = _SweepSolve(system, patterns, px0)
-            d, order, rank = sw.d, sw._order, sw._rank
-            g = rng.standard_normal(system.n_dof)
-            y = _fancy_by_class(g.reshape(-1, d)[order], sw._bulk, sw._edge, sw._edge_dinv)
-            z = _unit_lower_solve(sw.M, y.ravel())
-            _same(sw._forward(g), z.reshape(-1, d)[rank].ravel())
-            # P x0 = D (M x0), D the own blocks of the swept stencil
-            acc = system.stencil()
-            D = acc.blocks[:, 2]
-            shift = dowg.assembly._sweep_shift(system)
+        d = systems[0].tables.dof
+        x0, g = (np.append(rng.standard_normal(len(systems) * systems[0].n_dof), np.zeros(d))
+                 .reshape(-1, d) for _ in range(2))
+        px0 = x0.copy()
+        sweep = _Sweep(systems, range(len(systems)), px0)
+        _same(sweep.solve(g), _fancy_solve(sweep, g))
+        # P x0 = D x0 + L x0 from the same class blocks, on a work array
+        # filled by fancy indexing
+        X = x0[sweep._in].reshape(sweep._W.shape)
+        acc = [s.stencil() for s in systems]
+        own = np.stack([a.blocks[:, 2] for a in acc])
+        for b, s in enumerate(systems):
+            shift = dowg.assembly._sweep_shift(s)
             if shift is not None:
-                D = D + shift.blocks[:, 2]
-            bulk = np.argmax(np.bincount(acc.cls[order]))
-            z = (sw.M @ x0.reshape(-1, d)[order].ravel()).reshape(-1, d)
-            y = _fancy_by_class(z, D[bulk].T, sw._edge, D[acc.cls[order[sw._edge]]])
-            _same(px0, y[rank].ravel())
+                own[b] += shift.blocks[:, 2]
+        Y = X @ own[:, _INTERIOR].transpose(0, 2, 1)
+        for b in range(len(systems)):
+            front, *ends = _front_cells(sweep, b)
+            cls = acc[b].cls
+            for at in ends:
+                rows = sweep._out.reshape(len(systems), -1)[b][at]
+                D = np.ascontiguousarray(own[b, cls[at]].transpose(0, 2, 1))
+                Y.reshape(-1, d)[rows] = (X.reshape(-1, d)[rows][:, None] @ D)[:, 0]
+        Y[1:, :, 1:] += _windows(X[:-1], X.shape[2] - 1) @ sweep._upwind
+        _same(px0[:-1], Y.reshape(-1, d)[sweep._out])
 
     @pytest.mark.parametrize("k", [1, 2])
     @pytest.mark.parametrize("name", ["example1", "example2"])
@@ -442,3 +485,54 @@ class TestRowTakes:
             monkeypatch.setattr(module, "_side_traces", _fancy_side_traces)
         want = measure_error(field, case, mesh, tables, quad), triple_norm(mesh, tables, quad, field)
         assert got == want
+
+
+# every fault hook, and none
+_HOOKS = [None] + sorted(k for k, v in vars(_hooks).items() if isinstance(v, bool))
+
+
+class TestUniformPairBlocks:
+    """What the batched sweep relies on: every class with a neighbour
+    across side b holds, in the slot across b, the interior class's block
+    bit for bit, and a class without one holds 0, in the system stencil
+    and in WG's sweep shift."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        theta=_THETAS,
+        k=st.sampled_from([1, 2]),
+        name=st.sampled_from(sorted(_SCHEMES)),
+        level=st.sampled_from([1, 2, 3]),
+        hook=st.sampled_from(_HOOKS),
+    )
+    @example(theta=0.0, k=1, name="wg", level=2, hook=None)
+    @example(theta=0.5 * np.pi, k=2, name="dodg", level=3, hook=None)
+    @example(theta=np.pi, k=1, name="dodsd", level=1, hook="flip_inflow_sign")
+    def test_any_direction(self, theta, k, name, level, hook):
+        _, kernel, medium, mesh, tables = _setup(k, level)
+        with _hooks.inject(hook) if hook else nullcontext():
+            system = assemble_direction(
+                _SCHEMES[name], mesh, tables, _one_ordinate(theta), kernel, medium, 0
+            )
+            stencils = [system.stencil(), dowg.assembly._sweep_shift(system)]
+        for acc in filter(None, stencils):
+            for side, slot in enumerate(_SLOT):
+                inner = acc.inner[:, side]
+                for c in np.nonzero(inner)[0]:
+                    _same(acc.blocks[c, slot], acc.blocks[_INTERIOR, slot])
+                assert not acc.blocks[~inner, slot].any()
+
+    def test_set_up_refuses_a_class_that_differs(self, monkeypatch):
+        # a first-column class whose bottom block is not the interior
+        # class's: the batch cannot stand for it, so the set-up raises
+        [system] = _systems("wg", 1, 2)[1:2]
+        real = dowg.assembly._sweep_shift
+
+        def skewed(s):
+            shift = real(s)
+            shift.blocks[3, 0] *= 1 + 2**-52
+            return shift
+
+        monkeypatch.setattr(dowg.solver, "_sweep_shift", skewed)
+        with pytest.raises(RuntimeError, match="upwind blocks differ"):
+            _Sweep([system], [0])

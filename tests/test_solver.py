@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 from test_assembly import _THETAS, _one_ordinate, _quadrature_norm, _quadrature_source
-from test_class_stencil import _dinv_cells
+from test_class_stencil import _dinv_cells, _inverse
 
 import dowg.solver
 from dowg.angular import (
@@ -29,9 +29,8 @@ from dowg.solver import (
     IterationTrace,
     SolverFailure,
     SourceIterationConfig,
-    _SweepSolve,
     _pairs,
-    _unit_lower_solve,
+    _Sweep,
     source_iteration,
 )
 from dowg.verify import _iterate, run_convergence, solve_case
@@ -109,52 +108,70 @@ def _sweep_matrix(system):
     return system.matrix
 
 
-def _natural_lower(sw):
-    """The sweep's D + L in the original numbering, rebuilt from what it
-    holds: D from D^{-1}, and D M renumbered back from front order."""
-    d = sw.d
-    dofs = (np.asarray(sw._order)[:, None] * d + np.arange(d)).ravel()
-    D = sp.block_diag(list(np.linalg.inv(_dinv_cells(sw))), format="csr")
-    P = (D @ sw.M).tocoo()
-    return sp.csr_matrix(
-        (P.data, (dofs[P.row], dofs[P.col])), shape=P.shape
-    )
+def _natural_lower(sweep, b, system):
+    """The batch's D + L for its ordinate b in the original numbering,
+    rebuilt from what it holds: D from the per-cell D^{-1}, and the two
+    upwind blocks at every cell with a neighbour across that side."""
+    n, d = system.mesh.n, system.tables.dof
+    c = np.arange(n * n)
+    i, j = c % n, c // n
+    sx, sy = system.direction
+    rows, cols = [c], [c]
+    blocks = [np.linalg.inv(_dinv_cells(sweep, b))]
+    # [L_bottom^T; L_left^T], bottom and left counted along the flow
+    for k, (t, step, stride) in enumerate([(j, 1 if sy >= 0 else -1, n), (i, 1 if sx >= 0 else -1, 1)]):
+        has = (t - step >= 0) & (t - step < n)
+        rows.append(c[has])
+        cols.append(c[has] - step * stride)
+        blocks.append(np.broadcast_to(sweep._upwind[b, k * d:(k + 1) * d].T, (has.sum(), d, d)))
+    r, cc, blocks = np.concatenate(rows), np.concatenate(cols), np.concatenate(blocks)
+    dof = np.arange(d)
+    r = np.broadcast_to(r[:, None, None] * d + dof[:, None], blocks.shape)
+    cc = np.broadcast_to(cc[:, None, None] * d + dof, blocks.shape)
+    return sp.csr_matrix((blocks.ravel(), (r.ravel(), cc.ravel())), shape=(n * n * d,) * 2)
 
 
-class _FrontLoopSweep(_SweepSolve):
+class _FrontLoopSweep(_Sweep):
     """Reference P^{-1} = (D + L)^{-1}: forward substitution front by
-    front in a Python loop over the blocks of the assembled sweep matrix,
-    as the solver did before the triangular solve replaced it."""
+    front in a Python loop over the blocks of each ordinate's assembled
+    sweep matrix, as the solver did before the triangular solve replaced
+    it; R and the start's P x0 are the batch's."""
 
-    def __init__(self, system, patterns, start=None):
-        super().__init__(system, patterns, start)
-        mesh, d, direction = system.mesh, system.tables.dof, system.direction
-        n = mesh.n
-        idx = np.arange(n)
-        ip = idx if direction[0] >= 0 else idx[::-1]
-        jp = idx if direction[1] >= 0 else idx[::-1]
-        front = (jp[:, None] + ip[None, :]).ravel()
-        B = _sweep_matrix(system).tobsr(blocksize=(d, d))
-        rows = np.repeat(np.arange(mesh.n_cells), np.diff(B.indptr))
-        cols = B.indices
-        diag = rows == cols
-        self._dinv_cells = np.linalg.inv(B.data[diag][np.argsort(rows[diag])])
-        lower = front[cols] < front[rows]
-        self._fronts = [
-            (np.nonzero(front == l)[0], lower & (front[rows] == l))
-            for l in range(2 * n - 1)
-        ]
-        self._blocks = (rows, cols, B.data)
+    def __init__(self, systems, ms, start=None):
+        super().__init__(systems, ms, start)
+        self._loops = []
+        for m in ms:
+            system = systems[m]
+            mesh, d, direction = system.mesh, system.tables.dof, system.direction
+            n = mesh.n
+            idx = np.arange(n)
+            ip = idx if direction[0] >= 0 else idx[::-1]
+            jp = idx if direction[1] >= 0 else idx[::-1]
+            front = (jp[:, None] + ip[None, :]).ravel()
+            B = _sweep_matrix(system).tobsr(blocksize=(d, d))
+            rows = np.repeat(np.arange(mesh.n_cells), np.diff(B.indptr))
+            cols = B.indices
+            diag = rows == cols
+            dinv = np.linalg.inv(B.data[diag][np.argsort(rows[diag])])
+            lower = front[cols] < front[rows]
+            fronts = [
+                (np.nonzero(front == l)[0], lower & (front[rows] == l))
+                for l in range(2 * n - 1)
+            ]
+            self._loops.append((m, fronts, rows, cols, B.data, dinv))
 
-    def _forward(self, r):
-        rows, cols, data = self._blocks
-        acc = np.array(r, dtype=float).reshape(-1, self.d)
-        z = np.empty_like(acc)
-        for cells, sel in self._fronts:
-            take = data[sel] @ z[cols[sel], :, None]
-            np.subtract.at(acc, rows[sel], take[..., 0])
-            z[cells] = np.einsum("cij,cj->ci", self._dinv_cells[cells], acc[cells])
-        return z.ravel()
+    def solve(self, g):
+        C, d = self._C, self._d
+        out = []
+        for m, fronts, rows, cols, data, dinv in self._loops:
+            acc = np.array(g[m * C:(m + 1) * C], dtype=float)
+            z = np.empty_like(acc)
+            for cells, sel in fronts:
+                take = data[sel] @ z[cols[sel], :, None]
+                np.subtract.at(acc, rows[sel], take[..., 0])
+                z[cells] = np.einsum("cij,cj->ci", dinv[cells], acc[cells])
+            out.append(z)
+        return np.array(out)
 
 
 _SCHEMES = {"wg": WG(), "dodg": DODG(), "dodsd": DODSD()}
@@ -218,10 +235,10 @@ class TestSweep:
         sysm = assemble_direction(
             DODSD(), mesh, tables, quad, kernel, medium, 3, f=_source
         )
-        sw = _SweepSolve(sysm, {})
-        assert sw.R is None
+        sweep = _Sweep([sysm], [0])
+        assert sweep.R[0] is None
         b = np.sin(np.arange(sysm.n_dof))
-        x = sw._forward(b)
+        [x] = _inverse(sweep, [b])
         assert np.linalg.norm(sysm.matrix @ x - b) <= 1e-12 * np.linalg.norm(b)
 
     def test_warm_start_is_a_fixed_point(self):
@@ -231,11 +248,12 @@ class TestSweep:
         sysm = assemble_direction(
             WG(), mesh, tables, quad, kernel, medium, 4, f=_source
         )
-        [(solve, R)] = _pairs([sysm])
-        assert R is not None
+        solves, sweep = _pairs([sysm])
+        R = sweep.R[0]
+        assert not solves and R is not None
         b = np.cos(np.arange(sysm.n_dof))
         x = spla.spsolve(sysm.matrix.tocsc(), b)
-        step = solve(b - R @ x) - x
+        [step] = _inverse(sweep, [b - R @ x]) - x
         assert np.abs(step).max() <= 1e-12 * np.abs(x).max()
 
     def test_pairs_pick_sweep_then_exact(self):
@@ -243,14 +261,15 @@ class TestSweep:
         # stabilizer remainder; at desk scale it is solved exactly (R = 0)
         quad, kernel, medium, mesh, tables = _setup(level=4, k=1)
         sysm = assemble_direction(WG(), mesh, tables, quad, kernel, medium, 1)
-        [(_, R)] = _pairs([sysm])
-        assert R is not None
+        solves, sweep = _pairs([sysm])
+        assert not solves and sweep.R[0] is not None
         small_mesh = build_mesh(1)
         s2 = assemble_direction(
             WG(), small_mesh, tables, quad, kernel, medium, 1
         )
-        [(solve, R)] = _pairs([s2])
-        assert R is None
+        solves, sweep = _pairs([s2])
+        assert sweep is None
+        solve = solves[0]
         b = np.ones(s2.n_dof)
         assert np.abs(s2.matrix @ solve(b) - b).max() <= 1e-12
 
@@ -271,6 +290,26 @@ class TestSweep:
         assert trace.converged
         assert trace.escalated == len(quad)
         for m in (0, 3, 8, 14):
+            ref = spla.spsolve(systems[m].matrix.tocsc(), systems[m].rhs_fixed)
+            assert_allclose(field[m].ravel(), ref, atol=1e-10 * np.abs(ref).max())
+
+    def test_ordinates_without_remainder_stay_in_the_batch(self, monkeypatch):
+        # WG ordinates, swept unshifted so that they stall, beside DODSD
+        # ones, whose sweep is exact: only the WG ordinates switch to
+        # sparse LU, and the others go on in a batch of their own
+        monkeypatch.setattr(dowg.solver, "_sweep_shift", lambda s: None)
+        quad, kernel, medium, mesh, tables = _setup(level=4, k=1, sigma_s=0.0)
+        systems = [
+            assemble_direction(WG() if m % 2 else DODSD(), mesh, tables, quad, kernel, medium,
+                               m, f=_source)
+            for m in range(len(quad))
+        ]
+        with pytest.warns(RuntimeWarning, match="switching 10 of 21 ordinates"):
+            field, trace = source_iteration(
+                systems, kernel, quad, SourceIterationConfig(tol=1e-10)
+            )
+        assert trace.converged and trace.escalated == 10
+        for m in (0, 3, 8, 13):
             ref = spla.spsolve(systems[m].matrix.tocsc(), systems[m].rhs_fixed)
             assert_allclose(field[m].ravel(), ref, atol=1e-10 * np.abs(ref).max())
 
@@ -323,13 +362,13 @@ class TestSweepProperty:
             _SCHEMES[name], mesh, tables, one, kernel, medium, 0
         )
         lower = _lower_part(_sweep_matrix(sysm), tables.dof, mesh, sysm.direction)
-        sw = _SweepSolve(sysm, {})
+        sweep = _Sweep([sysm], [0])
         b = np.random.default_rng(seed).standard_normal(sysm.n_dof)
         ref = spla.spsolve(lower, b)
-        x = sw._forward(b)
+        [x] = _inverse(sweep, [b])
         assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
         A = sysm.matrix
-        R = sp.csr_matrix(A.shape) if sw.R is None else sw.R
+        R = sp.csr_matrix(A.shape) if sweep.R[0] is None else sweep.R[0]
         assert np.abs(R + lower - A).max() <= 1e-14 * np.abs(A).max()
         if name == "dodsd":
             exact = spla.spsolve(sysm.matrix.tocsc(), b)
@@ -345,17 +384,58 @@ class TestSweepProperty:
         sysm = assemble_direction(WG(), mesh, tables, one, kernel, medium, 0)
         ref = assemble_direction(_UpwindDG(), mesh, tables, one, kernel, medium, 0)
         lower = _lower_part(ref.matrix, tables.dof, mesh, sysm.direction)
-        diff = _natural_lower(_SweepSolve(sysm, {})) - lower
+        diff = _natural_lower(_Sweep([sysm], [0]), 0, sysm) - lower
         assert np.abs(diff).max() <= 1e-14 * np.abs(ref.matrix).max()
 
     def test_forward_leaves_its_input(self):
         quad, kernel, medium, mesh, tables = _setup(level=3, k=1)
         sysm = assemble_direction(DODSD(), mesh, tables, quad, kernel, medium, 3)
-        sw = _SweepSolve(sysm, {})
-        b = np.sin(np.arange(sysm.n_dof))
-        first = sw._forward(b)
-        assert_array_equal(b, np.sin(np.arange(sysm.n_dof)))
-        assert_array_equal(sw._forward(b), first)
+        sweep = _Sweep([sysm], [0])
+        g = np.append(np.sin(np.arange(sysm.n_dof)), np.zeros(tables.dof)).reshape(-1, tables.dof)
+        keep = g.copy()
+        first = sweep.solve(g)
+        assert_array_equal(g, keep)
+        assert_array_equal(sweep.solve(g), first)
+
+    def test_batch_over_all_quadrants_is_the_direct_solve(self):
+        # one batch over every M = 20 ordinate, on both axes (m = 0, 5,
+        # 10, 15, 20) and four strictly inside each quadrant, applies each
+        # ordinate's (D + L)^{-1} and solves each streamline-diffusion
+        # system exactly
+        quad, kernel, medium, mesh, tables = _setup(level=3, k=2)
+        rng = np.random.default_rng(2)
+        for name in sorted(_SCHEMES):
+            systems = _systems(_SCHEMES[name], quad, kernel, medium, mesh, tables)
+            sweep = _Sweep(systems, range(len(systems)))
+            g = rng.standard_normal((len(systems), systems[0].n_dof))
+            x = _inverse(sweep, g)
+            for m, s in enumerate(systems):
+                A = _sweep_matrix(s) if name == "wg" else s.matrix
+                ref = spla.spsolve(_lower_part(A, tables.dof, mesh, s.direction), g[m])
+                assert np.abs(x[m] - ref).max() <= 1e-12 * np.abs(ref).max()
+                if name == "dodsd":
+                    exact = spla.spsolve(s.matrix.tocsc(), g[m])
+                    assert np.abs(x[m] - exact).max() <= 1e-12 * np.abs(exact).max()
+
+    @pytest.mark.parametrize("name", sorted(_SCHEMES))
+    def test_start_is_the_lower_product(self, name):
+        # a start x0's previous g is (D + L) x0, formed on the work-array
+        # layout, and the rest of the rows are left alone
+        quad, kernel, medium, mesh, tables = _setup(level=3, k=1)
+        systems = _systems(_SCHEMES[name], quad, kernel, medium, mesh, tables)
+        d, C = tables.dof, mesh.n_cells
+        x0 = np.random.default_rng(4).standard_normal((len(systems), C * d))
+        rows = np.append(x0, np.zeros(d)).reshape(-1, d)
+        ms = [m for m in range(len(systems)) if m % 3]
+        _Sweep(systems, ms, rows)
+        px0 = rows[:-1].reshape(len(systems), -1)
+        for m, s in enumerate(systems):
+            if m in ms:
+                ref = _lower_part(_sweep_matrix(s), d, mesh, s.direction) @ x0[m]
+                assert np.abs(px0[m] - ref).max() <= 1e-13 * np.abs(ref).max()
+            else:
+                assert_array_equal(px0[m], x0[m])
+        assert not rows[-1].any()
 
 
 class TestPreChangeEquivalence:
@@ -372,7 +452,7 @@ class TestPreChangeEquivalence:
         assert systems[0].n_dof > dowg.solver._EXACT_UP_TO
         cfg = SourceIterationConfig(tol=1e-9)
         new, tnew = source_iteration(systems, kernel, quad, cfg)
-        monkeypatch.setattr(dowg.solver, "_SweepSolve", _FrontLoopSweep)
+        monkeypatch.setattr(dowg.solver, "_Sweep", _FrontLoopSweep)
         monkeypatch.setattr(dowg.solver, "scattering_source", _quadrature_source)
         monkeypatch.setattr(dowg.solver, "l2_dom_norm", _quadrature_norm)
         old, told = source_iteration(systems, kernel, quad, cfg)
@@ -442,22 +522,17 @@ class TestSourceIteration:
         # uncertified, after that sweep
         quad, kernel, medium, mesh, tables = _setup(level=4, k=1)
         systems = _systems(WG(), quad, kernel, medium, mesh, tables, f=_source)
-        real = dowg.solver._pairs
-        solves = []
+        real = dowg.solver._Sweep.solve
+        sweeps = []
 
-        def poisoned(solve):
-            def step(g):
-                solves.append(1)
-                x = solve(g)
-                if len(solves) > 2 * len(quad):  # from the third sweep on
-                    x[0] = bad
-                return x
-            return step
+        def poisoned(self, g):
+            sweeps.append(1)
+            x = real(self, g)
+            if len(sweeps) > 2:  # from the third sweep on
+                x[:, 0] = bad
+            return x
 
-        def failing(systems):
-            return [(poisoned(solve), R) for solve, R in real(systems)]
-
-        monkeypatch.setattr(dowg.solver, "_pairs", failing)
+        monkeypatch.setattr(dowg.solver._Sweep, "solve", poisoned)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             _, trace = source_iteration(
@@ -528,12 +603,12 @@ class TestCertifiedStop:
         # the same per-ordinate sweeps until the bound meets the target
         built = []
 
-        class Counted(_SweepSolve):
-            def __init__(self, *args, **kwargs):
-                built.append(1)
-                super().__init__(*args, **kwargs)
+        class Counted(_Sweep):
+            def __init__(self, systems, ms, start=None):
+                built.extend(ms)
+                super().__init__(systems, ms, start)
 
-        monkeypatch.setattr(dowg.solver, "_SweepSolve", Counted)
+        monkeypatch.setattr(dowg.solver, "_Sweep", Counted)
         quad, kernel, medium, mesh, tables = _setup(level=4, k=1)
         systems = _systems(DODG(), quad, kernel, medium, mesh, tables, f=_source)
         asked = []
@@ -550,37 +625,9 @@ class TestCertifiedStop:
         assert len(built) == len(quad)
 
 
-class TestUnitLowerSolve:
-    """The direct SuperLU call equals ``spsolve_triangular``, so a change
-    of scipy's private binding fails here rather than silently."""
-
-    def test_real_sweep_matrix(self):
-        quad, kernel, medium, mesh, tables = _setup(level=4, k=2)
-        sysm = assemble_direction(DODG(), mesh, tables, quad, kernel, medium, 7)
-        M = _SweepSolve(sysm, {}).M
-        assert M.format == "csc" and np.all(M.diagonal() == 1.0)
-        b = np.random.default_rng(3).standard_normal(M.shape[0])
-        ref = spla.spsolve_triangular(M, b, lower=True, unit_diagonal=True)
-        assert_allclose(_unit_lower_solve(M, b), ref, rtol=0, atol=1e-13 * np.abs(ref).max())
-
-    def test_random_unit_lower(self):
-        rng = np.random.default_rng(5)
-        n = 300
-        strict = sp.random(n, n, density=0.02, random_state=rng, format="csc")
-        M = (sp.tril(strict, -1) + sp.eye(n)).tocsc()
-        M.sort_indices()
-        b = rng.standard_normal(n)
-        keep = b.copy()
-        ref = spla.spsolve_triangular(M, b, lower=True, unit_diagonal=True)
-        z = _unit_lower_solve(M, b)
-        assert_array_equal(b, keep)
-        assert_allclose(z, ref, rtol=0, atol=1e-13 * np.abs(ref).max())
-        assert np.abs(M @ z - b).max() <= 1e-12 * np.abs(b).max()
-
-
 class TestSplitStorage:
-    """Each sweep ordinate holds D^{-1} per class, M and R only, and the
-    loop never assembles a system matrix."""
+    """The sweep holds D^{-1} per class, the upwind blocks and R only,
+    and the loop never assembles a system matrix."""
 
     @staticmethod
     def _no_matrix(system):
@@ -592,28 +639,31 @@ class TestSplitStorage:
         systems = _systems(_SCHEMES[name], quad, kernel, medium, mesh, tables, f=_source)
         built = []
 
-        class Kept(_SweepSolve):
-            def __init__(self, system, patterns, start=None):
-                super().__init__(system, patterns, start)
+        class Kept(_Sweep):
+            def __init__(self, systems, ms, start=None):
+                super().__init__(systems, ms, start)
                 built.append(self)
 
-        monkeypatch.setattr(dowg.solver, "_SweepSolve", Kept)
+        monkeypatch.setattr(dowg.solver, "_Sweep", Kept)
         monkeypatch.setattr(DirectionSystem, "matrix", property(self._no_matrix))
         _, trace = source_iteration(systems, kernel, quad, SourceIterationConfig(tol=1e-9))
         monkeypatch.undo()
         assert trace.converged and trace.escalated == 0
-        assert len(built) == len(quad)
-        for sw, sysm in zip(built, systems):
-            held = {k: v for k, v in vars(sw).items() if sp.issparse(v)}
-            assert held.keys() == ({"M"} if name == "dodsd" else {"M", "R"})
-            assert held["M"].format == "csc"
-            if sw.R is not None:
-                assert sw.R.format == "csr" and sw.R.nnz < sysm.matrix.nnz
-            # D^{-1} per class: the bulk block and the 4n - 4 boundary cells' blocks
-            blocks = sum(v.size for v in vars(sw).values()
-                         if isinstance(v, np.ndarray) and v.ndim > 1)
-            assert blocks <= (4 * mesh.n - 3) * tables.dof**2
+        [sweep] = built
+        assert list(sweep.R) == list(range(len(quad)))
+        # only R is sparse
+        held = {k for k, v in vars(sweep).items()
+                if sp.issparse(v) or isinstance(v, dict) and any(map(sp.issparse, v.values()))}
+        assert held == (set() if name == "dodsd" else {"R"})
+        for m, sysm in enumerate(systems):
+            R = sweep.R[m]
+            if R is not None:
+                assert R.format == "csr" and R.nnz < sysm.matrix.nnz
             assert not any(sp.issparse(v) for v in vars(sysm).values())
+        # D^{-1} per class: the interior block and the two end blocks of
+        # each of the 2n - 1 fronts, against n^2 cells
+        held = sweep._bulk.size + sweep._ends.size
+        assert held <= (4 * mesh.n - 1) * tables.dof**2 * len(quad)
 
 
 class TestFreeResidual:

@@ -296,24 +296,48 @@ class TestRunConvergence:
         assert trace.converged and trace.bound <= 0.01 * err
         assert abs(err - measure(ref)[0]) <= 0.01 * err
 
-    def test_triple_norm_once_per_row(self, monkeypatch):
-        # certification measures the broken-L2 error only; each row's two
-        # errors are measured once more, on its final field, and its L2
-        # error is bitwise the one its last certification saw
+    @staticmethod
+    def _recorded(monkeypatch):
+        """Run the three-level example2 Q1 study, recording each broken-L2
+        measurement (``_errors``) as [field copy, args, L2 error,
+        triple-norm error or None while it is not finished]."""
         calls = []
-        real = dowg.verify.measure_error
+        real = dowg.verify._errors
 
-        def recording(field, case, mesh, tables, quad, triple=True):
-            calls.append((triple, real(field, case, mesh, tables, quad, triple)))
-            return calls[-1][1]
+        def recording(field, *args):
+            err, finish = real(field, *args)
+            call = [field.copy(), args, err, None]
+            calls.append(call)
 
-        monkeypatch.setattr(dowg.verify, "measure_error", recording)
-        rep = run_convergence("example2", k=1, levels=[2, 3, 4])
-        rows = [i for i, (triple, _) in enumerate(calls) if triple]
-        assert len(rows) == len(rep.rows) and len(calls) > 2 * len(rows)
+            def triple():
+                call[3] = finish()
+                return call[3]
+
+            return err, triple
+
+        monkeypatch.setattr(dowg.verify, "_errors", recording)
+        return calls, run_convergence("example2", k=1, levels=[2, 3, 4])
+
+    def test_triple_norm_once_per_row(self, monkeypatch):
+        # certification measures the broken-L2 error only; each row's
+        # triple-norm error is finished once, on its final field, and its
+        # L2 error is bitwise the one its last certification saw
+        calls, rep = self._recorded(monkeypatch)
+        rows = [i for i, call in enumerate(calls) if call[3] is not None]
+        assert len(rows) == len(rep.rows) and len(calls) > len(rows)
         for i, (_, err, _), tri in zip(rows, rep.rows, rep.triple_errors):
-            assert not calls[i - 1][0] and calls[i - 1][1] == (err, None)
-            assert calls[i][1] == (err, tri)
+            assert calls[i][2:] == [err, tri]
+
+    def test_l2_once_per_certification(self, monkeypatch):
+        # a certified row's final field is the one its last certification
+        # measured, so the row reuses that L2 error: five measurements for
+        # the three rows (eight while the row measured it again), and both
+        # errors bitwise those of measure_error on the final field
+        calls, rep = self._recorded(monkeypatch)
+        assert len(calls) == 5
+        rows = [call for call in calls if call[3] is not None]
+        for (field, args, err, tri), (_, row_err, _) in zip(rows, rep.rows, strict=True):
+            assert measure_error(field, *args) == (err, tri) and err == row_err
 
     def test_gap_levels_prolong_twice(self, monkeypatch):
         # level 4 starts from level 2's field prolonged over the gap; every
