@@ -21,23 +21,22 @@ The loop stops when that bound and the coupled relative residual
 stop.  An update norm or residual that is not finite (the field
 overflowed) ends the loop at once, uncertified.
 
-Each ordinate is the pair (P_m^{-1}, R_m), built once before the first
-sweep (``_pairs``), with R_m None when P_m = A_m.  At desk scale that is
-the exact pair, sparse LU of A_m (``_exact``).  Above that it is the
-wavefront sweep: ordering cells by upwind distance makes each transport
-matrix block lower triangular up to a weak downwind remainder (the DODG
-jump penalty; WG sweeps its matrix plus its own stabilizer, the
-penalty-free upwind operator, and leaves the stabilizer as the
+Each ordinate is the pair (P_m^{-1}, R_m), R_m None when P_m = A_m, and
+all ordinates have as many unknowns, so one object built before the
+first sweep holds the run's pairs and ``_fused_sweep`` applies it to all
+at once: at desk scale ``_Exact``, sparse LU of each A_m, above that the
+wavefront ``_Sweep``.  Ordering cells by upwind distance makes each
+transport matrix block lower triangular up to a weak downwind remainder
+(the DODG jump penalty; WG sweeps its matrix plus its own stabilizer,
+the penalty-free upwind operator, and leaves the stabilizer as the
 remainder), and the streamline-diffusion systems are exactly triangular
-in that order (R_m = 0).  One ``_Sweep`` applies P_m^{-1} to every swept
-ordinate at once, front by front, the all-angle wavefront of Koch,
-Baker & Alcouffe (Trans. Am. Nucl. Soc. 65, 1992), from each ordinate's
-class blocks cut straight from its block stencil: D^{-1} and the two
-upwind blocks.  R_m is CSR in natural order, and the assembled A_m is
-never formed.  A run whose update norms stop falling, while still
-above roundoff, switches once, with a RuntimeWarning, to the exact pair
-for every ordinate with a remainder, which leaves the batch, and counts
-them in ``IterationTrace.escalated``.
+in that order (R_m = 0).  The sweep goes front by front over every
+ordinate, the all-angle wavefront of Koch, Baker & Alcouffe (Trans. Am.
+Nucl. Soc. 65, 1992), from each ordinate's D^{-1} and two upwind class
+blocks, cut from its block stencil; R_m is CSR in natural order, and A_m
+is never formed.  A run with a remainder whose update norms stop
+falling, while above roundoff, switches once, with a RuntimeWarning, to
+the exact pairs for every ordinate (``IterationTrace.escalated``).
 """
 
 import warnings
@@ -88,7 +87,7 @@ class SourceIterationConfig:
 class IterationTrace:
     """Per-sweep update norms, the convergence flag, the last
     iteration-error bound and coupled relative residual, and the number
-    of ordinates the run escalated from the sweep to sparse LU."""
+    of ordinates the run escalated to sparse LU: 0, or all of them."""
 
     errs: list
     converged: bool
@@ -110,15 +109,15 @@ class IterationTrace:
 
 
 class _Sweep:
-    """The wavefront sweep of the ordinates ``ms`` at once: each one's
-    P^{-1} and the remainder R of its split A = P + R.
+    """The wavefront sweep of every ordinate at once: each one's P^{-1}
+    and the remainder R of its split A = P + R.
 
     Cells are ranked by upwind distance l = i' + j', the primed indices
     counted along the flow, so a cell's two upwind neighbours sit on front
     l - 1 (ties count left and bottom as upwind).  On the block stencil of
     A, plus for WG its stabilizer once more (``assembly._sweep_shift``),
     P = D + L takes each cell's own and upwind blocks and R = A - P the
-    rest.  ``R`` maps each ordinate to R as CSR in natural order, None
+    rest.  ``R`` lists each ordinate's R as CSR in natural order, None
     when it is 0, with index arrays shared per pattern (``_filled``).
 
     The class grid makes P uniform: every class with an upwind neighbour
@@ -133,12 +132,13 @@ class _Sweep:
     rows for one product with ``_upwind``; column 0 and the columns
     without a cell hold g's trailing zero row.  One ``np.take`` moves g
     in, each front takes z = (g - L z_upwind) D^{-1} on views built once,
-    and one ``np.take`` moves the fields out in natural order.
+    and one ``np.take`` moves the fields out in natural order.  A
+    ``start`` x0, as rows of d and one zero row, is overwritten with P x0.
     """
 
-    def __init__(self, systems, ms, start=None):
-        n, d = systems[ms[0]].mesh.n, systems[ms[0]].tables.dof
-        C, B, F = n * n, len(ms), 2 * n - 1
+    def __init__(self, systems, start=None):
+        n, d = systems[0].mesh.n, systems[0].tables.dof
+        C, B, F = n * n, len(systems), 2 * n - 1
         idx, f, c = np.arange(n), np.arange(F), np.arange(C)
         # flow row j' of the first and last cell of each front
         ends = np.stack([np.maximum(f - n + 1, 0), np.minimum(f, n - 1)])
@@ -146,9 +146,8 @@ class _Sweep:
         own = np.empty((B, 9, d, d))
         end_cls = np.empty((B, 2, F), dtype=np.intp)
         row = np.empty((B, C), dtype=np.intp)
-        patterns, self.R = {}, {}
-        for b, m in enumerate(ms):
-            system = systems[m]
+        patterns, self.R = {}, []
+        for b, system in enumerate(systems):
             sx, sy = system.direction
             acc = system.stencil()
             # the upwind sides (bottom or top, left or right), their
@@ -161,12 +160,12 @@ class _Sweep:
                 P += shift.blocks[:, kept]
             for j, side in enumerate(sides):
                 if not np.array_equal(P[:, j], acc.inner[:, side, None, None] * P[_INTERIOR, j]):
-                    raise RuntimeError(f"ordinate {m}: the classes' upwind blocks differ")
+                    raise RuntimeError(f"ordinate {b}: the classes' upwind blocks differ")
             upwind[b] = P[_INTERIOR, :2].transpose(0, 2, 1).reshape(2 * d, d)
             own[b] = P[:, 2]
             # R = A - P: in the own and upwind slots minus the shift, or 0
             acc.blocks[:, kept] -= P
-            self.R[m] = _filled(patterns, acc, acc.blocks) if acc.blocks.any() else None
+            self.R.append(_filled(patterns, acc, acc.blocks) if acc.blocks.any() else None)
             # grid index <-> index along the flow, each the other's inverse
             fi, fj = (idx if t >= 0 else idx[::-1] for t in (sx, sy))
             ip, jp = fi[c % n], fj[c // n]
@@ -175,17 +174,16 @@ class _Sweep:
         dinv = np.linalg.inv(own)
         self._bulk = dinv[:, _INTERIOR].transpose(0, 2, 1).copy()
         self._ends = _front_ends(dinv, end_cls)
-        self.rows = slice(None) if B == len(systems) else np.asarray(ms)
         # each (ordinate, cell)'s work-array row, and each work-array
         # row's g row: the zero row after g where it holds no cell
         self._out = row.ravel()
-        self._in = np.full(F * B * (n + 1), len(systems) * C)
-        self._in[self._out] = (np.asarray(ms)[:, None] * C + c).ravel()
+        self._in = np.full(F * B * (n + 1), B * C)
+        self._in[self._out] = np.arange(B * C)
         self._C, self._d = C, d
         self._W = W = np.zeros((F, B, n + 1, d))
         self._work = W.reshape(-1, d)
         if start is not None:
-            start[self._in[self._out]] = self._lower(start, own, end_cls, ends)
+            self._lower(start, own, end_cls, ends)
         t = np.empty((B, n, d))
         self._fronts = []
         for l in range(F):
@@ -196,21 +194,21 @@ class _Sweep:
                                  self._ends[l]))
 
     def _lower(self, start, own, end_cls, ends):
-        """(D + L) x0 of the start rows, as the (ordinate, cell) rows of
-        ``_out``, on the work-array layout: D by the interior class's block
-        and the fronts' ends by theirs, plus the upwind products."""
+        """Overwrite the start rows x0 with (D + L) x0, formed on the
+        work-array layout: D by the interior class's block and the fronts'
+        ends by theirs, plus the upwind products."""
         X = np.take(start, self._in, axis=0).reshape(self._W.shape)
         Y = X @ own[:, _INTERIOR].transpose(0, 2, 1)
         f = np.arange(len(X))
         for e, D in enumerate(_front_ends(own, end_cls).transpose(1, 0, 2, 3, 4)):
             Y[f, :, ends[e] + 1] = (X[f, :, ends[e] + 1][:, :, None] @ D)[:, :, 0]
         Y[1:, :, 1:] += _windows(X[:-1], X.shape[2] - 1) @ self._upwind
-        return np.take(Y.reshape(-1, self._d), self._out, axis=0)
+        np.take(Y.reshape(-1, self._d), self._out, axis=0, out=start[:-1], mode="clip")
 
     def solve(self, g):
-        """P^{-1} g of every ordinate of the batch, shape (ordinates, C,
-        d).  ``g`` holds all ordinates' g as rows of d, ordinate by
-        ordinate, and one zero row after them; it is left as it is."""
+        """P^{-1} g of every ordinate, shape (ordinates, C, d).  ``g``
+        holds all ordinates' g as rows of d, ordinate by ordinate, and
+        one zero row after them; it is left as it is."""
         # every index is in range; "clip" lets take write ``out`` unbuffered
         np.take(g, self._in, axis=0, out=self._work, mode="clip")
         upwind, bulk = self._upwind, self._bulk
@@ -224,6 +222,35 @@ class _Sweep:
             for z_end, acc_end, end in zip(z_ends, acc_ends, ends):
                 np.matmul(acc_end, end, out=z_end)
         return np.take(self._work, self._out, axis=0).reshape(-1, self._C, self._d)
+
+
+class _Exact:
+    """The exact pairs: P = A, applied by sparse LU (COLAMD order) of
+    each ordinate's A, and R = 0; ``start`` and ``solve`` as for
+    ``_Sweep``, with P x0 = A x0.  A singular A raises
+    ``np.linalg.LinAlgError``."""
+
+    def __init__(self, systems, start=None):
+        L = len(systems)
+        x0 = None if start is None else start[:-1].reshape(L, -1)
+        self._solves = []
+        for m, system in enumerate(systems):
+            A = system.matrix
+            try:
+                lu = spla.splu(A.tocsc())
+            except RuntimeError as err:  # SuperLU's "Factor is exactly singular"
+                raise np.linalg.LinAlgError(str(err)) from err
+            if x0 is not None:
+                x0[m] = A @ x0[m]
+            self._solves.append(lu.solve)
+        self.R = [None] * L
+
+    def solve(self, g):
+        """A^{-1} g of every ordinate, shape (ordinates, C, d), with ``g``
+        laid out as for ``_Sweep.solve``."""
+        L, d = len(self._solves), g.shape[1]
+        x = [solve(gm) for solve, gm in zip(self._solves, g[:-1].reshape(L, -1))]
+        return np.reshape(x, (L, -1, d))
 
 
 def _front_ends(blocks, end_cls):
@@ -241,8 +268,8 @@ def _windows(slab, count):
     return as_strided(slab, (*outer, count, 2 * d), slab.strides, writeable=False)
 
 
-# ordinates with at most this many unknowns are solved exactly, the
-# larger ones swept
+# a run whose ordinates have at most this many unknowns each takes the
+# exact pairs, a larger one the sweep
 _EXACT_UP_TO = 600
 
 # sweeps without a fall of the update norm after which the run gives up
@@ -252,37 +279,6 @@ _STALL = 10
 # an update norm at most this fraction of the field's norm is roundoff,
 # whose noise does not fall, so it never counts as a stall
 _ROUNDOFF = 256 * np.finfo(float).eps
-
-
-def _exact(system, x=None):
-    """The exact pair of the system's matrix A: sparse LU's solve (COLAMD
-    order) as P^{-1}, with R = 0 (P = A).  Given ``x``, one ordinate's
-    field as a flat array, it is overwritten with A x.  A singular A
-    raises ``np.linalg.LinAlgError``."""
-    A = system.matrix
-    try:
-        lu = spla.splu(A.tocsc())
-    except RuntimeError as err:  # SuperLU's "Factor is exactly singular"
-        raise np.linalg.LinAlgError(str(err)) from err
-    if x is not None:
-        x[:] = A @ x
-    return lu.solve
-
-
-def _pairs(systems, start=None):
-    """Each ordinate's P^{-1}: the exact pairs' solves by ordinate, up to
-    ``_EXACT_UP_TO`` unknowns, and one ``_Sweep`` over the others (None if
-    none).  ``start``, if given, holds a start field x0 as rows of d and
-    one zero row after them; each ordinate's rows are overwritten with
-    P_m x0[m], from A (P = A) or from the sweep's class blocks."""
-    L = len(systems)
-    x0 = None if start is None else start[:-1].reshape(L, -1)
-    solves = {
-        m: _exact(s, None if x0 is None else x0[m])
-        for m, s in enumerate(systems) if s.n_dof <= _EXACT_UP_TO
-    }
-    swept = [m for m in range(L) if m not in solves]
-    return solves, _Sweep(systems, swept, start) if swept else None
 
 
 def _bound(errs, residuals):
@@ -310,67 +306,73 @@ def _bound(errs, residuals):
     return 2.0 * rho / (1.0 - rho) * errs[-1]
 
 
+def _fused_sweep(systems, kernel, quad, pinv, field, g_rows):
+    """One sweep of every ordinate: g = b + S x - R x replaces the
+    previous g in ``g_rows`` and x = P^{-1} g the field x.  Returns the
+    update, in the scattering source's buffer, and the residual's sums
+    ||g - g_prev||^2 = ||b + S x - A x||^2 (as P x = g_prev) and
+    ||b + S x||^2."""
+    g3 = scattering_source(systems, kernel, quad, field)
+    g = g3.reshape(len(field), -1)
+    for m, system in enumerate(systems):
+        g[m] += system.rhs_fixed
+    den = np.vdot(g, g)
+    for m, R in enumerate(pinv.R):
+        if R is not None:
+            g[m] -= R @ field[m].ravel()
+    # r = g - g_prev, formed as its negative in place of g_prev
+    g_prev = g_rows[:-1].reshape(g.shape)
+    np.subtract(g_prev, g, out=g_prev)
+    num = np.vdot(g_prev, g_prev)
+    g_prev[...] = g
+    x = pinv.solve(g_rows)
+    np.subtract(x, field, out=g3)
+    field[...] = x
+    return g3, num, den
+
+
 def source_iteration(systems, kernel, quad, cfg=None, certify=None, start=None):
     """Run the fused sweep-scattering loop over all direction systems.
 
     Returns ``(field, trace)`` with ``field`` of shape (L, C, dof).  The
-    loop starts from zero, or from ``start`` (shape (L, C, dof)): that
-    array becomes the iterate and is overwritten, and each ordinate's
-    P x0 is formed with its pair, so the first residual is that of
-    ``start`` and the stop is the same as from zero.  It stops once the
-    iteration-error bound and the coupled relative residual are both at
-    most ``cfg.tol``.  If
-    ``certify`` is given, it maps that field to a target for the bound;
-    while the bound is above it, the loop resumes with the target as its
-    tolerance.  Running out of ``cfg.max_outer`` sweeps, or an update
-    norm or residual that is not finite, is flagged in the trace rather
-    than raised; the partial field is still returned.
+    loop starts from zero, or from ``start`` (float64, shape (L, C, dof)):
+    that array becomes the iterate and is overwritten, and each
+    ordinate's P x0 is formed with its pair, so the first residual is
+    that of ``start`` and the stop is the same as from zero.  It stops
+    once the iteration-error bound and the coupled relative residual are
+    both at most ``cfg.tol``.  If ``certify`` is given, it maps that
+    field to a target for the bound; while the bound is above it, the
+    loop resumes with the target as its tolerance.  Running out of
+    ``cfg.max_outer`` sweeps, or an update norm or residual that is not
+    finite, is flagged in the trace rather than raised; the partial field
+    is still returned.
     """
     cfg = cfg or SourceIterationConfig()
+    if len(systems) != len(quad):
+        raise ValueError("one system per quadrature ordinate is required")
     mesh, tables = systems[0].mesh, systems[0].tables
     L, C, d = len(systems), mesh.n_cells, tables.dof
-    if L != len(quad):
-        raise ValueError("one system per quadrature ordinate is required")
 
     # g of the previous sweep, which P x solves for the current field, as
     # rows of d with one zero row after them, which the sweep reads where
     # a cell has no upwind neighbour
     g_rows = np.zeros((L * C + 1, d))
-    g_prev = g_rows[:-1].reshape(L, C * d)
     if start is None:
         field = np.zeros((L, C, d))
     else:
-        if start.shape != (L, C, d):
-            raise ValueError(f"start field must have shape {(L, C, d)}, got {start.shape}")
+        if start.shape != (L, C, d) or start.dtype != np.float64:
+            raise ValueError(f"start field must be float64 of shape {(L, C, d)}, "
+                             f"got {start.dtype} of shape {start.shape}")
         field = start
-        g_prev[:] = start.reshape(L, C * d)
-    solves, sweep = _pairs(systems, None if start is None else g_rows)
-    remainders = {} if sweep is None else sweep.R
+        g_rows[:-1] = start.reshape(-1, d)
+    pinv = (_Exact if systems[0].n_dof <= _EXACT_UP_TO else _Sweep)(
+        systems, None if start is None else g_rows)
     errs, residuals = [], []
     tol = cfg.tol
-    converged = switched = False
-    escalated = 0
+    converged, escalated = False, 0
     bound = residual = np.inf
     while len(errs) < cfg.max_outer:
-        # each ordinate's update overwrites the scattering row it came from
-        update = scattering_source(systems, kernel, quad, field)
-        num = den = 0.0
-        for m, s in enumerate(systems):
-            rhs = s.rhs_fixed + update[m].ravel()
-            R = remainders.get(m)
-            g = rhs if R is None else rhs - R @ field[m].ravel()
-            r = g - g_prev[m]  # = rhs - A x, as P x = g_prev
-            num += r @ r
-            den += rhs @ rhs
-            g_prev[m] = g
-            if m in solves:
-                x = solves[m](g).reshape(C, d)
-                update[m] = x - field[m]
-                field[m] = x
-        if sweep is not None:
-            x, rows = sweep.solve(g_rows), sweep.rows
-            update[rows] = x - field[rows]
-            field[rows] = x
+        update, num, den = _fused_sweep(systems, kernel, quad, pinv, field, g_rows)
         residual = float(np.sqrt(num / den)) if num else 0.0
         residuals.append(residual)
         errs.append(l2_dom_norm(mesh, tables, quad, update))
@@ -384,23 +386,18 @@ def source_iteration(systems, kernel, quad, cfg=None, certify=None, start=None):
                 break
             tol = target
         elif (
-            not switched and len(errs) > _STALL and errs[-1] >= errs[-1 - _STALL]
+            # after the switch no ordinate has a remainder: it happens once
+            any(R is not None for R in pinv.R)
+            and len(errs) > _STALL and errs[-1] >= errs[-1 - _STALL]
             and errs[-1] > _ROUNDOFF * l2_dom_norm(mesh, tables, quad, field)
         ):
-            switched = True
-            inexact = [m for m, R in remainders.items() if R is not None]
-            if inexact:
-                warnings.warn(
-                    f"update norm {errs[-1]:.3e} has not fallen in {_STALL} "
-                    f"sweeps; switching {len(inexact)} of {L} ordinates to "
-                    "sparse LU", RuntimeWarning, stacklevel=2,
-                )
-                for m in inexact:
-                    g_prev[m] = field[m].ravel()
-                    solves[m] = _exact(systems[m], g_prev[m])
-                # the ordinates without a remainder stay in the batch
-                rest = [m for m in remainders if m not in solves]
-                sweep = _Sweep(systems, rest) if rest else None
-                remainders = {} if sweep is None else sweep.R
-                escalated = len(inexact)
+            warnings.warn(
+                f"update norm {errs[-1]:.3e} has not fallen in {_STALL} "
+                f"sweeps; switching {L} of {L} ordinates to sparse LU",
+                RuntimeWarning, stacklevel=2,
+            )
+            # the previous g becomes A x, as the exact pairs take P = A
+            g_rows[:-1] = field.reshape(-1, d)
+            pinv = _Exact(systems, g_rows)
+            escalated = L
     return field, IterationTrace(errs, converged, bound, residual, escalated)

@@ -263,17 +263,19 @@ def _check_memory(k, level, M, budget=None):
     class's D^{-1} and two per front, and a work array of about two
     fields with its two gather index arrays (3/d of a field); the bytes
     counted for the second operator (2d fields) and for D^{-1} per cell
-    stay as margin and hold the work array and the loop's new field and
-    update temporaries.  The set-up's scratch (by tracemalloc at most 44
-    bytes per block entry at Q1 and Q2, 1/h = 64) is freed before the
-    loop allocates five (L, C, dof) fields (the iterate, the previous
-    right sides g, the update and the scattering source's temporaries),
-    so the larger of the two counts.  A nested start (``run_convergence``
-    past its first level) allocates two of the five before the set-up:
-    the prolonged start field, which is the iterate, and the g that its
-    P x0 is formed into; so the set-up counts with those two.  The
-    coarse field it was prolonged from, a quarter of one field, is freed
-    before the level assembles.
+    stay as margin and hold the work array and P^{-1}'s new field in the
+    loop.  The set-up's scratch (by tracemalloc at most 44 bytes per
+    block entry at Q1 and Q2, 1/h = 64) is freed before the loop
+    allocates five (L, C, dof) fields (the iterate, the previous g's,
+    and the scattering source's output, in place g and then the update,
+    with its two temporaries), so the larger of the two counts; the
+    last update, held while the next source is formed, is a sixth that
+    the count leaves out.  A nested start (``run_convergence`` past its
+    first level) allocates two of the five before the set-up: the
+    prolonged start field, which is the iterate, and the g that its P x0
+    is formed into; so the set-up counts with those two.  The coarse
+    field it was prolonged from, a quarter of one field, is freed before
+    the level assembles.
 
     The dense (L, L) arrays of the scattering kernel come on top.  Its
     build, which runs before anything else is allocated, peaks at four

@@ -164,7 +164,7 @@ def _same_sparse(a, b):
 
 def _batch(systems):
     """One batched sweep over all ``systems``."""
-    return _Sweep(systems, range(len(systems)))
+    return _Sweep(systems)
 
 
 def _assert_class_built_is_cell_built(systems):
@@ -345,8 +345,8 @@ class TestSharedPatterns:
         refs = []
 
         class Watched(_Sweep):
-            def __init__(self, systems, ms, start=None):
-                super().__init__(systems, ms, start)
+            def __init__(self, systems, start=None):
+                super().__init__(systems, start)
                 refs.append(weakref.ref(self))
 
         monkeypatch.setattr(dowg.solver, "_Sweep", Watched)
@@ -431,7 +431,7 @@ class TestRowTakes:
 
         monkeypatch.setattr(dowg.assembly, "_pattern", checked)
         systems = _systems(name, k, level, _KINDS[kind], M=M)
-        R = [r for r in _batch(systems).R.values() if r is not None]
+        R = [r for r in _batch(systems).R if r is not None]
         # one pattern per distinct R pattern of the run, none for DODSD
         assert len(calls) == len({(r.indptr.tobytes(), r.indices.tobytes()) for r in R})
         assert bool(R) == (name != "dodsd")
@@ -451,7 +451,7 @@ class TestRowTakes:
         x0, g = (np.append(rng.standard_normal(len(systems) * systems[0].n_dof), np.zeros(d))
                  .reshape(-1, d) for _ in range(2))
         px0 = x0.copy()
-        sweep = _Sweep(systems, range(len(systems)), px0)
+        sweep = _Sweep(systems, px0)
         _same(sweep.solve(g), _fancy_solve(sweep, g))
         # P x0 = D x0 + L x0 from the same class blocks, on a work array
         # filled by fancy indexing
@@ -535,4 +535,4 @@ class TestUniformPairBlocks:
 
         monkeypatch.setattr(dowg.solver, "_sweep_shift", skewed)
         with pytest.raises(RuntimeError, match="upwind blocks differ"):
-            _Sweep([system], [0])
+            _Sweep([system])

@@ -29,7 +29,7 @@ from dowg.solver import (
     IterationTrace,
     SolverFailure,
     SourceIterationConfig,
-    _pairs,
+    _Exact,
     _Sweep,
     source_iteration,
 )
@@ -137,11 +137,10 @@ class _FrontLoopSweep(_Sweep):
     sweep matrix, as the solver did before the triangular solve replaced
     it; R and the start's P x0 are the batch's."""
 
-    def __init__(self, systems, ms, start=None):
-        super().__init__(systems, ms, start)
+    def __init__(self, systems, start=None):
+        super().__init__(systems, start)
         self._loops = []
-        for m in ms:
-            system = systems[m]
+        for m, system in enumerate(systems):
             mesh, d, direction = system.mesh, system.tables.dof, system.direction
             n = mesh.n
             idx = np.arange(n)
@@ -172,6 +171,81 @@ class _FrontLoopSweep(_Sweep):
                 z[cells] = np.einsum("cij,cj->ci", dinv[cells], acc[cells])
             out.append(z)
         return np.array(out)
+
+
+def _per_ordinate_loop(systems, kernel, quad, cfg, start=None):
+    """Reference: the loop as it was before the fused sweep, a Python
+    pass over the ordinates per sweep, each forming its g, residual sums
+    and previous g on its own, with the exact pairs solved ordinate by
+    ordinate and the swept ones after the pass.  Covers runs whose
+    ordinates all have a remainder or none; returns (field, trace)."""
+    mesh, tables = systems[0].mesh, systems[0].tables
+    L, C, d = len(systems), mesh.n_cells, tables.dof
+    g_rows = np.zeros((L * C + 1, d))
+    g_prev = g_rows[:-1].reshape(L, C * d)
+    field = np.zeros((L, C, d)) if start is None else start
+    if start is not None:
+        g_prev[:] = start.reshape(L, C * d)
+
+    def exact(system, x=None):
+        A = system.matrix
+        lu = spla.splu(A.tocsc())
+        if x is not None:
+            x[:] = A @ x
+        return lu.solve
+
+    x0 = None if start is None else g_prev
+    if systems[0].n_dof <= dowg.solver._EXACT_UP_TO:
+        solves = {m: exact(s, None if x0 is None else x0[m]) for m, s in enumerate(systems)}
+        sweep = None
+    else:
+        solves, sweep = {}, _Sweep(systems, None if start is None else g_rows)
+    remainders = {} if sweep is None else dict(enumerate(sweep.R))
+    errs, residuals = [], []
+    tol, converged, switched, escalated = cfg.tol, False, False, 0
+    bound = residual = np.inf
+    while len(errs) < cfg.max_outer:
+        update = scattering_source(systems, kernel, quad, field)
+        num = den = 0.0
+        for m, s in enumerate(systems):
+            rhs = s.rhs_fixed + update[m].ravel()
+            R = remainders.get(m)
+            g = rhs if R is None else rhs - R @ field[m].ravel()
+            r = g - g_prev[m]
+            num += r @ r
+            den += rhs @ rhs
+            g_prev[m] = g
+            if m in solves:
+                x = solves[m](g).reshape(C, d)
+                update[m] = x - field[m]
+                field[m] = x
+        if sweep is not None:
+            x = sweep.solve(g_rows)
+            update[:] = x - field
+            field[:] = x
+        residual = float(np.sqrt(num / den)) if num else 0.0
+        residuals.append(residual)
+        errs.append(l2_dom_norm(mesh, tables, quad, update))
+        bound = dowg.solver._bound(errs, residuals)
+        if not np.isfinite(errs[-1] + residual):
+            break
+        if bound <= tol and residual <= tol:
+            converged = True
+            break
+        if (
+            not switched and len(errs) > dowg.solver._STALL
+            and errs[-1] >= errs[-1 - dowg.solver._STALL]
+            and errs[-1] > dowg.solver._ROUNDOFF * l2_dom_norm(mesh, tables, quad, field)
+        ):
+            switched = True
+            inexact = [m for m, R in remainders.items() if R is not None]
+            if inexact:
+                assert len(inexact) == L
+                for m in inexact:
+                    g_prev[m] = field[m].ravel()
+                    solves[m] = exact(systems[m], g_prev[m])
+                sweep, remainders, escalated = None, {}, len(inexact)
+    return field, IterationTrace(errs, converged, bound, residual, escalated)
 
 
 _SCHEMES = {"wg": WG(), "dodg": DODG(), "dodsd": DODSD()}
@@ -205,6 +279,11 @@ class TestLinearSolve:
         with pytest.raises(ValueError):
             SourceIterationConfig(max_outer=0)
 
+    def test_no_systems_is_refused(self):
+        quad, kernel = _setup(level=1)[:2]
+        with pytest.raises(ValueError, match="one system per quadrature ordinate"):
+            source_iteration([], kernel, quad)
+
     @pytest.mark.parametrize("tol", [np.inf, np.nan])
     def test_config_rejects_non_finite_tol(self, tol):
         # tol = inf would stop after one sweep and report convergence
@@ -235,7 +314,7 @@ class TestSweep:
         sysm = assemble_direction(
             DODSD(), mesh, tables, quad, kernel, medium, 3, f=_source
         )
-        sweep = _Sweep([sysm], [0])
+        sweep = _Sweep([sysm])
         assert sweep.R[0] is None
         b = np.sin(np.arange(sysm.n_dof))
         [x] = _inverse(sweep, [b])
@@ -248,9 +327,9 @@ class TestSweep:
         sysm = assemble_direction(
             WG(), mesh, tables, quad, kernel, medium, 4, f=_source
         )
-        solves, sweep = _pairs([sysm])
+        sweep = _Sweep([sysm])
         R = sweep.R[0]
-        assert not solves and R is not None
+        assert sysm.n_dof > dowg.solver._EXACT_UP_TO and R is not None
         b = np.cos(np.arange(sysm.n_dof))
         x = spla.spsolve(sysm.matrix.tocsc(), b)
         [step] = _inverse(sweep, [b - R @ x]) - x
@@ -261,17 +340,18 @@ class TestSweep:
         # stabilizer remainder; at desk scale it is solved exactly (R = 0)
         quad, kernel, medium, mesh, tables = _setup(level=4, k=1)
         sysm = assemble_direction(WG(), mesh, tables, quad, kernel, medium, 1)
-        solves, sweep = _pairs([sysm])
-        assert not solves and sweep.R[0] is not None
+        assert sysm.n_dof > dowg.solver._EXACT_UP_TO
+        assert _Sweep([sysm]).R[0] is not None
         small_mesh = build_mesh(1)
         s2 = assemble_direction(
             WG(), small_mesh, tables, quad, kernel, medium, 1
         )
-        solves, sweep = _pairs([s2])
-        assert sweep is None
-        solve = solves[0]
-        b = np.ones(s2.n_dof)
-        assert np.abs(s2.matrix @ solve(b) - b).max() <= 1e-12
+        assert s2.n_dof <= dowg.solver._EXACT_UP_TO
+        exact = _Exact([s2])
+        assert exact.R == [None]
+        b = np.append(np.ones(s2.n_dof), np.zeros(tables.dof)).reshape(-1, tables.dof)
+        x = exact.solve(b).ravel()
+        assert np.abs(s2.matrix @ x - 1.0).max() <= 1e-12
 
     def test_stalled_sweep_falls_back_to_sparse_lu(self, monkeypatch):
         # sweeping the WG matrix's own lower part (instead of the
@@ -293,10 +373,10 @@ class TestSweep:
             ref = spla.spsolve(systems[m].matrix.tocsc(), systems[m].rhs_fixed)
             assert_allclose(field[m].ravel(), ref, atol=1e-10 * np.abs(ref).max())
 
-    def test_ordinates_without_remainder_stay_in_the_batch(self, monkeypatch):
+    def test_mixed_run_switches_every_ordinate(self, monkeypatch):
         # WG ordinates, swept unshifted so that they stall, beside DODSD
-        # ones, whose sweep is exact: only the WG ordinates switch to
-        # sparse LU, and the others go on in a batch of their own
+        # ones, whose sweep is exact: the whole run switches to sparse LU
+        # at once, warns once and still solves each ordinate
         monkeypatch.setattr(dowg.solver, "_sweep_shift", lambda s: None)
         quad, kernel, medium, mesh, tables = _setup(level=4, k=1, sigma_s=0.0)
         systems = [
@@ -304,11 +384,12 @@ class TestSweep:
                                m, f=_source)
             for m in range(len(quad))
         ]
-        with pytest.warns(RuntimeWarning, match="switching 10 of 21 ordinates"):
+        with pytest.warns(RuntimeWarning, match="switching 21 of 21 ordinates") as record:
             field, trace = source_iteration(
                 systems, kernel, quad, SourceIterationConfig(tol=1e-10)
             )
-        assert trace.converged and trace.escalated == 10
+        assert len([w for w in record if w.category is RuntimeWarning]) == 1
+        assert trace.converged and trace.escalated == 21
         for m in (0, 3, 8, 13):
             ref = spla.spsolve(systems[m].matrix.tocsc(), systems[m].rhs_fixed)
             assert_allclose(field[m].ravel(), ref, atol=1e-10 * np.abs(ref).max())
@@ -362,7 +443,7 @@ class TestSweepProperty:
             _SCHEMES[name], mesh, tables, one, kernel, medium, 0
         )
         lower = _lower_part(_sweep_matrix(sysm), tables.dof, mesh, sysm.direction)
-        sweep = _Sweep([sysm], [0])
+        sweep = _Sweep([sysm])
         b = np.random.default_rng(seed).standard_normal(sysm.n_dof)
         ref = spla.spsolve(lower, b)
         [x] = _inverse(sweep, [b])
@@ -384,13 +465,13 @@ class TestSweepProperty:
         sysm = assemble_direction(WG(), mesh, tables, one, kernel, medium, 0)
         ref = assemble_direction(_UpwindDG(), mesh, tables, one, kernel, medium, 0)
         lower = _lower_part(ref.matrix, tables.dof, mesh, sysm.direction)
-        diff = _natural_lower(_Sweep([sysm], [0]), 0, sysm) - lower
+        diff = _natural_lower(_Sweep([sysm]), 0, sysm) - lower
         assert np.abs(diff).max() <= 1e-14 * np.abs(ref.matrix).max()
 
     def test_forward_leaves_its_input(self):
         quad, kernel, medium, mesh, tables = _setup(level=3, k=1)
         sysm = assemble_direction(DODSD(), mesh, tables, quad, kernel, medium, 3)
-        sweep = _Sweep([sysm], [0])
+        sweep = _Sweep([sysm])
         g = np.append(np.sin(np.arange(sysm.n_dof)), np.zeros(tables.dof)).reshape(-1, tables.dof)
         keep = g.copy()
         first = sweep.solve(g)
@@ -406,7 +487,7 @@ class TestSweepProperty:
         rng = np.random.default_rng(2)
         for name in sorted(_SCHEMES):
             systems = _systems(_SCHEMES[name], quad, kernel, medium, mesh, tables)
-            sweep = _Sweep(systems, range(len(systems)))
+            sweep = _Sweep(systems)
             g = rng.standard_normal((len(systems), systems[0].n_dof))
             x = _inverse(sweep, g)
             for m, s in enumerate(systems):
@@ -420,21 +501,17 @@ class TestSweepProperty:
     @pytest.mark.parametrize("name", sorted(_SCHEMES))
     def test_start_is_the_lower_product(self, name):
         # a start x0's previous g is (D + L) x0, formed on the work-array
-        # layout, and the rest of the rows are left alone
+        # layout, and the trailing zero row is left alone
         quad, kernel, medium, mesh, tables = _setup(level=3, k=1)
         systems = _systems(_SCHEMES[name], quad, kernel, medium, mesh, tables)
         d, C = tables.dof, mesh.n_cells
         x0 = np.random.default_rng(4).standard_normal((len(systems), C * d))
         rows = np.append(x0, np.zeros(d)).reshape(-1, d)
-        ms = [m for m in range(len(systems)) if m % 3]
-        _Sweep(systems, ms, rows)
+        _Sweep(systems, rows)
         px0 = rows[:-1].reshape(len(systems), -1)
         for m, s in enumerate(systems):
-            if m in ms:
-                ref = _lower_part(_sweep_matrix(s), d, mesh, s.direction) @ x0[m]
-                assert np.abs(px0[m] - ref).max() <= 1e-13 * np.abs(ref).max()
-            else:
-                assert_array_equal(px0[m], x0[m])
+            ref = _lower_part(_sweep_matrix(s), d, mesh, s.direction) @ x0[m]
+            assert np.abs(px0[m] - ref).max() <= 1e-13 * np.abs(ref).max()
         assert not rows[-1].any()
 
 
@@ -458,6 +535,52 @@ class TestPreChangeEquivalence:
         old, told = source_iteration(systems, kernel, quad, cfg)
         assert tnew.converged and tnew.iterations == told.iterations
         assert np.abs(new - old).max() <= 1e-12 * np.abs(old).max()
+
+
+class TestPerOrdinateLoopEquivalence:
+    """The fused sweep reproduces the per-ordinate loop it replaced bit
+    for bit: the same fields and sweep counts, and the residual and
+    bound up to the order of the residual's sums.  Q2 at 1/h = 8 takes
+    the exact pairs, Q1 at 1/h = 16 the sweep."""
+
+    @staticmethod
+    def _compare(systems, kernel, quad, cfg, start=None):
+        copy = None if start is None else start.copy()
+        field, trace = source_iteration(systems, kernel, quad, cfg, start=start)
+        ref, tref = _per_ordinate_loop(systems, kernel, quad, cfg, start=copy)
+        assert field.tobytes() == ref.tobytes()
+        assert trace.iterations == tref.iterations and trace.converged == tref.converged
+        assert trace.escalated == tref.escalated
+        assert trace.residual == pytest.approx(tref.residual, rel=1e-12)
+        assert trace.bound == pytest.approx(tref.bound, rel=1e-12)
+        return trace
+
+    @pytest.mark.parametrize("start", ["zero", "random"])
+    @pytest.mark.parametrize("k, level", [(2, 3), (1, 4)])
+    @pytest.mark.parametrize("name", sorted(_SCHEMES))
+    def test_fields_are_bitwise_equal(self, name, k, level, start):
+        quad, kernel, medium, mesh, tables = _setup(level=level, k=k)
+        systems = _systems(_SCHEMES[name], quad, kernel, medium, mesh, tables, f=_source)
+        assert (systems[0].n_dof <= dowg.solver._EXACT_UP_TO) == (k == 2)
+        x0 = None
+        if start == "random":
+            shape = (len(quad), mesh.n_cells, tables.dof)
+            x0 = np.random.default_rng(11).standard_normal(shape)
+        trace = self._compare(systems, kernel, quad, SourceIterationConfig(tol=1e-9), x0)
+        assert trace.converged
+
+    @pytest.mark.parametrize("start", ["zero", "random"])
+    def test_across_the_fallback(self, monkeypatch, start):
+        monkeypatch.setattr(dowg.solver, "_sweep_shift", lambda s: None)
+        quad, kernel, medium, mesh, tables = _setup(level=4, k=1)
+        systems = _systems(WG(), quad, kernel, medium, mesh, tables, f=_source)
+        x0 = None
+        if start == "random":
+            shape = (len(quad), mesh.n_cells, tables.dof)
+            x0 = np.random.default_rng(12).standard_normal(shape)
+        with pytest.warns(RuntimeWarning, match="switching 21 of 21 ordinates"):
+            trace = self._compare(systems, kernel, quad, SourceIterationConfig(tol=1e-9), x0)
+        assert trace.converged and trace.escalated == len(quad)
 
 
 class TestSourceIteration:
@@ -604,9 +727,9 @@ class TestCertifiedStop:
         built = []
 
         class Counted(_Sweep):
-            def __init__(self, systems, ms, start=None):
-                built.extend(ms)
-                super().__init__(systems, ms, start)
+            def __init__(self, systems, start=None):
+                built.extend(range(len(systems)))
+                super().__init__(systems, start)
 
         monkeypatch.setattr(dowg.solver, "_Sweep", Counted)
         quad, kernel, medium, mesh, tables = _setup(level=4, k=1)
@@ -640,8 +763,8 @@ class TestSplitStorage:
         built = []
 
         class Kept(_Sweep):
-            def __init__(self, systems, ms, start=None):
-                super().__init__(systems, ms, start)
+            def __init__(self, systems, start=None):
+                super().__init__(systems, start)
                 built.append(self)
 
         monkeypatch.setattr(dowg.solver, "_Sweep", Kept)
@@ -650,10 +773,10 @@ class TestSplitStorage:
         monkeypatch.undo()
         assert trace.converged and trace.escalated == 0
         [sweep] = built
-        assert list(sweep.R) == list(range(len(quad)))
+        assert len(sweep.R) == len(quad)
         # only R is sparse
         held = {k for k, v in vars(sweep).items()
-                if sp.issparse(v) or isinstance(v, dict) and any(map(sp.issparse, v.values()))}
+                if sp.issparse(v) or isinstance(v, list) and any(map(sp.issparse, v))}
         assert held == (set() if name == "dodsd" else {"R"})
         for m, sysm in enumerate(systems):
             R = sweep.R[m]
@@ -778,6 +901,14 @@ class TestStartField:
         _, _, quad, run = self._run("wg", 2, 3)
         with pytest.raises(ValueError, match="start field"):
             run(np.zeros((len(quad), 64, 4)))
+
+    @pytest.mark.parametrize("dtype", [int, np.float32])
+    def test_start_dtype_is_checked(self, dtype):
+        # the iterate is the start array itself, so a start that is not
+        # float64 would round every field written into it
+        _, _, quad, run = self._run("wg", 2, 3)
+        with pytest.raises(ValueError, match="start field must be float64"):
+            run(np.zeros((len(quad), 64, 9), dtype=dtype))
 
     def test_nested_convergence_sweeps(self):
         # each level after the first starts from the previous one's field;
