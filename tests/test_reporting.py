@@ -3,6 +3,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
+from dowg.cli import EXIT_OK, main
 from dowg.reporting import (
     write_angular_csv,
     write_angular_markdown,
@@ -104,6 +105,89 @@ class TestMarkdown:
         text = buf.getvalue()
         assert "| M | error |" in text
         assert "| 4 | 3.1000e-04 |" in text
+
+
+def comparison_reports():
+    return {"wg": conv_report(), "dodg": conv_report("dodg", 1.1)}
+
+
+# every table writer's whole output, byte for byte, on the reports above
+_TABLES = {
+    "convergence-csv": (write_convergence_csv, conv_report, (
+        "inv_h,error,eoc\n"
+        "8,0.085643,\n"
+        "16,0.027626,1.63\n"
+        "32,0.0084227,1.71\n")),
+    "convergence-md": (write_convergence_markdown, conv_report, (
+        "Case example1, scheme wg, Q1, M = 20\n"
+        "\n"
+        "| 1/h | error | eoc |\n"
+        "|---:|---:|---:|\n"
+        "| 8 | 8.5643e-02 |  |\n"
+        "| 16 | 2.7626e-02 | 1.63 |\n"
+        "| 32 | 8.4227e-03 | 1.71 |\n")),
+    "comparison-csv": (write_comparison_csv, comparison_reports, (
+        "inv_h,wg_error,wg_eoc,dodg_error,dodg_eoc\n"
+        "8,0.085643,,0.0942073,\n"
+        "16,0.027626,1.63,0.0303886,1.63\n"
+        "32,0.0084227,1.71,0.00926497,1.71\n")),
+    "comparison-md": (write_comparison_markdown, comparison_reports, (
+        "Case example1, Q1, M = 20\n"
+        "\n"
+        "| 1/h | wg error | eoc | dodg error | eoc |\n"
+        "|---:|---:|---:|---:|---:|\n"
+        "| 8 | 8.5643e-02 |  | 9.4207e-02 |  |\n"
+        "| 16 | 2.7626e-02 | 1.63 | 3.0389e-02 | 1.63 |\n"
+        "| 32 | 8.4227e-03 | 1.71 | 9.2650e-03 | 1.71 |\n")),
+    "angular-csv": (write_angular_csv, ang_report, (
+        "M,error\n"
+        "4,0.00031\n"
+        "8,0.0003\n"
+        "16,0.00029\n")),
+    "angular-md": (write_angular_markdown, ang_report, (
+        "Case example2, scheme wg, Q2, level 5\n"
+        "\n"
+        "| M | error |\n"
+        "|---:|---:|\n"
+        "| 4 | 3.1000e-04 |\n"
+        "| 8 | 3.0000e-04 |\n"
+        "| 16 | 2.9000e-04 |\n")),
+}
+
+
+class TestExactTables:
+    @pytest.mark.parametrize("name", sorted(_TABLES))
+    def test_writer_bytes(self, name, tmp_path):
+        write, report, expected = _TABLES[name]
+        buf = io.StringIO()
+        write(report(), buf)
+        assert buf.getvalue() == expected
+        path = tmp_path / "table"
+        write(report(), path)
+        assert path.read_bytes() == expected.encode()
+
+    def test_trace_csv_bytes(self):
+        buf = io.StringIO()
+        IterationTrace([0.5, 1.25e-3, float("nan")], False).to_csv(buf)
+        assert buf.getvalue() == "iteration,err\n1,0.5\n2,0.00125\n3,nan\n"
+
+    def test_solve_markdown_layout(self, tmp_path):
+        argv = ["solve", "--levels", "1", "--directions", "4", "--format", "md",
+                "--out", str(tmp_path)]
+        assert main(argv) == EXIT_OK
+        lines = (tmp_path / "solve_example1_wg_Q1.md").read_text().splitlines()
+        assert lines[:4] == ["Case example1, scheme wg, Q1, 1/h = 2, M = 4", "",
+                             "| quantity | value |", "|---|---:|"]
+        # perfbench/worker.py reads these rows by name
+        names = [line.split(" | ")[0] for line in lines[4:]]
+        assert names == ["| error", "| energy error", "| outer iterations", "| converged"]
+
+    def test_convergence_stdout_is_its_markdown(self, tmp_path, capsys):
+        argv = ["convergence", "--levels", "1-2", "--directions", "4", "--format", "md",
+                "--out", str(tmp_path)]
+        assert main(argv) == EXIT_OK
+        path = tmp_path / "convergence_example1_wg_Q1.md"
+        assert capsys.readouterr().out == path.read_text() + f"wrote {path}\n"
 
 
 class TestSvg:
