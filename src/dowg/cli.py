@@ -52,6 +52,7 @@ from .elements import (
 )
 from .mesh import build_mesh
 from .reporting import (
+    _write_table,
     write_angular_csv,
     write_angular_markdown,
     write_angular_svg,
@@ -143,6 +144,8 @@ def _parse_formats(text):
     for f in fmts:
         if f not in _FORMATS:
             raise ValueError(f"unknown format {f!r} (choose from {_FORMATS})")
+        if fmts.count(f) > 1:
+            raise ValueError(f"format {f!r} given more than once")
     if not fmts:
         raise ValueError("no output format given")
     return fmts
@@ -302,25 +305,16 @@ def _case(cfg):
                       eta=cfg.eta)
 
 
-def _out_base(cfg, scheme=None):
-    name = f"{cfg.command}_{cfg.case}_{scheme or cfg.scheme}_Q{cfg.order}"
-    return os.path.join(cfg.out, name)
-
-
 def _emit(cfg, writers, scheme=None):
-    """writers: {'csv': fn(target), 'md': fn, 'svg': fn}; returns paths."""
+    """writers: {'csv': fn(path), 'md': fn, 'svg': fn}; writes each
+    chosen format, then names the files it wrote."""
     os.makedirs(cfg.out, exist_ok=True)
-    base = _out_base(cfg, scheme)
-    written = []
-    for fmt in cfg.formats:
-        if fmt not in writers:
-            continue
-        path = f"{base}.{fmt}"
+    name = f"{cfg.command}_{cfg.case}_{scheme or cfg.scheme}_Q{cfg.order}"
+    paths = [os.path.join(cfg.out, f"{name}.{fmt}") for fmt in cfg.formats]
+    for fmt, path in zip(cfg.formats, paths):
         writers[fmt](path)
-        written.append(path)
-    for path in written:
+    for path in paths:
         print(f"wrote {path}")
-    return written
 
 
 def _cmd_solve(cfg):
@@ -341,20 +335,14 @@ def _cmd_solve(cfg):
           f"{sol.trace.iterations} sweeps, "
           f"converged={sol.trace.converged}")
 
-    def write_md(path):
-        with open(path, "w") as fh:
-            fh.write(f"Case {cfg.case}, scheme {cfg.scheme}, Q{cfg.order}, "
-                     f"1/h = {n}, M = {cfg.directions[0]}\n\n")
-            fh.write("| quantity | value |\n|---|---:|\n")
-            fh.write(f"| error | {err_dom:.4e} |\n")
-            fh.write(f"| energy error | {err_tri:.4e} |\n")
-            # perfbench/worker.py reads this row by name; it counts sweeps
-            fh.write(f"| outer iterations | {sol.trace.iterations} |\n")
-            fh.write(f"| converged | {sol.trace.converged} |\n")
-
+    # perfbench/worker.py reads the rows by name; "outer iterations" counts sweeps
+    rows = [["---", "---:"], ["error", f"{err_dom:.4e}"], ["energy error", f"{err_tri:.4e}"],
+            ["outer iterations", sol.trace.iterations], ["converged", sol.trace.converged]]
+    title = (f"Case {cfg.case}, scheme {cfg.scheme}, Q{cfg.order}, 1/h = {n}, "
+             f"M = {cfg.directions[0]}")
     _emit(cfg, {
         "csv": sol.trace.to_csv,
-        "md": write_md,
+        "md": lambda p: _write_table(p, ["quantity", "value"], rows, title),
         "svg": lambda p: write_trace_svg(sol.trace, p),
     })
     if not sol.trace.converged:

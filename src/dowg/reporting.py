@@ -1,5 +1,7 @@
-"""Serialization of study reports: CSV, aligned markdown, and a small
-hand-rolled SVG log-log plot (no plotting dependency).
+"""Serialization of study reports: CSV and aligned markdown tables, all
+written by ``_write_table`` (the solver's trace and the ``dowg solve``
+summary too), and a small hand-rolled SVG log-log plot (no plotting
+dependency).
 
 CSV values are written with 6 significant digits, markdown tables with
 4-digit scientific errors and 2-decimal orders, matching the usual
@@ -32,32 +34,38 @@ def _with_stream(target, write):
             stream.close()
 
 
+def _write_table(target, head, rows, title=None):
+    """Write the column names ``head`` and the ``rows`` (lists of cells)
+    to ``target``, a path or a stream: as CSV, or, given a ``title``, as a
+    markdown table under that line, whose first row is its alignment row
+    (a cell such as ``---:`` per column)."""
+    if title is None:
+        lines = [",".join(map(str, cells)) for cells in (head, *rows)]
+    else:
+        align, *rows = rows
+        md = ["| " + " | ".join(map(str, cells)) + " |" for cells in (head, *rows)]
+        lines = [title, "", md[0], "|" + "|".join(align) + "|", *md[1:]]
+    _with_stream(target, lambda s: s.write("\n".join(lines) + "\n"))
+
+
 def _eoc_str(eoc, fmt="%.2f"):
     return "" if eoc is None else fmt % eoc
 
 
 def write_convergence_csv(report, target):
     """Rows of (1/h, error, eoc); eoc blank on the first line."""
-
-    def write(s):
-        s.write("inv_h,error,eoc\n")
-        for inv_h, err, eoc in report.rows:
-            s.write(f"{inv_h},{err:.6g},{_eoc_str(eoc, '%.6g')}\n")
-
-    _with_stream(target, write)
+    rows = []
+    for inv_h, err, eoc in report.rows:
+        rows.append([inv_h, f"{err:.6g}", _eoc_str(eoc, "%.6g")])
+    _write_table(target, ["inv_h", "error", "eoc"], rows)
 
 
 def write_convergence_markdown(report, target):
-    def write(s):
-        s.write(
-            f"Case {report.case}, scheme {report.scheme}, Q{report.k}, "
-            f"M = {report.M}\n\n"
-        )
-        s.write("| 1/h | error | eoc |\n|---:|---:|---:|\n")
-        for inv_h, err, eoc in report.rows:
-            s.write(f"| {inv_h} | {err:.4e} | {_eoc_str(eoc)} |\n")
-
-    _with_stream(target, write)
+    rows = [["---:"] * 3]
+    for inv_h, err, eoc in report.rows:
+        rows.append([inv_h, f"{err:.4e}", _eoc_str(eoc)])
+    _write_table(target, ["1/h", "error", "eoc"], rows,
+                 f"Case {report.case}, scheme {report.scheme}, Q{report.k}, M = {report.M}")
 
 
 def _shared_levels(reports):
@@ -73,60 +81,47 @@ def _shared_levels(reports):
 def write_comparison_csv(reports, target):
     """Side-by-side error/eoc columns for reports sharing levels."""
     names, inv_h = _shared_levels(reports)
-    rows = [reports[n].rows for n in names]
-
-    def write(s):
-        cols = ",".join(f"{n}_error,{n}_eoc" for n in names)
-        s.write(f"inv_h,{cols}\n")
-        for i, h in enumerate(inv_h):
-            cells = []
-            for r in rows:
-                _, err, eoc = r[i]
-                cells.append(f"{err:.6g},{_eoc_str(eoc, '%.6g')}")
-            s.write(f"{h},{','.join(cells)}\n")
-
-    _with_stream(target, write)
+    head, rows = ["inv_h"], []
+    for n in names:
+        head += [f"{n}_error", f"{n}_eoc"]
+    for i, h in enumerate(inv_h):
+        cells = [h]
+        for n in names:
+            _, err, eoc = reports[n].rows[i]
+            cells += [f"{err:.6g}", _eoc_str(eoc, "%.6g")]
+        rows.append(cells)
+    _write_table(target, head, rows)
 
 
 def write_comparison_markdown(reports, target):
     names, inv_h = _shared_levels(reports)
     first = reports[names[0]]
-
-    def write(s):
-        s.write(f"Case {first.case}, Q{first.k}, M = {first.M}\n\n")
-        head = " | ".join(f"{n} error | eoc" for n in names)
-        s.write(f"| 1/h | {head} |\n")
-        s.write("|---:|" + "---:|" * (2 * len(names)) + "\n")
-        for i, h in enumerate(inv_h):
-            cells = []
-            for n in names:
-                _, err, eoc = reports[n].rows[i]
-                cells.append(f"{err:.4e} | {_eoc_str(eoc)}")
-            s.write(f"| {h} | {' | '.join(cells)} |\n")
-
-    _with_stream(target, write)
+    head = ["1/h"]
+    for n in names:
+        head += [f"{n} error", "eoc"]
+    rows = [["---:"] * len(head)]
+    for i, h in enumerate(inv_h):
+        cells = [h]
+        for n in names:
+            _, err, eoc = reports[n].rows[i]
+            cells += [f"{err:.4e}", _eoc_str(eoc)]
+        rows.append(cells)
+    _write_table(target, head, rows, f"Case {first.case}, Q{first.k}, M = {first.M}")
 
 
 def write_angular_csv(report, target):
-    def write(s):
-        s.write("M,error\n")
-        for M, err in report.rows:
-            s.write(f"{M},{err:.6g}\n")
-
-    _with_stream(target, write)
+    rows = []
+    for M, err in report.rows:
+        rows.append([M, f"{err:.6g}"])
+    _write_table(target, ["M", "error"], rows)
 
 
 def write_angular_markdown(report, target):
-    def write(s):
-        s.write(
-            f"Case {report.case}, scheme {report.scheme}, Q{report.k}, "
-            f"level {report.level}\n\n"
-        )
-        s.write("| M | error |\n|---:|---:|\n")
-        for M, err in report.rows:
-            s.write(f"| {M} | {err:.4e} |\n")
-
-    _with_stream(target, write)
+    rows = [["---:"] * 2]
+    for M, err in report.rows:
+        rows.append([M, f"{err:.4e}"])
+    _write_table(target, ["M", "error"], rows,
+                 f"Case {report.case}, scheme {report.scheme}, Q{report.k}, level {report.level}")
 
 
 # -- SVG ------------------------------------------------------------------
@@ -143,12 +138,10 @@ def _ticks(lo, hi):
     return [t for t in range(first, last + 1) if lo - 1e-9 <= t <= hi + 1e-9] or [first]
 
 
-def _fmt_pow(t):
-    return f"1e{t:d}"
+def _svg_loglog(target, series, guides, xlabel, ylabel, title):
+    """Write a log-log plot to ``target``, a path or a stream.
 
-
-def _svg_loglog(series, guides, xlabel, ylabel, title):
-    """series: (label, xs, ys) tuples; guides: (slope, label) dashed
+    series: (label, xs, ys) tuples; guides: (slope, label) dashed
     reference lines from the first to the last point of the first series.
     Only points whose coordinates are finite and positive are plotted;
     with none, the axes are drawn empty."""
@@ -191,7 +184,7 @@ def _svg_loglog(series, guides, xlabel, ylabel, title):
         )
         out.append(
             f'<text x="{x:.1f}" y="{_H - _MB + 16}" text-anchor="middle">'
-            f"{_fmt_pow(t)}</text>"
+            f"1e{t:d}</text>"
         )
     for t in _ticks(ly0, ly1):
         y = py(t)
@@ -201,7 +194,7 @@ def _svg_loglog(series, guides, xlabel, ylabel, title):
         )
         out.append(
             f'<text x="{_ML - 6}" y="{y + 4:.1f}" text-anchor="end">'
-            f"{_fmt_pow(t)}</text>"
+            f"1e{t:d}</text>"
         )
     out.append(
         f'<text x="{_W / 2:.1f}" y="{_H - 14}" text-anchor="middle">{xlabel}</text>'
@@ -244,7 +237,7 @@ def _svg_loglog(series, guides, xlabel, ylabel, title):
         )
         out.append(f'<text x="{_W - _MR - 90}" y="{ly + 4}">{label}</text>')
     out.append("</svg>")
-    return "\n".join(out) + "\n"
+    _with_stream(target, lambda s: s.write("\n".join(out) + "\n"))
 
 
 def write_convergence_svg(reports, target, title=None):
@@ -261,11 +254,8 @@ def write_convergence_svg(reports, target, title=None):
         for r in reports
     ]
     guides = [(k + 0.5, f"slope {k + 0.5:g}"), (k + 1.0, f"slope {k + 1:g}")]
-    text = _svg_loglog(
-        series, guides, "1/h", "error",
-        title or f"{reports[0].case}: error vs 1/h",
-    )
-    _with_stream(target, lambda s: s.write(text))
+    _svg_loglog(target, series, guides, "1/h", "error",
+                title or f"{reports[0].case}: error vs 1/h")
 
 
 def write_angular_svg(report, target, title=None):
@@ -273,18 +263,12 @@ def write_angular_svg(report, target, title=None):
         (f"{report.scheme} Q{report.k}", [float(m) for m, _ in report.rows],
          [e for _, e in report.rows])
     ]
-    text = _svg_loglog(
-        series, [], "M", "error",
-        title or f"{report.case}: error vs ordinate count",
-    )
-    _with_stream(target, lambda s: s.write(text))
+    _svg_loglog(target, series, [], "M", "error",
+                title or f"{report.case}: error vs ordinate count")
 
 
 def write_trace_svg(trace, target, title=None):
     """Outer-iteration update norms on log-log axes."""
     its = [float(i) for i in range(1, len(trace.errs) + 1)]
-    text = _svg_loglog(
-        [("update norm", its, list(trace.errs))], [], "iteration", "update",
-        title or "source iteration updates",
-    )
-    _with_stream(target, lambda s: s.write(text))
+    _svg_loglog(target, [("update norm", its, list(trace.errs))], [], "iteration",
+                "update", title or "source iteration updates")

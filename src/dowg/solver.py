@@ -49,7 +49,7 @@ from numpy.lib.stride_tricks import as_strided
 # the benchmark's tracer (perfbench/tracing.py) patches these three names here
 from .assembly import assemble_direction, l2_dom_norm, scattering_source  # noqa: F401
 from .assembly import _INTERIOR, _SLOT, _filled, _sweep_shift
-from .reporting import _with_stream
+from .reporting import _write_table
 
 __all__ = [
     "SolverFailure",
@@ -100,12 +100,10 @@ class IterationTrace:
         return len(self.errs)
 
     def to_csv(self, target):
-        def write(stream):
-            stream.write("iteration,err\n")
-            for i, e in enumerate(self.errs, start=1):
-                stream.write(f"{i},{e:.6g}\n")
-
-        _with_stream(target, write)
+        rows = []
+        for i, e in enumerate(self.errs, start=1):
+            rows.append([i, f"{e:.6g}"])
+        _write_table(target, ["iteration", "err"], rows)
 
 
 class _Sweep:

@@ -13,6 +13,7 @@ from dowg.angular import (
     AngularQuadrature,
     HenyeyGreenstein,
     Isotropic,
+    apply_scatter,
     build_circle_trapezoid,
     build_scatter_kernel,
 )
@@ -21,6 +22,7 @@ from dowg.assembly import (
     DODSD,
     WG,
     Medium,
+    _scatter_map,
     assemble_direction,
     eval_bilinear,
     l2_dom_norm,
@@ -328,6 +330,22 @@ class TestCoefficientSpace:
         got = scattering_source(systems, kernel, quad, field)
         assert got.shape == ref.shape
         assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("scheme, k", [(WG(), 1), (DODG(), 2)], ids=["wg-q1", "dodg-q2"])
+    def test_batched_scattering_equals_per_ordinate_products(self, quad, kernel, scheme, k):
+        # one batched product in place of a product per ordinate: same
+        # arithmetic, so bit for bit the same source
+        mesh, tables = build_mesh(3), _tables(k)
+        systems = [
+            assemble_direction(scheme, mesh, tables, quad, kernel, Medium(ST, SS), m)
+            for m in range(len(quad))
+        ]
+        field = np.random.default_rng(7).standard_normal(
+            (len(quad), mesh.n_cells, tables.dof)
+        )
+        coeffs = apply_scatter(kernel, quad, field)
+        ref = np.stack([coeffs[m] @ _scatter_map(s) for m, s in enumerate(systems)])
+        assert_array_equal(scattering_source(systems, kernel, quad, field), ref)
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_norm_matches_quadrature(self, quad, k):

@@ -168,6 +168,17 @@ class TestExitCodes:
         assert main(["convergence", "--tol", "soon"]) == EXIT_USAGE
         assert "tol" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("by_file", [False, True], ids=["flag", "config-file"])
+    def test_repeated_format_exits_2(self, by_file, tmp_path, capsys):
+        # each format names one file, so a repeated one would write it twice
+        cfgfile = tmp_path / "c.txt"
+        cfgfile.write_text("format = csv,csv\n")
+        given = ["--config", str(cfgfile)] if by_file else ["--format", "csv,csv"]
+        out = tmp_path / "out"
+        assert main(["solve", "--levels", "2", "--out", str(out)] + given) == EXIT_USAGE
+        assert "usage error: bad value for format: " in capsys.readouterr().err
+        assert not out.exists()
+
     def test_validation(self, capsys):
         assert main(["convergence", "--eta", "1.5"]) == EXIT_VALIDATION
         assert "eta" in capsys.readouterr().err
