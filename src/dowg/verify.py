@@ -266,12 +266,11 @@ def _check_memory(k, level, M, budget=None):
     stay as margin and hold the work array and P^{-1}'s new field in the
     loop.  The set-up's scratch (by tracemalloc at most 44 bytes per
     block entry at Q1 and Q2, 1/h = 64) is freed before the loop
-    allocates five (L, C, dof) fields, so the larger of the two counts:
-    the iterate, the previous g's and the last update, which stays held
-    while the next sweep runs, and two within each sweep, the
-    kernel-contracted field and the scattering source's output (in place
-    g and then the update), and then that output and P^{-1}'s new field.
-    A nested start (``run_convergence`` past its
+    allocates its five (L, C, dof) fields, so the larger of the two
+    counts.  The five are the iterate, the previous g's, the last
+    update, held while the next sweep runs, the scattering source's
+    output (in place g, then the update) and the kernel-contracted field
+    it is formed from.  A nested start (``run_convergence`` past its
     first level) allocates two of the five before the set-up: the
     prolonged start field, which is the iterate, and the g that its P x0
     is formed into; so the set-up counts with those two.  The coarse
