@@ -395,19 +395,20 @@ def _scatter_map(system):
     )
 
 
-def scattering_source(systems, kernel, quad, field):
+def scattering_source(systems, kernel, quad, field, out=None):
     """Lagged scattering right sides sigma_s (K_d u, test)_T for all
     ordinates, from the current iterate.
 
     ``systems`` holds every ordinate's system, in order, and ``field``
-    has shape (L, C, dof); returns the same shape.  The kernel
-    is applied (``apply_scatter``) to the broken-polynomial coefficients,
-    and the result is mapped to each system's test table through the
-    (dof, dof) matrix sigma_s h^2 V^T W test, so no quadrature-point
-    array is formed.
+    has shape (L, C, dof); returns the same shape, in ``out`` if given.
+    The kernel is applied (``apply_scatter``) to the broken-polynomial
+    coefficients, and the result is mapped to each system's test table
+    through the (dof, dof) matrix sigma_s h^2 V^T W test, so no
+    quadrature-point array is formed.
     """
     coeffs = apply_scatter(kernel, quad, field)
-    return np.matmul(coeffs, np.stack([_scatter_map(s) for s in systems]))
+    maps = np.stack([_scatter_map(s) for s in systems])
+    return np.matmul(coeffs, maps, out=out)
 
 
 def _face_traces(mesh, tables, coeffs):

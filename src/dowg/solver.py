@@ -25,8 +25,10 @@ Each ordinate is the pair (P_m^{-1}, R_m), R_m None when P_m = A_m, and
 all ordinates have as many unknowns, so one object built before the
 first sweep holds the run's pairs and ``_fused_sweep`` applies it to all
 at once: at desk scale ``_Exact``, sparse LU of each A_m, above that the
-wavefront ``_Sweep``.  Ordering cells by upwind distance makes each
-transport matrix block lower triangular up to a weak downwind remainder
+wavefront ``_Sweep``.  The loop holds three fields whose roles rotate
+(``_fused_sweep``), so no field is allocated or copied per sweep.
+Ordering cells by upwind distance makes each transport matrix block
+lower triangular up to a weak downwind remainder
 (the DODG jump penalty; WG sweeps its matrix plus its own stabilizer,
 the penalty-free upwind operator, and leaves the stabilizer as the
 remainder), and the streamline-diffusion systems are exactly triangular
@@ -123,15 +125,17 @@ class _Sweep:
     front's inner cells are interior and its two ends boundary cells.  So
     an ordinate keeps ``_upwind`` = [L_bottom^T; L_left^T], the interior
     D^{-1} (``_bulk``) and per front its ends' D^{-1} (``_ends``), all
-    transposed for a right multiply.  ``solve`` works on one array of
-    shape (2n - 1 fronts, ordinates, n + 1, d) that holds the cell of
-    front l in flow row j' in column j' + 1, so its bottom and left
-    neighbours are columns j' and j' + 1 of front l - 1, two adjacent
-    rows for one product with ``_upwind``; column 0 and the columns
-    without a cell hold g's trailing zero row.  One ``np.take`` moves g
-    in, each front takes z = (g - L z_upwind) D^{-1} on views built once,
-    and one ``np.take`` moves the fields out in natural order.  A
-    ``start`` x0, as rows of d and one zero row, is overwritten with P x0.
+    transposed for a right multiply.  ``solve`` works on ordinates x
+    (n^2 + 2(2n - 1)) rows of d, about one field: front after front, each
+    ordinate's cells of front l in flow order between two pad columns,
+    flow row j' in column j' - lo_l + 1 (lo_l that of the first cell), so
+    its bottom and left neighbours are columns j' - lo_{l-1} and
+    j' - lo_{l-1} + 1 of front l - 1, two adjacent rows for one product
+    with ``_upwind``; the pads hold g's trailing zero row.  One
+    ``np.take`` moves g in, each front takes z = (g - L z_upwind) D^{-1}
+    on views built once, and one ``np.take`` moves the fields out in
+    natural order.  A ``start`` x0, as rows of d and one zero row, is
+    overwritten with P x0.
     """
 
     def __init__(self, systems, start=None):
@@ -140,6 +144,10 @@ class _Sweep:
         idx, f, c = np.arange(n), np.arange(F), np.arange(C)
         # flow row j' of the first and last cell of each front
         ends = np.stack([np.maximum(f - n + 1, 0), np.minimum(f, n - 1)])
+        # each front's columns, its cells and two pads, and its first
+        # work-array row, the ordinates' blocks of one front side by side
+        cols = ends[1] - ends[0] + 3
+        first = B * np.concatenate([[0], np.cumsum(cols)[:-1]])
         self._upwind = upwind = np.empty((B, 2 * d, d))
         own = np.empty((B, 9, d, d))
         end_cls = np.empty((B, 2, F), dtype=np.intp)
@@ -167,7 +175,8 @@ class _Sweep:
             # grid index <-> index along the flow, each the other's inverse
             fi, fj = (idx if t >= 0 else idx[::-1] for t in (sx, sy))
             ip, jp = fi[c % n], fj[c // n]
-            row[b] = ((ip + jp) * B + b) * (n + 1) + jp + 1
+            l = ip + jp
+            row[b] = first[l] + b * cols[l] + jp - ends[0, l] + 1
             end_cls[b] = acc.cls[fj[ends] * n + fi[f - ends]]
         dinv = np.linalg.inv(own)
         self._bulk = dinv[:, _INTERIOR].transpose(0, 2, 1).copy()
@@ -175,38 +184,42 @@ class _Sweep:
         # each (ordinate, cell)'s work-array row, and each work-array
         # row's g row: the zero row after g where it holds no cell
         self._out = row.ravel()
-        self._in = np.full(F * B * (n + 1), B * C)
+        self._in = np.full(B * cols.sum(), B * C)
         self._in[self._out] = np.arange(B * C)
         self._C, self._d = C, d
-        self._W = W = np.zeros((F, B, n + 1, d))
-        self._work = W.reshape(-1, d)
-        if start is not None:
-            self._lower(start, own, end_cls, ends)
+        self._work = np.zeros((B * cols.sum(), d))
+        W = [w.reshape(B, -1, d) for w in np.split(self._work, first[1:])]
         t = np.empty((B, n, d))
         self._fronts = []
         for l in range(F):
-            lo, hi = ends[:, l]
-            z, acc = W[l, :, lo + 1:hi + 2], t[:, :hi + 1 - lo]
-            win = None if l == 0 else _windows(W[l - 1, :, lo:], hi + 1 - lo)
+            cnt = cols[l] - 2
+            z, acc = W[l][:, 1:-1], t[:, :cnt]
+            win = None if l == 0 else _windows(W[l - 1][:, ends[0, l] - ends[0, l - 1]:], cnt)
             self._fronts.append((win, z, acc, (z[:, :1], z[:, -1:]), (acc[:, :1], acc[:, -1:]),
                                  self._ends[l]))
+        if start is not None:
+            self._lower(start, own, end_cls)
 
-    def _lower(self, start, own, end_cls, ends):
-        """Overwrite the start rows x0 with (D + L) x0, formed on the
-        work-array layout: D by the interior class's block and the fronts'
-        ends by theirs, plus the upwind products."""
-        X = np.take(start, self._in, axis=0).reshape(self._W.shape)
-        Y = X @ own[:, _INTERIOR].transpose(0, 2, 1)
-        f = np.arange(len(X))
-        for e, D in enumerate(_front_ends(own, end_cls).transpose(1, 0, 2, 3, 4)):
-            Y[f, :, ends[e] + 1] = (X[f, :, ends[e] + 1][:, :, None] @ D)[:, :, 0]
-        Y[1:, :, 1:] += _windows(X[:-1], X.shape[2] - 1) @ self._upwind
-        np.take(Y.reshape(-1, self._d), self._out, axis=0, out=start[:-1], mode="clip")
+    def _lower(self, start, own, end_cls):
+        """Overwrite the start rows x0 with (D + L) x0, formed on the work
+        array from the last front back, so each upwind front still holds
+        x0: D by the interior and end blocks, plus the upwind products."""
+        np.take(start, self._in, axis=0, out=self._work, mode="clip")
+        D = own[:, _INTERIOR].transpose(0, 2, 1)
+        fronts = zip(self._fronts[::-1], _front_ends(own, end_cls)[::-1])
+        for (win, z, _, z_ends, _, _), ends in fronts:
+            y = z @ D
+            for y_end, z_end, end in zip((y[:, :1], y[:, -1:]), z_ends, ends):
+                y_end[...] = z_end @ end
+            if win is not None:
+                y += win @ self._upwind
+            z[...] = y
+        np.take(self._work, self._out, axis=0, out=start[:-1], mode="clip")
 
-    def solve(self, g):
-        """P^{-1} g of every ordinate, shape (ordinates, C, d).  ``g``
-        holds all ordinates' g as rows of d, ordinate by ordinate, and
-        one zero row after them; it is left as it is."""
+    def solve(self, g, out=None):
+        """P^{-1} g of every ordinate, shape (ordinates, C, d), in ``out``
+        if given.  ``g`` holds all ordinates' g as rows of d, ordinate by
+        ordinate, and one zero row after them; it is left as it is."""
         # every index is in range; "clip" lets take write ``out`` unbuffered
         np.take(g, self._in, axis=0, out=self._work, mode="clip")
         upwind, bulk = self._upwind, self._bulk
@@ -219,7 +232,8 @@ class _Sweep:
             np.matmul(acc, bulk, out=z)
             for z_end, acc_end, end in zip(z_ends, acc_ends, ends):
                 np.matmul(acc_end, end, out=z_end)
-        return np.take(self._work, self._out, axis=0).reshape(-1, self._C, self._d)
+        x = np.take(self._work, self._out, axis=0, out=out, mode="clip")
+        return x.reshape(-1, self._C, self._d)
 
 
 class _Exact:
@@ -243,12 +257,14 @@ class _Exact:
             self._solves.append(lu.solve)
         self.R = [None] * L
 
-    def solve(self, g):
+    def solve(self, g, out=None):
         """A^{-1} g of every ordinate, shape (ordinates, C, d), with ``g``
-        laid out as for ``_Sweep.solve``."""
+        and ``out`` laid out as for ``_Sweep.solve``."""
         L, d = len(self._solves), g.shape[1]
-        x = [solve(gm) for solve, gm in zip(self._solves, g[:-1].reshape(L, -1))]
-        return np.reshape(x, (L, -1, d))
+        x = np.empty((len(g) - 1, d)) if out is None else out
+        for solve, gm, xm in zip(self._solves, g[:-1].reshape(L, -1), x.reshape(L, -1)):
+            xm[...] = solve(gm)
+        return x.reshape(L, -1, d)
 
 
 def _front_ends(blocks, end_cls):
@@ -304,29 +320,28 @@ def _bound(errs, residuals):
     return 2.0 * rho / (1.0 - rho) * errs[-1]
 
 
-def _fused_sweep(systems, kernel, quad, pinv, field, g_rows):
-    """One sweep of every ordinate: g = b + S x - R x replaces the
-    previous g in ``g_rows`` and x = P^{-1} g the field x.  Returns the
-    update, in the scattering source's buffer, and the residual's sums
-    ||g - g_prev||^2 = ||b + S x - A x||^2 (as P x = g_prev) and
-    ||b + S x||^2."""
-    g3 = scattering_source(systems, kernel, quad, field)
-    g = g3.reshape(len(field), -1)
+def _fused_sweep(systems, kernel, quad, pinv, rows):
+    """One sweep of every ordinate on ``rows``, the iterate x, the
+    previous g and a free buffer: g = b + S x - R x is formed in the free
+    one, the new iterate P^{-1} g in the previous g's and the update in
+    x's, so the next sweep takes the three rotated by one.  Returns the
+    residual's sums ||g - g_prev||^2 = ||b + S x - A x||^2 (as P x =
+    g_prev) and ||b + S x||^2."""
+    x, g_prev, g = (r[:-1].reshape(len(systems), -1) for r in rows)
+    field = x.reshape(len(systems), -1, rows[0].shape[1])
+    scattering_source(systems, kernel, quad, field, out=g.reshape(field.shape))
     for m, system in enumerate(systems):
         g[m] += system.rhs_fixed
     den = np.vdot(g, g)
     for m, R in enumerate(pinv.R):
         if R is not None:
-            g[m] -= R @ field[m].ravel()
+            g[m] -= R @ x[m]
     # r = g - g_prev, formed as its negative in place of g_prev
-    g_prev = g_rows[:-1].reshape(g.shape)
     np.subtract(g_prev, g, out=g_prev)
     num = np.vdot(g_prev, g_prev)
-    g_prev[...] = g
-    x = pinv.solve(g_rows)
-    np.subtract(x, field, out=g3)
-    field[...] = x
-    return g3, num, den
+    pinv.solve(rows[2], out=rows[1][:-1])
+    np.subtract(g_prev, x, out=x)  # g_prev's buffer holds the new iterate
+    return num, den
 
 
 def source_iteration(systems, kernel, quad, cfg=None, certify=None, start=None):
@@ -334,7 +349,7 @@ def source_iteration(systems, kernel, quad, cfg=None, certify=None, start=None):
 
     Returns ``(field, trace)`` with ``field`` of shape (L, C, dof).  The
     loop starts from zero, or from ``start`` (float64, shape (L, C, dof)):
-    that array becomes the iterate and is overwritten, and each
+    that array is the returned field, filled once at the end, and each
     ordinate's P x0 is formed with its pair, so the first residual is
     that of ``start`` and the stop is the same as from zero.  It stops
     once the iteration-error bound and the coupled relative residual are
@@ -351,26 +366,27 @@ def source_iteration(systems, kernel, quad, cfg=None, certify=None, start=None):
     mesh, tables = systems[0].mesh, systems[0].tables
     L, C, d = len(systems), mesh.n_cells, tables.dof
 
-    # g of the previous sweep, which P x solves for the current field, as
-    # rows of d with one zero row after them, which the sweep reads where
-    # a cell has no upwind neighbour
-    g_rows = np.zeros((L * C + 1, d))
-    if start is None:
-        field = np.zeros((L, C, d))
-    else:
+    # the previous g (P x of the iterate) as rows of d and a zero row, read
+    # where a cell has no upwind neighbour; the other two after the set-up
+    g_prev = np.zeros((L * C + 1, d))
+    if start is not None:
         if start.shape != (L, C, d) or start.dtype != np.float64:
             raise ValueError(f"start field must be float64 of shape {(L, C, d)}, "
                              f"got {start.dtype} of shape {start.shape}")
-        field = start
-        g_rows[:-1] = start.reshape(-1, d)
+        g_prev[:-1] = start.reshape(-1, d)
     pinv = (_Exact if systems[0].n_dof <= _EXACT_UP_TO else _Sweep)(
-        systems, None if start is None else g_rows)
+        systems, None if start is None else g_prev)
+    rows = [np.zeros(g_prev.shape), g_prev, np.zeros(g_prev.shape)]
+    if start is not None:
+        rows[0][:-1] = start.reshape(-1, d)
     errs, residuals = [], []
     tol = cfg.tol
     converged, escalated = False, 0
     bound = residual = np.inf
     while len(errs) < cfg.max_outer:
-        update, num, den = _fused_sweep(systems, kernel, quad, pinv, field, g_rows)
+        num, den = _fused_sweep(systems, kernel, quad, pinv, rows)
+        rows = rows[1:] + rows[:1]
+        field, update = (r[:-1].reshape(L, C, d) for r in (rows[0], rows[2]))
         residual = float(np.sqrt(num / den)) if num else 0.0
         residuals.append(residual)
         errs.append(l2_dom_norm(mesh, tables, quad, update))
@@ -395,7 +411,10 @@ def source_iteration(systems, kernel, quad, cfg=None, certify=None, start=None):
                 RuntimeWarning, stacklevel=2,
             )
             # the previous g becomes A x, as the exact pairs take P = A
-            g_rows[:-1] = field.reshape(-1, d)
-            pinv = _Exact(systems, g_rows)
+            rows[1][:-1] = rows[0][:-1]
+            pinv = _Exact(systems, rows[1])
             escalated = L
+    if start is not None:
+        start[...] = field
+        field = start
     return field, IterationTrace(errs, converged, bound, residual, escalated)

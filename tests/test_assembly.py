@@ -65,8 +65,12 @@ def _quadrature_row(system, kernel, quad, field):
     return system.medium.sigma_s * h * h * ((w[None, :] * S) @ system.scatter_test)
 
 
-def _quadrature_source(systems, kernel, quad, field):
-    return np.stack([_quadrature_row(s, kernel, quad, field) for s in systems])
+def _quadrature_source(systems, kernel, quad, field, out=None):
+    rows = np.stack([_quadrature_row(s, kernel, quad, field) for s in systems])
+    if out is None:
+        return rows
+    out[...] = rows
+    return out
 
 
 def _quadrature_norm(mesh, tables, quad, field):

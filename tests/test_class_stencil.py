@@ -9,6 +9,7 @@ ordinate's per-cell blocks to CSR/CSC separately.
 """
 
 import gc
+import math
 import weakref
 from contextlib import nullcontext
 
@@ -117,14 +118,35 @@ def _cell_built(system):
         return system.matrix, _CellSweep(system)
 
 
+def _layout(sweep):
+    """The packed work array's layout, rebuilt from n and the ordinate
+    count alone: per front its first row, its columns (its cells and a
+    pad at either end, for each ordinate in turn) and the flow row of its
+    first cell."""
+    n = math.isqrt(sweep._C)
+    f = np.arange(2 * n - 1)
+    lo = np.maximum(f - n + 1, 0)
+    cols = np.minimum(f, n - 1) - lo + 3
+    first = len(sweep._bulk) * np.concatenate([[0], np.cumsum(cols)[:-1]])
+    return first, cols, lo
+
+
+def _front_views(sweep, rows):
+    """Per front, the view (ordinates, columns, d) of work-array rows."""
+    first, cols, _ = _layout(sweep)
+    return [w.reshape(len(sweep._bulk), c, -1) for w, c in zip(np.split(rows, first[1:]), cols)]
+
+
 def _front_cells(sweep, b):
     """Per cell of the batch's ordinate b, in natural order: its front
     and whether it is the front's first or last cell, from the work-array
     rows ``_out``."""
-    F, B, cols, _ = sweep._W.shape
-    front, rest = np.divmod(sweep._out.reshape(B, -1)[b], B * cols)
-    col, n = rest % cols, cols - 1
-    return front, col == np.maximum(front - n + 1, 0) + 1, col == np.minimum(front, n - 1) + 1
+    first, cols, _ = _layout(sweep)
+    row = sweep._out.reshape(len(sweep._bulk), -1)[b]
+    front = np.searchsorted(first, row, side="right") - 1
+    ordinate, col = np.divmod(row - first[front], cols[front])
+    assert_array_equal(ordinate, b)
+    return front, col == 1, col == cols[front] - 2
 
 
 def _dinv_cells(sweep, b):
@@ -377,22 +399,23 @@ def _fancy_solve(sweep, g):
     """``_Sweep.solve`` with fancy-indexed row moves: the same products
     front by front, on a work array filled by ``g[_in]`` and read out by
     ``[_out]``."""
-    W = g[sweep._in].reshape(sweep._W.shape)
-    F, B, cols, d = W.shape
-    n = cols - 1
-    t = np.empty((B, n, d))
-    for l in range(F):
-        lo, hi = max(l - n + 1, 0), min(l, n - 1)
-        z, acc = W[l, :, lo + 1:hi + 2], t[:, :hi + 1 - lo]
+    work = g[sweep._in]
+    W, (_, _, lo) = _front_views(sweep, work), _layout(sweep)
+    B, d = len(sweep._bulk), sweep._d
+    t = np.empty((B, math.isqrt(sweep._C), d))
+    for l in range(len(W)):
+        z = W[l][:, 1:-1]
+        acc = t[:, :z.shape[1]]
         if l:
-            np.matmul(_windows(W[l - 1, :, lo:], hi + 1 - lo), sweep._upwind, out=acc)
+            win = _windows(W[l - 1][:, lo[l] - lo[l - 1]:], z.shape[1])
+            np.matmul(win, sweep._upwind, out=acc)
             np.subtract(z, acc, out=acc)
         else:
             acc[...] = z
         np.matmul(acc, sweep._bulk, out=z)
         np.matmul(acc[:, :1], sweep._ends[l, 0], out=z[:, :1])
         np.matmul(acc[:, -1:], sweep._ends[l, 1], out=z[:, -1:])
-    return W.reshape(-1, d)[sweep._out].reshape(B, -1, d)
+    return work[sweep._out].reshape(B, -1, d)
 
 
 def _fancy_face_traces(mesh, tables, coeffs):
@@ -455,23 +478,28 @@ class TestRowTakes:
         _same(sweep.solve(g), _fancy_solve(sweep, g))
         # P x0 = D x0 + L x0 from the same class blocks, on a work array
         # filled by fancy indexing
-        X = x0[sweep._in].reshape(sweep._W.shape)
+        X = x0[sweep._in]
         acc = [s.stencil() for s in systems]
         own = np.stack([a.blocks[:, 2] for a in acc])
         for b, s in enumerate(systems):
             shift = dowg.assembly._sweep_shift(s)
             if shift is not None:
                 own[b] += shift.blocks[:, 2]
-        Y = X @ own[:, _INTERIOR].transpose(0, 2, 1)
+        XF, (_, _, lo) = _front_views(sweep, X), _layout(sweep)
+        D = own[:, _INTERIOR].transpose(0, 2, 1)
+        Y = np.concatenate([(x @ D).reshape(-1, d) for x in XF])
         for b in range(len(systems)):
             front, *ends = _front_cells(sweep, b)
             cls = acc[b].cls
             for at in ends:
                 rows = sweep._out.reshape(len(systems), -1)[b][at]
-                D = np.ascontiguousarray(own[b, cls[at]].transpose(0, 2, 1))
-                Y.reshape(-1, d)[rows] = (X.reshape(-1, d)[rows][:, None] @ D)[:, 0]
-        Y[1:, :, 1:] += _windows(X[:-1], X.shape[2] - 1) @ sweep._upwind
-        _same(px0[:-1], Y.reshape(-1, d)[sweep._out])
+                E = np.ascontiguousarray(own[b, cls[at]].transpose(0, 2, 1))
+                Y[rows] = (X[rows][:, None] @ E)[:, 0]
+        YF = _front_views(sweep, Y)
+        for l in range(1, len(YF)):
+            cnt = YF[l].shape[1] - 2
+            YF[l][:, 1:-1] += _windows(XF[l - 1][:, lo[l] - lo[l - 1]:], cnt) @ sweep._upwind
+        _same(px0[:-1], Y[sweep._out])
 
     @pytest.mark.parametrize("k", [1, 2])
     @pytest.mark.parametrize("name", ["example1", "example2"])

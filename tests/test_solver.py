@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 import warnings
 from dataclasses import dataclass, replace
 
@@ -159,9 +160,9 @@ class _FrontLoopSweep(_Sweep):
             ]
             self._loops.append((m, fronts, rows, cols, B.data, dinv))
 
-    def solve(self, g):
+    def solve(self, g, out=None):
         C, d = self._C, self._d
-        out = []
+        x = []
         for m, fronts, rows, cols, data, dinv in self._loops:
             acc = np.array(g[m * C:(m + 1) * C], dtype=float)
             z = np.empty_like(acc)
@@ -169,8 +170,12 @@ class _FrontLoopSweep(_Sweep):
                 take = data[sel] @ z[cols[sel], :, None]
                 np.subtract.at(acc, rows[sel], take[..., 0])
                 z[cells] = np.einsum("cij,cj->ci", dinv[cells], acc[cells])
-            out.append(z)
-        return np.array(out)
+            x.append(z)
+        x = np.array(x)
+        if out is None:
+            return x
+        out[...] = x.reshape(out.shape)
+        return x
 
 
 def _per_ordinate_loop(systems, kernel, quad, cfg, start=None):
@@ -549,6 +554,7 @@ class TestPerOrdinateLoopEquivalence:
         field, trace = source_iteration(systems, kernel, quad, cfg, start=start)
         ref, tref = _per_ordinate_loop(systems, kernel, quad, cfg, start=copy)
         assert field.tobytes() == ref.tobytes()
+        assert start is None or field is start
         assert trace.iterations == tref.iterations and trace.converged == tref.converged
         assert trace.escalated == tref.escalated
         assert trace.residual == pytest.approx(tref.residual, rel=1e-12)
@@ -581,6 +587,55 @@ class TestPerOrdinateLoopEquivalence:
         with pytest.warns(RuntimeWarning, match="switching 21 of 21 ordinates"):
             trace = self._compare(systems, kernel, quad, SourceIterationConfig(tol=1e-9), x0)
         assert trace.converged and trace.escalated == len(quad)
+
+    # the loop rotates three buffers by one per sweep, so which of them
+    # holds the field it returns depends on the sweep count modulo 3
+    @pytest.mark.parametrize("max_outer", [1, 2, 3, 4])
+    @pytest.mark.parametrize("start", ["zero", "random"])
+    def test_every_rotation(self, start, max_outer):
+        quad, kernel, medium, mesh, tables = _setup(level=4, k=1)
+        systems = _systems(WG(), quad, kernel, medium, mesh, tables, f=_source)
+        x0 = None
+        if start == "random":
+            shape = (len(quad), mesh.n_cells, tables.dof)
+            x0 = np.random.default_rng(13).standard_normal(shape)
+        cfg = SourceIterationConfig(tol=1e-9, max_outer=max_outer)
+        trace = self._compare(systems, kernel, quad, cfg, x0)
+        assert trace.iterations == max_outer and not trace.converged
+
+    def test_rotation_across_the_fallback(self, monkeypatch):
+        # the switch to the exact pairs after the eleventh sweep, and two
+        # sweeps on them, from a random start
+        monkeypatch.setattr(dowg.solver, "_sweep_shift", lambda s: None)
+        quad, kernel, medium, mesh, tables = _setup(level=4, k=1)
+        systems = _systems(WG(), quad, kernel, medium, mesh, tables, f=_source)
+        shape = (len(quad), mesh.n_cells, tables.dof)
+        x0 = np.random.default_rng(14).standard_normal(shape)
+        cfg = SourceIterationConfig(tol=1e-9, max_outer=13)
+        with pytest.warns(RuntimeWarning, match="switching 21 of 21 ordinates"):
+            trace = self._compare(systems, kernel, quad, cfg, x0)
+        assert trace.iterations == 13 and trace.escalated == len(quad)
+
+
+class TestLoopMemory:
+    def test_peak_is_at_most_six_and_a_half_fields(self):
+        # the loop holds three fields, the sweep's work array of about
+        # one, and the kernel-contracted field each sweep forms; DODSD
+        # Q1 at 1/h = 64 takes the sweep and no remainder
+        quad, kernel, medium, mesh, tables = _setup(level=6, k=1)
+        systems = _systems(DODSD(), quad, kernel, medium, mesh, tables, f=_source)
+        n, d, L = mesh.n, tables.dof, len(systems)
+        # each front's cells and a pad column at either end, per ordinate
+        assert _Sweep(systems)._work.shape == (L * (n * n + 2 * (2 * n - 1)), d)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            _, trace = source_iteration(systems, kernel, quad, SourceIterationConfig(tol=1e-9))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert trace.converged
+        assert peak <= 6.5 * L * mesh.n_cells * d * 8
 
 
 class TestSourceIteration:
@@ -648,9 +703,9 @@ class TestSourceIteration:
         real = dowg.solver._Sweep.solve
         sweeps = []
 
-        def poisoned(self, g):
+        def poisoned(self, g, out=None):
             sweeps.append(1)
-            x = real(self, g)
+            x = real(self, g, out)
             if len(sweeps) > 2:  # from the third sweep on
                 x[:, 0] = bad
             return x
@@ -799,9 +854,9 @@ class TestFreeResidual:
         fields = []
         real = dowg.solver.scattering_source
 
-        def recording(*args):
+        def recording(*args, out=None):
             fields.append(args[-1].copy())
-            return real(*args)
+            return real(*args, out=out)
 
         with monkeypatch.context() as mp:
             mp.setattr(dowg.solver, "scattering_source", recording)
