@@ -260,20 +260,20 @@ def _check_memory(k, level, M, budget=None):
     and every ordinate at 1/h = 32 and 64) and the right side, and the
     index arrays of at most sixteen sparsity patterns, each with 4-byte
     indices and its indptr.  The batched sweep keeps R, the interior
-    class's D^{-1} and two per front, and a work array of about two
-    fields with its two gather index arrays (3/d of a field); the bytes
+    class's D^{-1} and two per front, and a work array of about one
+    field with its two gather index arrays (2/d of a field); the bytes
     counted for the second operator (2d fields) and for D^{-1} per cell
-    stay as margin and hold the work array and P^{-1}'s new field in the
-    loop.  The set-up's scratch (by tracemalloc at most 44 bytes per
-    block entry at Q1 and Q2, 1/h = 64) is freed before the loop
-    allocates its five (L, C, dof) fields, so the larger of the two
-    counts.  The five are the iterate, the previous g's, the last
-    update, held while the next sweep runs, the scattering source's
-    output (in place g, then the update) and the kernel-contracted field
-    it is formed from.  A nested start (``run_convergence`` past its
-    first level) allocates two of the five before the set-up: the
-    prolonged start field, which is the iterate, and the g that its P x0
-    is formed into; so the set-up counts with those two.  The coarse
+    stay as margin and hold the work array in the loop.  The set-up's
+    scratch (by tracemalloc at most 44 bytes per block entry at Q1 and
+    Q2, 1/h = 64) is freed before the loop allocates the rest of its
+    (L, C, dof) fields, so the larger of the two counts.  The loop holds
+    three, the iterate, the previous g and a free one, whose roles rotate
+    every sweep, and the kernel-contracted field each sweep forms: four
+    of the five the formula counts.  A nested start (``run_convergence``
+    past its first level) holds two fields through the set-up: the
+    prolonged start field, which the loop fills with its result at the
+    end, and the previous g that its P x0 is formed into; so the set-up
+    counts with those two, and the loop holds all five.  The coarse
     field it was prolonged from, a quarter of one field, is freed before
     the level assembles.
 
