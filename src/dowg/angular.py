@@ -196,19 +196,25 @@ def build_scatter_kernel(quad, phase, sigma_t, sigma_s, renormalize=False):
     return ScatterKernel(matrix, row_mass, float(sigma_t), float(sigma_s), margin, renormalize)
 
 
-def apply_scatter(kernel, quad, values):
+def apply_scatter(kernel, quad, values, out=None):
     """Apply the discrete scattering operator at a point.
 
     out[m] = sum_l w_l * Phi[m, l] * values[l].  ``values`` may carry
     trailing axes (e.g. per-cell coefficient blocks); the ordinate axis
-    must come first.
+    must come first.  One matrix product of the weighted (L, L) kernel
+    with the (L, -1) view of ``values`` forms the result, written into
+    ``out`` (C-contiguous, the shape of ``values``) if given.
     """
     values = np.asarray(values, dtype=float)
-    if values.shape[0] != len(quad):
-        raise ValueError(
-            f"expected {len(quad)} per-ordinate values, got {values.shape[0]}"
-        )
-    return np.tensordot(kernel.matrix * quad.weights[None, :], values, axes=(1, 0))
+    L = len(quad)
+    if values.shape[0] != L:
+        raise ValueError(f"expected {L} per-ordinate values, got {values.shape[0]}")
+    if out is None:
+        out = np.empty(values.shape)
+    elif not out.flags.c_contiguous:
+        raise ValueError("out must be C-contiguous, to be written through its (L, -1) view")
+    np.matmul(kernel.matrix * quad.weights[None, :], values.reshape(L, -1), out=out.reshape(L, -1))
+    return out
 
 
 def normalization_residual(kernel):

@@ -402,13 +402,15 @@ def scattering_source(systems, kernel, quad, field, out=None):
     ``systems`` holds every ordinate's system, in order, and ``field``
     has shape (L, C, dof); returns the same shape, in ``out`` if given.
     The kernel is applied (``apply_scatter``) to the broken-polynomial
-    coefficients, and the result is mapped to each system's test table
-    through the (dof, dof) matrix sigma_s h^2 V^T W test, so no
-    quadrature-point array is formed.
+    coefficients, written into the result, which is then mapped in
+    place, one ordinate at a time, to each system's test table through
+    the (dof, dof) matrix sigma_s h^2 V^T W test.  So no quadrature-point
+    array is formed, and with ``out`` no field-sized one either.
     """
-    coeffs = apply_scatter(kernel, quad, field)
-    maps = np.stack([_scatter_map(s) for s in systems])
-    return np.matmul(coeffs, maps, out=out)
+    out = apply_scatter(kernel, quad, field, out=out)
+    for block, system in zip(out, systems):
+        np.matmul(block, _scatter_map(system), out=block)
+    return out
 
 
 def _face_traces(mesh, tables, coeffs):

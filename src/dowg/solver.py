@@ -26,7 +26,9 @@ all ordinates have as many unknowns, so one object built before the
 first sweep holds the run's pairs and ``_fused_sweep`` applies it to all
 at once: at desk scale ``_Exact``, sparse LU of each A_m, above that the
 wavefront ``_Sweep``.  The loop holds three fields whose roles rotate
-(``_fused_sweep``), so no field is allocated or copied per sweep.
+(``_fused_sweep``), the scattering source is written into the free one,
+so no field is allocated or copied per sweep, and SuperLU is imported
+only when a run builds the exact pairs.
 Ordering cells by upwind distance makes each transport matrix block
 lower triangular up to a weak downwind remainder
 (the DODG jump penalty; WG sweeps its matrix plus its own stabilizer,
@@ -45,7 +47,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse.linalg as spla
 from numpy.lib.stride_tricks import as_strided
 
 # the benchmark's tracer (perfbench/tracing.py) patches these three names here
@@ -243,6 +244,10 @@ class _Exact:
     ``np.linalg.LinAlgError``."""
 
     def __init__(self, systems, start=None):
+        # imported here, not with the module: SuperLU and the LAPACK it
+        # loads cost about 10 MB of RSS that a sweep-scale run never uses
+        import scipy.sparse.linalg as spla
+
         L = len(systems)
         x0 = None if start is None else start[:-1].reshape(L, -1)
         self._solves = []

@@ -268,14 +268,15 @@ def _check_memory(k, level, M, budget=None):
     Q2, 1/h = 64) is freed before the loop allocates the rest of its
     (L, C, dof) fields, so the larger of the two counts.  The loop holds
     three, the iterate, the previous g and a free one, whose roles rotate
-    every sweep, and the kernel-contracted field each sweep forms: four
-    of the five the formula counts.  A nested start (``run_convergence``
-    past its first level) holds two fields through the set-up: the
-    prolonged start field, which the loop fills with its result at the
-    end, and the previous g that its P x0 is formed into; so the set-up
-    counts with those two, and the loop holds all five.  The coarse
-    field it was prolonged from, a quarter of one field, is freed before
-    the level assembles.
+    every sweep; the scattering source is contracted into the free one,
+    so no kernel-contracted field is formed: three of the five the
+    formula counts.  A nested start (``run_convergence`` past its first
+    level) holds two fields through the set-up: the prolonged start
+    field, which the loop fills with its result at the end, and the
+    previous g that its P x0 is formed into; so the set-up counts with
+    those two, and the loop holds four of the five.  The coarse field it
+    was prolonged from, a quarter of one field, is freed before the level
+    assembles.
 
     The dense (L, L) arrays of the scattering kernel come on top.  Its
     build, which runs before anything else is allocated, peaks at four

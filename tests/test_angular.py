@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 from scipy.integrate import quad
 
 from dowg.angular import (
@@ -188,6 +188,23 @@ class TestApplyScatter:
         vals = 1.0 + c * np.cos(self.quad.thetas)
         expect = 1.0 + (c / 4) * np.cos(self.quad.thetas)
         assert_allclose(apply_scatter(k, self.quad, vals), expect, atol=1e-12)
+
+    @pytest.mark.parametrize("shape", [(), (7,), (5, 3)], ids=["1d", "2d", "3d"])
+    def test_out_equals_fresh_result(self, shape):
+        # writing into ``out`` changes where the result goes, not its bits
+        k = build_scatter_kernel(self.quad, HenyeyGreenstein(0.5), 2.0, 0.5)
+        vals = np.random.default_rng(4).standard_normal((len(self.quad), *shape))
+        out = np.empty_like(vals)
+        got = apply_scatter(k, self.quad, vals, out=out)
+        assert got is out
+        assert_array_equal(out, apply_scatter(k, self.quad, vals))
+
+    def test_out_must_be_contiguous(self):
+        # a strided ``out`` cannot take the result through a reshaped view
+        k = build_scatter_kernel(self.quad, Isotropic(), 2.0, 0.5)
+        vals = np.ones((len(self.quad), 3))
+        with pytest.raises(ValueError, match="C-contiguous"):
+            apply_scatter(k, self.quad, vals, out=np.empty((len(self.quad), 6))[:, ::2])
 
     def test_length_mismatch(self):
         k = build_scatter_kernel(self.quad, Isotropic(), 2.0, 0.5)

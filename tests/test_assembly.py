@@ -1,3 +1,4 @@
+import tracemalloc
 from contextlib import nullcontext
 
 import numpy as np
@@ -337,8 +338,8 @@ class TestCoefficientSpace:
 
     @pytest.mark.parametrize("scheme, k", [(WG(), 1), (DODG(), 2)], ids=["wg-q1", "dodg-q2"])
     def test_batched_scattering_equals_per_ordinate_products(self, quad, kernel, scheme, k):
-        # one batched product in place of a product per ordinate: same
-        # arithmetic, so bit for bit the same source
+        # the source applies each ordinate's map to its own block: bit
+        # for bit the per-ordinate products of the contracted field
         mesh, tables = build_mesh(3), _tables(k)
         systems = [
             assemble_direction(scheme, mesh, tables, quad, kernel, Medium(ST, SS), m)
@@ -350,6 +351,35 @@ class TestCoefficientSpace:
         coeffs = apply_scatter(kernel, quad, field)
         ref = np.stack([coeffs[m] @ _scatter_map(s) for m, s in enumerate(systems)])
         assert_array_equal(scattering_source(systems, kernel, quad, field), ref)
+
+    @pytest.mark.parametrize("scheme", [WG(), DODG(), DODSD()], ids=["wg", "dodg", "dodsd"])
+    @pytest.mark.parametrize("k", [1, 2], ids=["q1", "q2"])
+    def test_scattering_into_buffer_allocates_no_field(self, quad, kernel, scheme, k):
+        # the kernel contraction is written into ``out`` and each
+        # ordinate's map applied there in place: bit for bit the batched
+        # product of the contracted field with the stacked maps, at a
+        # small fraction of one field (DODSD's maps differ per ordinate)
+        mesh, tables = build_mesh(5), _tables(k)
+        systems = [
+            assemble_direction(scheme, mesh, tables, quad, kernel, Medium(ST, SS), m)
+            for m in range(len(quad))
+        ]
+        field = np.random.default_rng(11).standard_normal(
+            (len(quad), mesh.n_cells, tables.dof)
+        )
+        maps = np.stack([_scatter_map(s) for s in systems])
+        ref = np.matmul(apply_scatter(kernel, quad, field), maps)
+        buf = np.empty_like(field)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            got = scattering_source(systems, kernel, quad, field, out=buf)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert got is buf
+        assert_array_equal(got, ref)
+        assert peak <= 0.1 * field.nbytes
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_norm_matches_quadrature(self, quad, k):
