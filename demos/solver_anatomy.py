@@ -42,8 +42,9 @@ print("ratios       :", np.array2string(errs[1:] / errs[:-1],
                                         formatter={"float": "{:.3f}".format}))
 
 # The trapezoid ordinate set keeps theta = 0 and theta = 2 pi as two
-# separate unknowns with the same direction; their solves are
-# independent, so agreement is a useful end-to-end consistency check.
+# rows with the same direction and right side; the loop solves that
+# direction once and fills the last row from the first, so they agree
+# exactly.
 gap = np.max(np.abs(sol.field[0] - sol.field[-1]))
 print(f"duplicate endpoint ordinates agree to {gap:.2e}")
 

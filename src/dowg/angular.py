@@ -62,9 +62,11 @@ def build_circle_trapezoid(M):
 
     Returns M+1 ordinates theta_m = m*h, m = 0..M, with the endpoint
     weights halved: w_0 = w_M = h/2 and w_m = h in the interior.
-    theta_0 = 0 and theta_M = 2*pi carry the same direction vector but
-    are kept as distinct ordinates; downstream solves treat them
-    separately and their solutions coincide by construction.
+    theta_0 = 0 and theta_M = 2*pi carry the same direction vector, so
+    the kernel rows and columns of the two are equal too.  The rule keeps
+    both rows and their weights; source iteration solves the direction
+    once, with the summed weight h, and fills the last row of the field
+    from the first (``solver.source_iteration``).
 
     Parameters
     ----------

@@ -29,6 +29,13 @@ wavefront ``_Sweep``.  The loop holds three fields whose roles rotate
 (``_fused_sweep``), the scattering source is written into the free one,
 so no field is allocated or copied per sweep, and SuperLU is imported
 only when a run builds the exact pairs.
+Ordinates whose systems, kernel rows and columns and right sides are
+equal bit for bit are one direction (``_fold``): the trapezoid rule's
+theta = 2 pi and theta = 0.  The whole loop, its pairs, buffers,
+scattering, norms and certification, runs on one representative of
+each, weighted by the group's summed weight and counted once per member
+in the residual, and each repeated row of the field is filled from its
+representative at the end.
 Ordering cells by upwind distance makes each transport matrix block
 lower triangular up to a weak downwind remainder
 (the DODG jump penalty; WG sweeps its matrix plus its own stabilizer,
@@ -44,10 +51,12 @@ the exact pairs for every ordinate (``IterationTrace.escalated``).
 """
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
+
+from .angular import AngularQuadrature
 
 # the benchmark's tracer (perfbench/tracing.py) patches these three names here
 from .assembly import assemble_direction, l2_dom_norm, scattering_source  # noqa: F401
@@ -325,73 +334,132 @@ def _bound(errs, residuals):
     return 2.0 * rho / (1.0 - rho) * errs[-1]
 
 
-def _fused_sweep(systems, kernel, quad, pinv, rows):
+def _fused_sweep(systems, kernel, quad, pinv, rows, repeats):
     """One sweep of every ordinate on ``rows``, the iterate x, the
     previous g and a free buffer: g = b + S x - R x is formed in the free
     one, the new iterate P^{-1} g in the previous g's and the update in
     x's, so the next sweep takes the three rotated by one.  Returns the
     residual's sums ||g - g_prev||^2 = ||b + S x - A x||^2 (as P x =
-    g_prev) and ||b + S x||^2."""
+    g_prev) and ||b + S x||^2, in which each ``(m, count)`` of
+    ``repeats`` counts ordinate m count times more, once for each
+    ordinate it stands for."""
     x, g_prev, g = (r[:-1].reshape(len(systems), -1) for r in rows)
     field = x.reshape(len(systems), -1, rows[0].shape[1])
     scattering_source(systems, kernel, quad, field, out=g.reshape(field.shape))
     for m, system in enumerate(systems):
         g[m] += system.rhs_fixed
-    den = np.vdot(g, g)
+    den = np.vdot(g, g) + sum(c * np.vdot(g[m], g[m]) for m, c in repeats)
     for m, R in enumerate(pinv.R):
         if R is not None:
             g[m] -= R @ x[m]
     # r = g - g_prev, formed as its negative in place of g_prev
     np.subtract(g_prev, g, out=g_prev)
-    num = np.vdot(g_prev, g_prev)
+    num = np.vdot(g_prev, g_prev) + sum(c * np.vdot(g_prev[m], g_prev[m]) for m, c in repeats)
     pinv.solve(rows[2], out=rows[1][:-1])
     np.subtract(g_prev, x, out=x)  # g_prev's buffer holds the new iterate
     return num, den
+
+
+def _fold(systems, kernel, quad):
+    """The run on one representative per distinct direction.
+
+    Ordinates share a group when their direction vectors, scheme, medium
+    and inflow sign, their kernel rows and columns and their right sides
+    are all equal bit for bit; the first of a group represents it.
+    Returns ``(reps, group, systems, kernel, quad)``: the representatives'
+    ordinates, each ordinate's representative as a row of the folded run,
+    and that run's systems, its kernel restricted to the representatives
+    and its quadrature, each representative weighted by its group's
+    summed weights.  With no repeated ordinate the run is the given one.
+    """
+    K = kernel.matrix
+    reps, group, by_direction = [], [], {}
+    for m, system in enumerate(systems):
+        same = by_direction.setdefault(system.direction.tobytes(), [])
+        for i in same:
+            r, other = reps[i], systems[reps[i]]
+            if ((system.scheme, system.medium, system.inflow_sign)
+                    == (other.scheme, other.medium, other.inflow_sign)
+                    and np.array_equal(K[m], K[r]) and np.array_equal(K[:, m], K[:, r])
+                    and np.array_equal(system.rhs_fixed, other.rhs_fixed)):
+                group.append(i)
+                break
+        else:
+            same.append(len(reps))
+            group.append(len(reps))
+            reps.append(m)
+    reps, group = np.array(reps), np.array(group)
+    if len(reps) == len(systems):
+        return reps, group, systems, kernel, quad
+    folded = AngularQuadrature(quad.thetas[reps], np.bincount(group, weights=quad.weights),
+                               quad.vectors[reps])
+    kernel = replace(kernel, matrix=K[np.ix_(reps, reps)], row_mass=kernel.row_mass[reps])
+    return reps, group, [systems[r] for r in reps], kernel, folded
 
 
 def source_iteration(systems, kernel, quad, cfg=None, certify=None, start=None):
     """Run the fused sweep-scattering loop over all direction systems.
 
     Returns ``(field, trace)`` with ``field`` of shape (L, C, dof).  The
-    loop starts from zero, or from ``start`` (float64, shape (L, C, dof)):
-    that array is the returned field, filled once at the end, and each
-    ordinate's P x0 is formed with its pair, so the first residual is
-    that of ``start`` and the stop is the same as from zero.  It stops
-    once the iteration-error bound and the coupled relative residual are
-    both at most ``cfg.tol``.  If ``certify`` is given, it maps that
-    field to a target for the bound; while the bound is above it, the
-    loop resumes with the target as its tolerance.  Running out of
-    ``cfg.max_outer`` sweeps, or an update norm or residual that is not
-    finite, is flagged in the trace rather than raised; the partial field
-    is still returned.
+    loop runs on one ordinate per distinct direction (``_fold``): the
+    stock trapezoid rule's theta = 2 pi rides on theta = 0, and each
+    repeated row of the field is filled from its representative once, at
+    the end.  It starts from zero, or from ``start`` (float64, shape
+    (L, C, dof)): that array is the returned field, filled once at the
+    end, and each ordinate's P x0 is formed with its pair, so the first
+    residual is that of ``start`` and the stop is the same as from zero.
+    It stops once the iteration-error bound and the coupled relative
+    residual are both at most ``cfg.tol``.  If ``certify`` is given,
+    ``certify(field, quad)`` maps the loop's field over the distinct
+    directions and their quadrature to a target for the bound; while the
+    bound is above it, the loop resumes with the target as its tolerance.
+    Running out of ``cfg.max_outer`` sweeps, or an update norm or
+    residual that is not finite, is flagged in the trace rather than
+    raised; the partial field is still returned.  The trace counts every
+    ordinate, repeated ones too, in ``escalated``.
     """
     cfg = cfg or SourceIterationConfig()
     if len(systems) != len(quad):
         raise ValueError("one system per quadrature ordinate is required")
+    L, C, d = len(systems), systems[0].mesh.n_cells, systems[0].tables.dof
+    if start is not None and (start.shape != (L, C, d) or start.dtype != np.float64):
+        raise ValueError(f"start field must be float64 of shape {(L, C, d)}, "
+                         f"got {start.dtype} of shape {start.shape}")
+    reps, group, systems, kernel, quad = _fold(systems, kernel, quad)
+    field, trace = _loop(systems, kernel, quad, cfg, certify, start, reps, group)
+    if start is not None or len(reps) < L:
+        # the loop's other buffers are freed by now
+        field = np.take(field, group, axis=0, out=start, mode="clip")
+    return field, trace
+
+
+def _loop(systems, kernel, quad, cfg, certify, start, reps, group):
+    """``source_iteration`` on the folded run (``_fold``), from the
+    representatives' rows of ``start`` if given; returns the loop's own
+    field and the trace.  The residual and the escalation count every
+    ordinate, each representative once per member of its group."""
     mesh, tables = systems[0].mesh, systems[0].tables
-    L, C, d = len(systems), mesh.n_cells, tables.dof
+    L, B, C, d = len(group), len(systems), mesh.n_cells, tables.dof
+    repeats = [(m, c - 1) for m, c in enumerate(np.bincount(group)) if c > 1]
 
     # the previous g (P x of the iterate) as rows of d and a zero row, read
     # where a cell has no upwind neighbour; the other two after the set-up
-    g_prev = np.zeros((L * C + 1, d))
+    g_prev = np.zeros((B * C + 1, d))
     if start is not None:
-        if start.shape != (L, C, d) or start.dtype != np.float64:
-            raise ValueError(f"start field must be float64 of shape {(L, C, d)}, "
-                             f"got {start.dtype} of shape {start.shape}")
-        g_prev[:-1] = start.reshape(-1, d)
+        np.take(start, reps, axis=0, out=g_prev[:-1].reshape(B, C, d), mode="clip")
     pinv = (_Exact if systems[0].n_dof <= _EXACT_UP_TO else _Sweep)(
         systems, None if start is None else g_prev)
     rows = [np.zeros(g_prev.shape), g_prev, np.zeros(g_prev.shape)]
     if start is not None:
-        rows[0][:-1] = start.reshape(-1, d)
+        np.take(start, reps, axis=0, out=rows[0][:-1].reshape(B, C, d), mode="clip")
     errs, residuals = [], []
     tol = cfg.tol
     converged, escalated = False, 0
     bound = residual = np.inf
     while len(errs) < cfg.max_outer:
-        num, den = _fused_sweep(systems, kernel, quad, pinv, rows)
+        num, den = _fused_sweep(systems, kernel, quad, pinv, rows, repeats)
         rows = rows[1:] + rows[:1]
-        field, update = (r[:-1].reshape(L, C, d) for r in (rows[0], rows[2]))
+        field, update = (r[:-1].reshape(B, C, d) for r in (rows[0], rows[2]))
         residual = float(np.sqrt(num / den)) if num else 0.0
         residuals.append(residual)
         errs.append(l2_dom_norm(mesh, tables, quad, update))
@@ -399,7 +467,7 @@ def source_iteration(systems, kernel, quad, cfg=None, certify=None, start=None):
         if not np.isfinite(errs[-1] + residual):
             break  # the field overflowed: stop uncertified
         if bound <= tol and residual <= tol:
-            target = tol if certify is None else certify(field)
+            target = tol if certify is None else certify(field, quad)
             if bound <= target:
                 converged = True
                 break
@@ -413,13 +481,10 @@ def source_iteration(systems, kernel, quad, cfg=None, certify=None, start=None):
             warnings.warn(
                 f"update norm {errs[-1]:.3e} has not fallen in {_STALL} "
                 f"sweeps; switching {L} of {L} ordinates to sparse LU",
-                RuntimeWarning, stacklevel=2,
+                RuntimeWarning, stacklevel=3,
             )
             # the previous g becomes A x, as the exact pairs take P = A
             rows[1][:-1] = rows[0][:-1]
             pinv = _Exact(systems, rows[1])
             escalated = L
-    if start is not None:
-        start[...] = field
-        field = start
     return field, IterationTrace(errs, converged, bound, residual, escalated)

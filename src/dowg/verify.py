@@ -21,9 +21,11 @@ weighted broken L2 norm (the tabulated quantity) and the triple norm
 that adds edge-mismatch and boundary terms.
 """
 
+import operator
 import resource
 import time
 from dataclasses import dataclass, field as dc_field
+from functools import reduce
 
 import numpy as np
 
@@ -39,11 +41,7 @@ from .assembly import (
     WG,
     Medium,
     _add_inflow,
-    _boundary_sum,
-    _face_traces,
-    _jump_sum,
     _side_points,
-    _side_traces,
     assemble_direction,
 )
 from .elements import (
@@ -82,12 +80,12 @@ class Separable:
     terms: tuple
 
     def __call__(self, x, y, th):
-        return sum(a(th) * g(x, y) for a, g in self.terms)
+        return reduce(operator.add, (a(th) * g(x, y) for a, g in self.terms))
 
     def sampled(self, sample):
         """theta -> sum_j a_j(theta) sample(g_j), each sample(g_j) taken here, once."""
         parts = [(a, sample(g)) for a, g in self.terms]
-        return lambda th: sum(a(th) * G for a, G in parts)
+        return lambda th: reduce(operator.add, (a(th) * G for a, G in parts))
 
 
 @dataclass(frozen=True)
@@ -276,7 +274,11 @@ def _check_memory(k, level, M, budget=None):
     previous g that its P x0 is formed into; so the set-up counts with
     those two, and the loop holds four of the five.  The coarse field it
     was prolonged from, a quarter of one field, is freed before the level
-    assembles.
+    assembles.  The loop solves theta = 2 pi with theta = 0, so its pairs
+    and fields hold M of the L = M + 1 ordinates; the formula still
+    counts L, which leaves one ordinate of margin.  From zero the
+    returned field is filled after the loop has freed its pairs and two
+    of its fields, so it and the loop's field stay below the count.
 
     The dense (L, L) arrays of the scattering kernel come on top.  Its
     build, which runs before anything else is allocated, peaks at four
@@ -322,17 +324,26 @@ def _case_kernel(case, quad, renormalize):
 
 def _assemble_all(case, scheme, mesh, tables, quad, kernel):
     """Every ordinate's system, its right side combined from the spatial
-    factors of the source (pre-weighted by h^2 w) and inflow data, sampled here once."""
+    factors of the source (pre-weighted by h^2 w) and inflow data, sampled here once.
+
+    An ordinate whose direction vector an earlier one has bit for bit
+    shares that one's right side, so the loop solves the direction once
+    (``source_iteration``): the trapezoid rule's theta = 2 pi takes the
+    right side of theta = 0."""
     q = tables.quad
     X, Y = mesh.points(q.vol_points)
     f = case.f.sampled(lambda g: mesh.h**2 * q.vol_weights * _sample(g, X, Y))
     u_in = [case.u_in.sampled(lambda g: _sample(g, x, y)) for x, y in _side_points(mesh, q)]
-    systems = []
+    first, systems = {}, []
     for m, th in enumerate(quad.thetas):
         system = assemble_direction(scheme, mesh, tables, quad, kernel, case.medium, m)
-        rhs = system.rhs_fixed.reshape(mesh.n_cells, tables.dof)
-        rhs += f(th) @ system.scatter_test
-        _add_inflow(rhs, mesh, tables, system.direction, lambda b: u_in[b](th))
+        same = first.setdefault(quad.vectors[m].tobytes(), m)
+        if same < m:
+            system.rhs_fixed = systems[same].rhs_fixed
+        else:
+            rhs = system.rhs_fixed.reshape(mesh.n_cells, tables.dof)
+            rhs += f(th) @ system.scatter_test
+            _add_inflow(rhs, mesh, tables, system.direction, lambda b: u_in[b](th))
         systems.append(system)
     return systems
 
@@ -372,7 +383,8 @@ def measure_error(field, case, mesh, tables, quad, triple=True):
 def _errors(field, case, mesh, tables, quad):
     """``measure_error`` in two steps: the broken-L2 error now, and a
     function that finishes the triple-norm error from the same volume
-    terms, for as long as ``field`` is left as it is."""
+    terms, for as long as ``field`` is left as it is.  ``field`` has one
+    row per ordinate of ``quad``."""
     field = np.asarray(field)
     h = mesh.h
     k = tables.basis.k
@@ -381,23 +393,42 @@ def _errors(field, case, mesh, tables, quad):
 
     X, Y = mesh.points(fq.vol_points)
     u = case.u.sampled(lambda g: _sample(g, X, Y))
-    # one ordinate at a time, so no (L, C, q) array is formed
+    # one ordinate at a time into one (C, q) buffer, so no (L, C, q) array is formed
+    diff = np.empty(X.shape)
     vol = np.empty(len(quad))
     for m, th in enumerate(quad.thetas):
-        diff = field[m] @ fine.V.T - u(th)
-        vol[m] = h * h * np.sum(diff**2 @ fq.vol_weights)
+        np.matmul(field[m], fine.V.T, out=diff)
+        diff -= u(th)
+        np.square(diff, out=diff)
+        vol[m] = h * h * np.sum(diff @ fq.vol_weights)
     err_dom = float(np.sqrt(np.sum(quad.weights * vol)))
 
     def triple():
         edges = [case.u.sampled(lambda g: _sample(g, x, y)) for x, y in _side_points(mesh, fq)]
+        faces = mesh.interior_faces()
+        sides = [mesh.boundary_cells(b) for b in range(4)]
+        we, fwe = tables.quad.edge_weights, fq.edge_weights
         total = 0.0
         for m, th in enumerate(quad.thetas):
             kappa = np.abs(SIDE_NORMALS @ quad.vectors[m]) * h
-            faces, _ = _face_traces(mesh, tables, field[m])
-            jump = _jump_sum(kappa, tables.quad.edge_weights, faces, faces)
-            sides = _side_traces(mesh, fine, field[m])
-            diff = [t - u_b(th) for t, u_b in zip(sides, edges)]
-            bdy = _boundary_sum(kappa, fq.edge_weights, diff, diff)
+            coeffs = field[m]
+            # the mismatch [u_h] on the interior faces (the exact u is
+            # continuous) and u_h - u on the boundary, weighted and summed
+            # in the arithmetic order of ``_jump_sum`` and ``_boundary_sum``,
+            # so the sums are theirs bit for bit; sides with kappa 0 add nothing
+            jump = 0.0
+            for s1, s2, c1, c2 in faces:
+                if kappa[s1] != 0.0:
+                    jmp = np.take(coeffs, c1, axis=0) @ tables.trace[s1].T
+                    jmp -= np.take(coeffs, c2, axis=0) @ tables.trace[s2].T
+                    jump += kappa[s1] * np.sum(we * jmp * jmp)
+            bdy = 0.0
+            for b, (cells, u_b) in enumerate(zip(sides, edges)):
+                if kappa[b] != 0.0:
+                    diff = np.take(coeffs, cells, axis=0) @ fine.trace[b].T
+                    diff -= u_b(th)
+                    np.square(diff, out=diff)
+                    bdy += kappa[b] * np.sum(fwe * diff)
             total += quad.weights[m] * (vol[m] + 0.5 * jump + bdy)
         return float(np.sqrt(total))
 
@@ -413,20 +444,21 @@ def project_exact(case, mesh, tables, quad):
 
 def _iterate(systems, kernel, quad, tol, where, errors, start=None):
     """``source_iteration`` for one table row, from zero or from
-    ``start``; returns ``(field, trace, errors(field))``, ``errors`` as
-    ``_errors``.
+    ``start``; returns ``(field, trace, errors(field, quad))``,
+    ``errors(field, quad)`` as ``_errors`` with a field and its quadrature.
 
     With ``tol`` None the row is certified: the loop starts at the
     production tolerance and resumes until its iteration-error bound is
-    at most 1% of its L2 error, ``errors(field)[0]``; the loop stops
-    right after the call that certifies it, so that call's errors are
-    returned.  A row that stops uncertified raises SolverFailure with
-    ``where``, so none is tabulated.
+    at most 1% of its L2 error, measured on the loop's own field over the
+    distinct directions and their quadrature; the loop stops right after
+    the call that certifies it, so that call's errors are returned.  A
+    row that stops uncertified raises SolverFailure with ``where``, so
+    none is tabulated.
     """
     measured = []
 
-    def certify(field):
-        measured[:] = [errors(field)]
+    def certify(field, quad):
+        measured[:] = [errors(field, quad)]
         return 0.01 * measured[0][0]
 
     cfg = SourceIterationConfig(tol=1e-3 if tol is None else tol)
@@ -441,7 +473,7 @@ def _iterate(systems, kernel, quad, tol, where, errors, start=None):
             f"relative residual {trace.residual:.3e}",
             trace.residual,
         )
-    return field, trace, measured[0] if measured else errors(field)
+    return field, trace, measured[0] if measured else errors(field, quad)
 
 
 def run_convergence(case="example1", scheme=None, k=1, levels=range(3, 8), M=20,
@@ -480,7 +512,7 @@ def run_convergence(case="example1", scheme=None, k=1, levels=range(3, 8), M=20,
         systems = _assemble_all(case, scheme, mesh, tables, quad, kernel)
         field, trace, (err_dom, triple) = _iterate(
             systems, kernel, quad, tol, f"level {lv} (1/h = {mesh.n})",
-            lambda f: _errors(f, case, mesh, tables, quad), field,
+            lambda f, q: _errors(f, case, mesh, tables, q), field,
         )
         wall = time.perf_counter() - t0
         eoc = None if prev is None else float(np.log2(prev / err_dom))
@@ -542,7 +574,7 @@ def run_angular_study(case="example2", scheme=None, k=2, level=5,
         systems = _assemble_all(case, scheme, mesh, tables, quad, kernel)
         _, _, (err_dom, _) = _iterate(
             systems, kernel, quad, tol, f"M = {M}",
-            lambda f: _errors(f, case, mesh, tables, quad),
+            lambda f, q: _errors(f, case, mesh, tables, q),
         )
         rows.append((M, err_dom))
     return AngularStudyReport(case.name, scheme.name, k, level, rows)

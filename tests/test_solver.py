@@ -1,5 +1,6 @@
 import io
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -18,6 +19,7 @@ from test_class_stencil import _dinv_cells, _inverse
 
 import dowg.solver
 from dowg.angular import (
+    AngularQuadrature,
     HenyeyGreenstein,
     Isotropic,
     build_circle_trapezoid,
@@ -27,7 +29,7 @@ from dowg.assembly import (
     DODG, DODSD, WG, DirectionSystem, Medium, assemble_direction, l2_dom_norm,
     scattering_source,
 )
-from dowg.elements import ElementQuadrature, ElementTables, LocalBasis, project_field
+from dowg.elements import ElementQuadrature, ElementTables, LocalBasis, _prolong, project_field
 from dowg.mesh import build_mesh
 from dowg.solver import (
     IterationTrace,
@@ -37,7 +39,7 @@ from dowg.solver import (
     _Sweep,
     source_iteration,
 )
-from dowg.verify import _iterate, run_convergence, solve_case
+from dowg.verify import _assemble_all, _iterate, build_case, run_convergence, solve_case
 
 
 def _setup(level=2, k=1, sigma_s=0.5, phase=None, renormalize=True):
@@ -181,19 +183,31 @@ class _FrontLoopSweep(_Sweep):
         return x
 
 
-def _per_ordinate_loop(systems, kernel, quad, cfg, start=None):
+def _per_ordinate_loop(systems, kernel, quad, cfg, start=None, fold=True):
     """Reference: the loop as it was before the fused sweep, a Python
     pass over the ordinates per sweep, each forming its g, residual sums
     and previous g on its own, with the exact pairs solved ordinate by
     ordinate and the swept ones after the pass.  Covers runs whose
-    ordinates all have a remainder or none; returns (field, trace)."""
-    mesh, tables = systems[0].mesh, systems[0].tables
-    L, C, d = len(systems), mesh.n_cells, tables.dof
-    g_rows = np.zeros((L * C + 1, d))
-    g_prev = g_rows[:-1].reshape(L, C * d)
-    field = np.zeros((L, C, d)) if start is None else start
+    ordinates all have a remainder or none; returns (field, trace).
+    With ``fold`` it runs on the solver's groups (``_fold``): one
+    representative per group, counted once per member in the residual
+    sums and the escalation, and the field filled from them at the end;
+    without, on every ordinate, as the loop did before the fold."""
+    L = len(systems)
+    reps = group = np.arange(L)
+    if fold:
+        reps, group, systems, kernel, quad = dowg.solver._fold(systems, kernel, quad)
+    count = np.bincount(group)
+    out = start
     if start is not None:
-        g_prev[:] = start.reshape(L, C * d)
+        start = start[reps]
+    mesh, tables = systems[0].mesh, systems[0].tables
+    B, C, d = len(systems), mesh.n_cells, tables.dof
+    g_rows = np.zeros((B * C + 1, d))
+    g_prev = g_rows[:-1].reshape(B, C * d)
+    field = np.zeros((B, C, d)) if start is None else start
+    if start is not None:
+        g_prev[:] = start.reshape(B, C * d)
 
     def exact(system, x=None):
         A = system.matrix
@@ -220,8 +234,8 @@ def _per_ordinate_loop(systems, kernel, quad, cfg, start=None):
             R = remainders.get(m)
             g = rhs if R is None else rhs - R @ field[m].ravel()
             r = g - g_prev[m]
-            num += r @ r
-            den += rhs @ rhs
+            num += count[m] * (r @ r)
+            den += count[m] * (rhs @ rhs)
             g_prev[m] = g
             if m in solves:
                 x = solves[m](g).reshape(C, d)
@@ -248,12 +262,22 @@ def _per_ordinate_loop(systems, kernel, quad, cfg, start=None):
             switched = True
             inexact = [m for m, R in remainders.items() if R is not None]
             if inexact:
-                assert len(inexact) == L
+                assert len(inexact) == B
                 for m in inexact:
                     g_prev[m] = field[m].ravel()
                     solves[m] = exact(systems[m], g_prev[m])
-                sweep, remainders, escalated = None, {}, len(inexact)
-    return field, IterationTrace(errs, converged, bound, residual, escalated)
+                sweep, remainders, escalated = None, {}, L
+    if out is None:
+        out = np.empty((L, C, d))
+    out[...] = field[group]
+    return out, IterationTrace(errs, converged, bound, residual, escalated)
+
+
+def _stock_endpoint(systems):
+    """The systems with the last one's right side the first one's, as
+    ``verify._assemble_all`` builds the trapezoid rule's theta = 2 pi:
+    the run solves that direction once."""
+    return systems[:-1] + [replace(systems[-1], rhs_fixed=systems[0].rhs_fixed)]
 
 
 _SCHEMES = {"wg": WG(), "dodg": DODG(), "dodsd": DODSD()}
@@ -549,10 +573,15 @@ class TestPerOrdinateLoopEquivalence:
     """The fused sweep reproduces the per-ordinate loop it replaced bit
     for bit: the same fields and sweep counts, and the residual and
     bound up to the order of the residual's sums.  Q2 at 1/h = 8 takes
-    the exact pairs, Q1 at 1/h = 16 the sweep."""
+    the exact pairs, Q1 at 1/h = 16 the sweep.  The systems give
+    theta = 2 pi the right side of theta = 0, as the stock runs do, so
+    both loops solve that direction once; against the loop that solves
+    it twice the fields agree to roundoff."""
 
     @staticmethod
     def _compare(systems, kernel, quad, cfg, start=None):
+        # theta = 2 pi rides on theta = 0
+        assert dowg.solver._fold(systems, kernel, quad)[1][-1] == 0
         copy = None if start is None else start.copy()
         field, trace = source_iteration(systems, kernel, quad, cfg, start=start)
         ref, tref = _per_ordinate_loop(systems, kernel, quad, cfg, start=copy)
@@ -569,7 +598,8 @@ class TestPerOrdinateLoopEquivalence:
     @pytest.mark.parametrize("name", sorted(_SCHEMES))
     def test_fields_are_bitwise_equal(self, name, k, level, start):
         quad, kernel, medium, mesh, tables = _setup(level=level, k=k)
-        systems = _systems(_SCHEMES[name], quad, kernel, medium, mesh, tables, f=_source)
+        systems = _stock_endpoint(
+            _systems(_SCHEMES[name], quad, kernel, medium, mesh, tables, f=_source))
         assert (systems[0].n_dof <= dowg.solver._EXACT_UP_TO) == (k == 2)
         x0 = None
         if start == "random":
@@ -582,7 +612,7 @@ class TestPerOrdinateLoopEquivalence:
     def test_across_the_fallback(self, monkeypatch, start):
         monkeypatch.setattr(dowg.solver, "_sweep_shift", lambda s: None)
         quad, kernel, medium, mesh, tables = _setup(level=4, k=1)
-        systems = _systems(WG(), quad, kernel, medium, mesh, tables, f=_source)
+        systems = _stock_endpoint(_systems(WG(), quad, kernel, medium, mesh, tables, f=_source))
         x0 = None
         if start == "random":
             shape = (len(quad), mesh.n_cells, tables.dof)
@@ -597,7 +627,7 @@ class TestPerOrdinateLoopEquivalence:
     @pytest.mark.parametrize("start", ["zero", "random"])
     def test_every_rotation(self, start, max_outer):
         quad, kernel, medium, mesh, tables = _setup(level=4, k=1)
-        systems = _systems(WG(), quad, kernel, medium, mesh, tables, f=_source)
+        systems = _stock_endpoint(_systems(WG(), quad, kernel, medium, mesh, tables, f=_source))
         x0 = None
         if start == "random":
             shape = (len(quad), mesh.n_cells, tables.dof)
@@ -611,7 +641,7 @@ class TestPerOrdinateLoopEquivalence:
         # sweeps on them, from a random start
         monkeypatch.setattr(dowg.solver, "_sweep_shift", lambda s: None)
         quad, kernel, medium, mesh, tables = _setup(level=4, k=1)
-        systems = _systems(WG(), quad, kernel, medium, mesh, tables, f=_source)
+        systems = _stock_endpoint(_systems(WG(), quad, kernel, medium, mesh, tables, f=_source))
         shape = (len(quad), mesh.n_cells, tables.dof)
         x0 = np.random.default_rng(14).standard_normal(shape)
         cfg = SourceIterationConfig(tol=1e-9, max_outer=13)
@@ -620,17 +650,151 @@ class TestPerOrdinateLoopEquivalence:
         assert trace.iterations == 13 and trace.escalated == len(quad)
 
 
+    @pytest.mark.parametrize("k, level", [(2, 3), (1, 4)])
+    @pytest.mark.parametrize("name", sorted(_SCHEMES))
+    def test_unfolded_loop_agrees_to_roundoff(self, name, k, level):
+        quad, kernel, medium, mesh, tables = _setup(level=level, k=k)
+        systems = _stock_endpoint(
+            _systems(_SCHEMES[name], quad, kernel, medium, mesh, tables, f=_source))
+        cfg = SourceIterationConfig(tol=1e-9)
+        field, trace = source_iteration(systems, kernel, quad, cfg)
+        ref, tref = _per_ordinate_loop(systems, kernel, quad, cfg, fold=False)
+        assert trace.converged and trace.iterations == tref.iterations
+        assert np.abs(field - ref).max() <= 1e-14 * np.abs(ref).max()
+        # the last residual is a difference of nearly equal right sides
+        assert trace.residual == pytest.approx(tref.residual, rel=1e-6, abs=0)
+
+
+def _unfolded(systems, kernel, quad):
+    """``solver._fold`` that keeps every ordinate: the loop before the fold."""
+    every = np.arange(len(systems))
+    return every, every, systems, kernel, quad
+
+
+class TestFold:
+    """The loop solves each distinct direction once: the stock trapezoid
+    rule's theta = 2 pi rides on theta = 0, and the returned field's last
+    row is its first, bit for bit.  A run with no repeated row runs as
+    before."""
+
+    @staticmethod
+    def _counted(monkeypatch):
+        """Record the ordinate count each P^{-1} object is built for, and
+        each sparse LU factorization."""
+        built = []
+
+        class Sweep(_Sweep):
+            def __init__(self, systems, start=None):
+                built.append(("sweep", len(systems)))
+                super().__init__(systems, start)
+
+        class Exact(_Exact):
+            def __init__(self, systems, start=None):
+                built.append(("exact", len(systems)))
+                super().__init__(systems, start)
+
+        real = spla.splu
+
+        def splu(*args, **kwargs):
+            built.append(("splu", 1))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(dowg.solver, "_Sweep", Sweep)
+        monkeypatch.setattr(dowg.solver, "_Exact", Exact)
+        monkeypatch.setattr(spla, "splu", splu)
+        return built
+
+    @pytest.mark.parametrize("level, pairs", [(3, "exact"), (4, "sweep")])
+    def test_twenty_of_twenty_one_are_set_up(self, monkeypatch, level, pairs):
+        built = self._counted(monkeypatch)
+        sol = solve_case("example1", k=1, level=level, M=20)
+        assert sol.trace.converged and len(sol.systems) == 21
+        # the drivers give theta = 2 pi the right side of theta = 0
+        assert sol.systems[-1].rhs_fixed is sol.systems[0].rhs_fixed
+        assert sol.field.shape == (21, sol.mesh.n_cells, 4)
+        factored = 20 if pairs == "exact" else 0
+        assert built == [(pairs, 20)] + [("splu", 1)] * factored
+        assert sol.field[-1].tobytes() == sol.field[0].tobytes()
+
+    @pytest.mark.parametrize("name", sorted(_SCHEMES))
+    def test_nested_start_fills_the_last_row(self, name):
+        case = build_case("example2")
+        coarse = solve_case(case, scheme=_SCHEMES[name], k=1, level=3)
+        mesh = build_mesh(4)
+        systems = _assemble_all(case, _SCHEMES[name], mesh, coarse.tables, coarse.quad,
+                                coarse.kernel)
+        start = _prolong(coarse.field, coarse.tables.basis)
+        field, trace = source_iteration(systems, coarse.kernel, coarse.quad, start=start)
+        assert trace.converged and field is start
+        assert field[-1].tobytes() == field[0].tobytes()
+
+    @pytest.mark.parametrize("level", [3, 4])
+    def test_three_ordinates_two_distinct(self, monkeypatch, level):
+        # M = 2: theta = 0, pi and 2 pi
+        sol = solve_case("example2", k=1, level=level, M=2, cfg=SourceIterationConfig(tol=1e-9))
+        assert sol.field[2].tobytes() == sol.field[0].tobytes()
+        reps, group, _, _, quad = dowg.solver._fold(sol.systems, sol.kernel, sol.quad)
+        assert list(reps) == [0, 1] and list(group) == [0, 1, 0]
+        assert_array_equal(quad.weights, [np.pi, np.pi])
+        monkeypatch.setattr(dowg.solver, "_fold", _unfolded)
+        ref, tref = source_iteration(sol.systems, sol.kernel, sol.quad,
+                                     SourceIterationConfig(tol=1e-9))
+        assert tref.iterations == sol.trace.iterations
+        assert np.abs(sol.field - ref).max() <= 1e-14 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("hand", ["distinct directions", "f at 2 pi"])
+    @pytest.mark.parametrize("k, level", [(2, 3), (1, 4)])
+    def test_no_repeated_row_runs_as_before(self, hand, k, level):
+        # a quadrature of 20 distinct directions, or the stock one with f
+        # evaluated at theta = 2 pi: nothing folds, and the field is bit
+        # for bit the per-ordinate loop's over every ordinate
+        quad, kernel, medium, mesh, tables = _setup(level=level, k=k)
+        if hand == "distinct directions":
+            quad = AngularQuadrature(quad.thetas[:-1], np.full(20, 2 * np.pi / 20),
+                                     quad.vectors[:-1])
+            kernel = build_scatter_kernel(quad, HenyeyGreenstein(0.5), 2.0, 0.5,
+                                          renormalize=True)
+        systems = _systems(DODG(), quad, kernel, medium, mesh, tables, f=_source)
+        reps, _, same, folded, fquad = dowg.solver._fold(systems, kernel, quad)
+        assert len(reps) == len(quad) and same is systems
+        assert folded is kernel and fquad is quad
+        cfg = SourceIterationConfig(tol=1e-9)
+        field, trace = source_iteration(systems, kernel, quad, cfg)
+        ref, tref = _per_ordinate_loop(systems, kernel, quad, cfg, fold=False)
+        assert trace.converged and trace.iterations == tref.iterations
+        assert field.tobytes() == ref.tobytes()
+
+    def test_fallback_counts_every_ordinate(self, monkeypatch):
+        monkeypatch.setattr(dowg.solver, "_sweep_shift", lambda s: None)
+        built = self._counted(monkeypatch)
+        quad, kernel, medium, mesh, tables = _setup(level=4, k=1)
+        systems = _stock_endpoint(_systems(WG(), quad, kernel, medium, mesh, tables, f=_source))
+        with pytest.warns(RuntimeWarning) as record:
+            field, trace = source_iteration(systems, kernel, quad,
+                                            SourceIterationConfig(tol=1e-9))
+        [warned] = [w for w in record if w.category is RuntimeWarning]
+        assert re.fullmatch(r"update norm \S+ has not fallen in 10 sweeps; "
+                            r"switching 21 of 21 ordinates to sparse LU", str(warned.message))
+        # it points at the caller of source_iteration
+        assert warned.filename == __file__
+        assert trace.converged and trace.escalated == 21
+        assert built == [("sweep", 20), ("exact", 20)] + [("splu", 1)] * 20
+        assert field[-1].tobytes() == field[0].tobytes()
+
+
 class TestLoopMemory:
-    def test_peak_is_at_most_five_and_a_quarter_fields(self):
+    def test_peak_is_at_most_four_point_eight_fields(self):
         # the loop holds three fields and the sweep's work array of about
         # one with its index arrays; the scattering source is written
         # into the free buffer, so no kernel-contracted field is formed.
-        # DODSD Q1 at 1/h = 64 takes the sweep and no remainder
+        # theta = 2 pi rides on theta = 0, so each of these holds 20 of
+        # the 21 ordinates (5.0 fields when the loop solved all 21; 4.77
+        # measured).  DODSD Q1 at 1/h = 64 takes the sweep and no remainder
         quad, kernel, medium, mesh, tables = _setup(level=6, k=1)
-        systems = _systems(DODSD(), quad, kernel, medium, mesh, tables, f=_source)
+        systems = _stock_endpoint(_systems(DODSD(), quad, kernel, medium, mesh, tables, f=_source))
         n, d, L = mesh.n, tables.dof, len(systems)
         # each front's cells and a pad column at either end, per ordinate
-        assert _Sweep(systems)._work.shape == (L * (n * n + 2 * (2 * n - 1)), d)
+        assert _Sweep(systems[:-1])._work.shape == ((L - 1) * (n * n + 2 * (2 * n - 1)), d)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
@@ -639,7 +803,7 @@ class TestLoopMemory:
         finally:
             tracemalloc.stop()
         assert trace.converged
-        assert peak <= 5.25 * L * mesh.n_cells * d * 8
+        assert peak <= 4.8 * L * mesh.n_cells * d * 8
 
 
 class TestSuperLUImport:
@@ -818,7 +982,7 @@ class TestCertifiedStop:
         systems = _systems(DODG(), quad, kernel, medium, mesh, tables, f=_source)
         asked = []
 
-        def certify(field):
+        def certify(field, quad):
             asked.append(len(asked))
             return 1e-10
 

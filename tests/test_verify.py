@@ -1,5 +1,6 @@
 import collections
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from dowg.assembly import (
     _side_traces,
     assemble_direction,
 )
-from dowg.elements import ElementQuadrature, ElementTables
+from dowg.elements import ElementQuadrature, ElementTables, _sample
 from dowg.mesh import SIDE_NORMALS, build_mesh
 from dowg.solver import SolverFailure, SourceIterationConfig, source_iteration
 from dowg.verify import (
@@ -180,6 +181,76 @@ def _pointwise_errors(field, case, mesh, tables, quad):
 _SCHEMES = {"wg": WG(), "dodg": DODG(), "dodsd": DODSD()}
 
 
+def _per_ordinate_errors(field, case, mesh, tables, quad):
+    """Reference: ``measure_error`` as it was before it reused its
+    buffers, with new arrays per ordinate, both traces of every face and
+    side, and the exact solution's terms summed from 0."""
+    h, k = mesh.h, tables.basis.k
+    fine = ElementTables(tables.basis, ElementQuadrature.build(k, k + 3, k + 3))
+    fq = fine.quad
+
+    def sampled(x, y):
+        parts = [(a, _sample(g, x, y)) for a, g in case.u.terms]
+        return lambda th: sum(a(th) * G for a, G in parts)
+
+    u = sampled(*mesh.points(fq.vol_points))
+    vol = np.empty(len(quad))
+    for m, th in enumerate(quad.thetas):
+        diff = field[m] @ fine.V.T - u(th)
+        vol[m] = h * h * np.sum(diff**2 @ fq.vol_weights)
+    err_dom = float(np.sqrt(np.sum(quad.weights * vol)))
+    edges = [sampled(x, y) for x, y in _side_points(mesh, fq)]
+    total = 0.0
+    for m, th in enumerate(quad.thetas):
+        kappa = np.abs(SIDE_NORMALS @ quad.vectors[m]) * h
+        faces, _ = _face_traces(mesh, tables, field[m])
+        jump = _jump_sum(kappa, tables.quad.edge_weights, faces, faces)
+        sides = _side_traces(mesh, fine, field[m])
+        diff = [t - u_b(th) for t, u_b in zip(sides, edges)]
+        bdy = _boundary_sum(kappa, fq.edge_weights, diff, diff)
+        total += quad.weights[m] * (vol[m] + 0.5 * jump + bdy)
+    return err_dom, float(np.sqrt(total))
+
+
+class TestMeasureErrorBuffers:
+    """``measure_error`` reuses one (C, q) buffer per pass and takes each
+    face's traces once: bit for bit the errors of the loop it replaced."""
+
+    @pytest.mark.parametrize("level", [3, 4])
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("scheme", sorted(_SCHEMES))
+    @pytest.mark.parametrize("name", ["example1", "example2"])
+    def test_bitwise_the_per_ordinate_loop(self, name, scheme, k, level):
+        case = build_case(name)
+        sol = solve_case(case, scheme=_SCHEMES[scheme], k=k, level=level)
+        got = measure_error(sol.field, case, sol.mesh, sol.tables, sol.quad)
+        assert got == _per_ordinate_errors(sol.field, case, sol.mesh, sol.tables, sol.quad)
+
+    def test_volume_pass_holds_two_arrays_at_any_m(self):
+        # with an exact solution of constant factors, the broken-L2 pass
+        # holds the points X and Y, its buffer and one sampled term, each
+        # (C, q), however many ordinates there are
+        case = ManufacturedCase(
+            "flat", u=Separable(((np.cos, lambda x, y: 1.0),)), scatter_u=None, f=None,
+            u_in=None, phase=Isotropic(), medium=Medium(),
+        )
+        mesh, tables = build_mesh(6), _build_tables(1)
+        q = (tables.basis.k + 3) ** 2
+        array = mesh.n_cells * q * 8
+        peaks = []
+        for M in (4, 64):
+            quad = build_circle_trapezoid(M)
+            field = np.random.default_rng(M).standard_normal((len(quad), mesh.n_cells, 4))
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                dowg.verify._errors(field, case, mesh, tables, quad)
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) <= (2 + 2.1) * array
+
+
 class TestSeparableTerms:
     # level 3 is solved by the exact pairs (at most 576 unknowns per
     # ordinate), level 4 by sweeps; the last two cases are non-stock at odd M
@@ -286,8 +357,11 @@ class TestRunConvergence:
         mesh, tables = build_mesh(4), _build_tables(2)
         systems = _assemble_all(case, DODG(), mesh, tables, quad, kernel)
 
-        def measure(f, triple=True):
-            return measure_error(f, case, mesh, tables, quad, triple)
+        # the certified row is measured on the loop's own field over its
+        # distinct directions and their quadrature, the reference on the
+        # full field
+        def measure(f, q=quad):
+            return measure_error(f, case, mesh, tables, q)
 
         _, trace, (err, _) = _iterate(systems, kernel, quad, None, "row", measure)
         ref, _ = source_iteration(
