@@ -25,10 +25,10 @@ Each ordinate is the pair (P_m^{-1}, R_m), R_m None when P_m = A_m, and
 all ordinates have as many unknowns, so one object built before the
 first sweep holds the run's pairs and ``_fused_sweep`` applies it to all
 at once: at desk scale ``_Exact``, sparse LU of each A_m, above that the
-wavefront ``_Sweep``.  The loop holds three fields whose roles rotate
-(``_fused_sweep``), the scattering source is written into the free one,
-so no field is allocated or copied per sweep, and SuperLU is imported
-only when a run builds the exact pairs.
+wavefront ``_Sweep``.  The loop holds the iterate and two buffers that
+swap roles every sweep (``_fused_sweep``), so no field is allocated or
+copied per sweep, and SuperLU is imported only when a run builds the
+exact pairs.
 Ordinates whose systems, kernel rows and columns and right sides are
 equal bit for bit are one direction (``_fold``): the trapezoid rule's
 theta = 2 pi and theta = 0.  The whole loop, its pairs, buffers,
@@ -54,7 +54,6 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .angular import AngularQuadrature
 
@@ -135,17 +134,17 @@ class _Sweep:
     front's inner cells are interior and its two ends boundary cells.  So
     an ordinate keeps ``_upwind`` = [L_bottom^T; L_left^T], the interior
     D^{-1} (``_bulk``) and per front its ends' D^{-1} (``_ends``), all
-    transposed for a right multiply.  ``solve`` works on ordinates x
-    (n^2 + 2(2n - 1)) rows of d, about one field: front after front, each
-    ordinate's cells of front l in flow order between two pad columns,
-    flow row j' in column j' - lo_l + 1 (lo_l that of the first cell), so
-    its bottom and left neighbours are columns j' - lo_{l-1} and
-    j' - lo_{l-1} + 1 of front l - 1, two adjacent rows for one product
-    with ``_upwind``; the pads hold g's trailing zero row.  One
-    ``np.take`` moves g in, each front takes z = (g - L z_upwind) D^{-1}
-    on views built once, and one ``np.take`` moves the fields out in
-    natural order.  A ``start`` x0, as rows of d and one zero row, is
-    overwritten with P x0.
+    transposed for a right multiply.  The work array is (ordinates,
+    n^2 + 2(2n - 1), d): per ordinate, front after front, the cells of
+    front l in flow order between two pad rows, flow row j' at
+    j' - lo_l + 1 (lo_l that of the first cell), so its bottom and left
+    neighbours are rows j' - lo_{l-1} and j' - lo_{l-1} + 1 of front
+    l - 1, two adjacent rows for one product with ``_upwind``.  As that
+    depends only on the flow quadrant, an ordinate is moved in and out by
+    one ``np.take`` with its quadrant's ``_in`` (pads read cell 0, then
+    are zeroed) and ``_out``; each front takes z = (g - L z_upwind) D^{-1}
+    of all ordinates on views built once on each of the loop's two
+    ``bufs`` (``_fused_sweep``).  A start x0 has P x0 put in ``bufs[1]``.
     """
 
     def __init__(self, systems, start=None):
@@ -154,14 +153,22 @@ class _Sweep:
         idx, f, c = np.arange(n), np.arange(F), np.arange(C)
         # flow row j' of the first and last cell of each front
         ends = np.stack([np.maximum(f - n + 1, 0), np.minimum(f, n - 1)])
-        # each front's columns, its cells and two pads, and its first
-        # work-array row, the ordinates' blocks of one front side by side
+        # each front's rows, its cells and two pads, and its first row
         cols = ends[1] - ends[0] + 3
-        first = B * np.concatenate([[0], np.cumsum(cols)[:-1]])
+        first = np.concatenate([[0], np.cumsum(cols)[:-1]])
+        # grid index -> index along the flow in quadrant q (x reversed by
+        # bit 0, y by bit 1), each cell's work row and each row's cell
+        flow = [[idx[::-1] if q >> s & 1 else idx for s in (0, 1)] for q in range(4)]
+        self._out, self._in = np.empty((4, C), np.intp), np.zeros((4, cols.sum()), np.intp)
+        for q, (fi, fj) in enumerate(flow):
+            l = fi[c % n] + fj[c // n]
+            self._out[q] = first[l] + fj[c // n] - ends[0, l] + 1
+            self._in[q, self._out[q]] = c
+        self._pads = np.concatenate([first, first + cols - 1])
+        self._quadrant = [(s.direction[0] < 0) + 2 * (s.direction[1] < 0) for s in systems]
         self._upwind = upwind = np.empty((B, 2 * d, d))
         own = np.empty((B, 9, d, d))
         end_cls = np.empty((B, 2, F), dtype=np.intp)
-        row = np.empty((B, C), dtype=np.intp)
         patterns, self.R = {}, []
         for b, system in enumerate(systems):
             sx, sy = system.direction
@@ -182,41 +189,45 @@ class _Sweep:
             # R = A - P: in the own and upwind slots minus the shift, or 0
             acc.blocks[:, kept] -= P
             self.R.append(_filled(patterns, acc, acc.blocks) if acc.blocks.any() else None)
-            # grid index <-> index along the flow, each the other's inverse
-            fi, fj = (idx if t >= 0 else idx[::-1] for t in (sx, sy))
-            ip, jp = fi[c % n], fj[c // n]
-            l = ip + jp
-            row[b] = first[l] + b * cols[l] + jp - ends[0, l] + 1
+            fi, fj = flow[self._quadrant[b]]
             end_cls[b] = acc.cls[fj[ends] * n + fi[f - ends]]
         dinv = np.linalg.inv(own)
         self._bulk = dinv[:, _INTERIOR].transpose(0, 2, 1).copy()
         self._ends = _front_ends(dinv, end_cls)
-        # each (ordinate, cell)'s work-array row, and each work-array
-        # row's g row: the zero row after g where it holds no cell
-        self._out = row.ravel()
-        self._in = np.full(B * cols.sum(), B * C)
-        self._in[self._out] = np.arange(B * C)
         self._C, self._d = C, d
-        self._work = np.zeros((B * cols.sum(), d))
-        W = [w.reshape(B, -1, d) for w in np.split(self._work, first[1:])]
-        t = np.empty((B, n, d))
-        self._fronts = []
-        for l in range(F):
-            cnt = cols[l] - 2
-            z, acc = W[l][:, 1:-1], t[:, :cnt]
-            win = None if l == 0 else _windows(W[l - 1][:, ends[0, l] - ends[0, l - 1]:], cnt)
-            self._fronts.append((win, z, acc, (z[:, :1], z[:, -1:]), (acc[:, :1], acc[:, -1:]),
-                                 self._ends[l]))
+        self.bufs = [np.zeros((B * cols.sum(), d)) for _ in range(2)]
+        self._g = [buf[:B * C].reshape(B, C, d) for buf in self.bufs]
+        # one ordinate's solved rows; the fronts' products
+        self._x, t = np.empty((C, d)), np.empty((B, n, d))
+        self._fronts = [[], []]
+        for fronts, buf in zip(self._fronts, self.bufs):
+            W = np.split(buf.reshape(B, -1, d), first[1:], axis=1)
+            for l in range(F):
+                cnt = cols[l] - 2
+                z, acc = W[l][:, 1:-1], t[:, :cnt]
+                win = None if l == 0 else _windows(W[l - 1][:, ends[0, l] - ends[0, l - 1]:], cnt)
+                fronts.append((win, z, acc, (z[:, :1], z[:, -1:]), (acc[:, :1], acc[:, -1:]),
+                               self._ends[l]))
         if start is not None:
             self._lower(start, own, end_cls)
 
+    def _pack(self, rows, j):
+        """``bufs[j]`` as the work array, filled from ``rows`` (B, C, d)."""
+        W = self.bufs[j].reshape(len(rows), -1, self._d)
+        # every index is in range; "clip" lets take write ``out`` unbuffered
+        for b, q in enumerate(self._quadrant):
+            np.take(rows[b], self._in[q], axis=0, out=W[b], mode="clip")
+        W[:, self._pads] = 0.0
+        return W
+
     def _lower(self, start, own, end_cls):
-        """Overwrite the start rows x0 with (D + L) x0, formed on the work
-        array from the last front back, so each upwind front still holds
-        x0: D by the interior and end blocks, plus the upwind products."""
-        np.take(start, self._in, axis=0, out=self._work, mode="clip")
+        """Write (D + L) x0 of the start rows x0 into the first rows of
+        ``bufs[1]``, formed on ``bufs[0]`` from the last front back, so
+        each upwind front still holds x0: D by the interior and end
+        blocks, plus the upwind products."""
+        W = self._pack(start.reshape(len(own), self._C, -1), 0)
         D = own[:, _INTERIOR].transpose(0, 2, 1)
-        fronts = zip(self._fronts[::-1], _front_ends(own, end_cls)[::-1])
+        fronts = zip(self._fronts[0][::-1], _front_ends(own, end_cls)[::-1])
         for (win, z, _, z_ends, _, _), ends in fronts:
             y = z @ D
             for y_end, z_end, end in zip((y[:, :1], y[:, -1:]), z_ends, ends):
@@ -224,16 +235,16 @@ class _Sweep:
             if win is not None:
                 y += win @ self._upwind
             z[...] = y
-        np.take(self._work, self._out, axis=0, out=start[:-1], mode="clip")
+        for b, q in enumerate(self._quadrant):
+            np.take(W[b], self._out[q], axis=0, out=self._g[1][b], mode="clip")
 
-    def solve(self, g, out=None):
-        """P^{-1} g of every ordinate, shape (ordinates, C, d), in ``out``
-        if given.  ``g`` holds all ordinates' g as rows of d, ordinate by
-        ordinate, and one zero row after them; it is left as it is."""
-        # every index is in range; "clip" lets take write ``out`` unbuffered
-        np.take(g, self._in, axis=0, out=self._work, mode="clip")
+    def solve(self, i):
+        """Yield ``(b, x)`` per ordinate b, x = P^{-1} g as (C, d) until
+        the next, g the first rows of ``bufs[i]``, ``bufs[1 - i]`` the
+        work array."""
+        W = self._pack(self._g[i], 1 - i)
         upwind, bulk = self._upwind, self._bulk
-        for win, z, acc, z_ends, acc_ends, ends in self._fronts:
+        for win, z, acc, z_ends, acc_ends, ends in self._fronts[1 - i]:
             if win is None:
                 acc[...] = z
             else:
@@ -242,23 +253,25 @@ class _Sweep:
             np.matmul(acc, bulk, out=z)
             for z_end, acc_end, end in zip(z_ends, acc_ends, ends):
                 np.matmul(acc_end, end, out=z_end)
-        x = np.take(self._work, self._out, axis=0, out=out, mode="clip")
-        return x.reshape(-1, self._C, self._d)
+        for b, q in enumerate(self._quadrant):
+            yield b, np.take(W[b], self._out[q], axis=0, out=self._x, mode="clip")
 
 
 class _Exact:
     """The exact pairs: P = A, applied by sparse LU (COLAMD order) of
     each ordinate's A, and R = 0; ``start`` and ``solve`` as for
-    ``_Sweep``, with P x0 = A x0.  A singular A raises
+    ``_Sweep``, with P x0 = A x0, on ``bufs`` if given, else on two
+    buffers of the iterate's size.  A singular A raises
     ``np.linalg.LinAlgError``."""
 
-    def __init__(self, systems, start=None):
+    def __init__(self, systems, start=None, bufs=None):
         # imported here, not with the module: SuperLU and the LAPACK it
         # loads cost about 10 MB of RSS that a sweep-scale run never uses
         import scipy.sparse.linalg as spla
 
-        L = len(systems)
-        x0 = None if start is None else start[:-1].reshape(L, -1)
+        L, C, d = len(systems), systems[0].mesh.n_cells, systems[0].tables.dof
+        self.bufs = bufs or [np.zeros((L * C, d)) for _ in range(2)]
+        self._g = [buf[:L * C].reshape(L, -1) for buf in self.bufs]
         self._solves = []
         for m, system in enumerate(systems):
             A = system.matrix
@@ -266,19 +279,16 @@ class _Exact:
                 lu = spla.splu(A.tocsc())
             except RuntimeError as err:  # SuperLU's "Factor is exactly singular"
                 raise np.linalg.LinAlgError(str(err)) from err
-            if x0 is not None:
-                x0[m] = A @ x0[m]
+            if start is not None:
+                self._g[1][m] = A @ start[m * C:(m + 1) * C].ravel()
             self._solves.append(lu.solve)
         self.R = [None] * L
 
-    def solve(self, g, out=None):
-        """A^{-1} g of every ordinate, shape (ordinates, C, d), with ``g``
-        and ``out`` laid out as for ``_Sweep.solve``."""
-        L, d = len(self._solves), g.shape[1]
-        x = np.empty((len(g) - 1, d)) if out is None else out
-        for solve, gm, xm in zip(self._solves, g[:-1].reshape(L, -1), x.reshape(L, -1)):
-            xm[...] = solve(gm)
-        return x.reshape(L, -1, d)
+    def solve(self, i):
+        """Yield ``(m, x)`` per ordinate m, x = A^{-1} g as its C d
+        values, with g as for ``_Sweep.solve``."""
+        for m, solve in enumerate(self._solves):
+            yield m, solve(self._g[i][m])
 
 
 def _front_ends(blocks, end_cls):
@@ -291,9 +301,14 @@ def _front_ends(blocks, end_cls):
 def _windows(slab, count):
     """Read-only view (..., count, 2d) of a work-array slab (..., columns,
     d): window c is columns c and c + 1 side by side, the bottom and left
-    neighbours of column c + 1 on the next front."""
+    neighbours of column c + 1 on the next front (not ``as_strided``,
+    whose views each keep about 1 kB alive)."""
     *outer, _, d = slab.shape
-    return as_strided(slab, (*outer, count, 2 * d), slab.strides, writeable=False)
+    owner = slab if slab.base is None else slab.base
+    win = np.ndarray((*outer, count, 2 * d), slab.dtype, owner,
+                     slab.ctypes.data - owner.ctypes.data, slab.strides)
+    win.flags.writeable = False
+    return win
 
 
 # a run whose ordinates have at most this many unknowns each takes the
@@ -334,30 +349,35 @@ def _bound(errs, residuals):
     return 2.0 * rho / (1.0 - rho) * errs[-1]
 
 
-def _fused_sweep(systems, kernel, quad, pinv, rows, repeats):
-    """One sweep of every ordinate on ``rows``, the iterate x, the
-    previous g and a free buffer: g = b + S x - R x is formed in the free
-    one, the new iterate P^{-1} g in the previous g's and the update in
-    x's, so the next sweep takes the three rotated by one.  Returns the
-    residual's sums ||g - g_prev||^2 = ||b + S x - A x||^2 (as P x =
+def _fused_sweep(systems, kernel, quad, pinv, x, i, repeats):
+    """One sweep of every ordinate from the iterate ``x``, rows of d: g =
+    b + S x - R x is formed in the first rows of ``pinv.bufs[i]``, the
+    next sweep's previous g, g_prev - g in those of the other, which
+    then serves as the work array while P^{-1} g overwrites x ordinate
+    by ordinate and each one's update norm is taken on the way.  Returns
+    the residual's sums ||g - g_prev||^2 = ||b + S x - A x||^2 (as P x =
     g_prev) and ||b + S x||^2, in which each ``(m, count)`` of
     ``repeats`` counts ordinate m count times more, once for each
-    ordinate it stands for."""
-    x, g_prev, g = (r[:-1].reshape(len(systems), -1) for r in rows)
-    field = x.reshape(len(systems), -1, rows[0].shape[1])
+    ordinate it stands for, and the update's norm (``l2_dom_norm``)."""
+    mesh, tables, B = systems[0].mesh, systems[0].tables, len(systems)
+    g, g_prev = (buf[:len(x)].reshape(B, -1) for buf in (pinv.bufs[i], pinv.bufs[1 - i]))
+    xs, field = x.reshape(B, -1), x.reshape(B, mesh.n_cells, -1)
     scattering_source(systems, kernel, quad, field, out=g.reshape(field.shape))
     for m, system in enumerate(systems):
         g[m] += system.rhs_fixed
     den = np.vdot(g, g) + sum(c * np.vdot(g[m], g[m]) for m, c in repeats)
     for m, R in enumerate(pinv.R):
         if R is not None:
-            g[m] -= R @ x[m]
-    # r = g - g_prev, formed as its negative in place of g_prev
+            g[m] -= R @ xs[m]
     np.subtract(g_prev, g, out=g_prev)
     num = np.vdot(g_prev, g_prev) + sum(c * np.vdot(g_prev[m], g_prev[m]) for m, c in repeats)
-    pinv.solve(rows[2], out=rows[1][:-1])
-    np.subtract(g_prev, x, out=x)  # g_prev's buffer holds the new iterate
-    return num, den
+    vol = np.empty(B)
+    for m, new in pinv.solve(i):
+        xm, new = field[m], new.reshape(field[m].shape)
+        np.subtract(new, xm, out=xm)  # the update, then the new iterate
+        vol[m] = np.vdot(xm @ tables.M, xm)
+        xm[...] = new
+    return num, den, float(np.sqrt(np.sum(quad.weights * mesh.h**2 * vol)))
 
 
 def _fold(systems, kernel, quad):
@@ -442,27 +462,24 @@ def _loop(systems, kernel, quad, cfg, certify, start, reps, group):
     L, B, C, d = len(group), len(systems), mesh.n_cells, tables.dof
     repeats = [(m, c - 1) for m, c in enumerate(np.bincount(group)) if c > 1]
 
-    # the previous g (P x of the iterate) as rows of d and a zero row, read
-    # where a cell has no upwind neighbour; the other two after the set-up
-    g_prev = np.zeros((B * C + 1, d))
+    # the iterate as rows of d; g and the previous g are in the pairs'
+    # two buffers, g in pinv.bufs[i], and swap every sweep
+    x = np.zeros((B * C, d))
+    field = x.reshape(B, C, d)
     if start is not None:
-        np.take(start, reps, axis=0, out=g_prev[:-1].reshape(B, C, d), mode="clip")
+        np.take(start, reps, axis=0, out=field, mode="clip")
     pinv = (_Exact if systems[0].n_dof <= _EXACT_UP_TO else _Sweep)(
-        systems, None if start is None else g_prev)
-    rows = [np.zeros(g_prev.shape), g_prev, np.zeros(g_prev.shape)]
-    if start is not None:
-        np.take(start, reps, axis=0, out=rows[0][:-1].reshape(B, C, d), mode="clip")
-    errs, residuals = [], []
+        systems, None if start is None else x)
+    i, errs, residuals = 0, [], []
     tol = cfg.tol
     converged, escalated = False, 0
     bound = residual = np.inf
     while len(errs) < cfg.max_outer:
-        num, den = _fused_sweep(systems, kernel, quad, pinv, rows, repeats)
-        rows = rows[1:] + rows[:1]
-        field, update = (r[:-1].reshape(B, C, d) for r in (rows[0], rows[2]))
+        num, den, err = _fused_sweep(systems, kernel, quad, pinv, x, i, repeats)
+        i = 1 - i
         residual = float(np.sqrt(num / den)) if num else 0.0
         residuals.append(residual)
-        errs.append(l2_dom_norm(mesh, tables, quad, update))
+        errs.append(err)
         bound = _bound(errs, residuals)
         if not np.isfinite(errs[-1] + residual):
             break  # the field overflowed: stop uncertified
@@ -483,8 +500,8 @@ def _loop(systems, kernel, quad, cfg, certify, start, reps, group):
                 f"sweeps; switching {L} of {L} ordinates to sparse LU",
                 RuntimeWarning, stacklevel=3,
             )
-            # the previous g becomes A x, as the exact pairs take P = A
-            rows[1][:-1] = rows[0][:-1]
-            pinv = _Exact(systems, rows[1])
+            # the previous g becomes A x, as the exact pairs take P = A,
+            # in the same two buffers, of which nothing else is kept
+            pinv, i = _Exact(systems, x, pinv.bufs), 0
             escalated = L
     return field, IterationTrace(errs, converged, bound, residual, escalated)

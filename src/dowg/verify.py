@@ -258,27 +258,27 @@ def _check_memory(k, level, M, budget=None):
     and every ordinate at 1/h = 32 and 64) and the right side, and the
     index arrays of at most sixteen sparsity patterns, each with 4-byte
     indices and its indptr.  The batched sweep keeps R, the interior
-    class's D^{-1} and two per front, and a work array of about one
-    field with its two gather index arrays (2/d of a field); the bytes
-    counted for the second operator (2d fields) and for D^{-1} per cell
-    stay as margin and hold the work array in the loop.  The set-up's
-    scratch (by tracemalloc at most 44 bytes per block entry at Q1 and
-    Q2, 1/h = 64) is freed before the loop allocates the rest of its
-    (L, C, dof) fields, so the larger of the two counts.  The loop holds
-    three, the iterate, the previous g and a free one, whose roles rotate
-    every sweep; the scattering source is contracted into the free one,
-    so no kernel-contracted field is formed: three of the five the
-    formula counts.  A nested start (``run_convergence`` past its first
-    level) holds two fields through the set-up: the prolonged start
-    field, which the loop fills with its result at the end, and the
-    previous g that its P x0 is formed into; so the set-up counts with
-    those two, and the loop holds four of the five.  The coarse field it
-    was prolonged from, a quarter of one field, is freed before the level
-    assembles.  The loop solves theta = 2 pi with theta = 0, so its pairs
-    and fields hold M of the L = M + 1 ordinates; the formula still
-    counts L, which leaves one ordinate of margin.  From zero the
-    returned field is filled after the loop has freed its pairs and two
-    of its fields, so it and the loop's field stay below the count.
+    class's D^{-1} and two per front, and gather indices for the four flow
+    quadrants (2 C + 4 n each, at any M); the bytes counted for the second
+    operator (2d fields) and for D^{-1} per cell stay as margin.  The
+    set-up's scratch (by tracemalloc at most 44 bytes per block entry at
+    Q1 and Q2, 1/h = 64) is freed before the loop's two buffers are
+    allocated, so the larger of the two counts.  The loop holds the
+    iterate and those two buffers of 1 + (4n - 2)/n^2 fields each, g and
+    the previous g, whose roles swap every sweep; the scattering source is
+    contracted into g's, and each update norm is taken as the iterate is
+    written, so no other field is formed: three of the five the formula
+    counts.  A nested start (``run_convergence`` past its first level)
+    holds two fields through the set-up: the prolonged start field, which
+    the loop fills with its result at the end, and the iterate its P x0 is
+    formed from; so the set-up counts with those two, and the loop holds
+    four of the five.  The coarse field it was prolonged from, a quarter
+    of one field, is freed before the level assembles.  The loop solves
+    theta = 2 pi with theta = 0, so its pairs and fields hold M of the
+    L = M + 1 ordinates; the formula still counts L, which leaves one
+    ordinate of margin.  From zero the returned field is filled after the loop has
+    freed its pairs and its two buffers, so it and the loop's iterate stay
+    below the count.
 
     The dense (L, L) arrays of the scattering kernel come on top.  Its
     build, which runs before anything else is allocated, peaks at four
@@ -519,6 +519,7 @@ def run_convergence(case="example1", scheme=None, k=1, levels=range(3, 8), M=20,
         prev = err_dom
         report.rows.append((mesh.n, err_dom, eoc))
         report.triple_errors.append(triple())
+        del triple  # it holds the loop's own field: free that before the next level
         report.walls.append(wall)
         report.iterations.append(trace.iterations)
     return report
@@ -572,9 +573,9 @@ def run_angular_study(case="example2", scheme=None, k=2, level=5,
         quad = build_circle_trapezoid(M)
         case, kernel = _case_kernel(case, quad, renormalize)
         systems = _assemble_all(case, scheme, mesh, tables, quad, kernel)
-        _, _, (err_dom, _) = _iterate(
+        err_dom = _iterate(
             systems, kernel, quad, tol, f"M = {M}",
             lambda f, q: _errors(f, case, mesh, tables, q),
-        )
+        )[2][0]
         rows.append((M, err_dom))
     return AngularStudyReport(case.name, scheme.name, k, level, rows)

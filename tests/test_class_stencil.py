@@ -119,34 +119,56 @@ def _cell_built(system):
 
 
 def _layout(sweep):
-    """The packed work array's layout, rebuilt from n and the ordinate
-    count alone: per front its first row, its columns (its cells and a
-    pad at either end, for each ordinate in turn) and the flow row of its
-    first cell."""
+    """An ordinate's block of the packed work array, rebuilt from n
+    alone: per front its first row, its rows (its cells and a pad at
+    either end) and the flow row of its first cell."""
     n = math.isqrt(sweep._C)
     f = np.arange(2 * n - 1)
     lo = np.maximum(f - n + 1, 0)
     cols = np.minimum(f, n - 1) - lo + 3
-    first = len(sweep._bulk) * np.concatenate([[0], np.cumsum(cols)[:-1]])
+    first = np.concatenate([[0], np.cumsum(cols)[:-1]])
     return first, cols, lo
 
 
 def _front_views(sweep, rows):
-    """Per front, the view (ordinates, columns, d) of work-array rows."""
+    """Per front, the view (ordinates, rows, d) of work-array rows."""
     first, cols, _ = _layout(sweep)
-    return [w.reshape(len(sweep._bulk), c, -1) for w, c in zip(np.split(rows, first[1:]), cols)]
+    W = rows.reshape(len(sweep._bulk), cols.sum(), -1)
+    return [W[:, a:a + c] for a, c in zip(first, cols)]
+
+
+def _out_rows(sweep, b):
+    """The work-array row of each cell of the batch's ordinate b, in its
+    block, through its flow quadrant's ``_out``."""
+    return sweep._out[sweep._quadrant[b]]
 
 
 def _front_cells(sweep, b):
     """Per cell of the batch's ordinate b, in natural order: its front
-    and whether it is the front's first or last cell, from the work-array
-    rows ``_out``."""
+    and whether it is the front's first or last cell, from its work-array
+    rows."""
     first, cols, _ = _layout(sweep)
-    row = sweep._out.reshape(len(sweep._bulk), -1)[b]
+    row = _out_rows(sweep, b)
     front = np.searchsorted(first, row, side="right") - 1
-    ordinate, col = np.divmod(row - first[front], cols[front])
-    assert_array_equal(ordinate, b)
+    col = row - first[front]
     return front, col == 1, col == cols[front] - 2
+
+
+def _packed(sweep, rows):
+    """The work array (ordinates, rows, d) filled from ``rows``, C rows
+    of d per ordinate, by fancy indexing with each ordinate's ``_in``,
+    and the pads, which ``_layout`` places, set to zero."""
+    first, cols, _ = _layout(sweep)
+    g = rows.reshape(len(sweep._bulk), sweep._C, -1)
+    W = np.stack([g[b][sweep._in[q]] for b, q in enumerate(sweep._quadrant)])
+    W[:, np.concatenate([first, first + cols - 1])] = 0.0
+    return W
+
+
+def _unpacked(sweep, W):
+    """Each ordinate's C rows of d of the work array ``W``, by fancy
+    indexing with its ``_out``, ordinate after ordinate."""
+    return np.concatenate([W[b][_out_rows(sweep, b)] for b in range(len(W))])
 
 
 def _dinv_cells(sweep, b):
@@ -160,12 +182,17 @@ def _dinv_cells(sweep, b):
     return cells
 
 
-def _inverse(sweep, g):
-    """``solve`` of the rows of ``g``, one flat g per ordinate of the
-    systems the batch was built on, as one flat array per ordinate."""
-    d = sweep._d
-    rows = np.append(g, np.zeros(d)).reshape(-1, d)
-    return sweep.solve(rows).reshape(len(rows) // sweep._C, -1)
+def _inverse(pinv, g):
+    """``solve`` of ``g``, one flat g per ordinate of the systems the
+    pairs were built on, written into the first rows of ``bufs[0]``; as
+    one flat array per ordinate."""
+    g = np.asarray(g)
+    buf = pinv.bufs[0]
+    buf[:g.size // buf.shape[1]] = g.reshape(-1, buf.shape[1])
+    x = np.empty(g.shape)
+    for m, xm in pinv.solve(0):
+        x[m] = xm.ravel()
+    return x
 
 
 def _same(a, b):
@@ -397,9 +424,9 @@ def _reference_pattern(acc, nonzero):
 
 def _fancy_solve(sweep, g):
     """``_Sweep.solve`` with fancy-indexed row moves: the same products
-    front by front, on a work array filled by ``g[_in]`` and read out by
-    ``[_out]``."""
-    work = g[sweep._in]
+    front by front, on a work array filled and read out per ordinate by
+    fancy indexing with its quadrant's ``_in`` and ``_out``."""
+    work = _packed(sweep, g)
     W, (_, _, lo) = _front_views(sweep, work), _layout(sweep)
     B, d = len(sweep._bulk), sweep._d
     t = np.empty((B, math.isqrt(sweep._C), d))
@@ -415,7 +442,7 @@ def _fancy_solve(sweep, g):
         np.matmul(acc, sweep._bulk, out=z)
         np.matmul(acc[:, :1], sweep._ends[l, 0], out=z[:, :1])
         np.matmul(acc[:, -1:], sweep._ends[l, 1], out=z[:, -1:])
-    return work[sweep._out].reshape(B, -1, d)
+    return _unpacked(sweep, work).reshape(B, -1, d)
 
 
 def _fancy_face_traces(mesh, tables, coeffs):
@@ -471,14 +498,17 @@ class TestRowTakes:
         systems = _systems(name, k, level, _KINDS[kind])
         rng = np.random.default_rng(5)
         d = systems[0].tables.dof
-        x0, g = (np.append(rng.standard_normal(len(systems) * systems[0].n_dof), np.zeros(d))
-                 .reshape(-1, d) for _ in range(2))
-        px0 = x0.copy()
-        sweep = _Sweep(systems, px0)
-        _same(sweep.solve(g), _fancy_solve(sweep, g))
+        x0, g = (rng.standard_normal((len(systems) * systems[0].mesh.n_cells, d))
+                 for _ in range(2))
+        start = x0.copy()
+        sweep = _Sweep(systems, start)
+        _same(start, x0)
+        px0 = sweep.bufs[1][:len(x0)].copy()
+        _same(_inverse(sweep, g.reshape(len(systems), -1)).reshape(len(systems), -1, d),
+              _fancy_solve(sweep, g))
         # P x0 = D x0 + L x0 from the same class blocks, on a work array
         # filled by fancy indexing
-        X = x0[sweep._in]
+        X = _packed(sweep, x0)
         acc = [s.stencil() for s in systems]
         own = np.stack([a.blocks[:, 2] for a in acc])
         for b, s in enumerate(systems):
@@ -487,19 +517,30 @@ class TestRowTakes:
                 own[b] += shift.blocks[:, 2]
         XF, (_, _, lo) = _front_views(sweep, X), _layout(sweep)
         D = own[:, _INTERIOR].transpose(0, 2, 1)
-        Y = np.concatenate([(x @ D).reshape(-1, d) for x in XF])
+        Y = np.concatenate([x @ D for x in XF], axis=1)
         for b in range(len(systems)):
             front, *ends = _front_cells(sweep, b)
             cls = acc[b].cls
             for at in ends:
-                rows = sweep._out.reshape(len(systems), -1)[b][at]
+                rows = _out_rows(sweep, b)[at]
                 E = np.ascontiguousarray(own[b, cls[at]].transpose(0, 2, 1))
-                Y[rows] = (X[rows][:, None] @ E)[:, 0]
+                Y[b, rows] = (X[b, rows][:, None] @ E)[:, 0]
         YF = _front_views(sweep, Y)
         for l in range(1, len(YF)):
             cnt = YF[l].shape[1] - 2
             YF[l][:, 1:-1] += _windows(XF[l - 1][:, lo[l] - lo[l - 1]:], cnt) @ sweep._upwind
-        _same(px0[:-1], Y[sweep._out])
+        _same(px0, _unpacked(sweep, Y))
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_gather_indices_are_per_quadrant(self, k):
+        # the ordinates of one flow quadrant share its gather indices, so
+        # the index bytes are those of the four quadrants at any ordinate
+        # count: one in-index per work row and one out-index per cell
+        n = 16
+        sweeps = [_batch(_systems("dodg", k, 4, M=M)) for M in (4, 20)]
+        sizes = [s._in.nbytes + s._out.nbytes for s in sweeps]
+        assert sizes[0] == sizes[1] == 4 * (2 * n * n + 2 * (2 * n - 1)) * np.intp().itemsize
+        assert len(set(sweeps[1]._quadrant)) == 4
 
     @pytest.mark.parametrize("k", [1, 2])
     @pytest.mark.parametrize("name", ["example1", "example2"])

@@ -1,6 +1,7 @@
 import collections
 import dataclasses
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -412,6 +413,31 @@ class TestRunConvergence:
         rows = [call for call in calls if call[3] is not None]
         for (field, args, err, tri), (_, row_err, _) in zip(rows, rep.rows, strict=True):
             assert measure_error(field, *args) == (err, tri) and err == row_err
+
+    @pytest.mark.parametrize("study", ["convergence", "angular"])
+    def test_loop_field_freed_before_the_next_assembly(self, monkeypatch, study):
+        # a certified row's triple-norm error is finished from the loop's
+        # own field; once it is, that field is dead before the next level
+        # (or ordinate count) assembles
+        owners, alive = [], []
+        real_errors, real_assemble = dowg.verify._errors, dowg.verify._assemble_all
+
+        def errors(field, *args):
+            owners.append(weakref.ref(field if field.base is None else field.base))
+            return real_errors(field, *args)
+
+        def assemble(*args):
+            alive.append([ref() is not None for ref in owners])
+            return real_assemble(*args)
+
+        monkeypatch.setattr(dowg.verify, "_errors", errors)
+        monkeypatch.setattr(dowg.verify, "_assemble_all", assemble)
+        if study == "convergence":
+            run_convergence("example2", k=1, levels=[2, 3, 4])
+        else:
+            run_angular_study(k=1, level=4, Ms=(4, 8, 16), tol=None)
+        assert len(alive) == 3 and owners
+        assert alive[0] == [] and alive[1] and not any(alive[1] + alive[2])
 
     def test_gap_levels_prolong_twice(self, monkeypatch):
         # level 4 starts from level 2's field prolonged over the gap; every
