@@ -379,9 +379,14 @@ def _sweep_shift(system):
     system's own blocks.  Its cell classes are the system stencil's."""
     if not isinstance(system.scheme, WG):
         return None
+    return _jump_stencil(system, 0.25 * np.abs(SIDE_NORMALS @ system.direction) * system.mesh.h)
+
+
+def _jump_stencil(system, kappa):
+    """The jump kappa <[u], [v]> on the interior sides, kappa per side, on
+    a block stencil with the system's cell classes."""
     st = _empty_stencil(system)
-    sn = SIDE_NORMALS @ system.direction
-    _add_sides(st, st.inner, system.tables, _jump(0.25 * np.abs(sn) * system.mesh.h))
+    _add_sides(st, st.inner, system.tables, _jump(kappa))
     return st
 
 

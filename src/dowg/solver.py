@@ -44,7 +44,8 @@ remainder), and the streamline-diffusion systems are exactly triangular
 in that order (R_m = 0).  The sweep goes front by front over every
 ordinate, the all-angle wavefront of Koch, Baker & Alcouffe (Trans. Am.
 Nucl. Soc. 65, 1992), from each ordinate's D^{-1} and two upwind class
-blocks, cut from its block stencil; R_m is CSR in natural order, and A_m
+blocks, cut from its block stencil; R_m is scaled CSR operators that
+ordinates share (WG's two jumps, DODG's one per flow quadrant), and A_m
 is never formed.  A run with a remainder whose update norms stop
 falling, while above roundoff, switches once, with a RuntimeWarning, to
 the exact pairs for every ordinate (``IterationTrace.escalated``).
@@ -59,7 +60,7 @@ from .angular import AngularQuadrature
 
 # the benchmark's tracer (perfbench/tracing.py) patches these three names here
 from .assembly import assemble_direction, l2_dom_norm, scattering_source  # noqa: F401
-from .assembly import _INTERIOR, _SLOT, _filled, _sweep_shift
+from .assembly import _INTERIOR, _SLOT, _filled, _jump_stencil, _sweep_shift
 from .reporting import _write_table
 
 __all__ = [
@@ -126,8 +127,12 @@ class _Sweep:
     l - 1 (ties count left and bottom as upwind).  On the block stencil of
     A, plus for WG its stabilizer once more (``assembly._sweep_shift``),
     P = D + L takes each cell's own and upwind blocks and R = A - P the
-    rest.  ``R`` lists each ordinate's R as CSR in natural order, None
-    when it is 0, with index arrays shared per pattern (``_filled``).
+    rest.  ``R`` lists each ordinate's R as (scale, CSR) terms in natural
+    order, None when it is 0: with the WG shift, minus the shift, (-h|s_x|/4,
+    J_x) and (-h|s_y|/4, J_y) on the run's two jump operators; else one
+    term of scale 1, its CSR shared by the ordinates whose class blocks of
+    R are equal bit for bit.  Index arrays are shared per pattern
+    (``_filled``).
 
     The class grid makes P uniform: every class with an upwind neighbour
     holds the interior class's block there (checked bit for bit), a
@@ -169,7 +174,7 @@ class _Sweep:
         self._upwind = upwind = np.empty((B, 2 * d, d))
         own = np.empty((B, 9, d, d))
         end_cls = np.empty((B, 2, F), dtype=np.intp)
-        patterns, self.R = {}, []
+        patterns, remainders, jumps, self.R = {}, {}, None, []
         for b, system in enumerate(systems):
             sx, sy = system.direction
             acc = system.stencil()
@@ -186,9 +191,21 @@ class _Sweep:
                     raise RuntimeError(f"ordinate {b}: the classes' upwind blocks differ")
             upwind[b] = P[_INTERIOR, :2].transpose(0, 2, 1).reshape(2 * d, d)
             own[b] = P[:, 2]
-            # R = A - P: in the own and upwind slots minus the shift, or 0
-            acc.blocks[:, kept] -= P
-            self.R.append(_filled(patterns, acc, acc.blocks) if acc.blocks.any() else None)
+            if shift is not None:
+                # R = A - P = -shift = -(h/4)(|s_x| J_x + |s_y| J_y), J_x and
+                # J_y the jumps across the vertical and horizontal faces
+                if jumps is None:
+                    kappas = np.repeat(np.eye(2), 2, axis=1)  # sides 0, 1; 2, 3
+                    jumps = [_filled(patterns, st, st.blocks)
+                             for st in (_jump_stencil(system, k) for k in kappas)]
+                self.R.append(list(zip(-0.25 * system.mesh.h * np.abs(system.direction), jumps)))
+            else:
+                # R = A - P, A's downwind blocks: one CSR per distinct value
+                acc.blocks[:, kept] = 0.0
+                key = acc.blocks.tobytes()
+                if key not in remainders and acc.blocks.any():
+                    remainders[key] = [(1.0, _filled(patterns, acc, acc.blocks))]
+                self.R.append(remainders.get(key))
             fi, fj = flow[self._quadrant[b]]
             end_cls[b] = acc.cls[fj[ends] * n + fi[f - ends]]
         dinv = np.linalg.inv(own)
@@ -351,7 +368,8 @@ def _bound(errs, residuals):
 
 def _fused_sweep(systems, kernel, quad, pinv, x, i, repeats):
     """One sweep of every ordinate from the iterate ``x``, rows of d: g =
-    b + S x - R x is formed in the first rows of ``pinv.bufs[i]``, the
+    b + S x - R x (R x term by term, one CSR product each, scaled unless
+    the scale is 1) is formed in the first rows of ``pinv.bufs[i]``, the
     next sweep's previous g, g_prev - g in those of the other, which
     then serves as the work array while P^{-1} g overwrites x ordinate
     by ordinate and each one's update norm is taken on the way.  Returns
@@ -367,8 +385,11 @@ def _fused_sweep(systems, kernel, quad, pinv, x, i, repeats):
         g[m] += system.rhs_fixed
     den = np.vdot(g, g) + sum(c * np.vdot(g[m], g[m]) for m, c in repeats)
     for m, R in enumerate(pinv.R):
-        if R is not None:
-            g[m] -= R @ xs[m]
+        for scale, J in R or ():
+            Jx = J @ xs[m]
+            if scale != 1.0:
+                Jx *= scale
+            g[m] -= Jx
     np.subtract(g_prev, g, out=g_prev)
     num = np.vdot(g_prev, g_prev) + sum(c * np.vdot(g_prev[m], g_prev[m]) for m, c in repeats)
     vol = np.empty(B)

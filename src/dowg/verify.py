@@ -257,10 +257,12 @@ def _check_memory(k, level, M, budget=None):
     cell (R holds at most 1.23 and 1.73 over the three schemes, k = 1, 2
     and every ordinate at 1/h = 32 and 64) and the right side, and the
     index arrays of at most sixteen sparsity patterns, each with 4-byte
-    indices and its indptr.  The batched sweep keeps R, the interior
-    class's D^{-1} and two per front, and gather indices for the four flow
-    quadrants (2 C + 4 n each, at any M); the bytes counted for the second
-    operator (2d fields) and for D^{-1} per cell stay as margin.  The
+    indices and its indptr.  The batched sweep keeps the interior class's
+    D^{-1} and two per front, gather indices for the four flow quadrants
+    (2 C + 4 n each, at any M), and R as operators the ordinates share
+    (WG's two jump operators, DODG's one CSR per flow quadrant); the
+    bytes counted per ordinate for R, for the second operator (2d fields)
+    and for D^{-1} per cell stay as margin.  The
     set-up's scratch (by tracemalloc at most 44 bytes per block entry at
     Q1 and Q2, 1/h = 64) is freed before the loop's two buffers are
     allocated, so the larger of the two counts.  The loop holds the
@@ -509,9 +511,10 @@ def run_convergence(case="example1", scheme=None, k=1, levels=range(3, 8), M=20,
         if field is not None:
             # the coarse field is freed here, before the level assembles
             field = _prolong(field, tables.basis, lv - levels[i - 1])
-        systems = _assemble_all(case, scheme, mesh, tables, quad, kernel)
+        # the systems die with the loop, before the next level assembles
         field, trace, (err_dom, triple) = _iterate(
-            systems, kernel, quad, tol, f"level {lv} (1/h = {mesh.n})",
+            _assemble_all(case, scheme, mesh, tables, quad, kernel),
+            kernel, quad, tol, f"level {lv} (1/h = {mesh.n})",
             lambda f, q: _errors(f, case, mesh, tables, q), field,
         )
         wall = time.perf_counter() - t0
@@ -572,9 +575,8 @@ def run_angular_study(case="example2", scheme=None, k=2, level=5,
     for M in Ms:
         quad = build_circle_trapezoid(M)
         case, kernel = _case_kernel(case, quad, renormalize)
-        systems = _assemble_all(case, scheme, mesh, tables, quad, kernel)
         err_dom = _iterate(
-            systems, kernel, quad, tol, f"M = {M}",
+            _assemble_all(case, scheme, mesh, tables, quad, kernel), kernel, quad, tol, f"M = {M}",
             lambda f, q: _errors(f, case, mesh, tables, q),
         )[2][0]
         rows.append((M, err_dom))

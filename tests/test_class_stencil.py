@@ -1,11 +1,13 @@
 """The class-built stencil and sweep equal the per-cell ones bitwise.
 
 Each ordinate's block stencil is assembled once per cell class, and one
-batched sweep holds every swept ordinate's class blocks and fills each
-R into a sparsity pattern shared by the ordinates of a run.  The
-references below are the per-cell stencil, every cell its own class,
-and the sweep construction the solver used before: it converts each
-ordinate's per-cell blocks to CSR/CSC separately.
+batched sweep holds every swept ordinate's class blocks and R as CSR
+operators the ordinates share, filled into sparsity patterns shared by
+the run.  The references below are the per-cell stencil, every cell its
+own class, and the sweep construction the solver used before: it
+converts each ordinate's per-cell blocks to CSR/CSC separately.  WG's R,
+two scaled jump operators, is its A - P to 1e-14 of A; everything else
+is bitwise the reference's.
 """
 
 import gc
@@ -216,12 +218,47 @@ def _batch(systems):
     return _Sweep(systems)
 
 
+def _remainder(terms):
+    """An ordinate's R, held as (scale, shared CSR) terms, as the one CSR
+    they sum to; None when R is 0."""
+    if terms is None:
+        return None
+    (scale, J), *rest = terms
+    R = scale * J
+    for scale, J in rest:
+        R = R + scale * J
+    return R.tocsr()
+
+
+def _operators(R):
+    """The distinct CSR operators the terms of a run's R refer to."""
+    return list({id(J): J for terms in R if terms for _, J in terms}.values())
+
+
+def _same_remainder(system, terms, ref, A):
+    """The sweep's R of ``system`` against the per-cell A - P ``ref``: WG's
+    two scaled jump operators, R = -shift in its exact form, to 1e-14 of
+    A, where A - P cancels to within A's rounding; every other R one
+    unscaled CSR, bit for bit."""
+    if isinstance(system.scheme, WG):
+        assert len(terms) == 2
+        R = _remainder(terms)
+        assert R.shape == ref.shape
+        assert abs(R - ref).max() <= 1e-14 * abs(A).max()
+    elif terms is None:
+        assert ref is None
+    else:
+        [(scale, J)] = terms
+        assert scale == 1.0
+        _same_sparse(J, ref)
+
+
 def _assert_class_built_is_cell_built(systems):
     sweep = _batch(systems)
     for b, system in enumerate(systems):
         A_ref, ref = _cell_built(system)
         _same_sparse(system.matrix, A_ref)
-        _same_sparse(sweep.R[b], ref.R)
+        _same_remainder(system, sweep.R[b], ref.R, A_ref)
         _same(_dinv_cells(sweep, b), ref.dinv)
 
 
@@ -255,7 +292,8 @@ def _source(x, y, th):
 
 class TestClassBuiltEqualsCellBuilt:
     """``DirectionSystem.matrix`` and the batch's R and D^{-1} of every
-    ordinate are bitwise those of the per-cell construction."""
+    ordinate are bitwise those of the per-cell construction, but for
+    WG's R, which is its A - P to 1e-14 (``_same_remainder``)."""
 
     # every M = 20 ordinate, m = 0, 5, 10, 15 and 20 on the axes
     @pytest.mark.parametrize("level", [1, 2, 4, 5])  # n = 2, 4, 16, 32
@@ -376,17 +414,76 @@ class TestClassDinv:
 
 class TestSharedPatterns:
     def test_one_quadrant_shares_its_indices(self):
-        # m = 1..4 lie strictly inside the first quadrant; R's patterns
-        # are shared and read-only, the values are each ordinate's own
-        R = _batch(_systems("wg", 1, 4)).R
-        first, *rest = (R[m] for m in range(1, 5))
-        for other in rest:
-            assert np.shares_memory(other.indices, first.indices)
-            assert np.shares_memory(other.indptr, first.indptr)
-            assert not np.shares_memory(other.data, first.data)
-        assert not first.indices.flags.writeable
-        assert not first.indptr.flags.writeable
-        assert not np.shares_memory(R[0].indices, first.indices)  # on an axis
+        # m = 1..4 lie strictly inside the first quadrant.  WG's R is the
+        # same two jump operators at every ordinate, the axis one m = 0
+        # too, with each ordinate's own scales -h|s_x|/4 and -h|s_y|/4;
+        # DODG's is one CSR for the quadrant, which m = 0 joins by the tie
+        # rule (s_y = 0 counts the bottom as upwind).  Their index arrays
+        # are read-only
+        systems = _systems("wg", 1, 4)
+        R = _batch(systems).R
+        Jx, Jy = (J for _, J in R[0])
+        for m in range(1, 5):
+            (_, Jx_m), (_, Jy_m) = R[m]
+            assert Jx_m is Jx and Jy_m is Jy
+            h, (sx, sy) = systems[m].mesh.h, systems[m].direction
+            assert [scale for scale, _ in R[m]] == [-0.25 * h * abs(sx), -0.25 * h * abs(sy)]
+        for J in (Jx, Jy):
+            assert not J.indices.flags.writeable and not J.indptr.flags.writeable
+        R = _batch(_systems("dodg", 1, 4)).R
+        [(scale, first)] = R[1]
+        assert scale == 1.0 and all(R[m] is R[1] for m in range(5))
+        assert not first.indices.flags.writeable and not first.indptr.flags.writeable
+        assert R[6][0][1] is not first  # the second quadrant
+
+    @staticmethod
+    def _built(monkeypatch):
+        """Every CSR the sweep's set-up expands from class blocks."""
+        built, real = [], dowg.solver._filled
+
+        def recording(*args):
+            built.append(real(*args))
+            return built[-1]
+
+        monkeypatch.setattr(dowg.solver, "_filled", recording)
+        return built
+
+    @pytest.mark.parametrize("M", [4, 20])
+    def test_wg_builds_two_operators(self, monkeypatch, M):
+        # R = -(h/4)(|s_x| J_x + |s_y| J_y) at every ordinate: the run
+        # builds J_x and J_y once, whatever the ordinate count
+        built = self._built(monkeypatch)
+        systems = _systems("wg", 1, 4, M=M)
+        R = _batch(systems).R
+        assert len(built) == 2 and len(R) == M + 1
+        for system, terms in zip(systems, R):
+            assert all(J is op for (_, J), op in zip(terms, built, strict=True))
+            h, s = system.mesh.h, system.direction
+            assert [scale for scale, _ in terms] == list(-0.25 * h * np.abs(s))
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("M", [4, 20])
+    def test_dodg_builds_one_per_flow_quadrant(self, monkeypatch, M, k):
+        # DODG's R, the jump penalty in the downwind slots, is the same
+        # bit for bit within a flow quadrant: one unscaled CSR each
+        built = self._built(monkeypatch)
+        sweep = _batch(_systems("dodg", k, 4, M=M))
+        assert len(built) == len(set(sweep._quadrant)) <= 4
+        by_quadrant = {}
+        for q, terms in zip(sweep._quadrant, sweep.R):
+            [(scale, J)] = terms
+            assert scale == 1.0 and by_quadrant.setdefault(q, J) is J
+        assert len(by_quadrant) == len(built)
+
+    def test_unshifted_wg_shares_only_equal_remainders(self, monkeypatch):
+        # swept without its shift, WG's R is A's downwind blocks, which
+        # depend on the direction: one CSR per distinct direction, the
+        # one of theta = 0 shared with theta = 2 pi
+        monkeypatch.setattr(dowg.solver, "_sweep_shift", lambda s: None)
+        built = self._built(monkeypatch)
+        R = _batch(_systems("wg", 1, 3)).R
+        assert len(built) == 20 and R[20] is R[0]
+        assert all(len(terms) == 1 and terms[0][0] == 1.0 for terms in R)
 
     def test_sweeps_die_with_the_run(self, monkeypatch):
         # no reference cycle keeps a sweep alive after the loop returns:
@@ -481,8 +578,9 @@ class TestRowTakes:
 
         monkeypatch.setattr(dowg.assembly, "_pattern", checked)
         systems = _systems(name, k, level, _KINDS[kind], M=M)
-        R = [r for r in _batch(systems).R if r is not None]
-        # one pattern per distinct R pattern of the run, none for DODSD
+        R = _operators(_batch(systems).R)
+        # one pattern per distinct pattern of R's shared operators, none
+        # for DODSD
         assert len(calls) == len({(r.indptr.tobytes(), r.indices.tobytes()) for r in R})
         assert bool(R) == (name != "dodsd")
         patterns = len(calls)

@@ -11,11 +11,11 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 from test_assembly import _THETAS, _one_ordinate, _quadrature_norm, _quadrature_source
-from test_class_stencil import _dinv_cells, _inverse
+from test_class_stencil import _dinv_cells, _inverse, _remainder
 
 import dowg.solver
 from dowg.angular import (
@@ -42,11 +42,11 @@ from dowg.solver import (
 from dowg.verify import _assemble_all, _iterate, build_case, run_convergence, solve_case
 
 
-def _setup(level=2, k=1, sigma_s=0.5, phase=None, renormalize=True):
+def _setup(level=2, k=1, sigma_s=0.5, phase=None, renormalize=True, sigma_t=2.0):
     quad = build_circle_trapezoid(20)
     phase = phase or HenyeyGreenstein(0.5)
-    kernel = build_scatter_kernel(quad, phase, 2.0, sigma_s, renormalize=renormalize)
-    medium = Medium(2.0, sigma_s)
+    kernel = build_scatter_kernel(quad, phase, sigma_t, sigma_s, renormalize=renormalize)
+    medium = Medium(sigma_t, sigma_s)
     mesh = build_mesh(level)
     tables = ElementTables(LocalBasis(k), ElementQuadrature.build(k))
     return quad, kernel, medium, mesh, tables
@@ -228,8 +228,10 @@ def _per_ordinate_loop(systems, kernel, quad, cfg, start=None, fold=True):
         num = den = 0.0
         for m, s in enumerate(systems):
             rhs = s.rhs_fixed + update[m].ravel()
-            R = remainders.get(m)
-            g = rhs if R is None else rhs - R @ field[m].ravel()
+            # R x term by term, in the solver's order
+            g = rhs
+            for scale, J in remainders.get(m) or ():
+                g = g - scale * (J @ field[m].ravel())
             r = g - g_prev[m]
             num += count[m] * (r @ r)
             den += count[m] * (rhs @ rhs)
@@ -278,6 +280,9 @@ def _stock_endpoint(systems):
 
 
 _SCHEMES = {"wg": WG(), "dodg": DODG(), "dodsd": DODSD()}
+
+# a thick medium (``test_assembly.THICK``)
+_THICK = {"sigma_t": 20.0, "sigma_s": 19.8}
 
 
 class TestLinearSolve:
@@ -357,7 +362,7 @@ class TestSweep:
             WG(), mesh, tables, quad, kernel, medium, 4, f=_source
         )
         sweep = _Sweep([sysm])
-        R = sweep.R[0]
+        R = _remainder(sweep.R[0])
         assert sysm.n_dof > dowg.solver._EXACT_UP_TO and R is not None
         b = np.cos(np.arange(sysm.n_dof))
         x = spla.spsolve(sysm.matrix.tocsc(), b)
@@ -462,11 +467,17 @@ class TestSweepProperty:
         k=st.sampled_from([1, 2]),
         name=st.sampled_from(sorted(_SCHEMES)),
         seed=st.integers(0, 2**32 - 1),
+        thick=st.booleans(),
     )
-    def test_forward_is_the_lower_solve(self, theta, k, name, seed):
+    @example(theta=0.5 * np.pi, k=1, name="wg", seed=0, thick=True)
+    @example(theta=np.pi, k=2, name="dodg", seed=1, thick=True)
+    def test_forward_is_the_lower_solve(self, theta, k, name, seed, thick):
         # P^{-1} is the lower solve with the sweep matrix's D + L, and R
-        # holds the rest of the system matrix
-        _, kernel, medium, mesh, tables = _setup(level=3, k=k)
+        # holds the rest of the system matrix: its terms' sum, and their
+        # product, to 1e-14 of A's (WG's two scaled jump operators), and
+        # bit for bit for DODG, whose one term is A's downwind blocks; any
+        # direction, the axes' s.n = 0 ties, the stock or a thick medium
+        _, kernel, medium, mesh, tables = _setup(level=3, k=k, **_THICK if thick else {})
         one = _one_ordinate(theta)
         sysm = assemble_direction(
             _SCHEMES[name], mesh, tables, one, kernel, medium, 0
@@ -478,8 +489,14 @@ class TestSweepProperty:
         [x] = _inverse(sweep, [b])
         assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
         A = sysm.matrix
-        R = sp.csr_matrix(A.shape) if sweep.R[0] is None else sweep.R[0]
+        terms = sweep.R[0] or []
+        R = _remainder(terms) if terms else sp.csr_matrix(A.shape)
+        assert len(terms) == {"wg": 2, "dodg": 1, "dodsd": 0}[name]
         assert np.abs(R + lower - A).max() <= 1e-14 * np.abs(A).max()
+        Rb = sum(scale * (J @ b) for scale, J in terms)
+        assert np.abs(Rb - (A - lower) @ b).max() <= 1e-14 * (abs(A) @ np.abs(b)).max()
+        if name == "dodg":
+            assert (R != A - lower).nnz == 0
         if name == "dodsd":
             exact = spla.spsolve(sysm.matrix.tocsc(), b)
             assert np.abs(x - exact).max() <= 1e-12 * np.abs(exact).max()
@@ -821,6 +838,22 @@ class TestLoopMemory:
         assert trace.converged
         assert peak <= 3.6 * L * mesh.n_cells * d * 8
 
+    def test_wg_peak_is_at_most_five_fields(self):
+        # WG Q1 at 1/h = 64 keeps a remainder: the run's two jump
+        # operators J_x and J_y, shared by every ordinate, not one CSR per
+        # ordinate (10.72 fields with those; 4.57 measured)
+        quad, kernel, medium, mesh, tables = _setup(level=6, k=1)
+        systems = _stock_endpoint(_systems(WG(), quad, kernel, medium, mesh, tables, f=_source))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            _, trace = source_iteration(systems, kernel, quad, SourceIterationConfig(tol=1e-9))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert trace.converged and trace.escalated == 0
+        assert peak <= 5 * len(systems) * mesh.n_cells * tables.dof * 8
+
 
 class TestSuperLUImport:
     def test_loaded_only_when_a_run_factors(self):
@@ -1036,14 +1069,21 @@ class TestSplitStorage:
         assert trace.converged and trace.escalated == 0
         [sweep] = built
         assert len(sweep.R) == len(quad)
-        # only R is sparse
-        held = {k for k, v in vars(sweep).items()
-                if sp.issparse(v) or isinstance(v, list) and any(map(sp.issparse, v))}
+        # only R is sparse: per ordinate a list of (scale, CSR) terms,
+        # whose sum is A - P
+        def sparse(v):
+            return sp.issparse(v) or isinstance(v, (list, tuple)) and any(map(sparse, v))
+
+        held = {k for k, v in vars(sweep).items() if sparse(v)}
         assert held == (set() if name == "dodsd" else {"R"})
         for m, sysm in enumerate(systems):
-            R = sweep.R[m]
-            if R is not None:
-                assert R.format == "csr" and R.nnz < sysm.matrix.nnz
+            A = sysm.matrix
+            for _, J in sweep.R[m] or ():
+                assert J.format == "csr" and J.nnz < A.nnz
+            if sweep.R[m] is not None:
+                lower = _lower_part(_sweep_matrix(sysm), tables.dof, mesh, sysm.direction)
+                diff = _remainder(sweep.R[m]) + lower - A
+                assert np.abs(diff).max() <= (1e-14 if name == "wg" else 0.0) * np.abs(A).max()
             assert not any(sp.issparse(v) for v in vars(sysm).values())
         # D^{-1} per class: the interior block and the two end blocks of
         # each of the 2n - 1 fronts, against n^2 cells

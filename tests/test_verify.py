@@ -439,6 +439,27 @@ class TestRunConvergence:
         assert len(alive) == 3 and owners
         assert alive[0] == [] and alive[1] and not any(alive[1] + alive[2])
 
+    @pytest.mark.parametrize("study", ["convergence", "angular"])
+    def test_systems_freed_before_the_next_assembly(self, monkeypatch, study):
+        # a level's (or ordinate count's) systems, their right sides among
+        # them, are dead once its loop returns, before the next assembly
+        owners, alive = [], []
+        real_assemble = dowg.verify._assemble_all
+
+        def assemble(*args):
+            alive.append([ref() is not None for ref in owners])
+            systems = real_assemble(*args)
+            owners.extend([weakref.ref(systems[0]), weakref.ref(systems[0].rhs_fixed)])
+            return systems
+
+        monkeypatch.setattr(dowg.verify, "_assemble_all", assemble)
+        if study == "convergence":
+            run_convergence("example2", k=1, levels=[2, 3, 4])
+        else:
+            run_angular_study(k=1, level=4, Ms=(4, 8, 16), tol=None)
+        assert [len(a) for a in alive] == [0, 2, 4]
+        assert not any(alive[1] + alive[2])
+
     def test_gap_levels_prolong_twice(self, monkeypatch):
         # level 4 starts from level 2's field prolonged over the gap; every
         # row is certified, and each error is within 1% of its zero
