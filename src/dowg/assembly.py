@@ -36,9 +36,9 @@ by entry, only the nonzero ones (``_filled``).
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import _hooks
 from .angular import apply_scatter
@@ -124,7 +124,9 @@ class DirectionSystem:
     meets only through its side products ``SIDE_NORMALS @ direction``.
     ``scatter_test`` holds the volume test table the lagged scattering
     source is integrated against (basis values for WG/DODG, the
-    streamline-diffusion test combination for DODSD).  ``inflow_sign``
+    streamline-diffusion test combination for DODSD), and ``scatter_map``
+    the map from kernel-contracted coefficients to that source, computed
+    on first use and kept (``_scatter_map``).  ``inflow_sign``
     is the sign of WG's weak inflow term -<s.n u, v>, fixed when the
     system is built (+1 only under the ``flip_inflow_sign`` fault hook).
     """
@@ -142,6 +144,10 @@ class DirectionSystem:
     @property
     def n_dof(self):
         return self.mesh.n_cells * self.tables.dof
+
+    @cached_property
+    def scatter_map(self):
+        return _scatter_map(self)
 
     @property
     def matrix(self):
@@ -224,6 +230,11 @@ def _filled(patterns, st, values):
     they expand to without its zero entries.  Its pattern (``_pattern``)
     is computed once per key in ``patterns`` and shared by every matrix
     with that key."""
+    # imported here, not with the module: scipy.sparse is most of the
+    # package's import time, and a run at sweep scale builds no CSR but
+    # DODG's remainder
+    import scipy.sparse as sp
+
     nonzero = values != 0
     key = (len(st.cls), nonzero.shape, nonzero.tobytes())
     if key not in patterns:
@@ -409,12 +420,13 @@ def scattering_source(systems, kernel, quad, field, out=None):
     The kernel is applied (``apply_scatter``) to the broken-polynomial
     coefficients, written into the result, which is then mapped in
     place, one ordinate at a time, to each system's test table through
-    the (dof, dof) matrix sigma_s h^2 V^T W test.  So no quadrature-point
-    array is formed, and with ``out`` no field-sized one either.
+    the (dof, dof) matrix sigma_s h^2 V^T W test, its ``scatter_map``.
+    So no quadrature-point array is formed, and with ``out`` no
+    field-sized one either.
     """
     out = apply_scatter(kernel, quad, field, out=out)
     for block, system in zip(out, systems):
-        np.matmul(block, _scatter_map(system), out=block)
+        np.matmul(block, system.scatter_map, out=block)
     return out
 
 

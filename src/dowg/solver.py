@@ -21,14 +21,16 @@ The loop stops when that bound and the coupled relative residual
 stop.  An update norm or residual that is not finite (the field
 overflowed) ends the loop at once, uncertified.
 
-Each ordinate is the pair (P_m^{-1}, R_m), R_m None when P_m = A_m, and
+Each ordinate is the pair (P_m^{-1}, R_m), R_m zero when P_m = A_m, and
 all ordinates have as many unknowns, so one object built before the
 first sweep holds the run's pairs and ``_fused_sweep`` applies it to all
 at once: at desk scale ``_Exact``, sparse LU of each A_m, above that the
 wavefront ``_Sweep``.  The loop holds the iterate and two buffers that
 swap roles every sweep (``_fused_sweep``), so no field is allocated or
-copied per sweep, and SuperLU is imported only when a run builds the
-exact pairs.
+copied per sweep.  SuperLU is imported only when a run builds the exact
+pairs, and scipy.sparse only when it builds a CSR (``assembly._filled``):
+the exact pairs or DODG's remainder, never a WG or DODSD run at sweep
+scale.
 Ordinates whose systems, kernel rows and columns and right sides are
 equal bit for bit are one direction (``_fold``): the trapezoid rule's
 theta = 2 pi and theta = 0.  The whole loop, its pairs, buffers,
@@ -44,11 +46,13 @@ remainder), and the streamline-diffusion systems are exactly triangular
 in that order (R_m = 0).  The sweep goes front by front over every
 ordinate, the all-angle wavefront of Koch, Baker & Alcouffe (Trans. Am.
 Nucl. Soc. 65, 1992), from each ordinate's D^{-1} and two upwind class
-blocks, cut from its block stencil; R_m is scaled CSR operators that
-ordinates share (WG's two jumps, DODG's one per flow quadrant), and A_m
-is never formed.  A run with a remainder whose update norms stop
-falling, while above roundoff, switches once, with a RuntimeWarning, to
-the exact pairs for every ordinate (``IterationTrace.escalated``).
+blocks, cut from its block stencil.  WG's R_m, minus its stabilizer, is
+applied on the faces to all ordinates at once (``_Jumps``); every other
+R_m is a CSR operator that ordinates share (DODG's one per flow
+quadrant), and A_m is never formed.  A run with a remainder whose update
+norms stop falling, while above roundoff, switches once, with a
+RuntimeWarning, to the exact pairs for every ordinate
+(``IterationTrace.escalated``).
 """
 
 import warnings
@@ -60,7 +64,8 @@ from .angular import AngularQuadrature
 
 # the benchmark's tracer (perfbench/tracing.py) patches these three names here
 from .assembly import assemble_direction, l2_dom_norm, scattering_source  # noqa: F401
-from .assembly import _INTERIOR, _SLOT, _filled, _jump_stencil, _sweep_shift
+from .assembly import _INTERIOR, _SLOT, _filled, _sweep_shift
+from .mesh import OPPOSITE_SIDE
 from .reporting import _write_table
 
 __all__ = [
@@ -127,18 +132,19 @@ class _Sweep:
     l - 1 (ties count left and bottom as upwind).  On the block stencil of
     A, plus for WG its stabilizer once more (``assembly._sweep_shift``),
     P = D + L takes each cell's own and upwind blocks and R = A - P the
-    rest.  ``R`` lists each ordinate's R as (scale, CSR) terms in natural
-    order, None when it is 0: with the WG shift, minus the shift, (-h|s_x|/4,
-    J_x) and (-h|s_y|/4, J_y) on the run's two jump operators; else one
-    term of scale 1, its CSR shared by the ordinates whose class blocks of
-    R are equal bit for bit.  Index arrays are shared per pattern
-    (``_filled``).
+    rest.  With the WG shift R is minus the shift, -(h/4)(|s_x| J_x +
+    |s_y| J_y), which ``jumps`` (``_Jumps``) applies to every such
+    ordinate on the faces, and ``R`` holds None for it; else ``R`` holds
+    the ordinate's R as CSR in natural order, None when it is 0, one CSR
+    shared by the ordinates whose class blocks of R are equal bit for bit.
+    Index arrays are shared per pattern (``_filled``).
 
     The class grid makes P uniform: every class with an upwind neighbour
     holds the interior class's block there (checked bit for bit), a
     front's inner cells are interior and its two ends boundary cells.  So
     an ordinate keeps ``_upwind`` = [L_bottom^T; L_left^T], the interior
-    D^{-1} (``_bulk``) and per front its ends' D^{-1} (``_ends``), all
+    D^{-1} (``_bulk``) and its ends' D^{-1} per distinct pair of end-cell
+    classes (``_ends``, front l's pair ``_ends[_end_of[l]]``), all
     transposed for a right multiply.  The work array is (ordinates,
     n^2 + 2(2n - 1), d): per ordinate, front after front, the cells of
     front l in flow order between two pad rows, flow row j' at
@@ -174,7 +180,7 @@ class _Sweep:
         self._upwind = upwind = np.empty((B, 2 * d, d))
         own = np.empty((B, 9, d, d))
         end_cls = np.empty((B, 2, F), dtype=np.intp)
-        patterns, remainders, jumps, self.R = {}, {}, None, []
+        patterns, remainders, scales, self.R = {}, {}, np.zeros((B, 2)), []
         for b, system in enumerate(systems):
             sx, sy = system.direction
             acc = system.stencil()
@@ -192,22 +198,23 @@ class _Sweep:
             upwind[b] = P[_INTERIOR, :2].transpose(0, 2, 1).reshape(2 * d, d)
             own[b] = P[:, 2]
             if shift is not None:
-                # R = A - P = -shift = -(h/4)(|s_x| J_x + |s_y| J_y), J_x and
-                # J_y the jumps across the vertical and horizontal faces
-                if jumps is None:
-                    kappas = np.repeat(np.eye(2), 2, axis=1)  # sides 0, 1; 2, 3
-                    jumps = [_filled(patterns, st, st.blocks)
-                             for st in (_jump_stencil(system, k) for k in kappas)]
-                self.R.append(list(zip(-0.25 * system.mesh.h * np.abs(system.direction), jumps)))
+                # R = A - P = -shift, applied on the faces (``_Jumps``)
+                scales[b] = 0.25 * system.mesh.h * np.abs(system.direction)
+                self.R.append(None)
             else:
                 # R = A - P, A's downwind blocks: one CSR per distinct value
                 acc.blocks[:, kept] = 0.0
                 key = acc.blocks.tobytes()
                 if key not in remainders and acc.blocks.any():
-                    remainders[key] = [(1.0, _filled(patterns, acc, acc.blocks))]
+                    remainders[key] = _filled(patterns, acc, acc.blocks)
                 self.R.append(remainders.get(key))
             fi, fj = flow[self._quadrant[b]]
             end_cls[b] = acc.cls[fj[ends] * n + fi[f - ends]]
+        self.jumps = _Jumps(systems[0].tables, n, scales) if scales.any() else None
+        # the fronts whose end cells have the same classes share one block
+        # pair per ordinate: five distinct ones for n > 2
+        keys, end_of = np.unique(end_cls.reshape(2 * B, F).T, axis=0, return_inverse=True)
+        self._end_of, end_cls = end_of.ravel(), keys.T.reshape(B, 2, -1)
         dinv = np.linalg.inv(own)
         self._bulk = dinv[:, _INTERIOR].transpose(0, 2, 1).copy()
         self._ends = _front_ends(dinv, end_cls)
@@ -224,7 +231,7 @@ class _Sweep:
                 z, acc = W[l][:, 1:-1], t[:, :cnt]
                 win = None if l == 0 else _windows(W[l - 1][:, ends[0, l] - ends[0, l - 1]:], cnt)
                 fronts.append((win, z, acc, (z[:, :1], z[:, -1:]), (acc[:, :1], acc[:, -1:]),
-                               self._ends[l]))
+                               self._ends[self._end_of[l]]))
         if start is not None:
             self._lower(start, own, end_cls)
 
@@ -243,11 +250,10 @@ class _Sweep:
         each upwind front still holds x0: D by the interior and end
         blocks, plus the upwind products."""
         W = self._pack(start.reshape(len(own), self._C, -1), 0)
-        D = own[:, _INTERIOR].transpose(0, 2, 1)
-        fronts = zip(self._fronts[0][::-1], _front_ends(own, end_cls)[::-1])
-        for (win, z, _, z_ends, _, _), ends in fronts:
+        D, own_ends = own[:, _INTERIOR].transpose(0, 2, 1), _front_ends(own, end_cls)
+        for (win, z, _, z_ends, _, _), e in zip(self._fronts[0][::-1], self._end_of[::-1]):
             y = z @ D
-            for y_end, z_end, end in zip((y[:, :1], y[:, -1:]), z_ends, ends):
+            for y_end, z_end, end in zip((y[:, :1], y[:, -1:]), z_ends, own_ends[e]):
                 y_end[...] = z_end @ end
             if win is not None:
                 y += win @ self._upwind
@@ -289,9 +295,11 @@ class _Exact:
         L, C, d = len(systems), systems[0].mesh.n_cells, systems[0].tables.dof
         self.bufs = bufs or [np.zeros((L * C, d)) for _ in range(2)]
         self._g = [buf[:L * C].reshape(L, -1) for buf in self.bufs]
-        self._solves = []
+        # the ordinates' stencils expand to CSR through one pattern dict
+        patterns, self._solves = {}, []
         for m, system in enumerate(systems):
-            A = system.matrix
+            st = system.stencil()
+            A = _filled(patterns, st, st.blocks)
             try:
                 lu = spla.splu(A.tocsc())
             except RuntimeError as err:  # SuperLU's "Factor is exactly singular"
@@ -299,13 +307,82 @@ class _Exact:
             if start is not None:
                 self._g[1][m] = A @ start[m * C:(m + 1) * C].ravel()
             self._solves.append(lu.solve)
-        self.R = [None] * L
+        self.R, self.jumps = [None] * L, None
 
     def solve(self, i):
         """Yield ``(m, x)`` per ordinate m, x = A^{-1} g as its C d
         values, with g as for ``_Sweep.solve``."""
         for m, solve in enumerate(self._solves):
             yield m, solve(self._g[i][m])
+
+
+class _Jumps:
+    """WG's sweep remainder R = -(h/4)(|s_x| J_x + |s_y| J_y) of every
+    ordinate, applied on the faces: J_x and J_y are the jumps <[u], [v]>
+    across the vertical and the horizontal interior faces, and ``scales``
+    (ordinates, 2) holds each ordinate's h|s_x|/4 and h|s_y|/4 (0 for one
+    without the shift).
+
+    The basis is nodal, so on side b of a cell only the k + 1 dofs whose
+    trace is not zero there (``tables.trace``) meet the face, and E_self[b]
+    and E_pair[b] are one (k + 1) x (k + 1) edge mass between the two
+    sides' face dofs; the set-up checks this bit for bit and raises
+    ``RuntimeError`` if it fails.  So J x is, per face, the edge mass
+    times the jump of the face values, added to the dofs on one side and
+    subtracted on the other.  ``subtract`` takes the ordinates a few at a
+    time, about ``_CHUNK`` values of x each, so that a chunk's rows and
+    the two buffers stay in cache: per face node one strided subtract of
+    the two sides' values into a node-major buffer, one product with the
+    edge mass, the scale per ordinate, and per side and node one strided
+    add into g.  The buffer holds a row per cell, the face to its right or
+    above it; a cell at a row's end, or in an ordinate's top row, has no
+    such face, and its row is zeroed.
+    """
+
+    def __init__(self, tables, n, scales):
+        faces = [np.flatnonzero(tables.trace[b].any(axis=0)) for b in range(4)]
+        self._mass = tables.E_self[1][np.ix_(faces[1], faces[1])]
+        for b in range(4):
+            pair = faces[OPPOSITE_SIDE[b]]
+            for E, cols in ((tables.E_self[b], faces[b]), (tables.E_pair[b], pair)):
+                face = np.zeros_like(E)
+                if len(faces[b]) == len(cols) == len(self._mass):
+                    face[np.ix_(faces[b], cols)] = self._mass
+                if not np.array_equal(E, face):
+                    raise RuntimeError(f"side {b}: the edge masses are not one block "
+                                       "between the face dofs")
+        # (first side, second side, cell offset across) of the vertical
+        # and the horizontal faces
+        self._axes = [(faces[1], faces[0], 1), (faces[3], faces[2], n)]
+        self._n, self._C, self._scales = n, n * n, scales
+        self._per = max(1, _CHUNK // (n * n * tables.dof))
+        self._bufs = np.empty((2, len(self._mass), self._per * n * n))
+
+    def subtract(self, x, g):
+        """g -= R x, both rows of d over all ordinates, ordinate-major."""
+        n, C, per = self._n, self._C, self._per
+        for lo in range(0, len(self._scales), per):
+            scales = self._scales[lo:lo + per]
+            xs, gs = x[lo * C:(lo + len(scales)) * C], g[lo * C:(lo + len(scales)) * C]
+            jump, y = self._bufs[:, :, :len(xs)]
+            for (first, second, off), scale in zip(self._axes, scales.T):
+                for i, (p, q) in enumerate(zip(first, second)):
+                    np.subtract(xs[:-off, p], xs[off:, q], out=jump[i, :-off])
+                if off == 1:
+                    jump[:, n - 1::n] = 0.0
+                else:
+                    jump.reshape(len(jump), -1, C)[:, :, C - n:] = 0.0
+                np.matmul(self._mass, jump, out=y)
+                y3 = y.reshape(len(y), -1, C)
+                y3 *= scale[:, None]
+                for i, (p, q) in enumerate(zip(first, second)):
+                    np.add(gs[:-off, p], y[i, :-off], out=gs[:-off, p])
+                    np.subtract(gs[off:, q], y[i, :-off], out=gs[off:, q])
+
+
+# ``_Jumps`` takes as many ordinates at a time as have about this many
+# values of x together (512 KiB)
+_CHUNK = 2**16
 
 
 def _front_ends(blocks, end_cls):
@@ -368,11 +445,12 @@ def _bound(errs, residuals):
 
 def _fused_sweep(systems, kernel, quad, pinv, x, i, repeats):
     """One sweep of every ordinate from the iterate ``x``, rows of d: g =
-    b + S x - R x (R x term by term, one CSR product each, scaled unless
-    the scale is 1) is formed in the first rows of ``pinv.bufs[i]``, the
-    next sweep's previous g, g_prev - g in those of the other, which
-    then serves as the work array while P^{-1} g overwrites x ordinate
-    by ordinate and each one's update norm is taken on the way.  Returns
+    b + S x - R x (one CSR product per ordinate that has one, then WG's
+    on the faces, ``_Jumps``) is formed in the first rows of
+    ``pinv.bufs[i]``, the next sweep's previous g, g_prev - g in those of
+    the other, which then serves as the work array while P^{-1} g
+    overwrites x ordinate by ordinate and each one's update norm is taken
+    on the way.  Returns
     the residual's sums ||g - g_prev||^2 = ||b + S x - A x||^2 (as P x =
     g_prev) and ||b + S x||^2, in which each ``(m, count)`` of
     ``repeats`` counts ordinate m count times more, once for each
@@ -385,11 +463,10 @@ def _fused_sweep(systems, kernel, quad, pinv, x, i, repeats):
         g[m] += system.rhs_fixed
     den = np.vdot(g, g) + sum(c * np.vdot(g[m], g[m]) for m, c in repeats)
     for m, R in enumerate(pinv.R):
-        for scale, J in R or ():
-            Jx = J @ xs[m]
-            if scale != 1.0:
-                Jx *= scale
-            g[m] -= Jx
+        if R is not None:
+            g[m] -= R @ xs[m]
+    if pinv.jumps is not None:
+        pinv.jumps.subtract(x, g.reshape(x.shape))
     np.subtract(g_prev, g, out=g_prev)
     num = np.vdot(g_prev, g_prev) + sum(c * np.vdot(g_prev[m], g_prev[m]) for m, c in repeats)
     vol = np.empty(B)
@@ -512,7 +589,7 @@ def _loop(systems, kernel, quad, cfg, certify, start, reps, group):
             tol = target
         elif (
             # after the switch no ordinate has a remainder: it happens once
-            any(R is not None for R in pinv.R)
+            (pinv.jumps is not None or any(R is not None for R in pinv.R))
             and len(errs) > _STALL and errs[-1] >= errs[-1 - _STALL]
             and errs[-1] > _ROUNDOFF * l2_dom_norm(mesh, tables, quad, field)
         ):

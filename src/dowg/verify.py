@@ -24,6 +24,7 @@ that adds edge-mismatch and boundary terms.
 import operator
 import resource
 import time
+import weakref
 from dataclasses import dataclass, field as dc_field
 from functools import reduce
 
@@ -258,9 +259,10 @@ def _check_memory(k, level, M, budget=None):
     and every ordinate at 1/h = 32 and 64) and the right side, and the
     index arrays of at most sixteen sparsity patterns, each with 4-byte
     indices and its indptr.  The batched sweep keeps the interior class's
-    D^{-1} and two per front, gather indices for the four flow quadrants
-    (2 C + 4 n each, at any M), and R as operators the ordinates share
-    (WG's two jump operators, DODG's one CSR per flow quadrant); the
+    D^{-1} and two per distinct pair of front-end classes, gather indices
+    for the four flow quadrants (2 C + 4 n each, at any M), and R as
+    operators the ordinates share (WG's on the faces, with two buffers
+    of at most 2^16 values, DODG's one CSR per flow quadrant); the
     bytes counted per ordinate for R, for the second operator (2d fields)
     and for D^{-1} per cell stay as margin.  The
     set-up's scratch (by tracemalloc at most 44 bytes per block entry at
@@ -382,6 +384,20 @@ def measure_error(field, case, mesh, tables, quad, triple=True):
     return err_dom, finish() if triple else None
 
 
+# each run's tables and the finer ones its errors are measured with
+_FINE = weakref.WeakKeyDictionary()
+
+
+def _fine_tables(tables):
+    """The tables of ``tables``' basis on the (k+3)-point Gauss rule per
+    axis that errors are measured with, built once per ``tables``, so once
+    per run."""
+    if tables not in _FINE:
+        k = tables.basis.k
+        _FINE[tables] = ElementTables(tables.basis, ElementQuadrature.build(k, k + 3, k + 3))
+    return _FINE[tables]
+
+
 def _errors(field, case, mesh, tables, quad):
     """``measure_error`` in two steps: the broken-L2 error now, and a
     function that finishes the triple-norm error from the same volume
@@ -389,8 +405,7 @@ def _errors(field, case, mesh, tables, quad):
     row per ordinate of ``quad``."""
     field = np.asarray(field)
     h = mesh.h
-    k = tables.basis.k
-    fine = ElementTables(tables.basis, ElementQuadrature.build(k, k + 3, k + 3))
+    fine = _fine_tables(tables)
     fq = fine.quad
 
     X, Y = mesh.points(fq.vol_points)

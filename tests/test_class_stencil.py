@@ -1,13 +1,13 @@
 """The class-built stencil and sweep equal the per-cell ones bitwise.
 
 Each ordinate's block stencil is assembled once per cell class, and one
-batched sweep holds every swept ordinate's class blocks and R as CSR
-operators the ordinates share, filled into sparsity patterns shared by
-the run.  The references below are the per-cell stencil, every cell its
-own class, and the sweep construction the solver used before: it
-converts each ordinate's per-cell blocks to CSR/CSC separately.  WG's R,
-two scaled jump operators, is its A - P to 1e-14 of A; everything else
-is bitwise the reference's.
+batched sweep holds every swept ordinate's class blocks and R: WG's on
+the faces (``_Jumps``), every other one as CSR operators the ordinates
+share, filled into sparsity patterns shared by the run.  The references
+below are the per-cell stencil, every cell its own class, and the sweep
+construction the solver used before: it converts each ordinate's
+per-cell blocks to CSR/CSC separately.  WG's R x is its (A - P) x to
+1e-14 of |A| |x|; everything else is bitwise the reference's.
 """
 
 import gc
@@ -29,11 +29,12 @@ import dowg.solver
 from dowg import _hooks
 from dowg.angular import HenyeyGreenstein, build_circle_trapezoid, build_scatter_kernel
 from dowg.assembly import (
-    _INTERIOR, _SLOT, DODG, DODSD, WG, Medium, _pattern, assemble_direction, triple_norm,
+    _INTERIOR, _SLOT, DODG, DODSD, WG, Medium, _filled, _jump_stencil, _pattern,
+    assemble_direction, triple_norm,
 )
 from dowg.elements import ElementQuadrature, ElementTables, LocalBasis
 from dowg.mesh import build_mesh
-from dowg.solver import SourceIterationConfig, _Sweep, _windows, source_iteration
+from dowg.solver import SourceIterationConfig, _Jumps, _Sweep, _windows, source_iteration
 from dowg.verify import build_case, project_exact
 
 _SCHEMES = {"wg": WG(), "dodg": DODG(), "dodsd": DODSD()}
@@ -180,7 +181,7 @@ def _dinv_cells(sweep, b):
     front, *ends = _front_cells(sweep, b)
     cells = np.repeat(sweep._bulk[b].T[None], len(front), axis=0)
     for e, at in enumerate(ends):
-        cells[at] = sweep._ends[front[at], e, b].transpose(0, 2, 1)
+        cells[at] = sweep._ends[sweep._end_of[front[at]], e, b].transpose(0, 2, 1)
     return cells
 
 
@@ -218,47 +219,44 @@ def _batch(systems):
     return _Sweep(systems)
 
 
-def _remainder(terms):
-    """An ordinate's R, held as (scale, shared CSR) terms, as the one CSR
-    they sum to; None when R is 0."""
-    if terms is None:
-        return None
-    (scale, J), *rest = terms
-    R = scale * J
-    for scale, J in rest:
-        R = R + scale * J
-    return R.tocsr()
+def _remainder_product(sweep, x):
+    """R x of every ordinate the sweep holds, ``x`` (ordinates, n_dof), as
+    the loop forms it: each ordinate's CSR, then WG's on the faces."""
+    d = sweep._d
+    g = np.zeros((len(x) * sweep._C, d))
+    for m, R in enumerate(sweep.R):
+        if R is not None:
+            g[m * sweep._C:(m + 1) * sweep._C] -= (R @ x[m]).reshape(-1, d)
+    if sweep.jumps is not None:
+        sweep.jumps.subtract(np.ascontiguousarray(x).reshape(-1, d), g)
+    return -g.reshape(x.shape)
 
 
 def _operators(R):
-    """The distinct CSR operators the terms of a run's R refer to."""
-    return list({id(J): J for terms in R if terms for _, J in terms}.values())
+    """The distinct CSR operators of a run's R."""
+    return list({id(J): J for J in R if J is not None}.values())
 
 
-def _same_remainder(system, terms, ref, A):
-    """The sweep's R of ``system`` against the per-cell A - P ``ref``: WG's
-    two scaled jump operators, R = -shift in its exact form, to 1e-14 of
-    A, where A - P cancels to within A's rounding; every other R one
-    unscaled CSR, bit for bit."""
+def _same_remainder(system, sweep, b, x, ref, A):
+    """The sweep's R of ``system``, its ordinate b, against the per-cell
+    A - P ``ref``: WG's, R = -shift on the faces, its product with ``x``
+    (``_remainder_product``) to 1e-14 of |A| |x|, where A - P cancels to
+    within A's rounding; every other R one CSR, bit for bit."""
     if isinstance(system.scheme, WG):
-        assert len(terms) == 2
-        R = _remainder(terms)
-        assert R.shape == ref.shape
-        assert abs(R - ref).max() <= 1e-14 * abs(A).max()
-    elif terms is None:
-        assert ref is None
+        assert sweep.R[b] is None and sweep.jumps is not None
+        Rx = _remainder_product(sweep, x)[b]
+        assert abs(Rx - ref @ x[b]).max() <= 1e-14 * (abs(A) @ abs(x[b])).max()
     else:
-        [(scale, J)] = terms
-        assert scale == 1.0
-        _same_sparse(J, ref)
+        _same_sparse(sweep.R[b], ref)
 
 
 def _assert_class_built_is_cell_built(systems):
     sweep = _batch(systems)
+    x = np.random.default_rng(3).standard_normal((len(systems), systems[0].n_dof))
     for b, system in enumerate(systems):
         A_ref, ref = _cell_built(system)
         _same_sparse(system.matrix, A_ref)
-        _same_remainder(system, sweep.R[b], ref.R, A_ref)
+        _same_remainder(system, sweep, b, x, ref.R, A_ref)
         _same(_dinv_cells(sweep, b), ref.dinv)
 
 
@@ -293,7 +291,8 @@ def _source(x, y, th):
 class TestClassBuiltEqualsCellBuilt:
     """``DirectionSystem.matrix`` and the batch's R and D^{-1} of every
     ordinate are bitwise those of the per-cell construction, but for
-    WG's R, which is its A - P to 1e-14 (``_same_remainder``)."""
+    WG's R, whose product is that of its A - P to 1e-14
+    (``_same_remainder``)."""
 
     # every M = 20 ordinate, m = 0, 5, 10, 15 and 20 on the axes
     @pytest.mark.parametrize("level", [1, 2, 4, 5])  # n = 2, 4, 16, 32
@@ -397,13 +396,15 @@ class TestClassDinv:
     @pytest.mark.parametrize("level", [2, 4, 5])
     def test_class_sized_storage(self, level):
         # the fronts' ends are the 4n - 4 boundary cells (n > 2), and no
-        # array holds a block per cell
+        # array holds a block per cell: the fronts whose ends have the same
+        # classes share their blocks, five distinct pairs of the 2n - 1
         n = 2**level
         systems = _systems("dodg", 1, level)
         sweep = _batch(systems)
         L, d = len(systems), sweep._d
         assert sweep._bulk.shape == (L, d, d)
-        assert sweep._ends.shape == (2 * n - 1, 2, L, d, d)
+        assert sweep._ends.shape == (5, 2, L, d, d)
+        assert sweep._end_of.shape == (2 * n - 1,)
         assert sweep._upwind.shape == (L, 2 * d, d)
         i, j = np.arange(n * n) % n, np.arange(n * n) // n
         boundary = (i == 0) | (i == n - 1) | (j == 0) | (j == n - 1)
@@ -414,27 +415,23 @@ class TestClassDinv:
 
 class TestSharedPatterns:
     def test_one_quadrant_shares_its_indices(self):
-        # m = 1..4 lie strictly inside the first quadrant.  WG's R is the
-        # same two jump operators at every ordinate, the axis one m = 0
-        # too, with each ordinate's own scales -h|s_x|/4 and -h|s_y|/4;
+        # m = 1..4 lie strictly inside the first quadrant.  WG's R is one
+        # face operator for every ordinate, the axis one m = 0 too, with
+        # each ordinate's own scales h|s_x|/4 and h|s_y|/4, and no CSR;
         # DODG's is one CSR for the quadrant, which m = 0 joins by the tie
-        # rule (s_y = 0 counts the bottom as upwind).  Their index arrays
+        # rule (s_y = 0 counts the bottom as upwind).  Its index arrays
         # are read-only
         systems = _systems("wg", 1, 4)
-        R = _batch(systems).R
-        Jx, Jy = (J for _, J in R[0])
-        for m in range(1, 5):
-            (_, Jx_m), (_, Jy_m) = R[m]
-            assert Jx_m is Jx and Jy_m is Jy
+        sweep = _batch(systems)
+        assert sweep.R == [None] * len(systems)
+        for m in range(5):
             h, (sx, sy) = systems[m].mesh.h, systems[m].direction
-            assert [scale for scale, _ in R[m]] == [-0.25 * h * abs(sx), -0.25 * h * abs(sy)]
-        for J in (Jx, Jy):
-            assert not J.indices.flags.writeable and not J.indptr.flags.writeable
+            assert list(sweep.jumps._scales[m]) == [0.25 * h * abs(sx), 0.25 * h * abs(sy)]
         R = _batch(_systems("dodg", 1, 4)).R
-        [(scale, first)] = R[1]
-        assert scale == 1.0 and all(R[m] is R[1] for m in range(5))
+        first = R[1]
+        assert all(R[m] is first for m in range(5))
         assert not first.indices.flags.writeable and not first.indptr.flags.writeable
-        assert R[6][0][1] is not first  # the second quadrant
+        assert R[6] is not first  # the second quadrant
 
     @staticmethod
     def _built(monkeypatch):
@@ -451,15 +448,15 @@ class TestSharedPatterns:
     @pytest.mark.parametrize("M", [4, 20])
     def test_wg_builds_two_operators(self, monkeypatch, M):
         # R = -(h/4)(|s_x| J_x + |s_y| J_y) at every ordinate: the run
-        # builds J_x and J_y once, whatever the ordinate count
+        # holds J_x and J_y once, whatever the ordinate count, as one
+        # operator on the faces, and expands no CSR
         built = self._built(monkeypatch)
         systems = _systems("wg", 1, 4, M=M)
-        R = _batch(systems).R
-        assert len(built) == 2 and len(R) == M + 1
-        for system, terms in zip(systems, R):
-            assert all(J is op for (_, J), op in zip(terms, built, strict=True))
+        sweep = _batch(systems)
+        assert built == [] and sweep.R == [None] * (M + 1)
+        for system, scales in zip(systems, sweep.jumps._scales, strict=True):
             h, s = system.mesh.h, system.direction
-            assert [scale for scale, _ in terms] == list(-0.25 * h * np.abs(s))
+            assert list(scales) == list(0.25 * h * np.abs(s))
 
     @pytest.mark.parametrize("k", [1, 2])
     @pytest.mark.parametrize("M", [4, 20])
@@ -470,9 +467,8 @@ class TestSharedPatterns:
         sweep = _batch(_systems("dodg", k, 4, M=M))
         assert len(built) == len(set(sweep._quadrant)) <= 4
         by_quadrant = {}
-        for q, terms in zip(sweep._quadrant, sweep.R):
-            [(scale, J)] = terms
-            assert scale == 1.0 and by_quadrant.setdefault(q, J) is J
+        for q, J in zip(sweep._quadrant, sweep.R):
+            assert by_quadrant.setdefault(q, J) is J
         assert len(by_quadrant) == len(built)
 
     def test_unshifted_wg_shares_only_equal_remainders(self, monkeypatch):
@@ -481,9 +477,10 @@ class TestSharedPatterns:
         # one of theta = 0 shared with theta = 2 pi
         monkeypatch.setattr(dowg.solver, "_sweep_shift", lambda s: None)
         built = self._built(monkeypatch)
-        R = _batch(_systems("wg", 1, 3)).R
+        sweep = _batch(_systems("wg", 1, 3))
+        R = sweep.R
         assert len(built) == 20 and R[20] is R[0]
-        assert all(len(terms) == 1 and terms[0][0] == 1.0 for terms in R)
+        assert sweep.jumps is None and all(J.format == "csr" for J in R)
 
     def test_sweeps_die_with_the_run(self, monkeypatch):
         # no reference cycle keeps a sweep alive after the loop returns:
@@ -507,6 +504,59 @@ class TestSharedPatterns:
         finally:
             if enabled:
                 gc.enable()
+
+
+class TestFaceRemainder:
+    """WG's remainder on the faces (``solver._Jumps``) is minus its shift
+    as the two jump CSRs it replaced: -(h/4)(|s_x| J_x + |s_y| J_y), J_x
+    and J_y ``_filled`` from ``_jump_stencil`` on the vertical and the
+    horizontal faces, on random vectors to 1e-14 of the same sum with
+    every entry and value taken absolute."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        k=st.sampled_from([1, 2]),
+        level=st.sampled_from([1, 2, 3, 4]),
+        M=st.sampled_from([4, 20]),
+        kind=st.sampled_from(sorted(_KINDS)),
+        hook=st.sampled_from([None, "flip_inflow_sign"]),
+        per=st.sampled_from([None, 1, 3]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(k=2, level=4, M=20, kind="thick", hook="flip_inflow_sign", per=None, seed=0)
+    @example(k=1, level=1, M=4, kind="constant", hook=None, per=1, seed=1)
+    @example(k=1, level=4, M=20, kind="constant", hook=None, per=3, seed=2)
+    def test_equals_the_jump_csrs(self, k, level, M, kind, hook, per, seed):
+        # ``per`` ordinates at a time (``solver._CHUNK``), or as many as
+        # the default takes; M = 4 has only axis ordinates, with a scale 0
+        with _hooks.inject(hook) if hook else nullcontext():
+            systems = _systems("wg", k, level, _KINDS[kind], M=M)
+        n, d = systems[0].mesh.n, systems[0].tables.dof
+        with pytest.MonkeyPatch.context() as mp:
+            if per is not None:
+                mp.setattr(dowg.solver, "_CHUNK", per * n * n * d)
+            sweep = _batch(systems)
+        x = np.random.default_rng(seed).standard_normal((len(systems), n * n * d))
+        Rx = _remainder_product(sweep, x)
+        kappas = np.repeat(np.eye(2), 2, axis=1)  # sides 0, 1; 2, 3
+        for m, system in enumerate(systems):
+            J = [_filled({}, acc, acc.blocks) for acc in
+                 (_jump_stencil(system, kappa) for kappa in kappas)]
+            scale = 0.25 * system.mesh.h * np.abs(system.direction)
+            ref = -(scale[0] * (J[0] @ x[m]) + scale[1] * (J[1] @ x[m]))
+            size = scale[0] * (abs(J[0]) @ abs(x[m])) + scale[1] * (abs(J[1]) @ abs(x[m]))
+            assert np.abs(Rx[m] - ref).max() <= 1e-14 * size.max()
+
+    @pytest.mark.parametrize("table, at", [("E_self", (2, 0, 3)), ("E_pair", (0, 0, 1))])
+    def test_set_up_refuses_edge_masses_off_the_faces(self, table, at):
+        # the face form holds where each side's edge masses are one block
+        # between the two sides' face dofs: an entry off the bottom side's
+        # block, or a left-side pair block that is not the others', is
+        # refused when the operator is built
+        tables = ElementTables(LocalBasis(1), ElementQuadrature.build(1))
+        getattr(tables, table)[at] += 2.0**-40
+        with pytest.raises(RuntimeError, match="edge masses"):
+            _Jumps(tables, 4, np.ones((1, 2)))
 
 
 def _reference_pattern(acc, nonzero):
@@ -537,8 +587,9 @@ def _fancy_solve(sweep, g):
         else:
             acc[...] = z
         np.matmul(acc, sweep._bulk, out=z)
-        np.matmul(acc[:, :1], sweep._ends[l, 0], out=z[:, :1])
-        np.matmul(acc[:, -1:], sweep._ends[l, 1], out=z[:, -1:])
+        ends = sweep._ends[sweep._end_of[l]]
+        np.matmul(acc[:, :1], ends[0], out=z[:, :1])
+        np.matmul(acc[:, -1:], ends[1], out=z[:, -1:])
     return _unpacked(sweep, work).reshape(B, -1, d)
 
 
@@ -580,9 +631,9 @@ class TestRowTakes:
         systems = _systems(name, k, level, _KINDS[kind], M=M)
         R = _operators(_batch(systems).R)
         # one pattern per distinct pattern of R's shared operators, none
-        # for DODSD
+        # for DODSD and WG, whose R is applied on the faces
         assert len(calls) == len({(r.indptr.tobytes(), r.indices.tobytes()) for r in R})
-        assert bool(R) == (name != "dodsd")
+        assert bool(R) == (name == "dodg")
         patterns = len(calls)
         for system in systems:
             _ = system.matrix  # its own pattern, checked the same way

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 from test_assembly import _THETAS, _one_ordinate, _quadrature_norm, _quadrature_source
-from test_class_stencil import _dinv_cells, _inverse, _remainder
+from test_class_stencil import _dinv_cells, _inverse, _remainder_product
 
 import dowg.solver
 from dowg.angular import (
@@ -179,6 +179,29 @@ class _FrontLoopSweep(_Sweep):
             yield m, z
 
 
+def _face_remainder(system, x, g):
+    """g -= R x for one ordinate of WG's shifted sweep, x and g (C, d), in
+    the arithmetic of ``solver._Jumps`` on that ordinate alone: per axis
+    the jumps of the face values between each cell and the next one
+    across its side 1 or 3 (0 where there is none), their product with
+    the edge mass, the scale h|s_x|/4 or h|s_y|/4, and the result added
+    to the first side's face dofs and subtracted from the second's."""
+    tables, n = system.tables, system.mesh.n
+    faces = [np.flatnonzero(tables.trace[b].any(axis=0)) for b in range(4)]
+    mass = tables.E_self[1][np.ix_(faces[1], faces[1])]
+    c = np.arange(n * n)
+    axes = [(faces[1], faces[0], 1, c % n == n - 1), (faces[3], faces[2], n, c >= n * n - n)]
+    scales = 0.25 * system.mesh.h * np.abs(system.direction)
+    for (first, second, off, none), scale in zip(axes, scales):
+        jump = np.zeros((len(mass), n * n))
+        jump[:, :-off] = (x[:-off, first] - x[off:, second]).T
+        jump[:, none] = 0.0
+        y = mass @ jump
+        y *= scale
+        g[:-off, first] += y[:, :-off].T
+        g[off:, second] -= y[:, :-off].T
+
+
 def _per_ordinate_loop(systems, kernel, quad, cfg, start=None, fold=True):
     """Reference: the loop as it was before the fused sweep, a Python
     pass over the ordinates per sweep, each forming its g, residual sums
@@ -220,6 +243,8 @@ def _per_ordinate_loop(systems, kernel, quad, cfg, start=None, fold=True):
         if start is not None:
             g_prev[:] = sweep.bufs[1][:B * C].reshape(B, C * d)
     remainders = {} if sweep is None else dict(enumerate(sweep.R))
+    shifted = set() if sweep is None else {
+        m for m, s in enumerate(systems) if dowg.solver._sweep_shift(s) is not None}
     errs, residuals = [], []
     tol, converged, switched, escalated = cfg.tol, False, False, 0
     bound = residual = np.inf
@@ -228,10 +253,12 @@ def _per_ordinate_loop(systems, kernel, quad, cfg, start=None, fold=True):
         num = den = 0.0
         for m, s in enumerate(systems):
             rhs = s.rhs_fixed + update[m].ravel()
-            # R x term by term, in the solver's order
-            g = rhs
-            for scale, J in remainders.get(m) or ():
-                g = g - scale * (J @ field[m].ravel())
+            # R x as the solver forms it
+            g = rhs.copy()
+            if remainders.get(m) is not None:
+                g -= remainders[m] @ field[m].ravel()
+            if m in shifted:
+                _face_remainder(s, field[m], g.reshape(C, d))
             r = g - g_prev[m]
             num += count[m] * (r @ r)
             den += count[m] * (rhs @ rhs)
@@ -259,13 +286,13 @@ def _per_ordinate_loop(systems, kernel, quad, cfg, start=None, fold=True):
             and errs[-1] > dowg.solver._ROUNDOFF * l2_dom_norm(mesh, tables, quad, field)
         ):
             switched = True
-            inexact = [m for m, R in remainders.items() if R is not None]
+            inexact = [m for m, R in remainders.items() if R is not None or m in shifted]
             if inexact:
                 assert len(inexact) == B
                 for m in inexact:
                     g_prev[m] = field[m].ravel()
                     solves[m] = exact(systems[m], g_prev[m])
-                sweep, remainders, escalated = None, {}, L
+                sweep, remainders, shifted, escalated = None, {}, set(), L
     if out is None:
         out = np.empty((L, C, d))
     out[...] = field[group]
@@ -362,11 +389,10 @@ class TestSweep:
             WG(), mesh, tables, quad, kernel, medium, 4, f=_source
         )
         sweep = _Sweep([sysm])
-        R = _remainder(sweep.R[0])
-        assert sysm.n_dof > dowg.solver._EXACT_UP_TO and R is not None
+        assert sysm.n_dof > dowg.solver._EXACT_UP_TO and sweep.jumps is not None
         b = np.cos(np.arange(sysm.n_dof))
         x = spla.spsolve(sysm.matrix.tocsc(), b)
-        [step] = _inverse(sweep, [b - R @ x]) - x
+        [step] = _inverse(sweep, b - _remainder_product(sweep, x[None])) - x
         assert np.abs(step).max() <= 1e-12 * np.abs(x).max()
 
     def test_pairs_pick_sweep_then_exact(self):
@@ -375,17 +401,34 @@ class TestSweep:
         quad, kernel, medium, mesh, tables = _setup(level=4, k=1)
         sysm = assemble_direction(WG(), mesh, tables, quad, kernel, medium, 1)
         assert sysm.n_dof > dowg.solver._EXACT_UP_TO
-        assert _Sweep([sysm]).R[0] is not None
+        assert _Sweep([sysm]).jumps is not None
         small_mesh = build_mesh(1)
         s2 = assemble_direction(
             WG(), small_mesh, tables, quad, kernel, medium, 1
         )
         assert s2.n_dof <= dowg.solver._EXACT_UP_TO
         exact = _Exact([s2])
-        assert exact.R == [None]
+        assert exact.R == [None] and exact.jumps is None
         assert [buf.shape for buf in exact.bufs] == [(small_mesh.n_cells, tables.dof)] * 2
         [x] = _inverse(exact, [np.ones(s2.n_dof)])
         assert np.abs(s2.matrix @ x - 1.0).max() <= 1e-12
+
+    def test_exact_pairs_share_their_patterns(self, monkeypatch):
+        # the exact pairs expand every ordinate's stencil through one
+        # pattern dict: one pattern per distinct set of live entries, not
+        # one per ordinate
+        calls, real = [], dowg.assembly._pattern
+
+        def counted(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(dowg.assembly, "_pattern", counted)
+        quad, kernel, medium, mesh, tables = _setup(level=2, k=1)
+        systems = _systems(WG(), quad, kernel, medium, mesh, tables)
+        _Exact(systems)
+        live = {(s.stencil().blocks != 0).tobytes() for s in systems}
+        assert len(calls) == len(live) < len(systems)
 
     def test_stalled_sweep_falls_back_to_sparse_lu(self, monkeypatch):
         # sweeping the WG matrix's own lower part (instead of the
@@ -473,10 +516,10 @@ class TestSweepProperty:
     @example(theta=np.pi, k=2, name="dodg", seed=1, thick=True)
     def test_forward_is_the_lower_solve(self, theta, k, name, seed, thick):
         # P^{-1} is the lower solve with the sweep matrix's D + L, and R
-        # holds the rest of the system matrix: its terms' sum, and their
-        # product, to 1e-14 of A's (WG's two scaled jump operators), and
-        # bit for bit for DODG, whose one term is A's downwind blocks; any
-        # direction, the axes' s.n = 0 ties, the stock or a thick medium
+        # holds the rest of the system matrix: its product to 1e-14 of A's
+        # (WG's, applied on the faces, and DODG's CSR), and DODG's CSR,
+        # A's downwind blocks, bit for bit; any direction, the axes' s.n =
+        # 0 ties, the stock or a thick medium
         _, kernel, medium, mesh, tables = _setup(level=3, k=k, **_THICK if thick else {})
         one = _one_ordinate(theta)
         sysm = assemble_direction(
@@ -489,13 +532,13 @@ class TestSweepProperty:
         [x] = _inverse(sweep, [b])
         assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
         A = sysm.matrix
-        terms = sweep.R[0] or []
-        R = _remainder(terms) if terms else sp.csr_matrix(A.shape)
-        assert len(terms) == {"wg": 2, "dodg": 1, "dodsd": 0}[name]
-        assert np.abs(R + lower - A).max() <= 1e-14 * np.abs(A).max()
-        Rb = sum(scale * (J @ b) for scale, J in terms)
+        R = sweep.R[0]
+        assert (R is not None, sweep.jumps is not None) == {
+            "wg": (False, True), "dodg": (True, False), "dodsd": (False, False)}[name]
+        [Rb] = _remainder_product(sweep, b[None])
         assert np.abs(Rb - (A - lower) @ b).max() <= 1e-14 * (abs(A) @ np.abs(b)).max()
         if name == "dodg":
+            assert np.abs(R + lower - A).max() <= 1e-14 * np.abs(A).max()
             assert (R != A - lower).nnz == 0
         if name == "dodsd":
             exact = spla.spsolve(sysm.matrix.tocsc(), b)
@@ -857,17 +900,28 @@ class TestLoopMemory:
 
 class TestSuperLUImport:
     def test_loaded_only_when_a_run_factors(self):
-        # a subprocess, as this suite imports scipy.sparse.linalg itself:
-        # Q1 at 1/h = 16 (1024 unknowns per ordinate) sweeps and never
-        # loads SuperLU; the desk-scale solve at 1/h = 8 factors and does
+        # a subprocess, as this suite imports scipy itself.  Importing
+        # dowg loads no scipy module, nor do WG and DODSD Q1 solves at
+        # 1/h = 16 (1024 unknowns per ordinate), which sweep and build no
+        # CSR; a DODG solve there builds its remainder's CSR and loads
+        # scipy.sparse but not SuperLU; the desk-scale solve at 1/h = 8
+        # factors and loads both
         script = (
             "import sys\n"
+            "def loaded(name):\n"
+            "    return any(m == name or m.startswith(name + '.') for m in sys.modules)\n"
             "import dowg\n"
+            "from dowg.assembly import DODG, DODSD\n"
             "from dowg.verify import solve_case\n"
+            "print(loaded('scipy'))\n"
             "solve_case('example1', level=4)\n"
-            "print('scipy.sparse.linalg' in sys.modules)\n"
+            "print(loaded('scipy'))\n"
+            "solve_case('example1', scheme=DODSD(), level=4)\n"
+            "print(loaded('scipy'))\n"
+            "solve_case('example1', scheme=DODG(), level=4)\n"
+            "print(loaded('scipy.sparse'), 'scipy.sparse.linalg' in sys.modules)\n"
             "solve_case('example1', level=3)\n"
-            "print('scipy.sparse.linalg' in sys.modules)\n"
+            "print(loaded('scipy.sparse'), 'scipy.sparse.linalg' in sys.modules)\n"
         )
         src = os.path.dirname(os.path.dirname(dowg.__file__))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -875,10 +929,28 @@ class TestSuperLUImport:
         run = subprocess.run([sys.executable, "-c", script], env=env,
                              capture_output=True, text=True, timeout=120)
         assert run.returncode == 0, run.stderr
-        assert run.stdout.split() == ["False", "True"]
+        assert run.stdout.split() == ["False"] * 3 + ["True", "False"] + ["True"] * 2
 
 
 class TestSourceIteration:
+    def test_scatter_map_computed_once_per_system(self, monkeypatch):
+        # each system keeps its scattering map: a run computes it once for
+        # each system it sweeps (theta = 2 pi rides on theta = 0), not
+        # once per ordinate and sweep
+        calls, real = [], dowg.assembly._scatter_map
+
+        def counted(system):
+            calls.append(system)
+            return real(system)
+
+        monkeypatch.setattr(dowg.assembly, "_scatter_map", counted)
+        quad, kernel, medium, mesh, tables = _setup(level=4, k=1)
+        systems = _stock_endpoint(_systems(DODSD(), quad, kernel, medium, mesh, tables,
+                                           f=_source))
+        _, trace = source_iteration(systems, kernel, quad, SourceIterationConfig(tol=1e-9))
+        assert trace.converged and trace.iterations > 2
+        assert [id(s) for s in calls] == [id(s) for s in systems[:-1]]
+
     def test_pure_absorption_stops_after_two(self):
         # sigma_s = 0: the first pass is already exact, the second only
         # certifies the zero update
@@ -1069,21 +1141,25 @@ class TestSplitStorage:
         assert trace.converged and trace.escalated == 0
         [sweep] = built
         assert len(sweep.R) == len(quad)
-        # only R is sparse: per ordinate a list of (scale, CSR) terms,
-        # whose sum is A - P
+        # only DODG's R is sparse: per ordinate a CSR, A - P; WG's is
+        # applied on the faces, its product (A - P) x to 1e-14
         def sparse(v):
             return sp.issparse(v) or isinstance(v, (list, tuple)) and any(map(sparse, v))
 
         held = {k for k, v in vars(sweep).items() if sparse(v)}
-        assert held == (set() if name == "dodsd" else {"R"})
+        assert held == ({"R"} if name == "dodg" else set())
+        assert (sweep.jumps is not None) == (name == "wg")
+        x = np.random.default_rng(6).standard_normal((len(systems), systems[0].n_dof))
+        Rx = _remainder_product(sweep, x)
         for m, sysm in enumerate(systems):
             A = sysm.matrix
-            for _, J in sweep.R[m] or ():
-                assert J.format == "csr" and J.nnz < A.nnz
+            lower = _lower_part(_sweep_matrix(sysm), tables.dof, mesh, sysm.direction)
             if sweep.R[m] is not None:
-                lower = _lower_part(_sweep_matrix(sysm), tables.dof, mesh, sysm.direction)
-                diff = _remainder(sweep.R[m]) + lower - A
-                assert np.abs(diff).max() <= (1e-14 if name == "wg" else 0.0) * np.abs(A).max()
+                assert sweep.R[m].format == "csr" and sweep.R[m].nnz < A.nnz
+                assert np.abs(sweep.R[m] + lower - A).max() == 0.0
+            if name == "wg":
+                err = np.abs(Rx[m] - (A - lower) @ x[m]).max()
+                assert err <= 1e-14 * (abs(A) @ np.abs(x[m])).max()
             assert not any(sp.issparse(v) for v in vars(sysm).values())
         # D^{-1} per class: the interior block and the two end blocks of
         # each of the 2n - 1 fronts, against n^2 cells

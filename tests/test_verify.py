@@ -478,6 +478,27 @@ class TestRunConvergence:
             zero = run_convergence("example1", k=1, levels=[lv]).errors[0]
             assert abs(err - zero) <= 0.01 * zero
 
+    def test_fine_tables_built_once_per_run(self, monkeypatch):
+        # every error measurement of a run reads the one set of fine
+        # tables built for the run's tables: two tables in all, the run's
+        # own and those, for five measurements
+        built, real = [], dowg.verify.ElementTables
+
+        def counted(*args):
+            built.append(real(*args))
+            return built[-1]
+
+        calls, real_errors = [], dowg.verify._errors
+
+        def errors(*args):
+            calls.append(1)
+            return real_errors(*args)
+
+        monkeypatch.setattr(dowg.verify, "ElementTables", counted)
+        monkeypatch.setattr(dowg.verify, "_errors", errors)
+        run_convergence("example2", k=1, levels=[2, 3, 4])
+        assert len(calls) == 5 and len(built) == 2
+
     def test_tolerance_override(self):
         rep = run_convergence("example1", k=1, levels=[2, 3], tol=1e-7)
         assert min(rep.eocs) > 1.4
