@@ -64,9 +64,9 @@ def build_circle_trapezoid(M):
     weights halved: w_0 = w_M = h/2 and w_m = h in the interior.
     theta_0 = 0 and theta_M = 2*pi carry the same direction vector, so
     the kernel rows and columns of the two are equal too.  The rule keeps
-    both rows and their weights; source iteration solves the direction
-    once, with the summed weight h, and fills the last row of the field
-    from the first (``solver.source_iteration``).
+    both rows and their weights; source iteration checks the last against
+    the first, solves the direction once with the summed weight h, and
+    fills the last row of the field from the first (``solver._fold``).
 
     Parameters
     ----------

@@ -31,13 +31,13 @@ copied per sweep.  SuperLU is imported only when a run builds the exact
 pairs, and scipy.sparse only when it builds a CSR (``assembly._filled``):
 the exact pairs or DODG's remainder, never a WG or DODSD run at sweep
 scale.
-Ordinates whose systems, kernel rows and columns and right sides are
-equal bit for bit are one direction (``_fold``): the trapezoid rule's
-theta = 2 pi and theta = 0.  The whole loop, its pairs, buffers,
-scattering, norms and certification, runs on one representative of
-each, weighted by the group's summed weight and counted once per member
-in the residual, and each repeated row of the field is filled from its
-representative at the end.
+The trapezoid rule's last ordinate, theta = 2 pi, repeats its first,
+theta = 0: when its system, kernel row and column and right side equal
+the first's bit for bit, the two are one direction (``_fold``).  The
+whole loop, its pairs, buffers, scattering, norms and certification,
+runs on the first L - 1 ordinates, the first weighted by both and
+counted twice in the residual, and the last row of the field is filled
+from the first at the end.
 Ordering cells by upwind distance makes each transport matrix block
 lower triangular up to a weak downwind remainder
 (the DODG jump penalty; WG sweeps its matrix plus its own stabilizer,
@@ -479,36 +479,25 @@ def _fused_sweep(systems, kernel, quad, pinv, x, i, repeats):
 
 
 def _fold(systems, kernel, quad):
-    """The run on one representative per distinct direction.
+    """The run without the trapezoid rule's repeated endpoint.
 
-    Ordinates share a group when their direction vectors, scheme, medium
-    and inflow sign, their kernel rows and columns and their right sides
-    are all equal bit for bit; the first of a group represents it.
-    Returns ``(reps, group, systems, kernel, quad)``: the representatives'
-    ordinates, each ordinate's representative as a row of the folded run,
-    and that run's systems, its kernel restricted to the representatives
-    and its quadrature, each representative weighted by its group's
-    summed weights.  With no repeated ordinate the run is the given one.
+    If the last ordinate repeats the first, its direction vector, scheme,
+    medium and inflow sign, its kernel row and column and its right side
+    all equal bit for bit (theta = 2 pi and theta = 0), the run is the
+    first L - 1 ordinates, the first weighted by both; else it is the
+    given run.  Returns ``(reps, group, systems, kernel, quad)``: the
+    run's ordinates, each given ordinate's row in the run, and the run's
+    systems, kernel and quadrature.
     """
-    K = kernel.matrix
-    reps, group, by_direction = [], [], {}
-    for m, system in enumerate(systems):
-        same = by_direction.setdefault(system.direction.tobytes(), [])
-        for i in same:
-            r, other = reps[i], systems[reps[i]]
-            if ((system.scheme, system.medium, system.inflow_sign)
-                    == (other.scheme, other.medium, other.inflow_sign)
-                    and np.array_equal(K[m], K[r]) and np.array_equal(K[:, m], K[:, r])
-                    and np.array_equal(system.rhs_fixed, other.rhs_fixed)):
-                group.append(i)
-                break
-        else:
-            same.append(len(reps))
-            group.append(len(reps))
-            reps.append(m)
-    reps, group = np.array(reps), np.array(group)
-    if len(reps) == len(systems):
+    K, first, last = kernel.matrix, systems[0], systems[-1]
+    reps = group = np.arange(len(systems))
+    if not (len(systems) > 1 and first.direction.tobytes() == last.direction.tobytes()
+            and (first.scheme, first.medium, first.inflow_sign)
+            == (last.scheme, last.medium, last.inflow_sign)
+            and np.array_equal(K[0], K[-1]) and np.array_equal(K[:, 0], K[:, -1])
+            and np.array_equal(first.rhs_fixed, last.rhs_fixed)):
         return reps, group, systems, kernel, quad
+    reps, group = reps[:-1], np.append(reps[:-1], 0)
     folded = AngularQuadrature(quad.thetas[reps], np.bincount(group, weights=quad.weights),
                                quad.vectors[reps])
     kernel = replace(kernel, matrix=K[np.ix_(reps, reps)], row_mass=kernel.row_mass[reps])
@@ -518,23 +507,23 @@ def _fold(systems, kernel, quad):
 def source_iteration(systems, kernel, quad, cfg=None, certify=None, start=None):
     """Run the fused sweep-scattering loop over all direction systems.
 
-    Returns ``(field, trace)`` with ``field`` of shape (L, C, dof).  The
-    loop runs on one ordinate per distinct direction (``_fold``): the
-    stock trapezoid rule's theta = 2 pi rides on theta = 0, and each
-    repeated row of the field is filled from its representative once, at
-    the end.  It starts from zero, or from ``start`` (float64, shape
-    (L, C, dof)): that array is the returned field, filled once at the
-    end, and each ordinate's P x0 is formed with its pair, so the first
-    residual is that of ``start`` and the stop is the same as from zero.
-    It stops once the iteration-error bound and the coupled relative
-    residual are both at most ``cfg.tol``.  If ``certify`` is given,
-    ``certify(field, quad)`` maps the loop's field over the distinct
-    directions and their quadrature to a target for the bound; while the
-    bound is above it, the loop resumes with the target as its tolerance.
+    Returns ``(field, trace)`` with ``field`` of shape (L, C, dof).  A
+    last ordinate that repeats the first (``_fold``), as the trapezoid
+    rule's theta = 2 pi repeats theta = 0, rides on the first, and its
+    row of the field is filled from the first's once, at the end.  It
+    starts from zero, or from ``start`` (float64, shape (L, C, dof)):
+    that array is the returned field, filled once at the end, and each
+    ordinate's P x0 is formed with its pair, so the first residual is
+    that of ``start`` and the stop is the same as from zero.  It stops
+    once the iteration-error bound and the coupled relative residual are
+    both at most ``cfg.tol``.  If ``certify`` is given, ``certify(field,
+    quad)`` maps the loop's field over its ordinates and their quadrature
+    to a target for the bound; while the bound is above it, the loop
+    resumes with the target as its tolerance.
     Running out of ``cfg.max_outer`` sweeps, or an update norm or
     residual that is not finite, is flagged in the trace rather than
     raised; the partial field is still returned.  The trace counts every
-    ordinate, repeated ones too, in ``escalated``.
+    ordinate, a repeated last one too, in ``escalated``.
     """
     cfg = cfg or SourceIterationConfig()
     if len(systems) != len(quad):
@@ -553,12 +542,12 @@ def source_iteration(systems, kernel, quad, cfg=None, certify=None, start=None):
 
 def _loop(systems, kernel, quad, cfg, certify, start, reps, group):
     """``source_iteration`` on the folded run (``_fold``), from the
-    representatives' rows of ``start`` if given; returns the loop's own
-    field and the trace.  The residual and the escalation count every
-    ordinate, each representative once per member of its group."""
+    run's rows of ``start`` if given; returns the loop's own field and
+    the trace.  The residual and the escalation count every ordinate,
+    the first twice if the run folded the last onto it."""
     mesh, tables = systems[0].mesh, systems[0].tables
     L, B, C, d = len(group), len(systems), mesh.n_cells, tables.dof
-    repeats = [(m, c - 1) for m, c in enumerate(np.bincount(group)) if c > 1]
+    repeats = [(0, L - B)] if L > B else []
 
     # the iterate as rows of d; g and the previous g are in the pairs'
     # two buffers, g in pinv.bufs[i], and swap every sweep

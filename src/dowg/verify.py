@@ -253,36 +253,14 @@ def _check_memory(k, level, M, budget=None):
     whose estimated storage is above ``budget`` bytes (by default
     ``_memory_budget()``).
 
-    The estimate counts, per ordinate, D^{-1} as one d x d block per
-    cell, the 8-byte values of two operators of at most two blocks per
-    cell (R holds at most 1.23 and 1.73 over the three schemes, k = 1, 2
-    and every ordinate at 1/h = 32 and 64) and the right side, and the
-    index arrays of at most sixteen sparsity patterns, each with 4-byte
-    indices and its indptr.  The batched sweep keeps the interior class's
-    D^{-1} and two per distinct pair of front-end classes, gather indices
-    for the four flow quadrants (2 C + 4 n each, at any M), and R as
-    operators the ordinates share (WG's on the faces, with two buffers
-    of at most 2^16 values, DODG's one CSR per flow quadrant); the
-    bytes counted per ordinate for R, for the second operator (2d fields)
-    and for D^{-1} per cell stay as margin.  The
-    set-up's scratch (by tracemalloc at most 44 bytes per block entry at
-    Q1 and Q2, 1/h = 64) is freed before the loop's two buffers are
-    allocated, so the larger of the two counts.  The loop holds the
-    iterate and those two buffers of 1 + (4n - 2)/n^2 fields each, g and
-    the previous g, whose roles swap every sweep; the scattering source is
-    contracted into g's, and each update norm is taken as the iterate is
-    written, so no other field is formed: three of the five the formula
-    counts.  A nested start (``run_convergence`` past its first level)
-    holds two fields through the set-up: the prolonged start field, which
-    the loop fills with its result at the end, and the iterate its P x0 is
-    formed from; so the set-up counts with those two, and the loop holds
-    four of the five.  The coarse field it was prolonged from, a quarter
-    of one field, is freed before the level assembles.  The loop solves
-    theta = 2 pi with theta = 0, so its pairs and fields hold M of the
-    L = M + 1 ordinates; the formula still counts L, which leaves one
-    ordinate of margin.  From zero the returned field is filled after the loop has
-    freed its pairs and its two buffers, so it and the loop's iterate stay
-    below the count.
+    The estimate counts, for each of the L = M + 1 ordinates (the loop
+    solves the rule's last, theta = 2 pi, with its first, which leaves
+    one of margin), D^{-1} and two operators of at most two d x d blocks
+    per cell and the right side, with the index arrays of at most sixteen
+    sparsity patterns and the larger of the set-up's scratch plus two
+    fields and five fields, and the test
+    ``TestCheckMemory.test_bounds_the_traced_peak`` checks that it stays
+    above the traced peak of every scheme's run, from zero and nested.
 
     The dense (L, L) arrays of the scattering kernel come on top.  Its
     build, which runs before anything else is allocated, peaks at four
@@ -330,20 +308,19 @@ def _assemble_all(case, scheme, mesh, tables, quad, kernel):
     """Every ordinate's system, its right side combined from the spatial
     factors of the source (pre-weighted by h^2 w) and inflow data, sampled here once.
 
-    An ordinate whose direction vector an earlier one has bit for bit
-    shares that one's right side, so the loop solves the direction once
+    A last ordinate whose direction vector is the first's bit for bit
+    shares the first's right side, so the loop solves the direction once
     (``source_iteration``): the trapezoid rule's theta = 2 pi takes the
     right side of theta = 0."""
     q = tables.quad
     X, Y = mesh.points(q.vol_points)
     f = case.f.sampled(lambda g: mesh.h**2 * q.vol_weights * _sample(g, X, Y))
     u_in = [case.u_in.sampled(lambda g: _sample(g, x, y)) for x, y in _side_points(mesh, q)]
-    first, systems = {}, []
+    systems = []
     for m, th in enumerate(quad.thetas):
         system = assemble_direction(scheme, mesh, tables, quad, kernel, case.medium, m)
-        same = first.setdefault(quad.vectors[m].tobytes(), m)
-        if same < m:
-            system.rhs_fixed = systems[same].rhs_fixed
+        if 0 < m == len(quad) - 1 and quad.vectors[m].tobytes() == quad.vectors[0].tobytes():
+            system.rhs_fixed = systems[0].rhs_fixed
         else:
             rhs = system.rhs_fixed.reshape(mesh.n_cells, tables.dof)
             rhs += f(th) @ system.scatter_test
@@ -369,7 +346,7 @@ def solve_case(case, scheme=None, k=1, level=3, M=20, cfg=None, renormalize=None
     return CaseSolution(case, scheme, field, trace, systems, quad, kernel, mesh, tables)
 
 
-def measure_error(field, case, mesh, tables, quad, triple=True):
+def measure_error(field, case, mesh, tables, quad):
     """Both error norms of u - u_h against the case's exact solution.
 
     Volume terms use a (k+3)-point Gauss rule per axis (degree 2k+5,
@@ -378,10 +355,10 @@ def measure_error(field, case, mesh, tables, quad, triple=True):
     boundary terms evaluate the exact trace on the finer edge rule.
 
     Returns (broken-L2 error, triple-norm error), both angularly
-    weighted; ``triple`` False skips the triple norm (None).
+    weighted.
     """
     err_dom, finish = _errors(field, case, mesh, tables, quad)
-    return err_dom, finish() if triple else None
+    return err_dom, finish()
 
 
 # each run's tables and the finer ones its errors are measured with
@@ -431,8 +408,10 @@ def _errors(field, case, mesh, tables, quad):
             coeffs = field[m]
             # the mismatch [u_h] on the interior faces (the exact u is
             # continuous) and u_h - u on the boundary, weighted and summed
-            # in the arithmetic order of ``_jump_sum`` and ``_boundary_sum``,
-            # so the sums are theirs bit for bit; sides with kappa 0 add nothing
+            # in the arithmetic order of ``_jump_sum`` and ``_boundary_sum``
+            # (bit for bit their sums), written out as through the helpers
+            # this finish took 1.5-2.5x as long (29.8-33.6 against 13.3 ms
+            # at example2 Q1 1/h = 128); sides with kappa 0 add nothing
             jump = 0.0
             for s1, s2, c1, c2 in faces:
                 if kappa[s1] != 0.0:

@@ -835,6 +835,30 @@ class TestFold:
         assert trace.converged and trace.iterations == tref.iterations
         assert field.tobytes() == ref.tobytes()
 
+    @pytest.mark.parametrize("k, level", [(2, 3), (1, 4)])
+    def test_only_the_endpoint_folds(self, k, level):
+        # 20 ordinates, of which the eleventh repeats the fourth bit for
+        # bit, its direction, kernel row and column and right side too,
+        # and the last is not the first: nothing folds, and the field is
+        # bit for bit the per-ordinate loop's over every ordinate
+        quad, _, medium, mesh, tables = _setup(level=level, k=k)
+        keep = np.r_[0:10, 3, 11:20]
+        quad = AngularQuadrature(quad.thetas[keep], np.full(20, 2 * np.pi / 20),
+                                 quad.vectors[keep])
+        kernel = build_scatter_kernel(quad, HenyeyGreenstein(0.5), 2.0, 0.5, renormalize=True)
+        systems = _systems(DODG(), quad, kernel, medium, mesh, tables, f=_source)
+        K = kernel.matrix
+        assert np.array_equal(K[10], K[3]) and np.array_equal(K[:, 10], K[:, 3])
+        assert systems[10].rhs_fixed.tobytes() == systems[3].rhs_fixed.tobytes()
+        reps, _, same, folded, fquad = dowg.solver._fold(systems, kernel, quad)
+        assert len(reps) == len(quad) and same is systems
+        assert folded is kernel and fquad is quad
+        cfg = SourceIterationConfig(tol=1e-9)
+        field, trace = source_iteration(systems, kernel, quad, cfg)
+        ref, tref = _per_ordinate_loop(systems, kernel, quad, cfg, fold=False)
+        assert trace.converged and trace.iterations == tref.iterations
+        assert field.tobytes() == ref.tobytes()
+
     def test_fallback_counts_every_ordinate(self, monkeypatch):
         monkeypatch.setattr(dowg.solver, "_sweep_shift", lambda s: None)
         built = self._counted(monkeypatch)

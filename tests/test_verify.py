@@ -581,6 +581,29 @@ class TestCheckMemory:
             _check_memory(1, 2, 100_000, budget=8 * 2**30)
         _check_memory(1, 2, 20, budget=8 * 2**30)
 
+    @pytest.mark.parametrize("start", ["zero", "nested"])
+    @pytest.mark.parametrize("name, k, level", [("example1", 1, 4), ("example1", 1, 5),
+                                                ("example2", 2, 3), ("example2", 2, 4)])
+    @pytest.mark.parametrize("scheme", sorted(_SCHEMES))
+    def test_bounds_the_traced_peak(self, scheme, name, k, level, start):
+        # the estimate stays above all that a run allocates, from zero or
+        # from the previous level's prolonged field (3.2-12.2x above it);
+        # SuperLU, which the exact pairs and DODG's CSR load, is imported
+        # first, so its module objects are not counted
+        import scipy.sparse.linalg  # noqa: F401
+
+        tracemalloc.start()
+        try:
+            if start == "zero":
+                solve_case(name, scheme=_SCHEMES[scheme], k=k, level=level)
+            else:
+                run_convergence(name, scheme=_SCHEMES[scheme], k=k, levels=[level - 1, level])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        with pytest.raises(ValueError, match="GiB"):
+            _check_memory(k, level, 20, budget=peak)
+
     def test_solve_case_checks_before_assembly(self, monkeypatch):
         monkeypatch.setattr("dowg.verify._memory_budget", lambda: 2**10)
         with pytest.raises(ValueError, match="GiB"):
