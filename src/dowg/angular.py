@@ -96,8 +96,9 @@ class HenyeyGreenstein:
     Phi(t) = (1 / (2 pi)) * (1 - eta^2) / (1 + eta^2 - 2 eta t)^{3/2}.
 
     This is the sphere's 3/2 exponent with the circle's 1/(2 pi), so its
-    circle integral is not 1 (about 1.418 at eta = 0.5), which is why
-    ``build_scatter_kernel`` exposes a ``renormalize`` switch.
+    circle integral is not 1 (about 1.418 at eta = 0.5): ``example1``
+    divides its kernel rows by their mass (``build_scatter_kernel``'s
+    ``renormalize``).
     """
 
     eta: float
@@ -149,24 +150,18 @@ class ScatterKernel:
     Attributes
     ----------
     matrix : ndarray, shape (L, L)
-        Entry [m, l] = Phi(s_m . s_l) (after optional row renormalization).
+        Entry [m, l] = Phi(s_m . s_l), each row divided by its raw mass
+        if it was built with ``renormalize``.
     row_mass : ndarray, shape (L,)
-        b_m = sum_l w_l Phi(s_m . s_l).
-    sigma_t, sigma_s : float
-        Total and scattering cross-sections, sigma_t > sigma_s >= 0.
+        b_m = sum_l w_l Phi[m, l], 1 to rounding for a renormalized kernel.
     positivity_margin : float
         sigma_t - sigma_s * max_m b_m.  Must be positive for a solvable
         configuration; recorded here either way, callers decide.
-    renormalized : bool
-        True if each row was divided by its raw mass so b_m = 1.
     """
 
     matrix: np.ndarray
     row_mass: np.ndarray
-    sigma_t: float
-    sigma_s: float
     positivity_margin: float
-    renormalized: bool = False
 
 
 def build_scatter_kernel(quad, phase, sigma_t, sigma_s, renormalize=False):
@@ -195,7 +190,7 @@ def build_scatter_kernel(quad, phase, sigma_t, sigma_s, renormalize=False):
         matrix = matrix / row_mass[:, None]
         row_mass = matrix @ quad.weights
     margin = sigma_t - sigma_s * float(row_mass.max())
-    return ScatterKernel(matrix, row_mass, float(sigma_t), float(sigma_s), margin, renormalize)
+    return ScatterKernel(matrix, row_mass, margin)
 
 
 def apply_scatter(kernel, quad, values, out=None):

@@ -110,18 +110,8 @@ class RunConfig:
     tol: float  # None -> 1e-9 (solve, angular-study), certified rows (convergence, compare)
     cp: float
     sd_c: float
-    renormalize_kernel: bool
     out: str
     formats: tuple
-
-
-def _parse_bool(text):
-    t = str(text).strip().lower()
-    if t in ("1", "true", "yes", "on"):
-        return True
-    if t in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
 
 
 def _parse_levels(text):
@@ -170,8 +160,6 @@ _OPTIONS = {
             "convergence and compare)", {}),
     "cp": (float, 0.1, "upwind jump penalty c_p", {}),
     "sd_c": (float, 1.0, "streamline parameter multiplier (delta = c h)", {}),
-    "renormalize_kernel": (_parse_bool, True, "renormalize the discrete scattering kernel",
-                           {"metavar": "BOOL"}),
     "out": (str, ".", "output directory", {}),
     "format": (_parse_formats, "csv,md,svg", "comma list from csv, md, svg", {}),
 }
@@ -223,7 +211,7 @@ def build_parser():
             # that a file entry can fill an absent flag
             numeric = convert if convert in (int, float) else None
             default = _COMMAND_DEFAULTS.get(command, {}).get(name, default)
-            shown = "auto" if default is None else str(default).lower()
+            shown = "auto" if default is None else str(default)
             p.add_argument("--" + name.replace("_", "-"), type=numeric,
                            help=f"{text} (default: {shown})", **kwargs)
     return parser
@@ -321,8 +309,7 @@ def _cmd_solve(cfg):
     case = _case(cfg)
     it_cfg = SourceIterationConfig(tol=cfg.tol if cfg.tol is not None else 1e-9)
     sol = solve_case(case, scheme=_scheme(cfg), k=cfg.order,
-                     level=cfg.levels[0], M=cfg.directions[0], cfg=it_cfg,
-                     renormalize=cfg.renormalize_kernel)
+                     level=cfg.levels[0], M=cfg.directions[0], cfg=it_cfg)
     # the loop's own stop test: a field that overflowed is not measured
     if np.isfinite(sol.trace.errs[-1] + sol.trace.residual):
         err_dom, err_tri = measure_error(sol.field, case, sol.mesh, sol.tables,
@@ -357,7 +344,7 @@ def _cmd_solve(cfg):
 def _cmd_convergence(cfg):
     rep = run_convergence(
         _case(cfg), scheme=_scheme(cfg), k=cfg.order, levels=cfg.levels,
-        M=cfg.directions[0], tol=cfg.tol, renormalize=cfg.renormalize_kernel,
+        M=cfg.directions[0], tol=cfg.tol,
     )
     write_convergence_markdown(rep, sys.stdout)
     _emit(cfg, {
@@ -372,7 +359,6 @@ def _cmd_compare(cfg):
     reps = run_comparison(
         _case(cfg), k=cfg.order, levels=cfg.levels, M=cfg.directions[0],
         c_p=cfg.cp, sd_c=cfg.sd_c, tol=cfg.tol,
-        renormalize=cfg.renormalize_kernel,
     )
     write_comparison_markdown(reps, sys.stdout)
     ratios = dominance_ratios(reps)
@@ -390,7 +376,6 @@ def _cmd_angular(cfg):
     rep = run_angular_study(
         _case(cfg), scheme=_scheme(cfg), k=cfg.order, level=cfg.levels[0],
         Ms=cfg.directions, tol=cfg.tol if cfg.tol is not None else 1e-9,
-        renormalize=cfg.renormalize_kernel,
     )
     write_angular_markdown(rep, sys.stdout)
     print(f"angular contribution monotone: {rep.monotone}; "

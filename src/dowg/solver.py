@@ -443,32 +443,31 @@ def _bound(errs, residuals):
     return 2.0 * rho / (1.0 - rho) * errs[-1]
 
 
-def _fused_sweep(systems, kernel, quad, pinv, x, i, repeats):
+def _fused_sweep(systems, kernel, quad, pinv, x, i, folded):
     """One sweep of every ordinate from the iterate ``x``, rows of d: g =
     b + S x - R x (one CSR product per ordinate that has one, then WG's
     on the faces, ``_Jumps``) is formed in the first rows of
     ``pinv.bufs[i]``, the next sweep's previous g, g_prev - g in those of
     the other, which then serves as the work array while P^{-1} g
     overwrites x ordinate by ordinate and each one's update norm is taken
-    on the way.  Returns
-    the residual's sums ||g - g_prev||^2 = ||b + S x - A x||^2 (as P x =
-    g_prev) and ||b + S x||^2, in which each ``(m, count)`` of
-    ``repeats`` counts ordinate m count times more, once for each
-    ordinate it stands for, and the update's norm (``l2_dom_norm``)."""
+    on the way.  Returns the residual's sums ||g - g_prev||^2 =
+    ||b + S x - A x||^2 (as P x = g_prev) and ||b + S x||^2, which count
+    the first ordinate twice if the run is ``folded`` (``_fold``), and
+    the update's norm (``l2_dom_norm``)."""
     mesh, tables, B = systems[0].mesh, systems[0].tables, len(systems)
     g, g_prev = (buf[:len(x)].reshape(B, -1) for buf in (pinv.bufs[i], pinv.bufs[1 - i]))
     xs, field = x.reshape(B, -1), x.reshape(B, mesh.n_cells, -1)
     scattering_source(systems, kernel, quad, field, out=g.reshape(field.shape))
     for m, system in enumerate(systems):
         g[m] += system.rhs_fixed
-    den = np.vdot(g, g) + sum(c * np.vdot(g[m], g[m]) for m, c in repeats)
+    den = np.vdot(g, g) + (np.vdot(g[0], g[0]) if folded else 0)
     for m, R in enumerate(pinv.R):
         if R is not None:
             g[m] -= R @ xs[m]
     if pinv.jumps is not None:
         pinv.jumps.subtract(x, g.reshape(x.shape))
     np.subtract(g_prev, g, out=g_prev)
-    num = np.vdot(g_prev, g_prev) + sum(c * np.vdot(g_prev[m], g_prev[m]) for m, c in repeats)
+    num = np.vdot(g_prev, g_prev) + (np.vdot(g_prev[0], g_prev[0]) if folded else 0)
     vol = np.empty(B)
     for m, new in pinv.solve(i):
         xm, new = field[m], new.reshape(field[m].shape)
@@ -544,10 +543,9 @@ def _loop(systems, kernel, quad, cfg, certify, start, reps, group):
     """``source_iteration`` on the folded run (``_fold``), from the
     run's rows of ``start`` if given; returns the loop's own field and
     the trace.  The residual and the escalation count every ordinate,
-    the first twice if the run folded the last onto it."""
+    the first twice if the run folded the last onto it (L > B)."""
     mesh, tables = systems[0].mesh, systems[0].tables
     L, B, C, d = len(group), len(systems), mesh.n_cells, tables.dof
-    repeats = [(0, L - B)] if L > B else []
 
     # the iterate as rows of d; g and the previous g are in the pairs'
     # two buffers, g in pinv.bufs[i], and swap every sweep
@@ -562,7 +560,7 @@ def _loop(systems, kernel, quad, cfg, certify, start, reps, group):
     converged, escalated = False, 0
     bound = residual = np.inf
     while len(errs) < cfg.max_outer:
-        num, den, err = _fused_sweep(systems, kernel, quad, pinv, x, i, repeats)
+        num, den, err = _fused_sweep(systems, kernel, quad, pinv, x, i, L > B)
         i = 1 - i
         residual = float(np.sqrt(num / den)) if num else 0.0
         residuals.append(residual)

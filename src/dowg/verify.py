@@ -92,7 +92,8 @@ class Separable:
 @dataclass(frozen=True)
 class ManufacturedCase:
     """Exact solution, its angular convolution, the matching source,
-    and the inflow data, each a ``Separable`` over (x, y, theta)."""
+    and the inflow data, each a ``Separable`` over (x, y, theta), and
+    whether its kernel's rows are divided by their mass (``_case_kernel``)."""
 
     name: str
     u: Separable
@@ -108,9 +109,10 @@ def build_case(name, sigma_t=2.0, sigma_s=0.5, eta=0.5):
     """Manufactured case by name; cross sections and the anisotropy
     factor are adjustable, the sources adapt.
 
-    ``renormalize`` defaults to on so the discrete scattering operator
-    reproduces the closed forms exactly (for the linearly anisotropic
-    phase the row masses are already 1 and the toggle is moot).
+    Each case's ``renormalize`` is on, so that the discrete scattering
+    operator reproduces the closed-form convolution and the tabulated
+    error is the discretization's alone (for the linearly anisotropic
+    phase the row masses are already 1, so it changes nothing).
     """
     st, ss = float(sigma_t), float(sigma_s)
     medium = Medium(st, ss)
@@ -227,8 +229,10 @@ class AngularStudyReport:
         return all(b <= a + tol for a, b in zip(cons, cons[1:]))
 
     def plateaued(self, frac=0.02):
-        """Last decrement small against the spatial error itself."""
-        return self.contributions[-2] <= frac * self.errors[-1]
+        """Last decrement small against the spatial error itself; False
+        for a study of one count, which has no decrement."""
+        cons = self.contributions
+        return len(cons) > 1 and cons[-2] <= frac * self.errors[-1]
 
 
 def _memory_budget():
@@ -292,14 +296,14 @@ def _build_tables(k):
     return ElementTables(LocalBasis(k), ElementQuadrature.build(k))
 
 
-def _case_kernel(case, quad, renormalize):
+def _case_kernel(case, quad):
     """The case (looked up if given by name) and its scattering kernel on
-    ``quad``; ``renormalize`` None keeps the case's own setting."""
+    ``quad``, normalized as the case says."""
     if isinstance(case, str):
         case = build_case(case)
-    ren = case.renormalize if renormalize is None else renormalize
     kernel = build_scatter_kernel(
-        quad, case.phase, case.medium.sigma_t, case.medium.sigma_s, renormalize=ren
+        quad, case.phase, case.medium.sigma_t, case.medium.sigma_s,
+        renormalize=case.renormalize,
     )
     return case, kernel
 
@@ -329,7 +333,7 @@ def _assemble_all(case, scheme, mesh, tables, quad, kernel):
     return systems
 
 
-def solve_case(case, scheme=None, k=1, level=3, M=20, cfg=None, renormalize=None):
+def solve_case(case, scheme=None, k=1, level=3, M=20, cfg=None):
     """Assemble and source-iterate one configuration.
 
     ``case`` is a name or a ManufacturedCase; ``cfg`` defaults to the
@@ -338,7 +342,7 @@ def solve_case(case, scheme=None, k=1, level=3, M=20, cfg=None, renormalize=None
     scheme = scheme if scheme is not None else WG()
     _check_memory(k, level, M)
     quad = build_circle_trapezoid(M)
-    case, kernel = _case_kernel(case, quad, renormalize)
+    case, kernel = _case_kernel(case, quad)
     mesh = build_mesh(level)
     tables = _build_tables(k)
     systems = _assemble_all(case, scheme, mesh, tables, quad, kernel)
@@ -473,7 +477,7 @@ def _iterate(systems, kernel, quad, tol, where, errors, start=None):
 
 
 def run_convergence(case="example1", scheme=None, k=1, levels=range(3, 8), M=20,
-                    tol=None, renormalize=None):
+                    tol=None):
     """Refine through ``levels`` and tabulate errors and orders.
 
     With ``tol`` None every row is certified: its iteration-error bound
@@ -495,7 +499,7 @@ def run_convergence(case="example1", scheme=None, k=1, levels=range(3, 8), M=20,
         raise ValueError("levels must be strictly increasing")
     _check_memory(k, max(levels, default=0), M)
     quad = build_circle_trapezoid(M)
-    case, kernel = _case_kernel(case, quad, renormalize)
+    case, kernel = _case_kernel(case, quad)
     tables = _build_tables(k)
     report = ConvergenceReport(case.name, scheme.name, k, M)
     prev = field = None
@@ -523,14 +527,11 @@ def run_convergence(case="example1", scheme=None, k=1, levels=range(3, 8), M=20,
 
 
 def run_comparison(case="example2", k=1, levels=range(3, 7), M=20, c_p=0.1,
-                   sd_c=1.0, tol=None, renormalize=None):
+                   sd_c=1.0, tol=None):
     """Same study for the three schemes; returns reports keyed by name."""
     schemes = (WG(), DODG(c_p=c_p), DODSD(c=sd_c))
     return {
-        s.name: run_convergence(
-            case, scheme=s, k=k, levels=levels, M=M, tol=tol,
-            renormalize=renormalize,
-        )
+        s.name: run_convergence(case, scheme=s, k=k, levels=levels, M=M, tol=tol)
         for s in schemes
     }
 
@@ -547,7 +548,7 @@ def dominance_ratios(reports):
 
 
 def run_angular_study(case="example2", scheme=None, k=2, level=5,
-                      Ms=(4, 8, 16, 32), tol=1e-9, renormalize=None):
+                      Ms=(4, 8, 16, 32), tol=1e-9):
     """Error versus ordinate count at a fixed spatial level.
 
     Uses a tight tolerance by default so the angular variation is not
@@ -568,7 +569,7 @@ def run_angular_study(case="example2", scheme=None, k=2, level=5,
     rows = []
     for M in Ms:
         quad = build_circle_trapezoid(M)
-        case, kernel = _case_kernel(case, quad, renormalize)
+        case, kernel = _case_kernel(case, quad)
         err_dom = _iterate(
             _assemble_all(case, scheme, mesh, tables, quad, kernel), kernel, quad, tol, f"M = {M}",
             lambda f, q: _errors(f, case, mesh, tables, q),

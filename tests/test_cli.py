@@ -36,7 +36,7 @@ class TestParseConfig:
         assert cfg.directions == [20]
         assert (cfg.sigma_t, cfg.sigma_s, cfg.eta) == (2.0, 0.5, 0.5)
         assert cfg.cp == 0.1 and cfg.sd_c == 1.0
-        assert cfg.tol is None and cfg.renormalize_kernel is True
+        assert cfg.tol is None
         assert cfg.formats == ("csv", "md", "svg")
 
     def test_angular_defaults(self):
@@ -89,12 +89,6 @@ class TestParseConfig:
         assert cfg.cp == 0.2 and cfg.sd_c == 0.5
         assert cfg.levels == [3, 4, 5, 6]
 
-    def test_renormalize_tokens(self):
-        off = parse_config(["solve", "--renormalize-kernel", "off"])
-        assert off.renormalize_kernel is False
-        on = parse_config(["solve", "--renormalize-kernel", "1"])
-        assert on.renormalize_kernel is True
-
 
 # per option, as text: a valid non-default value, and a second valid value
 # that differs from it
@@ -110,7 +104,6 @@ _SAMPLES = {
     "tol": ("1e-7", "auto"),
     "cp": ("0.2", "0.3"),
     "sd_c": ("0.5", "2.0"),
-    "renormalize_kernel": ("off", "yes"),
     "out": ("a", "b"),
     "format": ("md", "csv,svg"),
 }
@@ -153,8 +146,7 @@ class TestHelp:
             main([command, "--help"])
         assert exc.value.code == EXIT_OK
         out = capsys.readouterr().out
-        shown = {"order": "1", "directions": "20", "tol": "auto",
-                 "renormalize_kernel": "true", "format": "csv,md,svg"}
+        shown = {"order": "1", "directions": "20", "tol": "auto", "format": "csv,md,svg"}
         shown.update(self._DEFAULTS[command])
         for name, (_, default, text, _) in _OPTIONS.items():
             assert f"{text} (default: {shown.get(name, default)})" in out
@@ -197,11 +189,21 @@ class TestExitCodes:
         assert "must be finite" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
-    @pytest.mark.parametrize("flag", ["--linear-tol=1e-8", "--angle-ordering=jacobi"])
+    @pytest.mark.parametrize("flag", ["--linear-tol=1e-8", "--angle-ordering=jacobi",
+                                      "--renormalize-kernel=off"])
     def test_removed_solver_flags_exit_2(self, flag):
         with pytest.raises(SystemExit) as exc:
             main(["solve", flag])
         assert exc.value.code == EXIT_USAGE
+
+    def test_removed_config_key_exits_2(self, tmp_path, capsys):
+        # the case decides its kernel's normalization; a file entry cannot
+        cfgfile = tmp_path / "c.txt"
+        cfgfile.write_text("renormalize_kernel = off\n")
+        out = tmp_path / "out"
+        assert main(["solve", "--config", str(cfgfile), "--out", str(out)]) == EXIT_USAGE
+        assert "unknown key 'renormalize_kernel'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_over_budget_run_exits_3(self, tmp_path, capsys, monkeypatch):
         # the size check runs before assembly, against the budget the

@@ -8,7 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import dowg.verify
-from dowg.angular import Isotropic, build_circle_trapezoid
+from dowg.angular import Isotropic, build_circle_trapezoid, normalization_residual
 from dowg.assembly import (
     DODG,
     DODSD,
@@ -324,10 +324,13 @@ class TestSolveCase:
         sol = solve_case(case, k=1, level=2)
         assert sol.trace.iterations == 2
 
-    def test_renormalize_override(self):
-        on = solve_case("example1", k=1, level=2)
-        off = solve_case("example1", k=1, level=2, renormalize=False)
-        assert on.kernel.renormalized and not off.kernel.renormalized
+    def test_case_decides_the_kernel_normalization(self):
+        # the case's own setting is the only one, and it reaches the kernel
+        case = build_case("example1")
+        on, off = (solve_case(c, k=1, level=2)
+                   for c in (case, dataclasses.replace(case, renormalize=False)))
+        assert normalization_residual(on.kernel).max() < 1e-12
+        assert normalization_residual(off.kernel).max() > 0.1
         assert np.abs(on.field - off.field).max() > 1e-5
 
 
@@ -354,7 +357,7 @@ class TestRunConvergence:
         # the row's error matches a tight solve's to that 1%
         case = build_case("example2")
         quad = build_circle_trapezoid(20)
-        _, kernel = _case_kernel(case, quad, None)
+        _, kernel = _case_kernel(case, quad)
         mesh, tables = build_mesh(4), _build_tables(2)
         systems = _assemble_all(case, DODG(), mesh, tables, quad, kernel)
 
@@ -542,6 +545,12 @@ class TestRunAngularStudy:
         assert rep.plateaued()
         assert rep.contributions[-1] == 0.0
         assert all(e > 0 for e in rep.errors)
+
+    def test_one_count_has_not_plateaued(self):
+        # a study of one count has no decrement to compare
+        rep = run_angular_study("example2", k=1, level=2, Ms=(4,))
+        assert rep.contributions == [0.0]
+        assert not rep.plateaued()
 
     def test_unconverged_row_raises_with_m(self, monkeypatch):
         # two sweeps cannot meet tol 1e-300; left uncapped, the exact pairs
