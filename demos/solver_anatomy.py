@@ -2,8 +2,8 @@
 #
 # Each sweep forms every ordinate's residual with the current iterate's
 # scattering source and corrects the ordinate by P^{-1} of it, where P
-# is the ordinate's own matrix at this desk-scale size (sparse LU), so a
-# sweep is one source-iteration pass.  The contraction factor is roughly
+# is the ordinate's own matrix at this desk-scale size (block elimination
+# over the grid rows), so a sweep is one source-iteration pass.  The contraction factor is roughly
 # sigma_s b / sigma_t (b = kernel row mass), so the stock configuration
 # sigma_t = 2, sigma_s = 1/2 shaves the update norm by ~4x per pass.
 # The loop stops once an iteration-error bound built from the update

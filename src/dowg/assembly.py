@@ -202,7 +202,8 @@ def _pattern(st, nonzero):
     cells' block rows repeat their class's list.  The slots ascend in
     cell offset, so the CSR is canonical (sorted, no duplicates, no
     zeros): it has the pattern and order of the values' own conversion.
-    The index arrays are read-only, as the sweep's ordinates share them.
+    The index arrays are read-only, as the matrices with one key share
+    them.
     """
     entries = nonzero.transpose(0, 2, 1, 3)
     k, i, s, j = np.nonzero(entries)
@@ -231,8 +232,8 @@ def _filled(patterns, st, values):
     is computed once per key in ``patterns`` and shared by every matrix
     with that key."""
     # imported here, not with the module: scipy.sparse is most of the
-    # package's import time, and a run at sweep scale builds no CSR but
-    # DODG's remainder
+    # package's import time, and only the stall fallback and selftest
+    # build a CSR
     import scipy.sparse as sp
 
     nonzero = values != 0

@@ -24,13 +24,12 @@ overflowed) ends the loop at once, uncertified.
 Each ordinate is the pair (P_m^{-1}, R_m), R_m zero when P_m = A_m, and
 all ordinates have as many unknowns, so one object built before the
 first sweep holds the run's pairs and ``_fused_sweep`` applies it to all
-at once: at desk scale ``_Exact``, sparse LU of each A_m, above that the
-wavefront ``_Sweep``.  The loop holds the iterate and two buffers that
-swap roles every sweep (``_fused_sweep``), so no field is allocated or
-copied per sweep.  SuperLU is imported only when a run builds the exact
-pairs, and scipy.sparse only when it builds a CSR (``assembly._filled``):
-the exact pairs or DODG's remainder, never a WG or DODSD run at sweep
-scale.
+at once: at desk scale ``_Rows``, block elimination of each A_m over the
+grid rows, above that the wavefront ``_Sweep``.  The loop holds the
+iterate and two buffers that swap roles every sweep (``_fused_sweep``),
+so no field is allocated or copied per sweep.  A stock run imports no
+scipy: only the stall fallback, ``_Exact``, builds CSR
+(``assembly._filled``) and factors it with SuperLU.
 The trapezoid rule's last ordinate, theta = 2 pi, repeats its first,
 theta = 0: when its system, kernel row and column and right side equal
 the first's bit for bit, the two are one direction (``_fold``).  The
@@ -48,10 +47,11 @@ ordinate, the all-angle wavefront of Koch, Baker & Alcouffe (Trans. Am.
 Nucl. Soc. 65, 1992), from each ordinate's D^{-1} and two upwind class
 blocks, cut from its block stencil.  WG's R_m, minus its stabilizer, is
 applied on the faces to all ordinates at once (``_Jumps``); every other
-R_m is a CSR operator that ordinates share (DODG's one per flow
-quadrant), and A_m is never formed.  A run with a remainder whose update
-norms stop falling, while above roundoff, switches once, with a
-RuntimeWarning, to the exact pairs for every ordinate
+R_m is its two downwind blocks, applied on the grid to the ordinates
+that share them (``_Downwind``, DODG's a run per flow quadrant), and A_m
+is never formed.  A run with a remainder whose update norms stop
+falling, while above roundoff, switches once, with a RuntimeWarning, to
+exact pairs by sparse LU for every ordinate
 (``IterationTrace.escalated``).
 """
 
@@ -134,10 +134,9 @@ class _Sweep:
     P = D + L takes each cell's own and upwind blocks and R = A - P the
     rest.  With the WG shift R is minus the shift, -(h/4)(|s_x| J_x +
     |s_y| J_y), which ``jumps`` (``_Jumps``) applies to every such
-    ordinate on the faces, and ``R`` holds None for it; else ``R`` holds
-    the ordinate's R as CSR in natural order, None when it is 0, one CSR
-    shared by the ordinates whose class blocks of R are equal bit for bit.
-    Index arrays are shared per pattern (``_filled``).
+    ordinate on the faces; else R is A's blocks in the slots across the
+    two downwind sides, which ``downwind`` (``_Downwind``) applies on the
+    grid.  Each is None when no ordinate has such a remainder.
 
     The class grid makes P uniform: every class with an upwind neighbour
     holds the interior class's block there (checked bit for bit), a
@@ -180,7 +179,7 @@ class _Sweep:
         self._upwind = upwind = np.empty((B, 2 * d, d))
         own = np.empty((B, 9, d, d))
         end_cls = np.empty((B, 2, F), dtype=np.intp)
-        patterns, remainders, scales, self.R = {}, {}, np.zeros((B, 2)), []
+        scales, down = np.zeros((B, 2)), np.zeros((B, 2, d, d))
         for b, system in enumerate(systems):
             sx, sy = system.direction
             acc = system.stencil()
@@ -200,17 +199,17 @@ class _Sweep:
             if shift is not None:
                 # R = A - P = -shift, applied on the faces (``_Jumps``)
                 scales[b] = 0.25 * system.mesh.h * np.abs(system.direction)
-                self.R.append(None)
             else:
-                # R = A - P, A's downwind blocks: one CSR per distinct value
-                acc.blocks[:, kept] = 0.0
-                key = acc.blocks.tobytes()
-                if key not in remainders and acc.blocks.any():
-                    remainders[key] = _filled(patterns, acc, acc.blocks)
-                self.R.append(remainders.get(key))
+                # R = A - P, A's blocks in the two downwind slots
+                for j, side in enumerate(OPPOSITE_SIDE[s] for s in sides):
+                    block = acc.blocks[:, _SLOT[side]]
+                    if not np.array_equal(block, acc.inner[:, side, None, None] * block[_INTERIOR]):
+                        raise RuntimeError(f"ordinate {b}: the classes' downwind blocks differ")
+                    down[b, j] = block[_INTERIOR].T
             fi, fj = flow[self._quadrant[b]]
             end_cls[b] = acc.cls[fj[ends] * n + fi[f - ends]]
         self.jumps = _Jumps(systems[0].tables, n, scales) if scales.any() else None
+        self.downwind = _Downwind(n, self._quadrant, down) if down.any() else None
         # the fronts whose end cells have the same classes share one block
         # pair per ordinate: five distinct ones for n > 2
         keys, end_of = np.unique(end_cls.reshape(2 * B, F).T, axis=0, return_inverse=True)
@@ -280,16 +279,91 @@ class _Sweep:
             yield b, np.take(W[b], self._out[q], axis=0, out=self._x, mode="clip")
 
 
+class _Rows:
+    """The exact pairs at desk scale: P = A, applied by block elimination
+    over the n grid rows, and R = 0; ``start`` and ``solve`` as for
+    ``_Sweep``.  In natural order A is block tridiagonal over the rows:
+    row j's cells' own, left and right blocks make T_j (nd x nd), their
+    bottom and top ones the block diagonal Lo_j and Up_j.  The set-up
+    forms T one row at a time from each ordinate's class stencil and
+    keeps S_j^{-1}, S_0 = T_0 and S_j = T_j - Lo_j S_{j-1}^{-1} Up_{j-1};
+    ``solve`` runs forward, y_j = S_j^{-1}(g_j - Lo_j y_{j-1}), then back,
+    x_j = y_j - S_j^{-1} Up_j x_{j+1}, on the work array.  A singular S_j
+    raises ``np.linalg.LinAlgError``."""
+
+    jumps = downwind = None
+
+    def __init__(self, systems, start=None):
+        n, d = systems[0].mesh.n, systems[0].tables.dof
+        B, w, i = len(systems), n * d, np.arange(n)
+        self.bufs = [np.zeros((B * n * n, d)) for _ in range(2)]
+        self._g = [buf.reshape(B, n, w) for buf in self.bufs]
+        blocks = np.empty((B, 9, 5, d, d))
+        for b, system in enumerate(systems):
+            st = system.stencil()
+            blocks[b] = st.blocks
+        cls = st.cls.reshape(n, n)
+        # each cell's bottom and top block, (ordinates, rows, cells, d, d)
+        self._lo, self._up = (blocks[:, cls, slot] for slot in (0, 4))
+        self._sinv = np.empty((B, n, w, w))
+        x0 = None if start is None else start.reshape(B, n, w)
+        # blocks so large that S^{-1} overflows leave it NaN rather than
+        # raise, and the solve's NaN stops the loop uncertified
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j in range(n):
+                T = np.zeros((B, n, d, n, d))
+                for slot, step in ((1, -1), (2, 0), (3, 1)):  # left, own, right
+                    c = i[max(-step, 0):n - max(step, 0)]
+                    T[:, c, :, c + step] = blocks[:, cls[j, c], slot].swapaxes(0, 1)
+                T = T.reshape(B, w, w)
+                if x0 is not None:  # row j of A x0
+                    px0 = self._g[1][:, j]
+                    np.matmul(T, x0[:, j, :, None], out=px0[..., None])
+                    if j:
+                        px0 += _cells(self._lo[:, j], x0[:, j - 1])
+                    if j < n - 1:
+                        px0 += _cells(self._up[:, j], x0[:, j + 1])
+                if j:
+                    # Lo_j S_{j-1}^{-1} Up_{j-1}, d rows, then d columns at a time
+                    Z = self._lo[:, j] @ self._sinv[:, j - 1].reshape(B, n, d, w)
+                    columns = T.reshape(B, w, n, d).transpose(0, 2, 1, 3)
+                    columns -= Z.reshape(B, w, n, d).transpose(0, 2, 1, 3) @ self._up[:, j - 1]
+                if np.isfinite(T).all():
+                    T = np.linalg.inv(T)
+                self._sinv[:, j] = T if np.isfinite(T).all() else np.nan
+
+    def solve(self, i):
+        """Yield ``(b, x)`` per ordinate b, x = A^{-1} g as (n, nd), with g
+        as for ``_Sweep.solve``."""
+        g, W = self._g[i], self._g[1 - i]
+        sinv, lo, up = self._sinv, self._lo, self._up
+        for j in range(W.shape[1]):
+            t = g[:, j] - _cells(lo[:, j], W[:, j - 1]) if j else g[:, j]
+            np.matmul(sinv[:, j], t[..., None], out=W[:, j, :, None])
+        for j in range(W.shape[1] - 2, -1, -1):
+            W[:, j] -= (sinv[:, j] @ _cells(up[:, j], W[:, j + 1])[..., None])[..., 0]
+        yield from enumerate(W)
+
+
+def _cells(blocks, x):
+    """Each cell's block (ordinates, n, d, d) times its rows of x
+    (ordinates, nd), as (ordinates, nd)."""
+    B, n, d, _ = blocks.shape
+    return (blocks @ x.reshape(B, n, d, 1)).reshape(B, n * d)
+
+
 class _Exact:
-    """The exact pairs: P = A, applied by sparse LU (COLAMD order) of
-    each ordinate's A, and R = 0; ``start`` and ``solve`` as for
-    ``_Sweep``, with P x0 = A x0, on ``bufs`` if given, else on two
-    buffers of the iterate's size.  A singular A raises
+    """The stall fallback's exact pairs: P = A, applied by sparse LU
+    (COLAMD order) of each ordinate's A, and R = 0; ``start`` and
+    ``solve`` as for ``_Sweep``, with P x0 = A x0, on ``bufs`` if given,
+    else on two buffers of the iterate's size.  A singular A raises
     ``np.linalg.LinAlgError``."""
+
+    jumps = downwind = None
 
     def __init__(self, systems, start=None, bufs=None):
         # imported here, not with the module: SuperLU and the LAPACK it
-        # loads cost about 10 MB of RSS that a sweep-scale run never uses
+        # loads cost about 29 MB of RSS that only a stalled run uses
         import scipy.sparse.linalg as spla
 
         L, C, d = len(systems), systems[0].mesh.n_cells, systems[0].tables.dof
@@ -307,7 +381,6 @@ class _Exact:
             if start is not None:
                 self._g[1][m] = A @ start[m * C:(m + 1) * C].ravel()
             self._solves.append(lu.solve)
-        self.R, self.jumps = [None] * L, None
 
     def solve(self, i):
         """Yield ``(m, x)`` per ordinate m, x = A^{-1} g as its C d
@@ -380,8 +453,53 @@ class _Jumps:
                     np.subtract(gs[off:, q], y[i, :-off], out=gs[off:, q])
 
 
-# ``_Jumps`` takes as many ordinates at a time as have about this many
-# values of x together (512 KiB)
+class _Downwind:
+    """The remainder R = A - P of the ordinates swept without a shift:
+    A's blocks in the slots across the two downwind sides (DODG's jump
+    penalty -c_p h E_pair; 0 for DODSD), one block per side on the whole
+    grid (checked by ``_Sweep``), given as ``blocks`` (ordinates, 2, d,
+    d) transposed.  So R x is, per side, x shifted by n or 1 cells times
+    that block, zeroed at a row's end cells across a left or right side.
+    Neighbouring ordinates with the same flow quadrant and blocks form a
+    run, which ``subtract`` takes about ``_CHUNK`` values at a time."""
+
+    def __init__(self, n, quadrant, blocks):
+        C, d = n * n, blocks.shape[-1]
+        self._runs = []
+        for b, q in enumerate(quadrant):
+            key = (q, blocks[b].tobytes())
+            if self._runs and self._runs[-1][0] == key:
+                self._runs[-1][2] = b + 1
+            elif blocks[b].any():
+                # the top or bottom, then the right or left side: the cell
+                # offset across it, and the cells without a neighbour there
+                # that the shift would reach across a row's end
+                sides = ((-n if q & 2 else n, None),
+                         (-1, slice(0, None, n)) if q & 1 else (1, slice(n - 1, None, n)))
+                self._runs.append([key, b, b + 1, [(off, ends, block) for (off, ends), block
+                                                   in zip(sides, blocks[b]) if block.any()]])
+        self._C, self._per = C, max(1, _CHUNK // (C * d))
+        self._buf = np.empty((self._per * C, d))
+
+    def subtract(self, x, g):
+        """g -= R x, both rows of d over all ordinates, ordinate-major."""
+        C, per = self._C, self._per
+        for _, lo, hi, sides in self._runs:
+            for a in range(lo, hi, per):
+                xs, gs = (v[a * C:min(a + per, hi) * C].reshape(-1, C, v.shape[1]) for v in (x, g))
+                y = self._buf[:len(xs) * C].reshape(xs.shape)
+                for off, ends, block in sides:
+                    # the cells with a neighbour off cells on, and those neighbours
+                    to = slice(max(-off, 0), C - max(off, 0))
+                    at = slice(max(off, 0), C + min(off, 0))
+                    np.matmul(xs[:, at], block, out=y[:, to])
+                    if ends is not None:
+                        y[:, ends] = 0.0
+                    np.subtract(gs[:, to], y[:, to], out=gs[:, to])
+
+
+# ``_Jumps`` and ``_Downwind`` take as many ordinates at a time as have
+# about this many values of x together (512 KiB)
 _CHUNK = 2**16
 
 
@@ -445,8 +563,8 @@ def _bound(errs, residuals):
 
 def _fused_sweep(systems, kernel, quad, pinv, x, i, folded):
     """One sweep of every ordinate from the iterate ``x``, rows of d: g =
-    b + S x - R x (one CSR product per ordinate that has one, then WG's
-    on the faces, ``_Jumps``) is formed in the first rows of
+    b + S x - R x (WG's on the faces, ``_Jumps``, the others on the grid,
+    ``_Downwind``) is formed in the first rows of
     ``pinv.bufs[i]``, the next sweep's previous g, g_prev - g in those of
     the other, which then serves as the work array while P^{-1} g
     overwrites x ordinate by ordinate and each one's update norm is taken
@@ -456,16 +574,14 @@ def _fused_sweep(systems, kernel, quad, pinv, x, i, folded):
     the update's norm (``l2_dom_norm``)."""
     mesh, tables, B = systems[0].mesh, systems[0].tables, len(systems)
     g, g_prev = (buf[:len(x)].reshape(B, -1) for buf in (pinv.bufs[i], pinv.bufs[1 - i]))
-    xs, field = x.reshape(B, -1), x.reshape(B, mesh.n_cells, -1)
+    field = x.reshape(B, mesh.n_cells, -1)
     scattering_source(systems, kernel, quad, field, out=g.reshape(field.shape))
     for m, system in enumerate(systems):
         g[m] += system.rhs_fixed
     den = np.vdot(g, g) + (np.vdot(g[0], g[0]) if folded else 0)
-    for m, R in enumerate(pinv.R):
+    for R in (pinv.jumps, pinv.downwind):
         if R is not None:
-            g[m] -= R @ xs[m]
-    if pinv.jumps is not None:
-        pinv.jumps.subtract(x, g.reshape(x.shape))
+            R.subtract(x, g.reshape(x.shape))
     np.subtract(g_prev, g, out=g_prev)
     num = np.vdot(g_prev, g_prev) + (np.vdot(g_prev[0], g_prev[0]) if folded else 0)
     vol = np.empty(B)
@@ -553,7 +669,7 @@ def _loop(systems, kernel, quad, cfg, certify, start, reps, group):
     field = x.reshape(B, C, d)
     if start is not None:
         np.take(start, reps, axis=0, out=field, mode="clip")
-    pinv = (_Exact if systems[0].n_dof <= _EXACT_UP_TO else _Sweep)(
+    pinv = (_Rows if systems[0].n_dof <= _EXACT_UP_TO else _Sweep)(
         systems, None if start is None else x)
     i, errs, residuals = 0, [], []
     tol = cfg.tol
@@ -576,7 +692,7 @@ def _loop(systems, kernel, quad, cfg, certify, start, reps, group):
             tol = target
         elif (
             # after the switch no ordinate has a remainder: it happens once
-            (pinv.jumps is not None or any(R is not None for R in pinv.R))
+            (pinv.jumps is not None or pinv.downwind is not None)
             and len(errs) > _STALL and errs[-1] >= errs[-1 - _STALL]
             and errs[-1] > _ROUNDOFF * l2_dom_norm(mesh, tables, quad, field)
         ):

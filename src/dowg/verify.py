@@ -55,7 +55,7 @@ from .elements import (
 )
 from .mesh import SIDE_NORMALS, build_mesh
 from .reporting import _shared_levels
-from .solver import SolverFailure, SourceIterationConfig, source_iteration
+from .solver import _EXACT_UP_TO, SolverFailure, SourceIterationConfig, source_iteration
 
 __all__ = [
     "ManufacturedCase",
@@ -260,11 +260,14 @@ def _check_memory(k, level, M, budget=None):
     The estimate counts, for each of the L = M + 1 ordinates (the loop
     solves the rule's last, theta = 2 pi, with its first, which leaves
     one of margin), D^{-1} and two operators of at most two d x d blocks
-    per cell and the right side, with the index arrays of at most sixteen
-    sparsity patterns and the larger of the set-up's scratch plus two
-    fields and five fields, and the test
-    ``TestCheckMemory.test_bounds_the_traced_peak`` checks that it stays
-    above the traced peak of every scheme's run, from zero and nested.
+    per cell and the right side, and at desk scale (C d at most
+    ``solver._EXACT_UP_TO``) the row pairs' S^{-1}, n (n d)^2 values on
+    an n x n grid, and the scratch of five of its rows while they are
+    formed, with the index arrays of at most sixteen sparsity patterns
+    and the larger of the set-up's scratch plus two fields and five
+    fields, and the test ``TestCheckMemory.test_bounds_the_traced_peak``
+    checks that it stays above the traced peak of every scheme's run,
+    from zero and nested.
 
     The dense (L, L) arrays of the scattering kernel come on top.  Its
     build, which runs before anything else is allocated, peaks at four
@@ -277,6 +280,9 @@ def _check_memory(k, level, M, budget=None):
     L = M + 1
     blocks, n = C * d * d, C * d
     sweep = 8 * blocks + 2 * 8 * 2 * blocks + 8 * n
+    if n <= _EXACT_UP_TO:
+        rows = 2**level
+        sweep += 8 * (rows + 5) * (rows * d) ** 2
     patterns = 2 * min(L, 8)
     shared = patterns * (4 * 2 * blocks + 4 * n)
     setup = patterns * 8 * 2 * blocks + 80 * blocks

@@ -2,12 +2,13 @@
 
 Each ordinate's block stencil is assembled once per cell class, and one
 batched sweep holds every swept ordinate's class blocks and R: WG's on
-the faces (``_Jumps``), every other one as CSR operators the ordinates
-share, filled into sparsity patterns shared by the run.  The references
-below are the per-cell stencil, every cell its own class, and the sweep
-construction the solver used before: it converts each ordinate's
-per-cell blocks to CSR/CSC separately.  WG's R x is its (A - P) x to
-1e-14 of |A| |x|; everything else is bitwise the reference's.
+the faces (``_Jumps``), every other one as its two downwind blocks on
+the grid (``_Downwind``), shared by the ordinates of a run.  The
+references below are the per-cell stencil, every cell its own class, and
+the sweep construction the solver used before: it converts each
+ordinate's per-cell blocks to CSR/CSC separately.  R x is the
+reference's (A - P) x to 1e-14 of |A| |x|; everything else is bitwise
+the reference's.
 """
 
 import gc
@@ -221,33 +222,24 @@ def _batch(systems):
 
 def _remainder_product(sweep, x):
     """R x of every ordinate the sweep holds, ``x`` (ordinates, n_dof), as
-    the loop forms it: each ordinate's CSR, then WG's on the faces."""
-    d = sweep._d
-    g = np.zeros((len(x) * sweep._C, d))
-    for m, R in enumerate(sweep.R):
+    the loop forms it: WG's on the faces, the others' on the grid."""
+    g = np.zeros((len(x) * sweep._C, sweep._d))
+    for R in (sweep.jumps, sweep.downwind):
         if R is not None:
-            g[m * sweep._C:(m + 1) * sweep._C] -= (R @ x[m]).reshape(-1, d)
-    if sweep.jumps is not None:
-        sweep.jumps.subtract(np.ascontiguousarray(x).reshape(-1, d), g)
+            R.subtract(np.ascontiguousarray(x).reshape(g.shape), g)
     return -g.reshape(x.shape)
-
-
-def _operators(R):
-    """The distinct CSR operators of a run's R."""
-    return list({id(J): J for J in R if J is not None}.values())
 
 
 def _same_remainder(system, sweep, b, x, ref, A):
     """The sweep's R of ``system``, its ordinate b, against the per-cell
-    A - P ``ref``: WG's, R = -shift on the faces, its product with ``x``
-    (``_remainder_product``) to 1e-14 of |A| |x|, where A - P cancels to
-    within A's rounding; every other R one CSR, bit for bit."""
-    if isinstance(system.scheme, WG):
-        assert sweep.R[b] is None and sweep.jumps is not None
-        Rx = _remainder_product(sweep, x)[b]
-        assert abs(Rx - ref @ x[b]).max() <= 1e-14 * (abs(A) @ abs(x[b])).max()
-    else:
-        _same_sparse(sweep.R[b], ref)
+    A - P ``ref`` (None for 0): its product with ``x``
+    (``_remainder_product``) to 1e-14 of |A| |x|, where for WG A - P
+    cancels to within A's rounding.  WG's R is -shift on the faces, every
+    other one the downwind blocks on the grid."""
+    assert (sweep.jumps is not None) == isinstance(system.scheme, WG)
+    Rx = _remainder_product(sweep, x)[b]
+    want = 0.0 if ref is None else ref @ x[b]
+    assert abs(Rx - want).max() <= 1e-14 * (abs(A) @ abs(x[b])).max()
 
 
 def _assert_class_built_is_cell_built(systems):
@@ -413,35 +405,39 @@ class TestClassDinv:
             assert_array_equal(first | last, boundary)
 
 
+def _runs(sweep):
+    """The ordinate ranges [lo, hi) of the sweep's downwind remainder runs."""
+    return [(lo, hi) for _, lo, hi, _ in sweep.downwind._runs]
+
+
 class TestSharedPatterns:
     def test_one_quadrant_shares_its_indices(self):
         # m = 1..4 lie strictly inside the first quadrant.  WG's R is one
         # face operator for every ordinate, the axis one m = 0 too, with
-        # each ordinate's own scales h|s_x|/4 and h|s_y|/4, and no CSR;
-        # DODG's is one CSR for the quadrant, which m = 0 joins by the tie
-        # rule (s_y = 0 counts the bottom as upwind).  Its index arrays
-        # are read-only
+        # each ordinate's own scales h|s_x|/4 and h|s_y|/4, and no
+        # downwind one; DODG's is one run of downwind blocks for the
+        # quadrant, which m = 0 joins by the tie rule (s_y = 0 counts the
+        # bottom as upwind) and m = 5 by its s_x = cos(pi/2) = 6e-17, and
+        # m = 6 starts the second
         systems = _systems("wg", 1, 4)
         sweep = _batch(systems)
-        assert sweep.R == [None] * len(systems)
+        assert sweep.downwind is None
         for m in range(5):
             h, (sx, sy) = systems[m].mesh.h, systems[m].direction
             assert list(sweep.jumps._scales[m]) == [0.25 * h * abs(sx), 0.25 * h * abs(sy)]
-        R = _batch(_systems("dodg", 1, 4)).R
-        first = R[1]
-        assert all(R[m] is first for m in range(5))
-        assert not first.indices.flags.writeable and not first.indptr.flags.writeable
-        assert R[6] is not first  # the second quadrant
+        sweep = _batch(_systems("dodg", 1, 4))
+        assert sweep.jumps is None and _runs(sweep)[:2] == [(0, 6), (6, 11)]
 
     @staticmethod
     def _built(monkeypatch):
         """Every CSR the sweep's set-up expands from class blocks."""
-        built, real = [], dowg.solver._filled
+        built, real = [], dowg.assembly._filled
 
         def recording(*args):
             built.append(real(*args))
             return built[-1]
 
+        monkeypatch.setattr(dowg.assembly, "_filled", recording)
         monkeypatch.setattr(dowg.solver, "_filled", recording)
         return built
 
@@ -453,7 +449,7 @@ class TestSharedPatterns:
         built = self._built(monkeypatch)
         systems = _systems("wg", 1, 4, M=M)
         sweep = _batch(systems)
-        assert built == [] and sweep.R == [None] * (M + 1)
+        assert built == [] and sweep.downwind is None
         for system, scales in zip(systems, sweep.jumps._scales, strict=True):
             h, s = system.mesh.h, system.direction
             assert list(scales) == list(0.25 * h * np.abs(s))
@@ -462,25 +458,31 @@ class TestSharedPatterns:
     @pytest.mark.parametrize("M", [4, 20])
     def test_dodg_builds_one_per_flow_quadrant(self, monkeypatch, M, k):
         # DODG's R, the jump penalty in the downwind slots, is the same
-        # bit for bit within a flow quadrant: one unscaled CSR each
+        # bit for bit within a flow quadrant: one run of the two blocks
+        # for each stretch of ordinates in one quadrant (theta = 2 pi,
+        # after the fourth, runs alone), and no CSR
         built = self._built(monkeypatch)
         sweep = _batch(_systems("dodg", k, 4, M=M))
-        assert len(built) == len(set(sweep._quadrant)) <= 4
-        by_quadrant = {}
-        for q, J in zip(sweep._quadrant, sweep.R):
-            assert by_quadrant.setdefault(q, J) is J
-        assert len(by_quadrant) == len(built)
+        assert built == [] and sweep.jumps is None
+        q = sweep._quadrant
+        starts = [m for m in range(1, M + 1) if q[m] != q[m - 1]]
+        assert _runs(sweep) == list(zip([0] + starts, starts + [M + 1]))
+        blocks = {}
+        for (quadrant, values), *_ in sweep.downwind._runs:
+            assert blocks.setdefault(quadrant, values) == values
+        assert len(blocks) <= 4
 
     def test_unshifted_wg_shares_only_equal_remainders(self, monkeypatch):
         # swept without its shift, WG's R is A's downwind blocks, which
-        # depend on the direction: one CSR per distinct direction, the
-        # one of theta = 0 shared with theta = 2 pi
+        # depend on the direction: one run per ordinate, theta = 2 pi's
+        # blocks those of theta = 0, and no CSR
         monkeypatch.setattr(dowg.solver, "_sweep_shift", lambda s: None)
         built = self._built(monkeypatch)
         sweep = _batch(_systems("wg", 1, 3))
-        R = sweep.R
-        assert len(built) == 20 and R[20] is R[0]
-        assert sweep.jumps is None and all(J.format == "csr" for J in R)
+        runs = sweep.downwind._runs
+        assert built == [] and sweep.jumps is None
+        assert [(lo, hi) for _, lo, hi, _ in runs] == [(m, m + 1) for m in range(21)]
+        assert runs[20][0] == runs[0][0]
 
     def test_sweeps_die_with_the_run(self, monkeypatch):
         # no reference cycle keeps a sweep alive after the loop returns:
@@ -629,11 +631,10 @@ class TestRowTakes:
 
         monkeypatch.setattr(dowg.assembly, "_pattern", checked)
         systems = _systems(name, k, level, _KINDS[kind], M=M)
-        R = _operators(_batch(systems).R)
-        # one pattern per distinct pattern of R's shared operators, none
-        # for DODSD and WG, whose R is applied on the faces
-        assert len(calls) == len({(r.indptr.tobytes(), r.indices.tobytes()) for r in R})
-        assert bool(R) == (name == "dodg")
+        sweep = _batch(systems)
+        # the sweep builds no pattern: WG's R is applied on the faces,
+        # DODG's on the grid, and DODSD has none
+        assert calls == [] and (sweep.downwind is not None) == (name == "dodg")
         patterns = len(calls)
         for system in systems:
             _ = system.matrix  # its own pattern, checked the same way

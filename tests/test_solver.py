@@ -36,14 +36,15 @@ from dowg.solver import (
     SolverFailure,
     SourceIterationConfig,
     _Exact,
+    _Rows,
     _Sweep,
     source_iteration,
 )
 from dowg.verify import _assemble_all, _iterate, build_case, run_convergence, solve_case
 
 
-def _setup(level=2, k=1, sigma_s=0.5, phase=None, renormalize=True, sigma_t=2.0):
-    quad = build_circle_trapezoid(20)
+def _setup(level=2, k=1, sigma_s=0.5, phase=None, renormalize=True, sigma_t=2.0, M=20):
+    quad = build_circle_trapezoid(M)
     phase = phase or HenyeyGreenstein(0.5)
     kernel = build_scatter_kernel(quad, phase, sigma_t, sigma_s, renormalize=renormalize)
     medium = Medium(sigma_t, sigma_s)
@@ -202,11 +203,50 @@ def _face_remainder(system, x, g):
         g[off:, second] -= y[:, :-off].T
 
 
+def _grid_remainder(system, x, g):
+    """g -= R x for one ordinate swept without a shift, x and g (C, d), in
+    the arithmetic of ``solver._Downwind`` on that ordinate alone: per
+    downwind side, top or bottom then right or left, the neighbours' rows
+    times the interior class's block there, 0 at a row's end, subtracted
+    from g."""
+    acc, n, C = system.stencil(), system.mesh.n, system.mesh.n_cells
+    sx, sy = system.direction
+    c = np.arange(C)
+    for slot, off, none in [(4, n, None) if sy >= 0 else (0, -n, None),
+                            (3, 1, c % n == n - 1) if sx >= 0 else (1, -1, c % n == 0)]:
+        block = acc.blocks[dowg.solver._INTERIOR, slot]
+        if not block.any():
+            continue
+        to = slice(0, C - off) if off > 0 else slice(-off, C)
+        at = slice(off, C) if off > 0 else slice(0, C + off)
+        y = np.empty_like(x)
+        y[to] = x[at] @ block.T
+        if none is not None:
+            y[none] = 0.0
+        g[to] -= y[to]
+
+
+def _row_pairs(system, x=None):
+    """One ordinate's exact pairs (``solver._Rows``): its solve, and
+    ``x`` replaced by A x if given."""
+    rows = _Rows([system], None if x is None else x.reshape(-1, system.tables.dof))
+    if x is not None:
+        x[:] = rows.bufs[1].ravel()
+
+    def solve(g):
+        rows.bufs[0].ravel()[:] = g
+        [(_, out)] = rows.solve(0)
+        return out.ravel()
+
+    return solve
+
+
 def _per_ordinate_loop(systems, kernel, quad, cfg, start=None, fold=True):
     """Reference: the loop as it was before the fused sweep, a Python
     pass over the ordinates per sweep, each forming its g, residual sums
-    and previous g on its own, with the exact pairs solved ordinate by
-    ordinate and the swept ones after the pass.  Covers runs whose
+    and previous g on its own, with the exact pairs (``_row_pairs`` at
+    desk scale, sparse LU after a switch) solved ordinate by ordinate and
+    the swept ones after the pass.  Covers runs whose
     ordinates all have a remainder or none; returns (field, trace).
     With ``fold`` it runs on the solver's groups (``_fold``): one
     representative per group, counted once per member in the residual
@@ -236,15 +276,16 @@ def _per_ordinate_loop(systems, kernel, quad, cfg, start=None, fold=True):
 
     x0 = None if start is None else g_prev
     if systems[0].n_dof <= dowg.solver._EXACT_UP_TO:
-        solves = {m: exact(s, None if x0 is None else x0[m]) for m, s in enumerate(systems)}
+        solves = {m: _row_pairs(s, None if x0 is None else x0[m]) for m, s in enumerate(systems)}
         sweep = None
     else:
         solves, sweep = {}, _Sweep(systems, None if start is None else field.reshape(-1, d))
         if start is not None:
             g_prev[:] = sweep.bufs[1][:B * C].reshape(B, C * d)
-    remainders = {} if sweep is None else dict(enumerate(sweep.R))
     shifted = set() if sweep is None else {
         m for m, s in enumerate(systems) if dowg.solver._sweep_shift(s) is not None}
+    # the ordinates swept without a shift: each has its downwind remainder
+    remainders = set() if sweep is None else set(range(B)) - shifted
     errs, residuals = [], []
     tol, converged, switched, escalated = cfg.tol, False, False, 0
     bound = residual = np.inf
@@ -255,8 +296,8 @@ def _per_ordinate_loop(systems, kernel, quad, cfg, start=None, fold=True):
             rhs = s.rhs_fixed + update[m].ravel()
             # R x as the solver forms it
             g = rhs.copy()
-            if remainders.get(m) is not None:
-                g -= remainders[m] @ field[m].ravel()
+            if m in remainders:
+                _grid_remainder(s, field[m], g.reshape(C, d))
             if m in shifted:
                 _face_remainder(s, field[m], g.reshape(C, d))
             r = g - g_prev[m]
@@ -286,13 +327,11 @@ def _per_ordinate_loop(systems, kernel, quad, cfg, start=None, fold=True):
             and errs[-1] > dowg.solver._ROUNDOFF * l2_dom_norm(mesh, tables, quad, field)
         ):
             switched = True
-            inexact = [m for m, R in remainders.items() if R is not None or m in shifted]
-            if inexact:
-                assert len(inexact) == B
-                for m in inexact:
+            if sweep is not None and (sweep.jumps is not None or sweep.downwind is not None):
+                for m in range(B):
                     g_prev[m] = field[m].ravel()
                     solves[m] = exact(systems[m], g_prev[m])
-                sweep, remainders, shifted, escalated = None, {}, set(), L
+                sweep, remainders, shifted, escalated = None, set(), set(), L
     if out is None:
         out = np.empty((L, C, d))
     out[...] = field[group]
@@ -376,7 +415,7 @@ class TestSweep:
             DODSD(), mesh, tables, quad, kernel, medium, 3, f=_source
         )
         sweep = _Sweep([sysm])
-        assert sweep.R[0] is None
+        assert sweep.downwind is None and sweep.jumps is None
         b = np.sin(np.arange(sysm.n_dof))
         [x] = _inverse(sweep, [b])
         assert np.linalg.norm(sysm.matrix @ x - b) <= 1e-12 * np.linalg.norm(b)
@@ -407,8 +446,8 @@ class TestSweep:
             WG(), small_mesh, tables, quad, kernel, medium, 1
         )
         assert s2.n_dof <= dowg.solver._EXACT_UP_TO
-        exact = _Exact([s2])
-        assert exact.R == [None] and exact.jumps is None
+        exact = _Rows([s2])
+        assert exact.jumps is None and exact.downwind is None
         assert [buf.shape for buf in exact.bufs] == [(small_mesh.n_cells, tables.dof)] * 2
         [x] = _inverse(exact, [np.ones(s2.n_dof)])
         assert np.abs(s2.matrix @ x - 1.0).max() <= 1e-12
@@ -517,9 +556,9 @@ class TestSweepProperty:
     def test_forward_is_the_lower_solve(self, theta, k, name, seed, thick):
         # P^{-1} is the lower solve with the sweep matrix's D + L, and R
         # holds the rest of the system matrix: its product to 1e-14 of A's
-        # (WG's, applied on the faces, and DODG's CSR), and DODG's CSR,
-        # A's downwind blocks, bit for bit; any direction, the axes' s.n =
-        # 0 ties, the stock or a thick medium
+        # (WG's, applied on the faces, and DODG's, A's downwind blocks on
+        # the grid); any direction, the axes' s.n = 0 ties, the stock or a
+        # thick medium
         _, kernel, medium, mesh, tables = _setup(level=3, k=k, **_THICK if thick else {})
         one = _one_ordinate(theta)
         sysm = assemble_direction(
@@ -532,14 +571,10 @@ class TestSweepProperty:
         [x] = _inverse(sweep, [b])
         assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
         A = sysm.matrix
-        R = sweep.R[0]
-        assert (R is not None, sweep.jumps is not None) == {
+        assert (sweep.downwind is not None, sweep.jumps is not None) == {
             "wg": (False, True), "dodg": (True, False), "dodsd": (False, False)}[name]
         [Rb] = _remainder_product(sweep, b[None])
         assert np.abs(Rb - (A - lower) @ b).max() <= 1e-14 * (abs(A) @ np.abs(b)).max()
-        if name == "dodg":
-            assert np.abs(R + lower - A).max() <= 1e-14 * np.abs(A).max()
-            assert (R != A - lower).nnz == 0
         if name == "dodsd":
             exact = spla.spsolve(sysm.matrix.tocsc(), b)
             assert np.abs(x - exact).max() <= 1e-12 * np.abs(exact).max()
@@ -608,6 +643,58 @@ class TestSweepProperty:
         for m, s in enumerate(systems):
             ref = _lower_part(_sweep_matrix(s), d, mesh, s.direction) @ x0[m]
             assert np.abs(px0[m] - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+class TestRowPairs:
+    """The exact pairs at desk scale (``solver._Rows``): block elimination
+    over the grid rows solves each ordinate's system, forms A x0 from a
+    start, and refuses a singular row."""
+
+    # M = 4 has only axis ordinates, each with two sides where s.n = 0
+    @pytest.mark.parametrize("M", [4, 20])
+    @pytest.mark.parametrize("thick", [False, True])
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("name", sorted(_SCHEMES))
+    def test_solves_every_ordinate(self, name, k, thick, M):
+        quad, kernel, medium, mesh, tables = _setup(level=3, k=k, M=M, **_THICK if thick else {})
+        systems = _systems(_SCHEMES[name], quad, kernel, medium, mesh, tables)
+        assert systems[0].n_dof <= dowg.solver._EXACT_UP_TO
+        g = np.random.default_rng(8).standard_normal((len(systems), systems[0].n_dof))
+        x = _inverse(_Rows(systems), g)
+        for m, s in enumerate(systems):
+            assert np.linalg.norm(s.matrix @ x[m] - g[m]) <= 1e-13 * np.linalg.norm(g[m])
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("name", sorted(_SCHEMES))
+    def test_start_is_the_system_product(self, name, k):
+        # a start x0's previous g is A x0, in the first rows of the second
+        # buffer, and the start rows are left as they are
+        quad, kernel, medium, mesh, tables = _setup(level=3, k=k)
+        systems = _systems(_SCHEMES[name], quad, kernel, medium, mesh, tables)
+        d, C = tables.dof, mesh.n_cells
+        x0 = np.random.default_rng(9).standard_normal((len(systems), C * d))
+        rows = x0.reshape(-1, d).copy()
+        pairs = _Rows(systems, rows)
+        assert_array_equal(rows, x0.reshape(-1, d))
+        px0 = pairs.bufs[1].reshape(len(systems), -1)
+        for m, s in enumerate(systems):
+            A = s.matrix
+            assert np.abs(px0[m] - A @ x0[m]).max() <= 1e-14 * (abs(A) @ np.abs(x0[m])).max()
+
+    @pytest.mark.parametrize("name", sorted(_SCHEMES))
+    def test_zeroed_own_block_is_singular(self, monkeypatch, name):
+        quad, kernel, medium, mesh, tables = _setup(level=2, k=1)
+        system = assemble_direction(_SCHEMES[name], mesh, tables, quad, kernel, medium, 3)
+        real = DirectionSystem.stencil
+
+        def zeroed(self):
+            st = real(self)
+            st.blocks[:, 2] = 0.0
+            return st
+
+        monkeypatch.setattr(DirectionSystem, "stencil", zeroed)
+        with pytest.raises(np.linalg.LinAlgError):
+            _Rows([system])
 
 
 class TestPreChangeEquivalence:
@@ -759,6 +846,11 @@ class TestFold:
                 built.append(("sweep", len(systems)))
                 super().__init__(systems, start)
 
+        class Rows(_Rows):
+            def __init__(self, systems, start=None):
+                built.append(("rows", len(systems)))
+                super().__init__(systems, start)
+
         class Exact(_Exact):
             def __init__(self, systems, start=None, bufs=None):
                 built.append(("exact", len(systems)))
@@ -771,20 +863,22 @@ class TestFold:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(dowg.solver, "_Sweep", Sweep)
+        monkeypatch.setattr(dowg.solver, "_Rows", Rows)
         monkeypatch.setattr(dowg.solver, "_Exact", Exact)
         monkeypatch.setattr(spla, "splu", splu)
         return built
 
     @pytest.mark.parametrize("level, pairs", [(3, "exact"), (4, "sweep")])
     def test_twenty_of_twenty_one_are_set_up(self, monkeypatch, level, pairs):
+        # the exact pairs at desk scale are the row pairs, which factor
+        # nothing with sparse LU
         built = self._counted(monkeypatch)
         sol = solve_case("example1", k=1, level=level, M=20)
         assert sol.trace.converged and len(sol.systems) == 21
         # the drivers give theta = 2 pi the right side of theta = 0
         assert sol.systems[-1].rhs_fixed is sol.systems[0].rhs_fixed
         assert sol.field.shape == (21, sol.mesh.n_cells, 4)
-        factored = 20 if pairs == "exact" else 0
-        assert built == [(pairs, 20)] + [("splu", 1)] * factored
+        assert built == [({"exact": "rows", "sweep": "sweep"}[pairs], 20)]
         assert sol.field[-1].tobytes() == sol.field[0].tobytes()
 
     @pytest.mark.parametrize("name", sorted(_SCHEMES))
@@ -925,16 +1019,18 @@ class TestLoopMemory:
 class TestSuperLUImport:
     def test_loaded_only_when_a_run_factors(self):
         # a subprocess, as this suite imports scipy itself.  Importing
-        # dowg loads no scipy module, nor do WG and DODSD Q1 solves at
-        # 1/h = 16 (1024 unknowns per ordinate), which sweep and build no
-        # CSR; a DODG solve there builds its remainder's CSR and loads
-        # scipy.sparse but not SuperLU; the desk-scale solve at 1/h = 8
-        # factors and loads both
+        # dowg loads no scipy module, nor do WG, DODSD and DODG Q1 solves
+        # at 1/h = 16 (1024 unknowns per ordinate), which sweep and build
+        # no CSR, nor the desk-scale solves at 1/h = 8, whose exact pairs
+        # are the row pairs; a run whose unshifted WG sweep stalls
+        # switches to sparse LU and loads SuperLU
         script = (
             "import sys\n"
+            "import warnings\n"
             "def loaded(name):\n"
             "    return any(m == name or m.startswith(name + '.') for m in sys.modules)\n"
             "import dowg\n"
+            "import dowg.solver\n"
             "from dowg.assembly import DODG, DODSD\n"
             "from dowg.verify import solve_case\n"
             "print(loaded('scipy'))\n"
@@ -943,9 +1039,16 @@ class TestSuperLUImport:
             "solve_case('example1', scheme=DODSD(), level=4)\n"
             "print(loaded('scipy'))\n"
             "solve_case('example1', scheme=DODG(), level=4)\n"
-            "print(loaded('scipy.sparse'), 'scipy.sparse.linalg' in sys.modules)\n"
+            "print(loaded('scipy'))\n"
+            "for scheme in (DODG(), DODSD()):\n"
+            "    solve_case('example2', scheme=scheme, k=2, level=3)\n"
             "solve_case('example1', level=3)\n"
-            "print(loaded('scipy.sparse'), 'scipy.sparse.linalg' in sys.modules)\n"
+            "print(loaded('scipy'))\n"
+            "dowg.solver._sweep_shift = lambda s: None\n"
+            "with warnings.catch_warnings(record=True) as caught:\n"
+            "    warnings.simplefilter('always')\n"
+            "    solve_case('example1', level=4)\n"
+            "print(len(caught), 'scipy.sparse.linalg' in sys.modules)\n"
         )
         src = os.path.dirname(os.path.dirname(dowg.__file__))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -953,7 +1056,7 @@ class TestSuperLUImport:
         run = subprocess.run([sys.executable, "-c", script], env=env,
                              capture_output=True, text=True, timeout=120)
         assert run.returncode == 0, run.stderr
-        assert run.stdout.split() == ["False"] * 3 + ["True", "False"] + ["True"] * 2
+        assert run.stdout.split() == ["False"] * 5 + ["1", "True"]
 
 
 class TestSourceIteration:
@@ -1164,26 +1267,22 @@ class TestSplitStorage:
         monkeypatch.undo()
         assert trace.converged and trace.escalated == 0
         [sweep] = built
-        assert len(sweep.R) == len(quad)
-        # only DODG's R is sparse: per ordinate a CSR, A - P; WG's is
-        # applied on the faces, its product (A - P) x to 1e-14
+        # no R is sparse: WG's is applied on the faces, DODG's on the
+        # grid, each product (A - P) x to 1e-14
         def sparse(v):
             return sp.issparse(v) or isinstance(v, (list, tuple)) and any(map(sparse, v))
 
-        held = {k for k, v in vars(sweep).items() if sparse(v)}
-        assert held == ({"R"} if name == "dodg" else set())
+        for held in filter(None, (sweep, sweep.jumps, sweep.downwind)):
+            assert not any(sparse(v) for v in vars(held).values())
         assert (sweep.jumps is not None) == (name == "wg")
+        assert (sweep.downwind is not None) == (name == "dodg")
         x = np.random.default_rng(6).standard_normal((len(systems), systems[0].n_dof))
         Rx = _remainder_product(sweep, x)
         for m, sysm in enumerate(systems):
             A = sysm.matrix
             lower = _lower_part(_sweep_matrix(sysm), tables.dof, mesh, sysm.direction)
-            if sweep.R[m] is not None:
-                assert sweep.R[m].format == "csr" and sweep.R[m].nnz < A.nnz
-                assert np.abs(sweep.R[m] + lower - A).max() == 0.0
-            if name == "wg":
-                err = np.abs(Rx[m] - (A - lower) @ x[m]).max()
-                assert err <= 1e-14 * (abs(A) @ np.abs(x[m])).max()
+            err = np.abs(Rx[m] - (A - lower) @ x[m]).max()
+            assert err <= 1e-14 * (abs(A) @ np.abs(x[m])).max()
             assert not any(sp.issparse(v) for v in vars(sysm).values())
         # D^{-1} per class: the interior block and the two end blocks of
         # each of the 2n - 1 fronts, against n^2 cells
